@@ -13,7 +13,6 @@ import datetime
 import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,9 @@ from .composition import (
 from .decision import AllocationRule, BetRecord, gate_sweep, murphy, regret
 from .jsonio import dump_lines, dumps, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
-from .polytope import Clique, PolytopeSpec, build_polytope
+from .polytope import Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
-from .projection import CLOSED_FORM_KINDS, project_closed_form, project_dykstra
+from .projection import project_relation
 from .simharness import (
     ConfigError,
     SimConfig,
@@ -92,13 +91,6 @@ def _write_manifest(args, manifest: dict, out_path: str) -> None:
         Path(target).write_text(dumps(manifest) + "\n")
 
 
-def _map_records(records, fn, jobs: int):
-    if jobs <= 1:
-        return [fn(r) for r in records]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, records))
-
-
 # --- project ---------------------------------------------------------------
 
 
@@ -111,10 +103,7 @@ def _project_record(entry):
         raise InputError(f"line {lineno}: {exc}") from exc
     if quote.shape != (clique.relation.m,):
         raise InputError(f"line {lineno}: quote length {quote.size} != m={clique.relation.m}")
-    if clique.relation.kind in CLOSED_FORM_KINDS:
-        result = project_closed_form(clique.relation, quote)
-    else:
-        result = project_dykstra(build_polytope(clique.relation), quote)
+    result = project_relation(clique.relation, quote)
     return {
         "id": clique.id,
         "projected": [float(v) for v in result.projected],
@@ -128,7 +117,7 @@ def _project_record(entry):
 def cmd_project(args) -> int:
     text = _read_text(args.input)
     records = parse_lines(text)
-    out = _map_records(records, _project_record, args.jobs)
+    out = [_project_record(entry) for entry in records]
     _write_text(args.out, dump_lines(out))
     _write_manifest(args, _manifest("project", "", args.seed, {"input": text}), args.out)
     return 0
@@ -169,7 +158,7 @@ def _certify_record(entry, tol: float = 1e-8):
 def cmd_certify(args) -> int:
     text = _read_text(args.input)
     records = parse_lines(text)
-    out = _map_records(records, lambda e: _certify_record(e, args.tol), args.jobs)
+    out = [_certify_record(entry, args.tol) for entry in records]
     _write_text(args.out, dump_lines(out))
     _write_manifest(args, _manifest("certify", "", args.seed, {"input": text}), args.out)
     return 0
@@ -328,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--tol", type=float, default=1e-8, help="membership tolerance")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for record streams")
     parser.add_argument("--manifest-out", default=None, help="run manifest path")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -47,7 +47,6 @@ class ComponentSpec:
 @dataclass(frozen=True)
 class OwnershipMap:
     owner_of: tuple[int, ...]  # joint coordinate -> component index
-    local_index: dict          # (component, joint coordinate) -> local coordinate
 
     def owner(self, j: int) -> int:
         return self.owner_of[j]
@@ -194,22 +193,20 @@ class CompositionSpec:
         if self.joint_dim == 0:
             self.joint_dim = sum(len(c.coords) for c in self.components)
         owner_of = [-1] * self.joint_dim
-        local_index: dict = {}
         for a, component in enumerate(self.components):
-            for i, j in enumerate(component.coords):
+            for j in component.coords:
                 if not (0 <= j < self.joint_dim):
                     raise ValueError(f"coordinate {j} outside the joint space")
                 if owner_of[j] != -1:
                     raise ValueError(f"joint coordinate {j} owned twice")
                 owner_of[j] = a
-                local_index[(a, j)] = i
         if any(o == -1 for o in owner_of):
             missing = [j for j, o in enumerate(owner_of) if o == -1]
             raise ValueError(f"joint coordinates {missing} have no owner")
         for c in self.coupling.constraints:
             if any(j >= self.joint_dim for j in c.coords):
                 raise ValueError("coupling constraint references coordinates outside the joint space")
-        self._ownership = OwnershipMap(tuple(owner_of), local_index)
+        self._ownership = OwnershipMap(tuple(owner_of))
 
     @property
     def ownership(self) -> OwnershipMap:
@@ -341,6 +338,8 @@ def _check_locals(comp: CompositionSpec, locals_: list) -> list[np.ndarray]:
             raise ValueError(
                 f"component {a} quote has shape {q.shape}, needs ({component.polytope.dim},)"
             )
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"component {a} quote has non-finite entries")
         out.append(q)
     return out
 
@@ -458,16 +457,6 @@ def disagreement_bound(comp: CompositionSpec, locals_: list, reference,
                 for component, q in zip(comp.components, locals_)]
     x = aggregate(comp, repaired)
     return float(np.linalg.norm(x - reference))
-
-
-def pick_reference(comp: CompositionSpec, candidates, tol: float = 1e-8):
-    """First candidate joint quote lying in the joint coherent set, else None."""
-    joint = comp.joint_polytope()
-    for candidate in candidates:
-        candidate = np.asarray(candidate, dtype=float)
-        if candidate.shape == (comp.joint_dim,) and is_member(joint, candidate, tol):
-            return candidate
-    return None
 
 
 def attribute(comp: CompositionSpec, cert: Certificate) -> dict[int, float]:

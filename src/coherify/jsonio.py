@@ -42,6 +42,17 @@ def dump_lines(records) -> str:
     return "".join(dumps(r) + "\n" for r in records)
 
 
+def finite_float(token: str) -> float:
+    """``float(token)``, rejecting NaN, +-Infinity and overflowing literals such as 1e400."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError("non-finite number")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=finite_float, parse_float=finite_float)
+
+
 def parse_lines(text: str):
     """(line number, parsed record) pairs; raises with the offending line number."""
     out = []
@@ -49,7 +60,9 @@ def parse_lines(text: str):
         if not line.strip():
             continue
         try:
-            out.append((lineno, json.loads(line)))
+            out.append((lineno, _DECODER.decode(line)))
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return out

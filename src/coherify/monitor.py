@@ -91,13 +91,13 @@ def _logsumexp(values) -> float:
 
 
 def update(state: EProcessState, step: StreamStep) -> EProcessState:
-    """Advance one step; malformed steps (eps_sq outside [0, m]) are rejected."""
+    """Advance one step; malformed steps (eps_sq non-finite or outside [0, m]) are rejected."""
     m = int(step.m)
     K = int(step.k_samples)
     eps_sq = float(step.eps_sq)
     if m < 1 or K < 1:
         raise ValueError("m and K must be positive integers")
-    if eps_sq < 0.0 or eps_sq > m:
+    if not 0.0 <= eps_sq <= m:  # also false for NaN
         raise ValueError(f"eps_sq={eps_sq} outside the admissible range [0, {m}]")
     centered = eps_sq - m / (4.0 * K)
     spread = m / (2.0 * K)

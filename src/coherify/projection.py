@@ -1,10 +1,10 @@
 """L2 projection onto coherent polytopes.
 
-Closed forms where the geometry is a single affine cut or a chain
-(negation, partition, ladder), cyclic Boyle-Dykstra projection with
-correction vectors for general constraint systems, an exact min-norm-point
-oracle over vertex hulls for ground truth, and the local-then-coupling
-hierarchical cycle for composed systems.
+One route per question: closed forms for a single affine cut or a chain
+(negation, partition, ladder), the all-equal mean for paraphrase, an exact
+min-norm-point oracle over vertex hulls for the Frechet relations and as
+ground truth, and one batched Boyle-Dykstra engine -- one exact local set
+plus a list of linear rows -- for general and composed systems.
 
 Plain alternating projection is not a substitute for Dykstra here: it
 finds *a* feasible point, not the nearest one. The correction vectors are
@@ -74,8 +74,8 @@ def _most_violated(spec: PolytopeSpec, q: np.ndarray) -> str | None:
     return worst_name
 
 
-def _result(relation: Relation | None, spec: PolytopeSpec | None, q, projected,
-            iterations: int, converged: bool) -> ProjectionResult:
+def _result(spec: PolytopeSpec | None, q, projected, iterations: int,
+            converged: bool) -> ProjectionResult:
     q = np.asarray(q, dtype=float)
     projected = np.asarray(projected, dtype=float)
     residual = float(np.linalg.norm(q - projected))
@@ -137,101 +137,87 @@ def project_closed_form(relation: Relation, q) -> ProjectionResult:
         projected = project_simplex(q)
     else:
         projected = np.clip(pav_nonincreasing(q), 0.0, 1.0)
-    return _result(relation, _polytope(relation), q, projected, iterations=1, converged=True)
+    return _result(_polytope(relation), q, projected, iterations=1, converged=True)
 
 
-def _dykstra_rows(spec: PolytopeSpec) -> list[tuple[np.ndarray, float, float, bool, str]]:
-    rows: list[tuple[np.ndarray, float, float, bool, str]] = []
-    for c in spec.equalities:
-        a = np.asarray(c.a, dtype=float)
-        rows.append((a, c.b, float(a @ a), True, c.name))
-    for c in spec.halfspaces:
-        a = np.asarray(c.a, dtype=float)
-        rows.append((a, c.b, float(a @ a), False, c.name))
-    # box materialized as 2*dim halfspaces
-    for i in range(spec.dim):
-        e = np.zeros(spec.dim)
-        e[i] = 1.0
-        rows.append((e, 1.0, 1.0, False, f"box:r{i + 1}<=1"))
-        rows.append((-e, 0.0, 1.0, False, f"box:r{i + 1}>=0"))
+Row = tuple[np.ndarray, float, float, bool, str]  # (a, b, a.a, is_equality, name)
+
+
+def _rows(spec: PolytopeSpec) -> list[Row]:
+    """A spec's equality rows, then its halfspace rows ``a . r <= b``."""
+    rows: list[Row] = []
+    for A, b, constraints, is_eq in ((spec.eq_A, spec.eq_b, spec.equalities, True),
+                                     (spec.hs_A, spec.hs_b, spec.halfspaces, False)):
+        for a, b_i, c in zip(A, b, constraints):
+            rows.append((a, float(b_i), float(a @ a), is_eq, c.name))
     return rows
+
+
+def _clip(y: np.ndarray) -> np.ndarray:
+    return np.clip(y, 0.0, 1.0)
+
+
+def _cyclic(X: np.ndarray, local, rows: list[Row], tol: float, max_iter: int):
+    """Batched Boyle-Dykstra cycle over one local set and linear rows.
+
+    Rows of ``X`` are independent problems. Each cycle projects onto the
+    local set with ``local`` (an exact projector of an ``(n, d)`` array),
+    then onto each row's hyperplane or halfspace, carrying one correction
+    array per set; it stops when the largest correction change over a full
+    cycle drops below ``tol``. Returns the iterate, the cycle count,
+    whether it converged, the corrections' l1 norm at cycle
+    ``max_iter // 2`` (None if the cycle stopped first), and the final
+    corrections.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    x = X.copy()
+    corrections = np.zeros((1 + len(rows),) + x.shape)  # the local set's, then each row's
+    converged = False
+    iterations = 0
+    mid_norm = None
+    for iterations in range(1, max_iter + 1):
+        y = x + corrections[0]
+        x = local(y)
+        p_new = y - x
+        delta = float(np.max(np.abs(p_new - corrections[0])))
+        corrections[0] = p_new
+        for i, (a, b, aa, is_eq, _) in enumerate(rows, start=1):
+            y = x + corrections[i]
+            t = (y @ a - b) / aa
+            if not is_eq:
+                np.maximum(t, 0.0, out=t)
+            p_new = t[:, None] * a
+            x = y - p_new
+            delta = max(delta, float(np.max(np.abs(p_new - corrections[i]))))
+            corrections[i] = p_new
+        if delta < tol:
+            converged = True
+            break
+        if iterations == max_iter // 2:
+            mid_norm = float(np.sum(np.abs(corrections)))
+    return x, iterations, converged, mid_norm, corrections
 
 
 def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
                     max_iter: int = DYKSTRA_MAX_ITER) -> ProjectionResult:
     """Boyle-Dykstra cyclic projection onto an equality/halfspace system.
 
-    Cycles over every constraint (box included) carrying one correction
-    vector per constraint; stops when the largest correction change over a
-    full cycle drops below ``tol``. Non-convergence is reported through
-    ``converged=False``, never silently.
+    One quote through the shared cycle, with the box as a single clip set.
+    Non-convergence is reported through ``converged=False``, never silently.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     q = np.asarray(q, dtype=float)
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
-    rows = _dykstra_rows(spec)
-    x = q.copy()
-    corrections = np.zeros((len(rows), spec.dim))
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        delta = 0.0
-        for i, (a, b, aa, is_eq, _) in enumerate(rows):
-            y = x + corrections[i]
-            t = (float(a @ y) - b) / aa
-            if not is_eq and t < 0.0:
-                t = 0.0
-            x = y - t * a
-            p_new = t * a
-            change = float(np.max(np.abs(p_new - corrections[i])))
-            if change > delta:
-                delta = change
-            corrections[i] = p_new
-        if delta < tol:
-            converged = True
-            break
-    return _result(spec.relation, spec, q, x, iterations=iterations, converged=converged)
+    x, iterations, converged, _, _ = _cyclic(q[None, :], _clip, _rows(spec), tol, max_iter)
+    return _result(spec, q, x[0], iterations=iterations, converged=converged)
 
 
 def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray, tol: float = DYKSTRA_TOL,
                            max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
-    """Dykstra on many quotes at once; rows of ``X`` are independent problems.
-
-    The box is handled as a single clip set here, which changes the
-    iterate path but not the limit.
-    """
+    """Dykstra on many quotes at once; rows of ``X`` are independent problems."""
     X = np.asarray(X, dtype=float)
-    rows: list[tuple[np.ndarray, float, float, bool]] = []
-    for c in spec.equalities:
-        a = np.asarray(c.a, dtype=float)
-        rows.append((a, c.b, float(a @ a), True))
-    for c in spec.halfspaces:
-        a = np.asarray(c.a, dtype=float)
-        rows.append((a, c.b, float(a @ a), False))
-    x = X.copy()
-    corrections = [np.zeros_like(X) for _ in rows]
-    box_correction = np.zeros_like(X)
-    for _ in range(max_iter):
-        delta = 0.0
-        for i, (a, b, aa, is_eq) in enumerate(rows):
-            y = x + corrections[i]
-            t = (y @ a - b) / aa
-            if not is_eq:
-                np.maximum(t, 0.0, out=t)
-            x = y - t[:, None] * a
-            p_new = y - x
-            delta = max(delta, float(np.max(np.abs(p_new - corrections[i]))))
-            corrections[i] = p_new
-        y = x + box_correction
-        x = np.clip(y, 0.0, 1.0)
-        p_new = y - x
-        delta = max(delta, float(np.max(np.abs(p_new - box_correction))))
-        box_correction = p_new
-        if delta < tol:
-            break
-    return x
+    return _cyclic(X, _clip, _rows(spec), tol, max_iter)[0]
 
 
 def _min_norm_point(P: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, int]:
@@ -303,7 +289,7 @@ def project_oracle(vertices, q) -> ProjectionResult:
     if q.shape != (V.shape[1],):
         raise ValueError(f"quote has shape {q.shape}, vertices have dimension {V.shape[1]}")
     x, majors = _min_norm_point(V - q)
-    return _result(None, None, q, q + x, iterations=majors, converged=True)
+    return _result(None, q, q + x, iterations=majors, converged=True)
 
 
 def project_relation(relation: Relation, q) -> ProjectionResult:
@@ -319,7 +305,7 @@ def project_relation(relation: Relation, q) -> ProjectionResult:
     if kind is RelationKind.PARAPHRASE:
         level = float(np.clip(np.mean(q), 0.0, 1.0))
         projected = np.full(relation.m, level)
-        return _result(relation, _polytope(relation), q, projected, iterations=1, converged=True)
+        return _result(_polytope(relation), q, projected, iterations=1, converged=True)
     res = project_oracle(_vertex_array(relation), q)
     return ProjectionResult(res.projected, res.residual, res.iterations, res.converged,
                             _most_violated(_polytope(relation), q))
@@ -338,7 +324,7 @@ def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
 
 def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
                          max_iter: int = DYKSTRA_MAX_ITER) -> ProjectionResult:
-    """Dykstra cycle over the lifted local polytopes and each coupling cut.
+    """Dykstra cycle over the lifted local polytopes (one product set) and each coupling cut.
 
     Converges to the projection onto the joint coherent set, i.e. agrees
     with running ``project_dykstra`` on the assembled joint constraint
@@ -348,42 +334,18 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
     q = np.asarray(q, dtype=float)
     if q.shape != (comp.joint_dim,):
         raise ValueError(f"quote has shape {q.shape}, composition needs ({comp.joint_dim},)")
-    coupling_rows = comp.coupling_rows()
-    n_sets = len(comp.components) + len(coupling_rows)
-    x = q.copy()
-    corrections = np.zeros((n_sets, comp.joint_dim))
-    converged = False
-    iterations = 0
-    mid_norm = None
-    for iterations in range(1, max_iter + 1):
-        delta = 0.0
-        for i, component in enumerate(comp.components):
-            y = x + corrections[i]
-            x = np.clip(y, 0.0, 1.0)
-            coords = list(component.coords)
-            x[coords] = project_local(component.polytope, y[coords])
-            p_new = y - x
-            change = float(np.max(np.abs(p_new - corrections[i])))
-            if change > delta:
-                delta = change
-            corrections[i] = p_new
-        for j, (a, b, aa, is_eq, _) in enumerate(coupling_rows):
-            i = len(comp.components) + j
-            y = x + corrections[i]
-            t = (float(a @ y) - b) / aa
-            if not is_eq and t < 0.0:
-                t = 0.0
-            x = y - t * a
-            p_new = t * a
-            change = float(np.max(np.abs(p_new - corrections[i])))
-            if change > delta:
-                delta = change
-            corrections[i] = p_new
-        if delta < tol:
-            converged = True
-            break
-        if iterations == max_iter // 2:
-            mid_norm = float(np.sum(np.abs(corrections)))
+    constrained = [(list(c.coords), c.polytope) for c in comp.components
+                   if c.polytope.equalities or c.polytope.halfspaces]
+
+    def local(y: np.ndarray) -> np.ndarray:
+        x = _clip(y)
+        for coords, polytope in constrained:
+            x[0, coords] = project_local(polytope, y[0, coords])
+        return x
+
+    x, iterations, converged, mid_norm, corrections = _cyclic(
+        q[None, :], local, comp.coupling_rows(), tol, max_iter
+    )
     if not converged:
         end_norm = float(np.sum(np.abs(corrections)))
         # empty intersections make the corrections grow without bound
@@ -395,5 +357,4 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
                 "correction vectors diverge and no feasible point is known; "
                 "the coupling intersection is empty"
             )
-    spec = comp.joint_polytope()
-    return _result(None, spec, q, x, iterations=iterations, converged=converged)
+    return _result(comp.joint_polytope(), q, x[0], iterations=iterations, converged=converged)

@@ -23,6 +23,7 @@ from .composition import (
     residual,
 )
 from .decision import BetRecord
+from .jsonio import finite_float
 from .polytope import (
     Clique,
     PolytopeSpec,
@@ -446,13 +447,13 @@ class SimConfig:
         for key in ("sigma", "bias_scale"):
             if key in values:
                 try:
-                    setattr(config, key, float(values.pop(key)))
+                    setattr(config, key, finite_float(values.pop(key)))
                 except ValueError:
-                    problems.append(f"{key}: expected a number")
+                    problems.append(f"{key}: expected a finite number")
         if "biases" in values:
             try:
                 rows = tuple(
-                    tuple(float(v) for v in row.split(","))
+                    tuple(finite_float(v) for v in row.split(","))
                     for row in values.pop("biases").split(";")
                     if row.strip()
                 )
@@ -461,7 +462,7 @@ class SimConfig:
                 else:
                     config.biases = rows
             except ValueError:
-                problems.append("biases: expected ';'-separated rows of numbers")
+                problems.append("biases: expected ';'-separated rows of finite numbers")
         for key in ("policy", "truth", "naive_operator", "repaired_operator"):
             if key in values:
                 setattr(config, key, values.pop(key))

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from coherify.cli import main
 from coherify.jsonio import dumps, parse_lines
+from coherify.polytope import Relation
+from coherify.projection import project_relation
 
 
 def run_cli(args):
@@ -193,20 +195,79 @@ def test_seed_flag_overrides_config(tmp_path, scenario):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_jobs_flag_preserves_order(tmp_path):
-    lines = []
-    rng = np.random.default_rng(0)
-    for i in range(20):
-        q = rng.uniform(size=2)
-        lines.append(dumps({"id": f"q{i}", "relation": "neg", "m": 2,
-                            "quote": [float(q[0]), float(q[1])]}))
+MIXED_PROJECT_LINES = [
+    '{"id": "n", "relation": "neg", "m": 2, "quote": [0.84, 0.89]}',
+    '{"id": "a", "relation": "and", "m": 3, "quote": [0.5, 0.5, 0.9]}',
+    '{"id": "o", "relation": "or", "m": 3, "quote": [0.02, 0.03, 0.92]}',
+    '{"id": "p", "relation": "partition", "m": 8, '
+    '"quote": [0.39, 0.73, 0.67, 0.71, 0.1, 0.05, 0.2, 0.3]}',
+    '{"id": "l", "relation": "ladder", "m": 6, "quote": [0.2, 0.7, 0.4, 0.9, 0.1, 0.3]}',
+    '{"id": "r", "relation": "paraphrase", "m": 8, '
+    '"quote": [0.1, 0.9, 0.4, 0.6, 1.0, 0.0, 0.3, 0.8]}',
+]
+
+MIXED_CERTIFY_LINES = [
+    PARTITION_CERTIFY_LINE,
+    '{"owners": [0, 1], "coupling": [{"kind": "negation-sum", "coords": [0, 1], "b": 1.0}], '
+    '"locals": [[0.84], [0.89]]}',
+    '{"owners": [0, 0, 1], "coupling": [{"kind": "ladder-chain", "coords": [0, 1, 2]}], '
+    '"locals": [[0.2, 0.7], [0.9]]}',
+    '{"owners": [0, 1, 1], "coupling": [{"kind": "equality", "coords": [0, 1, 2]}], '
+    '"locals": [[0.1], [0.9, 0.4]]}',
+]
+
+
+def test_record_streams_keep_input_order_and_jobs_is_gone(tmp_path):
+    for command, lines in (("project", MIXED_PROJECT_LINES), ("certify", MIXED_CERTIFY_LINES)):
+        ordered = list(reversed(lines)) + lines
+        inp = tmp_path / f"{command}.jsonl"
+        inp.write_text("\n".join(ordered) + "\n")
+        out = tmp_path / f"{command}.out.jsonl"
+        assert run_cli([command, str(inp), "--out", str(out)]) == 0
+        one_by_one = []
+        for i, line in enumerate(ordered):
+            single, single_out = tmp_path / f"{command}{i}.jsonl", tmp_path / f"{command}{i}.out"
+            single.write_text(line + "\n")
+            assert run_cli([command, str(single), "--out", str(single_out)]) == 0
+            one_by_one.append(single_out.read_text())
+        assert out.read_text() == "".join(one_by_one)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--jobs", "4", "project", str(tmp_path / "project.jsonl")])
+    assert exc.value.code == 2
+
+
+def test_project_matches_project_relation_for_every_relation(tmp_path):
     inp = tmp_path / "in.jsonl"
-    inp.write_text("\n".join(lines) + "\n")
-    out1 = tmp_path / "seq.jsonl"
-    out4 = tmp_path / "par.jsonl"
-    run_cli(["project", str(inp), "--out", str(out1)])
-    run_cli(["--jobs", "4", "project", str(inp), "--out", str(out4)])
-    assert out1.read_bytes() == out4.read_bytes()
+    inp.write_text("\n".join(MIXED_PROJECT_LINES) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert run_cli(["project", str(inp), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 6
+    for line, record in zip(MIXED_PROJECT_LINES, records):
+        given = json.loads(line)
+        exact = project_relation(Relation(given["relation"], given["m"]), given["quote"])
+        assert record["projected"] == [float(v) for v in exact.projected]
+        assert record["residual"] == exact.residual
+        assert record["iterations"] == exact.iterations
+        assert record["converged"] is exact.converged
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("project", '{"id": "p", "relation": "partition", "m": 3, "quote": [0.2, NaN, 0.5]}'),
+        ("certify", '{"owners": [0, 1], "coupling": [], "locals": [[0.3], [Infinity]]}'),
+        ("monitor", '{"t": 2, "eps_sq": -Infinity, "m": 2, "K": 8}'),
+        ("monitor", '{"t": 2, "eps_sq": 1e400, "m": 2, "K": 8}'),
+    ],
+)
+def test_non_finite_input_exits_2_with_line(tmp_path, capsys, command, line):
+    inp = tmp_path / "in.jsonl"
+    good = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
+            "monitor": '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}'}[command]
+    inp.write_text(good + "\n" + line + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert "line 2: non-finite number" in capsys.readouterr().err
 
 
 def test_float_serialization_17_digits_round_trip():

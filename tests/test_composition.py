@@ -13,7 +13,6 @@ from coherify.composition import (
     disagreement_bound,
     free_components,
     is_product_structured,
-    pick_reference,
     relation_coupling,
     residual,
 )
@@ -69,7 +68,6 @@ def test_ownership_map_total():
     comp = partition_split()
     owner = comp.ownership
     assert owner.owner_of == (0, 1, 2, 3)
-    assert owner.local_index[(2, 2)] == 0
 
 
 # --- residual certificates ----------------------------------------------------
@@ -118,6 +116,12 @@ def test_residual_raw_path_keeps_violation():
     cert = residual(comp, [[0.8, 0.9]], repair_locals=False)
     assert cert.epsilon_star > 0.1
     assert not cert.inputs_locally_coherent
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_residual_rejects_non_finite_locals(bad):
+    with pytest.raises(ValueError, match="component 1 quote has non-finite entries"):
+        residual(negation_split(), [[0.84], [bad]])
 
 
 def test_repaired_quote_is_member_of_joint_set():
@@ -322,13 +326,6 @@ def test_partition_bound_closed_form_in_unclipped_regime():
             assert cert.epsilon_star == pytest.approx(
                 abs(delta.sum()) / np.sqrt(m), abs=1e-9
             )
-
-
-def test_pick_reference_finds_member():
-    comp = negation_split()
-    ref = pick_reference(comp, [np.array([0.9, 0.9]), np.array([0.4, 0.6])])
-    assert np.allclose(ref, [0.4, 0.6])
-    assert pick_reference(comp, [np.array([0.9, 0.9])]) is None
 
 
 # --- attribution ----------------------------------------------------------------

@@ -39,6 +39,12 @@ def test_update_rejects_out_of_range_eps():
         update(state, StreamStep(eps_sq=-0.1, m=2, k_samples=8))
 
 
+def test_update_rejects_non_finite_eps():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            update(EProcessState(), StreamStep(eps_sq=bad, m=2, k_samples=8))
+
+
 def test_optimal_lambda_values():
     assert optimal_lambda(0.1, 2, 8) == pytest.approx(0.4)
     assert optimal_lambda(0.0, 2, 8) == 0.0

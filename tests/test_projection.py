@@ -220,7 +220,10 @@ def test_hierarchical_equals_direct_joint_projection(relation):
         q = rng.uniform(size=m)
         hier = project_hierarchical(comp, q, tol=1e-10)
         direct = project_dykstra(joint, q, tol=1e-10)
+        exact = project_relation(relation, q)
         assert np.max(np.abs(hier.projected - direct.projected)) <= 10 * 1e-10 + 1e-8
+        assert np.max(np.abs(hier.projected - exact.projected)) <= 1e-8
+        assert np.max(np.abs(direct.projected - exact.projected)) <= 1e-8
 
 
 def test_hierarchical_with_relation_components_and_equality_coupling():
@@ -345,7 +348,9 @@ def test_batch_projection_matches_scalar():
         batch = project_polytope_batch(spec, X)
         for i in range(X.shape[0]):
             scalar = project_dykstra(spec, X[i]).projected
+            exact = project_relation(relation, X[i]).projected
             assert np.max(np.abs(batch[i] - scalar)) <= 1e-7
+            assert np.max(np.abs(batch[i] - exact)) <= 1e-7
 
 
 def test_result_residual_matches_norm():

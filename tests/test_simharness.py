@@ -300,6 +300,14 @@ def test_config_explicit_bias_rows():
         SimConfig.parse("panel_k = 3\nbiases = 0.1,-0.1; -0.1,0.1\n")
 
 
+def test_config_rejects_non_finite_numbers():
+    for text in ("sigma = nan\n", "bias_scale = inf\n",
+                 "panel_k = 2\nm = 2\nbiases = 0.1,nan; 0,0\n"):
+        with pytest.raises(ConfigError) as err:
+            SimConfig.parse(text)
+        assert "finite" in err.value.problems[0]
+
+
 def test_config_reports_all_problems():
     bad = """
     relations = neg, nonsense

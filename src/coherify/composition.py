@@ -185,6 +185,9 @@ class CompositionSpec:
     _feasible_known: bool = field(default=False, init=False, repr=False, compare=False)
     _product_vertices: np.ndarray | None = field(default=None, init=False, repr=False,
                                                  compare=False)
+    _single: tuple[Relation, tuple[int, ...]] | None = field(default=None, init=False,
+                                                             repr=False, compare=False)
+    _single_known: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -225,6 +228,41 @@ class CompositionSpec:
                     rows.append((a, b, float(a @ a), is_eq, name))
             self._coupling_rows = rows
         return self._coupling_rows
+
+    def single_relation(self) -> tuple[Relation, tuple[int, ...]] | None:
+        """``(relation, coords)`` when the joint set is one catalog polytope on ``coords``.
+
+        That holds when the coupling is exactly ``relation_coupling(relation,
+        coords)`` over distinct coordinates and every component is a free box
+        or that relation's own polytope on ``coords``; the joint set is then
+        the relation's polytope on ``coords`` times the box elsewhere.
+        Returns None otherwise.
+        """
+        if not self._single_known:
+            self._single_known = True
+            self._single = self._find_single_relation()
+        return self._single
+
+    def _find_single_relation(self) -> tuple[Relation, tuple[int, ...]] | None:
+        cuts = self.coupling.constraints
+        if not cuts:
+            return None
+        coords = cuts[-1].coords  # every catalog coupling ends with a cut over all its coordinates
+        if len(set(coords)) != len(coords):
+            return None
+        for kind in RelationKind:
+            try:
+                relation = Relation(kind, len(coords))
+            except ValueError:
+                continue
+            if relation_coupling(relation, coords) != cuts:
+                continue
+            if all((c.polytope.relation == relation and c.coords == coords)
+                   or not (c.polytope.equalities or c.polytope.halfspaces)
+                   for c in self.components):
+                return relation, coords
+            return None
+        return None
 
     def joint_polytope(self) -> PolytopeSpec:
         """The assembled joint constraint system: lifted locals plus coupling."""

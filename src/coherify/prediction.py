@@ -12,14 +12,13 @@ expectation with no geometry at all.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .composition import CompositionSpec
 from .polytope import Relation, RelationKind, build_polytope
-from .projection import project_polytope_batch
+from .projection import project_polytope_batch, project_relation_batch
 
 EXHAUSTIVE_LIMIT = 65_536
 BOUNDARY_TOL = 1e-9
@@ -115,7 +114,8 @@ def predict_magnitude(stats: PanelStats, relation: Relation,
 
 
 def _assignments_exhaustive(k: int, m: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(k), repeat=m)), dtype=int)
+    """All k^m owner assignments, one per row, in ``itertools.product`` order."""
+    return np.indices((k,) * m).reshape(m, -1).T
 
 
 def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_000,
@@ -123,7 +123,10 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     """Per-draw squared residuals under uniform i.i.d. owner selection.
 
     Exhausts all k^m assignments when that is cheaper than sampling;
-    otherwise draws ``n_draws`` assignment vectors from ``seed``.
+    otherwise draws ``n_draws`` assignment vectors from ``seed``. When the
+    joint set is one catalog polytope (``comp.single_relation()``) the draws
+    are projected exactly by ``project_relation_batch``; any other
+    composition goes through the batched Dykstra cycle.
     """
     P = np.stack([np.asarray(q, dtype=float) for q in panel])
     k, m = P.shape
@@ -135,7 +138,13 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
         rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
         sigma = rng.integers(0, k, size=(n_draws, m))
     X = P[sigma, np.arange(m)]
-    projected = project_polytope_batch(comp.joint_polytope(), X)
+    single = comp.single_relation()
+    if single is None:
+        projected = project_polytope_batch(comp.joint_polytope(), X)
+    else:
+        relation, coords = single
+        projected = np.clip(X, 0.0, 1.0)
+        projected[:, coords] = project_relation_batch(relation, X[:, coords])
     return np.sum((X - projected) ** 2, axis=1)
 
 

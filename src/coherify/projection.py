@@ -1,10 +1,14 @@
 """L2 projection onto coherent polytopes.
 
-One route per question: closed forms for a single affine cut or a chain
-(negation, partition, ladder), the all-equal mean for paraphrase, an exact
-min-norm-point oracle over vertex hulls for the Frechet relations and as
-ground truth, and one batched Boyle-Dykstra engine -- one exact local set
-plus a list of linear rows -- for general and composed systems.
+One route per question: for a catalog relation, ``project_relation_batch``
+projects many quotes exactly at once -- closed forms for a single affine
+cut or a chain (negation, partition, ladder), the clipped mean for
+paraphrase, and an exact min-norm-point oracle over vertex hulls for the
+Frechet relations, which is also the ground truth. ``project_relation``
+answers one quote the same way, through the batched route on one row or,
+for the Frechet relations, through ``project_oracle``, which also reports
+its major cycles. General and composed systems go through one batched
+Boyle-Dykstra engine: one exact local set plus a list of linear rows.
 
 Plain alternating projection is not a substitute for Dykstra here: it
 finds *a* feasible point, not the nearest one. The correction vectors are
@@ -34,6 +38,7 @@ DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
 RESIDUAL_FLOOR = 1e-9  # certificate-level report threshold, not a projection tolerance
 ORACLE_VERTEX_LIMIT = 4096
+ISOTONIC_BLOCK = 1 << 16  # entries per (rows, m, m) temporary of the isotonic min-max formula
 
 CLOSED_FORM_KINDS = frozenset(
     {RelationKind.NEGATION, RelationKind.PARTITION, RelationKind.LADDER}
@@ -83,61 +88,111 @@ def _result(spec: PolytopeSpec | None, q, projected, iterations: int,
     return ProjectionResult(projected, residual, iterations, converged, active)
 
 
+def _simplex_rows(X: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean projection onto the probability simplex, sort form."""
+    n, m = X.shape
+    U = -np.sort(-X, axis=1)
+    css = np.cumsum(U, axis=1)
+    active = U * np.arange(1, m + 1) > (css - 1.0)
+    rho = m - 1 - np.argmax(active[:, ::-1], axis=1)  # last active index; index 0 always is
+    theta = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
+    return np.maximum(X - theta[:, None], 0.0)
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex, O(m log m) sort form."""
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, n + 1)
-    rho = int(np.nonzero(u * idx > (css - 1.0))[0][-1])
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return _simplex_rows(np.asarray(v, dtype=float)[None, :])[0]
 
 
-def pav_nonincreasing(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators fit of a non-increasing sequence, uniform weights."""
-    y = np.asarray(y, dtype=float)
-    values: list[float] = []
-    weights: list[int] = []
-    for v in y:
-        values.append(float(v))
-        weights.append(1)
-        # non-increasing fit: merge while an earlier block dips below its successor
-        while len(values) > 1 and values[-2] < values[-1]:
-            v1, w1 = values.pop(), weights.pop()
-            v0, w0 = values.pop(), weights.pop()
-            values.append((v0 * w0 + v1 * w1) / (w0 + w1))
-            weights.append(w0 + w1)
-    out = np.empty(y.size)
-    pos = 0
-    for v, w in zip(values, weights):
-        out[pos : pos + w] = v
-        pos += w
+@lru_cache(maxsize=None)
+def _segment_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Over the ``(s, t)`` grid of ``range(m)``: segment lengths ``t - s + 1``
+    (1 where ``t < s``) and a mask that is 0 where ``s <= t``, -inf elsewhere."""
+    s = np.arange(m)[:, None]
+    t = np.arange(m)[None, :]
+    length = np.where(t >= s, t - s + 1, 1).astype(float)
+    below = np.where(t >= s, 0.0, -np.inf)
+    length.setflags(write=False)
+    below.setflags(write=False)
+    return length, below
+
+
+def _nonincreasing_rows(X: np.ndarray) -> np.ndarray:
+    """Row-wise non-increasing isotonic regression, uniform weights.
+
+    Min-max formula (Robertson, Wright & Dykstra 1988): the fit at ``i`` is
+    the smallest over ``s <= i`` of the largest mean of ``X[s..t]`` over
+    ``t >= i``. Means come from row prefix sums. Rows go in blocks so that
+    each ``(rows, m, m)`` temporary holds at most ``ISOTONIC_BLOCK``
+    entries.
+    """
+    n, m = X.shape
+    length, below = _segment_grid(m)
+    diag = np.arange(m)
+    out = np.empty_like(X)
+    step = max(1, ISOTONIC_BLOCK // (m * m))
+    for start in range(0, n, step):
+        B = X[start:start + step]
+        S = np.zeros((B.shape[0], m + 1))
+        np.cumsum(B, axis=1, out=S[:, 1:])
+        means = S[:, None, 1:] - S[:, :-1, None]  # [:, s, t]: sum of B[s..t]
+        means /= length
+        means += below  # no segment where t < s
+        means[:, diag, diag] = B  # singletons exactly, so chain members map to themselves
+        # upper[:, s, i]: largest mean over t >= i; then the smallest over s <= i
+        upper = np.maximum.accumulate(means[:, :, ::-1], axis=2)[:, :, ::-1]
+        out[start:start + step] = np.diagonal(np.minimum.accumulate(upper, axis=1),
+                                              axis1=1, axis2=2)
     return out
+
+
+def project_relation_batch(relation: Relation, X) -> np.ndarray:
+    """Exact projection of each row of ``X`` onto one catalog relation's polytope.
+
+    negation shifts along (1, 1) onto r1 + r2 = 1, then clips; partition is
+    the simplex sort form; paraphrase is the clipped row mean; ladder is
+    non-increasing isotonic regression clipped to the unit box; conjunction
+    and disjunction run the min-norm-point oracle row by row over the
+    relation's vertices.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != relation.m:
+        raise ValueError(f"quotes have shape {X.shape}, relation needs (n, {relation.m})")
+    kind = relation.kind
+    if kind is RelationKind.NEGATION:
+        s = X[:, 0] + X[:, 1] - 1.0
+        return np.clip(X - 0.5 * s[:, None], 0.0, 1.0)
+    if kind is RelationKind.PARTITION:
+        return _simplex_rows(X)
+    if kind is RelationKind.PARAPHRASE:
+        level = np.clip(np.mean(X, axis=1), 0.0, 1.0)
+        return np.repeat(level[:, None], relation.m, axis=1)
+    if kind is RelationKind.LADDER:
+        return np.clip(_nonincreasing_rows(X), 0.0, 1.0)
+    V = _vertex_array(relation)
+    return np.array([q + _min_norm_point(V - q)[0] for q in X]).reshape(X.shape)
+
+
+def _exact(relation: Relation, q) -> ProjectionResult:
+    """One quote through ``project_relation_batch``."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (relation.m,):
+        raise ValueError(f"quote has shape {q.shape}, relation needs ({relation.m},)")
+    projected = project_relation_batch(relation, q[None, :])[0]
+    return _result(_polytope(relation), q, projected, iterations=1, converged=True)
 
 
 def project_closed_form(relation: Relation, q) -> ProjectionResult:
     """Closed-form projections: negation, partition, ladder.
 
-    negation maps (q1, q2) to ((1+q1-q2)/2, (1-q1+q2)/2); partition is the
+    One quote through ``project_relation_batch``: negation maps (q1, q2) to
+    ((1+q1-q2)/2, (1-q1+q2)/2) clipped to the unit box; partition is the
     simplex sort algorithm; ladder is non-increasing isotonic regression
     clipped to the unit box.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (relation.m,):
-        raise ValueError(f"quote has shape {q.shape}, relation needs ({relation.m},)")
-    kind = relation.kind
-    if kind not in CLOSED_FORM_KINDS:
-        raise ValueError(f"no closed-form projection for relation {kind.value}")
-    if kind is RelationKind.NEGATION:
-        s = q[0] + q[1] - 1.0
-        projected = q - 0.5 * s
-    elif kind is RelationKind.PARTITION:
-        projected = project_simplex(q)
-    else:
-        projected = np.clip(pav_nonincreasing(q), 0.0, 1.0)
-    return _result(_polytope(relation), q, projected, iterations=1, converged=True)
+    if relation.kind not in CLOSED_FORM_KINDS:
+        raise ValueError(f"no closed-form projection for relation {relation.kind.value}")
+    return _exact(relation, q)
 
 
 Row = tuple[np.ndarray, float, float, bool, str]  # (a, b, a.a, is_equality, name)
@@ -295,17 +350,16 @@ def project_oracle(vertices, q) -> ProjectionResult:
 def project_relation(relation: Relation, q) -> ProjectionResult:
     """Exact projection onto a catalog relation's polytope.
 
-    Closed forms where they exist, the all-equal mean for paraphrase, and
-    the vertex-hull oracle for the two Frechet relations.
+    Closed forms where they exist (``project_closed_form``) and the clipped
+    mean for paraphrase, both through ``project_relation_batch`` on one
+    row, and the vertex-hull oracle for the two Frechet relations, which
+    reports its major cycles.
     """
-    q = np.asarray(q, dtype=float)
-    kind = relation.kind
-    if kind in CLOSED_FORM_KINDS:
+    if relation.kind in CLOSED_FORM_KINDS:
         return project_closed_form(relation, q)
-    if kind is RelationKind.PARAPHRASE:
-        level = float(np.clip(np.mean(q), 0.0, 1.0))
-        projected = np.full(relation.m, level)
-        return _result(_polytope(relation), q, projected, iterations=1, converged=True)
+    if relation.kind is RelationKind.PARAPHRASE:
+        return _exact(relation, q)
+    q = np.asarray(q, dtype=float)
     res = project_oracle(_vertex_array(relation), q)
     return ProjectionResult(res.projected, res.residual, res.iterations, res.converged,
                             _most_violated(_polytope(relation), q))

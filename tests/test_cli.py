@@ -68,6 +68,16 @@ def test_project_member_quote_is_identity(tmp_path):
     assert record["active_constraint"] is None
 
 
+def test_project_negation_outside_box_lands_in_polytope(tmp_path):
+    inp = tmp_path / "in.jsonl"
+    inp.write_text('{"id": "n", "relation": "neg", "m": 2, "quote": [1.5, 0.2]}\n')
+    out = tmp_path / "out.jsonl"
+    assert run_cli(["project", str(inp), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["projected"] == [1.0, 0.0]
+    assert record["residual"] == pytest.approx(np.hypot(0.5, 0.2), abs=1e-12)
+
+
 def test_project_malformed_line_exits_2(tmp_path, capsys):
     inp = tmp_path / "in.jsonl"
     inp.write_text(PARTITION_PROJECT_LINE + "\n{not json\n")

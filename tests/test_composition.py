@@ -17,6 +17,8 @@ from coherify.composition import (
     residual,
 )
 from coherify.polytope import (
+    Clique,
+    PolytopeSpec,
     build_polytope,
     conjunction,
     disjunction,
@@ -27,6 +29,9 @@ from coherify.polytope import (
     partition,
 )
 from coherify.projection import project_relation
+from coherify.simharness import composition_for
+
+ALL_RELATIONS = [negation(), conjunction(), disjunction(), partition(5), ladder(4), paraphrase(3)]
 
 
 def negation_split() -> CompositionSpec:
@@ -381,3 +386,60 @@ def test_cross_component_flags():
     )
     assert comp.cross_component_flags() == (False,)
     assert negation_split().cross_component_flags() == (True,)
+
+
+# --- single-relation recognition ---------------------------------------------------
+
+
+@pytest.mark.parametrize("relation", ALL_RELATIONS, ids=lambda r: r.kind.value)
+def test_single_relation_recognizes_split_and_owner_layouts(relation):
+    m = relation.m
+    split = CompositionSpec(free_components([1] * m), relation_coupling(relation, range(m)), m)
+    assert split.single_relation() == (relation, tuple(range(m)))
+    clique = Clique(id="c", relation=relation)
+    sole_owner = composition_for(clique, np.zeros(m, dtype=int)).comp
+    assert sole_owner.single_relation() == (relation, tuple(range(m)))
+    mixed = composition_for(clique, np.arange(m) % 2).comp
+    assert mixed.single_relation() == (relation, tuple(range(m)))
+
+
+def test_single_relation_keeps_permuted_ladder_coords():
+    coords = (2, 0, 3, 1)
+    comp = CompositionSpec(free_components([1] * 4), relation_coupling(ladder(4), coords), 4)
+    assert comp.single_relation() == (ladder(4), coords)
+    assert comp.single_relation() is comp.single_relation()  # cached
+
+
+def test_single_relation_none_for_other_joint_sets():
+    free3 = free_components([1, 1, 1])
+    infeasible = CompositionSpec(free3, (CouplingConstraint("partition-sum", (0, 1, 2), 2.0),), 3)
+    two_relations = CompositionSpec(
+        free_components([1, 1, 1, 1]),
+        relation_coupling(negation(), (0, 1)) + relation_coupling(partition(3), (1, 2, 3)),
+        4,
+    )
+    foreign_component = CompositionSpec(
+        (ComponentSpec(build_polytope(partition(3)), (0, 1, 2)),),
+        relation_coupling(ladder(3), range(3)),
+        3,
+    )
+    component_on_other_coords = CompositionSpec(
+        (ComponentSpec(build_polytope(ladder(3)), (0, 1, 2)),),
+        relation_coupling(ladder(3), (2, 1, 0)),
+        3,
+    )
+    repeated = CompositionSpec(free3, (CouplingConstraint("ladder-chain", (0, 1, 0)),), 3)
+    uncoupled = CompositionSpec(free3, (), 3)
+    for comp in (infeasible, two_relations, foreign_component, component_on_other_coords,
+                 repeated, uncoupled):
+        assert comp.single_relation() is None
+
+
+def test_single_relation_allows_relation_on_a_subset_of_coords():
+    comp = CompositionSpec(
+        (ComponentSpec(PolytopeSpec(dim=1), (0,)),
+         ComponentSpec(build_polytope(negation()), (1, 2))),
+        relation_coupling(negation(), (1, 2)),
+        3,
+    )
+    assert comp.single_relation() == (negation(), (1, 2))

@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
 
-from coherify.composition import CompositionSpec, free_components, relation_coupling
+import itertools
+
+from coherify.composition import (
+    ComponentSpec,
+    CompositionSpec,
+    CouplingConstraint,
+    free_components,
+    relation_coupling,
+)
 from coherify.polytope import (
+    Clique,
     build_polytope,
     conjunction,
+    disjunction,
     is_member,
+    ladder,
     negation,
     paraphrase,
     partition,
 )
+from coherify.projection import project_polytope_batch, project_relation
+from coherify.simharness import composition_for
 from coherify.prediction import (
     REGIME_BOUNDARY,
     REGIME_EQUALITY,
@@ -261,3 +274,48 @@ def test_samples_shape_and_determinism():
     s1 = observe_magnitude_samples(comp, panel, n_draws=100, seed=3)
     s2 = observe_magnitude_samples(comp, panel, n_draws=100, seed=3)
     assert np.array_equal(s1, s2)
+
+
+def _samples_by_joint_dykstra(comp, panel):
+    """Reference: every assignment in itertools order through the joint Dykstra batch."""
+    P = np.stack(panel)
+    k, m = P.shape
+    sigma = np.array(list(itertools.product(range(k), repeat=m)))
+    X = P[sigma, np.arange(m)]
+    return np.sum((X - project_polytope_batch(comp.joint_polytope(), X)) ** 2, axis=1)
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [negation(), conjunction(), disjunction(), partition(4), ladder(4), paraphrase(4)],
+    ids=lambda r: r.kind.value,
+)
+def test_exact_route_samples_match_joint_dykstra(relation):
+    rng = np.random.default_rng(31)
+    m = relation.m
+    panel = [project_relation(relation, rng.uniform(size=m)).projected + rng.normal(0, 0.05, m)
+             for _ in range(3)]
+    panel = [np.clip(q, 0.0, 1.0) for q in panel]
+    reversed_split = CompositionSpec(
+        free_components([1] * m), relation_coupling(relation, tuple(reversed(range(m)))), m
+    )
+    for comp in (split_composition(relation), reversed_split,
+                 composition_for(Clique(id="c", relation=relation), np.zeros(m, dtype=int)).comp):
+        assert comp.single_relation() is not None
+        samples = observe_magnitude_samples(comp, panel)
+        assert np.max(np.abs(samples - _samples_by_joint_dykstra(comp, panel))) <= 1e-8
+
+
+def test_fallback_samples_match_joint_dykstra():
+    # two negation cliques whose first coordinates must agree: no single relation
+    comp = CompositionSpec(
+        (ComponentSpec(build_polytope(negation()), (0, 1)),
+         ComponentSpec(build_polytope(negation()), (2, 3))),
+        (CouplingConstraint("equality", (0, 2)),),
+        4,
+    )
+    assert comp.single_relation() is None
+    rng = np.random.default_rng(5)
+    panel = [rng.uniform(size=4) for _ in range(3)]
+    samples = observe_magnitude_samples(comp, panel)
+    assert np.max(np.abs(samples - _samples_by_joint_dykstra(comp, panel))) <= 1e-8

@@ -23,13 +23,13 @@ from coherify.polytope import (
 )
 from coherify.projection import (
     InfeasibleCouplingError,
-    pav_nonincreasing,
     project_closed_form,
     project_dykstra,
     project_hierarchical,
     project_oracle,
     project_polytope_batch,
     project_relation,
+    project_relation_batch,
     project_simplex,
 )
 
@@ -65,6 +65,17 @@ def test_negation_closed_form_matches_reported_case():
     assert res.residual == pytest.approx(0.517, abs=0.002)
 
 
+def test_negation_closed_form_clips_to_box():
+    # the shift onto r1 + r2 = 1 alone gives (1.15, -0.15), outside the box
+    res = project_closed_form(negation(), (1.5, 0.2))
+    assert np.array_equal(res.projected, (1.0, 0.0))
+    dykstra = project_dykstra(build_polytope(negation()), (1.5, 0.2))
+    assert np.max(np.abs(res.projected - dykstra.projected)) <= 1e-9
+    oracle = project_oracle(enumerate_vertices(negation()), (-0.4, 0.1))
+    assert np.max(np.abs(project_closed_form(negation(), (-0.4, 0.1)).projected
+                         - oracle.projected)) <= 1e-12
+
+
 def test_closed_form_rejects_frechet_relations():
     with pytest.raises(ValueError):
         project_closed_form(conjunction(), (0.5, 0.5, 0.25))
@@ -75,22 +86,47 @@ def test_simplex_projection_identity_on_members():
     assert np.array_equal(project_simplex(q), q)
 
 
+def _pav_reference(y):
+    """Pool-adjacent-violators fit of a non-increasing sequence, uniform weights."""
+    values, weights = [], []
+    for v in y:
+        values.append(float(v))
+        weights.append(1)
+        while len(values) > 1 and values[-2] < values[-1]:
+            v1, w1 = values.pop(), weights.pop()
+            v0, w0 = values.pop(), weights.pop()
+            values.append((v0 * w0 + v1 * w1) / (w0 + w1))
+            weights.append(w0 + w1)
+    return np.repeat(values, weights)
+
+
 def test_pav_nonincreasing_against_brute_force():
     # oracle: exhaustive search over level quantization is overkill; use the
     # vertex-hull oracle on the ladder polytope instead
     rng = np.random.default_rng(3)
     rel = ladder(5)
     V = enumerate_vertices(rel)
-    for _ in range(100):
-        q = rng.uniform(size=5)
-        closed = project_closed_form(rel, q)
+    Q = rng.uniform(size=(100, 5))
+    batch = project_relation_batch(rel, Q)
+    for q, row in zip(Q, batch):
         oracle = project_oracle(V, q)
-        assert np.max(np.abs(closed.projected - oracle.projected)) < 1e-9
+        assert np.max(np.abs(row - oracle.projected)) < 1e-9
 
 
 def test_pav_handles_flat_and_sorted_inputs():
-    assert np.allclose(pav_nonincreasing([0.9, 0.5, 0.1]), [0.9, 0.5, 0.1])
-    assert np.allclose(pav_nonincreasing([0.2, 0.8]), [0.5, 0.5])
+    assert np.array_equal(project_relation_batch(ladder(3), [[0.9, 0.5, 0.1]]), [[0.9, 0.5, 0.1]])
+    assert np.allclose(project_relation_batch(ladder(2), [[0.2, 0.8]]), [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("m", [2, 6, 12])
+def test_ladder_route_matches_pool_adjacent_violators(m):
+    rng = np.random.default_rng(m)
+    X = rng.uniform(-0.3, 1.3, size=(200, m))
+    X[:10] = -np.sort(-X[:10], axis=1)  # chains already in order
+    X[10:20, 1:] = X[10:20, :1]  # flat rows
+    batch = project_relation_batch(ladder(m), X)
+    for x, row in zip(X, batch):
+        assert np.max(np.abs(row - np.clip(_pav_reference(x), 0.0, 1.0))) <= 1e-12
 
 
 # --- Dykstra -----------------------------------------------------------------
@@ -342,15 +378,26 @@ def test_idempotence_and_nonexpansiveness(data, relation):
 
 def test_batch_projection_matches_scalar():
     rng = np.random.default_rng(17)
-    for relation in ALL_RELATIONS:
+    for relation in ALL_RELATIONS + [partition(12), ladder(12), paraphrase(12)]:
         spec = build_polytope(relation)
-        X = rng.uniform(size=(40, relation.m))
+        X = rng.uniform(-0.3, 1.3, size=(40, relation.m))
         batch = project_polytope_batch(spec, X)
+        exact_batch = project_relation_batch(relation, X)
+        assert np.max(np.abs(exact_batch - batch)) <= 1e-7
         for i in range(X.shape[0]):
             scalar = project_dykstra(spec, X[i]).projected
             exact = project_relation(relation, X[i]).projected
             assert np.max(np.abs(batch[i] - scalar)) <= 1e-7
             assert np.max(np.abs(batch[i] - exact)) <= 1e-7
+            assert np.max(np.abs(exact_batch[i] - exact)) <= 1e-12
+
+
+def test_batch_route_rejects_wrong_shapes():
+    with pytest.raises(ValueError):
+        project_relation_batch(partition(4), np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        project_relation_batch(partition(4), np.zeros(4))
+    assert project_relation_batch(ladder(4), np.zeros((0, 4))).shape == (0, 4)
 
 
 def test_result_residual_matches_norm():

@@ -1,0 +1,31 @@
+"""Smoke tests: each experiment script runs end to end at a tiny size."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# gate calibration refuses fewer than 40 bets, so it needs 40 (clique, seed) cells
+CASES = [
+    ("run_hardness", ["--n-cliques", "2", "--n-seeds", "1"], "relation"),
+    ("run_operator_ablation", ["--n-cliques", "2", "--n-seeds", "1"], "op"),
+    ("run_gate_calibration", ["--n-cliques", "20", "--n-seeds", "2"], "target"),
+]
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv, first_column", CASES, ids=[c[0] for c in CASES])
+def test_script_main_runs_and_prints_its_table(name, argv, first_column, capsys):
+    assert load_script(name).main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split()[:1] == [first_column])
+    assert set(lines[header + 1]) == {"-"}
+    assert len(lines[header + 1]) == len(lines[header])

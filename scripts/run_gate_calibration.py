@@ -4,7 +4,7 @@
 import argparse
 import sys
 
-from coherify.decision import AllocationRule, gate_sweep, regret
+from coherify.decision import GATE_MIN_BETS, AllocationRule, gate_sweep, regret
 from coherify.polytope import Clique, partition
 from coherify.simharness import PanelModel, RoutingPolicy, run_ensemble, to_bet_records
 
@@ -25,6 +25,10 @@ def main(argv=None) -> int:
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform"),
                            args.n_seeds, master_seed=args.seed)
     bets = to_bet_records(records)
+    if len(bets) < GATE_MIN_BETS:
+        print(f"error: {len(bets)} bets, gate calibration needs at least {GATE_MIN_BETS}; "
+              "raise --n-cliques or --n-seeds", file=sys.stderr)
+        return 2
 
     rule = AllocationRule("proportional")
     summary = regret(bets, rule, seed=args.seed)

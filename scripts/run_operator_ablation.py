@@ -7,6 +7,7 @@ residual, mean exposure, and mean Brier against sampled resolutions.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     model = PanelModel(k=4, sigma=args.sigma, K=args.K)
-    model.biases = np.abs(model.bias_matrix(args.m)) + args.mass_bias
+    model = dataclasses.replace(model, biases=np.abs(model.bias_matrix(args.m)) + args.mass_bias)
     cliques = [Clique(id=f"partition-{i}", relation=partition(args.m))
                for i in range(args.n_cliques)]
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform"),

@@ -33,7 +33,6 @@ from .composition import (
     CompositionSpec,
     CouplingConstraint,
     CouplingSet,
-    OwnershipMap,
     aggregate,
     attribute,
     construct_witness,

@@ -34,6 +34,8 @@ from .projection import project_relation
 from .simharness import (
     ConfigError,
     SimConfig,
+    clique_truth,
+    composition_for,
     generate_panel,
     run_ensemble,
     to_bet_records,
@@ -278,13 +280,11 @@ def cmd_gate(args) -> int:
 
 def cmd_predict(args) -> int:
     config, config_text = _load_config(args)
-    from .simharness import composition_for, sample_truth, _rng
 
     model = config.build_model()
     out = []
     for ci, clique in enumerate(config.build_cliques()):
-        truth = sample_truth(clique.relation, _rng(config.master_seed, ci, 0x72),
-                             model.truth_mode)
+        truth, _ = clique_truth(model, clique, config.master_seed, ci)
         panel = generate_panel(model, clique, (config.master_seed, ci, 0), truth=truth)
         stats = panel_stats(list(panel.repaired))
         prediction = predict_magnitude(stats, clique.relation)

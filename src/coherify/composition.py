@@ -13,10 +13,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .polytope import LinearConstraint, PolytopeSpec, Relation, RelationKind, is_member
+from .polytope import (
+    LinearConstraint,
+    PolytopeSpec,
+    Relation,
+    RelationKind,
+    _unit,
+    enumerate_vertices,
+    is_member,
+)
 from .projection import (
     InfeasibleCouplingError,
     RESIDUAL_FLOOR,
@@ -42,14 +51,6 @@ class ComponentSpec:
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
         if len(self.coords) != self.polytope.dim:
             raise ValueError("owned coordinate count must match the local polytope dimension")
-
-
-@dataclass(frozen=True)
-class OwnershipMap:
-    owner_of: tuple[int, ...]  # joint coordinate -> component index
-
-    def owner(self, j: int) -> int:
-        return self.owner_of[j]
 
 
 _COUPLING_KINDS = frozenset(
@@ -88,31 +89,20 @@ class CouplingConstraint:
         elif self.a is not None:
             raise ValueError(f"{self.kind} does not take an explicit normal")
 
-    def linear_rows(self, dim: int, name: str) -> list[tuple[np.ndarray, float, bool, str]]:
-        """Materialize as (normal, offset, is_equality, name) rows over the joint space."""
-        rows: list[tuple[np.ndarray, float, bool, str]] = []
+    def linear_rows(self, dim: int, name: str) -> tuple[list[LinearConstraint], bool]:
+        """Materialize as constraints over the joint space, and whether they are equalities."""
+        pairs = enumerate(zip(self.coords, self.coords[1:]))
         if self.kind == "equality":
-            for t in range(len(self.coords) - 1):
-                a = np.zeros(dim)
-                a[self.coords[t]] = 1.0
-                a[self.coords[t + 1]] = -1.0
-                rows.append((a, 0.0, True, f"{name}:eq{t}"))
-        elif self.kind in ("negation-sum", "partition-sum"):
-            a = np.zeros(dim)
-            a[list(self.coords)] = 1.0
-            rows.append((a, self.b, True, f"{name}:sum"))
-        elif self.kind == "frechet-halfspace":
-            a = np.zeros(dim)
-            for c, v in zip(self.coords, self.a):
-                a[c] = v
-            rows.append((a, self.b, False, f"{name}:hs"))
-        else:  # ladder-chain
-            for t in range(len(self.coords) - 1):
-                a = np.zeros(dim)
-                a[self.coords[t]] = -1.0
-                a[self.coords[t + 1]] = 1.0
-                rows.append((a, 0.0, False, f"{name}:step{t}"))
-        return rows
+            return [LinearConstraint(_unit(dim, {i: 1.0, j: -1.0}), 0.0, f"{name}:eq{t}")
+                    for t, (i, j) in pairs], True
+        if self.kind in ("negation-sum", "partition-sum"):
+            a = _unit(dim, dict.fromkeys(self.coords, 1.0))
+            return [LinearConstraint(a, self.b, f"{name}:sum")], True
+        if self.kind == "frechet-halfspace":
+            a = _unit(dim, dict(zip(self.coords, self.a)))
+            return [LinearConstraint(a, self.b, f"{name}:hs")], False
+        return [LinearConstraint(_unit(dim, {i: -1.0, j: 1.0}), 0.0, f"{name}:step{t}")
+                for t, (i, j) in pairs], False  # ladder-chain
 
     def to_json(self) -> dict:
         record = {"kind": self.kind, "coords": list(self.coords), "b": self.b}
@@ -171,23 +161,15 @@ def relation_coupling(relation: Relation, coords) -> tuple[CouplingConstraint, .
 class CompositionSpec:
     """Components, ownership, and coupling over ``joint_dim`` coordinates.
 
-    Treated as immutable after construction; derived artifacts (joint
-    constraint system, product vertices, feasibility witness) are cached.
+    Treated as immutable after construction; derived artifacts (the
+    coupling and joint constraint systems, product vertices, the single
+    catalog relation) are cached properties.
     """
 
     components: tuple[ComponentSpec, ...]
     coupling: CouplingSet = CouplingSet()
     joint_dim: int = 0
-    _ownership: OwnershipMap = field(init=False, repr=False, compare=False)
-    _coupling_rows: list | None = field(default=None, init=False, repr=False, compare=False)
-    _joint_spec: PolytopeSpec | None = field(default=None, init=False, repr=False, compare=False)
-    _feasible: bool | None = field(default=None, init=False, repr=False, compare=False)
-    _feasible_known: bool = field(default=False, init=False, repr=False, compare=False)
-    _product_vertices: np.ndarray | None = field(default=None, init=False, repr=False,
-                                                 compare=False)
-    _single: tuple[Relation, tuple[int, ...]] | None = field(default=None, init=False,
-                                                             repr=False, compare=False)
-    _single_known: bool = field(default=False, init=False, repr=False, compare=False)
+    owner_of: tuple[int, ...] = field(init=False, repr=False, compare=False)  # coord -> component
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -209,26 +191,24 @@ class CompositionSpec:
         for c in self.coupling.constraints:
             if any(j >= self.joint_dim for j in c.coords):
                 raise ValueError("coupling constraint references coordinates outside the joint space")
-        self._ownership = OwnershipMap(tuple(owner_of))
-
-    @property
-    def ownership(self) -> OwnershipMap:
-        return self._ownership
+        self.owner_of = tuple(owner_of)
 
     def cross_component_flags(self) -> tuple[bool, ...]:
         """True where a coupling constraint spans >= 2 owners; intra cuts are flagged off."""
-        owner = self._ownership.owner_of
-        return tuple(len({owner[j] for j in c.coords}) >= 2 for c in self.coupling.constraints)
+        return tuple(len({self.owner_of[j] for j in c.coords}) >= 2
+                     for c in self.coupling.constraints)
 
-    def coupling_rows(self) -> list[tuple[np.ndarray, float, float, bool, str]]:
-        if self._coupling_rows is None:
-            rows = []
-            for idx, c in enumerate(self.coupling.constraints):
-                for a, b, is_eq, name in c.linear_rows(self.joint_dim, f"c{idx}:{c.kind}"):
-                    rows.append((a, b, float(a @ a), is_eq, name))
-            self._coupling_rows = rows
-        return self._coupling_rows
+    @cached_property
+    def coupling_polytope(self) -> PolytopeSpec:
+        """The coupling cuts as one constraint system over the joint space."""
+        eqs: list[LinearConstraint] = []
+        hss: list[LinearConstraint] = []
+        for idx, c in enumerate(self.coupling.constraints):
+            rows, is_eq = c.linear_rows(self.joint_dim, f"c{idx}:{c.kind}")
+            (eqs if is_eq else hss).extend(rows)
+        return PolytopeSpec(dim=self.joint_dim, equalities=tuple(eqs), halfspaces=tuple(hss))
 
+    @cached_property
     def single_relation(self) -> tuple[Relation, tuple[int, ...]] | None:
         """``(relation, coords)`` when the joint set is one catalog polytope on ``coords``.
 
@@ -236,14 +216,8 @@ class CompositionSpec:
         coords)`` over distinct coordinates and every component is a free box
         or that relation's own polytope on ``coords``; the joint set is then
         the relation's polytope on ``coords`` times the box elsewhere.
-        Returns None otherwise.
+        None otherwise.
         """
-        if not self._single_known:
-            self._single_known = True
-            self._single = self._find_single_relation()
-        return self._single
-
-    def _find_single_relation(self) -> tuple[Relation, tuple[int, ...]] | None:
         cuts = self.coupling.constraints
         if not cuts:
             return None
@@ -264,82 +238,53 @@ class CompositionSpec:
             return None
         return None
 
+    @cached_property
     def joint_polytope(self) -> PolytopeSpec:
         """The assembled joint constraint system: lifted locals plus coupling."""
-        if self._joint_spec is None:
-            eqs: list[LinearConstraint] = []
-            hss: list[LinearConstraint] = []
-            for a, component in enumerate(self.components):
-                for c in component.polytope.equalities:
-                    eqs.append(self._lift(c, component, f"m{a}:{c.name}", ))
-                for c in component.polytope.halfspaces:
-                    hss.append(self._lift(c, component, f"m{a}:{c.name}"))
-            for row_a, row_b, _, is_eq, name in self.coupling_rows():
-                constraint = LinearConstraint(tuple(row_a), row_b, name)
-                (eqs if is_eq else hss).append(constraint)
-            self._joint_spec = PolytopeSpec(
-                dim=self.joint_dim, equalities=tuple(eqs), halfspaces=tuple(hss)
-            )
-        return self._joint_spec
+        eqs: list[LinearConstraint] = []
+        hss: list[LinearConstraint] = []
+        for a, component in enumerate(self.components):
+            local = component.polytope
+            eqs += [self._lift(c, component, f"m{a}:{c.name}") for c in local.equalities]
+            hss += [self._lift(c, component, f"m{a}:{c.name}") for c in local.halfspaces]
+        coupling = self.coupling_polytope
+        return PolytopeSpec(dim=self.joint_dim, equalities=tuple(eqs) + coupling.equalities,
+                            halfspaces=tuple(hss) + coupling.halfspaces)
 
     def _lift(self, c: LinearConstraint, component: ComponentSpec, name: str) -> LinearConstraint:
-        a = [0.0] * self.joint_dim
-        for local_i, joint_j in enumerate(component.coords):
-            a[joint_j] = c.a[local_i]
-        return LinearConstraint(tuple(a), c.b, name)
+        return LinearConstraint(_unit(self.joint_dim, dict(zip(component.coords, c.a))), c.b, name)
 
+    @cached_property
     def product_vertices(self) -> np.ndarray:
         """Vertices of the coupling-free product of lifted local polytopes."""
-        if self._product_vertices is None:
-            from .polytope import enumerate_vertices
-
-            per_component: list[np.ndarray] = []
-            total = 1
-            for component in self.components:
-                if component.polytope.relation is not None:
-                    V = enumerate_vertices(component.polytope.relation).as_array()
-                else:
-                    grid = np.array(
-                        list(itertools.product((0.0, 1.0), repeat=component.polytope.dim))
-                    )
-                    keep = [is_member(component.polytope, v, 1e-9) for v in grid]
-                    V = grid[np.array(keep, dtype=bool)]
-                per_component.append(V)
-                total *= len(V)
-                if total > PRODUCT_VERTEX_LIMIT:
-                    raise ValueError(
-                        f"product vertex count exceeds the enumeration bound {PRODUCT_VERTEX_LIMIT}"
-                    )
-            out = np.zeros((total, self.joint_dim))
-            for row, combo in enumerate(itertools.product(*per_component)):
-                for component, v in zip(self.components, combo):
-                    out[row, list(component.coords)] = v
-            self._product_vertices = out
-        return self._product_vertices
+        per_component: list[np.ndarray] = []
+        total = 1
+        for component in self.components:
+            if component.polytope.relation is not None:
+                V = enumerate_vertices(component.polytope.relation).as_array()
+            else:
+                grid = np.array(list(itertools.product((0.0, 1.0), repeat=component.polytope.dim)))
+                V = grid[np.all(component.polytope.gaps(grid) <= 1e-9, axis=1)]
+            per_component.append(V)
+            total *= len(V)
+            if total > PRODUCT_VERTEX_LIMIT:
+                raise ValueError(
+                    f"product vertex count exceeds the enumeration bound {PRODUCT_VERTEX_LIMIT}"
+                )
+        out = np.zeros((total, self.joint_dim))
+        for row, combo in enumerate(itertools.product(*per_component)):
+            for component, v in zip(self.components, combo):
+                out[row, list(component.coords)] = v
+        return out
 
     def has_feasible_point(self) -> bool | None:
         """True when an integral consistent point certifies nonemptiness; None = unknown."""
-        if not self._feasible_known:
-            self._feasible_known = True
-            try:
-                vertices = self.product_vertices()
-            except ValueError:
-                self._feasible = None
-                return self._feasible
-            rows = self.coupling_rows()
-            feasible = False
-            for v in vertices:
-                ok = True
-                for a, b, _, is_eq, _ in rows:
-                    g = float(a @ v) - b
-                    if (is_eq and abs(g) > 1e-9) or (not is_eq and g > 1e-9):
-                        ok = False
-                        break
-                if ok:
-                    feasible = True
-                    break
-            self._feasible = True if feasible else None
-        return self._feasible
+        try:
+            vertices = self.product_vertices
+        except ValueError:
+            return None
+        feasible = np.all(self.coupling_polytope.gaps(vertices) <= 1e-9, axis=1)
+        return True if np.any(feasible) else None
 
 
 @dataclass(frozen=True)
@@ -413,8 +358,7 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
             raise RuntimeError("joint projection did not converge within the iteration cap")
         raise InfeasibleCouplingError("joint projection did not converge; coupling may be empty")
     eps = proj.residual if proj.residual >= RESIDUAL_FLOOR else 0.0
-    joint = comp.joint_polytope()
-    binding = tuple(name for name, v in joint.violations(x) if v > tol)
+    binding = tuple(name for name, v in comp.joint_polytope.violations(x) if v > tol)
     return Certificate(
         epsilon_star=eps,
         exposure_bound=float(np.sqrt(comp.joint_dim)) * eps,
@@ -423,16 +367,6 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
         inputs_locally_coherent=locally_coherent,
         composed=x,
     )
-
-
-def _constraint_violations_at(comp: CompositionSpec, points: np.ndarray) -> np.ndarray:
-    """Violation of each coupling constraint (rows) at each point (columns)."""
-    rows = comp.coupling_rows()
-    out = np.zeros((len(rows), points.shape[0]))
-    for i, (a, b, _, is_eq, _) in enumerate(rows):
-        g = points @ a - b
-        out[i] = np.abs(g) if is_eq else np.maximum(g, 0.0)
-    return out
 
 
 def is_product_structured(comp: CompositionSpec, tol: float = 1e-8) -> bool:
@@ -444,9 +378,7 @@ def is_product_structured(comp: CompositionSpec, tol: float = 1e-8) -> bool:
     """
     if len(comp.coupling) == 0:
         return True
-    vertices = comp.product_vertices()
-    violations = _constraint_violations_at(comp, vertices)
-    return bool(np.max(violations) <= tol)
+    return bool(np.max(comp.coupling_polytope.gaps(comp.product_vertices)) <= tol)
 
 
 def construct_witness(comp: CompositionSpec, tol: float = 1e-8):
@@ -458,9 +390,8 @@ def construct_witness(comp: CompositionSpec, tol: float = 1e-8):
     """
     if len(comp.coupling) == 0:
         raise ProductStructuredError("no coupling cuts; the composition is product-structured")
-    vertices = comp.product_vertices()
-    violations = _constraint_violations_at(comp, vertices)
-    per_point = violations.max(axis=0)
+    vertices = comp.product_vertices
+    per_point = comp.coupling_polytope.gaps(vertices).max(axis=1)
     best = float(per_point.max())
     if best <= tol:
         raise ProductStructuredError(
@@ -488,7 +419,7 @@ def disagreement_bound(comp: CompositionSpec, locals_: list, reference,
     coherent set, with equality when the reference is the repaired quote.
     """
     reference = np.asarray(reference, dtype=float)
-    if not is_member(comp.joint_polytope(), reference, tol):
+    if not is_member(comp.joint_polytope, reference, tol):
         raise ValueError("reference quote is not in the joint coherent set")
     locals_ = _check_locals(comp, locals_)
     repaired = [project_local(component.polytope, q)

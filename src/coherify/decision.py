@@ -17,6 +17,7 @@ from .projection import project_simplex
 
 BRIER_NORMALIZATION = "per-coordinate-mean"
 DEFAULT_LOG_FLOOR = 1e-6
+GATE_MIN_BETS = 40  # fewest bets gate_sweep calibrates on
 
 
 @dataclass(frozen=True)
@@ -312,8 +313,8 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
     Reports the rank AUC, an operating point per capture target, and a
     stratified cross-validation stability check of those thresholds.
     """
-    if len(bets) < 40:
-        raise ValueError("gate calibration needs at least 40 bets")
+    if len(bets) < GATE_MIN_BETS:
+        raise ValueError(f"gate calibration needs at least {GATE_MIN_BETS} bets")
     rule = rule or AllocationRule()
     regrets = np.array([log_payoff_delta(b, rule) for b in bets])
     eps = np.array([b.eps_star for b in bets])

@@ -133,59 +133,57 @@ class LinearConstraint:
     name: str
 
 
-def _stack(constraints: tuple[LinearConstraint, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    if not constraints:
-        A = np.zeros((0, dim))
-        b = np.zeros(0)
-    else:
-        A = np.array([c.a for c in constraints], dtype=float)
-        b = np.array([c.b for c in constraints], dtype=float)
-    A.setflags(write=False)
-    b.setflags(write=False)
-    return A, b
-
-
 @dataclass(frozen=True)
 class PolytopeSpec:
     """Equality/halfspace description of a coherent set over the unit box.
 
     ``halfspaces`` rows mean ``a . r <= b``; the box ``[0,1]^dim`` is
     implicit. ``relation`` records provenance so callers can dispatch to
-    closed-form projections.
+    closed-form projections. ``A`` and ``b`` stack every constraint,
+    equalities first, as read-only arrays.
     """
 
     dim: int
     equalities: tuple[LinearConstraint, ...] = ()
     halfspaces: tuple[LinearConstraint, ...] = ()
     relation: Relation | None = None
-    eq_A: np.ndarray = field(init=False, repr=False, compare=False)
-    eq_b: np.ndarray = field(init=False, repr=False, compare=False)
-    hs_A: np.ndarray = field(init=False, repr=False, compare=False)
-    hs_b: np.ndarray = field(init=False, repr=False, compare=False)
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for c in itertools.chain(self.equalities, self.halfspaces):
+        constraints = self.equalities + self.halfspaces
+        for c in constraints:
             if len(c.a) != self.dim:
                 raise ValueError(f"constraint {c.name} has wrong dimension")
-            if not any(v != 0.0 for v in c.a):
+            if not any(c.a):
                 raise ValueError(f"constraint {c.name} has zero normal")
-        eq_A, eq_b = _stack(self.equalities, self.dim)
-        hs_A, hs_b = _stack(self.halfspaces, self.dim)
-        object.__setattr__(self, "eq_A", eq_A)
-        object.__setattr__(self, "eq_b", eq_b)
-        object.__setattr__(self, "hs_A", hs_A)
-        object.__setattr__(self, "hs_b", hs_b)
+        A = np.array([c.a for c in constraints], dtype=float).reshape(len(constraints), self.dim)
+        b = np.array([c.b for c in constraints], dtype=float)
+        A.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+
+    def gaps(self, X) -> np.ndarray:
+        """Equality gaps ``|a . x - b|`` then halfspace excesses ``max(a . x - b, 0)``.
+
+        One entry per constraint, in the order of ``A``, for each point in
+        ``X`` (shape ``(..., dim)`` -> ``(..., n_constraints)``); the box is
+        not included. NaN coordinates give NaN gaps.
+        """
+        g = np.asarray(X, dtype=float) @ self.A.T - self.b
+        k = len(self.equalities)
+        if k:
+            np.abs(g[..., :k], out=g[..., :k])
+        if self.halfspaces:
+            np.maximum(g[..., k:], 0.0, out=g[..., k:])
+        return g
 
     def violations(self, q: np.ndarray) -> list[tuple[str, float]]:
         """(name, violation) for every constraint, box included."""
         q = np.asarray(q, dtype=float)
-        out: list[tuple[str, float]] = []
-        if self.equalities:
-            gaps = np.abs(self.eq_A @ q - self.eq_b)
-            out.extend((c.name, float(g)) for c, g in zip(self.equalities, gaps))
-        if self.halfspaces:
-            gaps = self.hs_A @ q - self.hs_b
-            out.extend((c.name, float(max(g, 0.0))) for c, g in zip(self.halfspaces, gaps))
+        names = [c.name for c in self.equalities + self.halfspaces]
+        out = list(zip(names, self.gaps(q).tolist()))
         for i, v in enumerate(q):
             out.append((f"box:r{i + 1}>=0", float(max(-v, 0.0))))
             out.append((f"box:r{i + 1}<=1", float(max(v - 1.0, 0.0))))
@@ -254,17 +252,13 @@ def build_polytope(relation: Relation) -> PolytopeSpec:
 
 
 def is_member(spec: PolytopeSpec, q, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Every equality within ``tol``, halfspaces and box violated by at most ``tol``."""
+    """Inside the box within ``tol`` and every constraint gap at most ``tol``; NaN never is."""
     q = np.asarray(q, dtype=float)
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has dimension {q.shape}, polytope needs ({spec.dim},)")
-    if np.any(q < -tol) or np.any(q > 1.0 + tol):
-        return False
-    if spec.equalities and np.any(np.abs(spec.eq_A @ q - spec.eq_b) > tol):
-        return False
-    if spec.halfspaces and np.any(spec.hs_A @ q - spec.hs_b > tol):
-        return False
-    return True
+    # NaN fails every comparison, so a quote with a NaN entry is never a member
+    in_box = ((q >= -tol) & (q <= 1.0 + tol)).all()
+    return bool(in_box and spec.gaps(q).max(initial=0.0) <= tol)
 
 
 def outcome_consistent(kind: RelationKind, y: tuple[int, ...]) -> bool:

@@ -124,7 +124,7 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
 
     Exhausts all k^m assignments when that is cheaper than sampling;
     otherwise draws ``n_draws`` assignment vectors from ``seed``. When the
-    joint set is one catalog polytope (``comp.single_relation()``) the draws
+    joint set is one catalog polytope (``comp.single_relation``) the draws
     are projected exactly by ``project_relation_batch``; any other
     composition goes through the batched Dykstra cycle.
     """
@@ -138,9 +138,9 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
         rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
         sigma = rng.integers(0, k, size=(n_draws, m))
     X = P[sigma, np.arange(m)]
-    single = comp.single_relation()
+    single = comp.single_relation
     if single is None:
-        projected = project_polytope_batch(comp.joint_polytope(), X)
+        projected = project_polytope_batch(comp.joint_polytope, X)
     else:
         relation, coords = single
         projected = np.clip(X, 0.0, 1.0)

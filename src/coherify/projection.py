@@ -200,12 +200,9 @@ Row = tuple[np.ndarray, float, float, bool, str]  # (a, b, a.a, is_equality, nam
 
 def _rows(spec: PolytopeSpec) -> list[Row]:
     """A spec's equality rows, then its halfspace rows ``a . r <= b``."""
-    rows: list[Row] = []
-    for A, b, constraints, is_eq in ((spec.eq_A, spec.eq_b, spec.equalities, True),
-                                     (spec.hs_A, spec.hs_b, spec.halfspaces, False)):
-        for a, b_i, c in zip(A, b, constraints):
-            rows.append((a, float(b_i), float(a @ a), is_eq, c.name))
-    return rows
+    n_eq = len(spec.equalities)
+    return [(a, float(b), float(a @ a), i < n_eq, c.name)
+            for i, (a, b, c) in enumerate(zip(spec.A, spec.b, spec.equalities + spec.halfspaces))]
 
 
 def _clip(y: np.ndarray) -> np.ndarray:
@@ -398,7 +395,7 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
         return x
 
     x, iterations, converged, mid_norm, corrections = _cyclic(
-        q[None, :], local, comp.coupling_rows(), tol, max_iter
+        q[None, :], local, _rows(comp.coupling_polytope), tol, max_iter
     )
     if not converged:
         end_norm = float(np.sum(np.abs(corrections)))
@@ -411,4 +408,4 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
                 "correction vectors diverge and no feasible point is known; "
                 "the coupling intersection is empty"
             )
-    return _result(comp.joint_polytope(), q, x[0], iterations=iterations, converged=converged)
+    return _result(comp.joint_polytope, q, x[0], iterations=iterations, converged=converged)

@@ -31,7 +31,6 @@ from .polytope import (
     RelationKind,
     build_polytope,
     enumerate_vertices,
-    is_member,
 )
 from .projection import RESIDUAL_FLOOR, project_hierarchical, project_relation
 
@@ -52,17 +51,17 @@ def _rng(*parts) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(tuple(abs(int(p)) for p in parts)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PanelModel:
     """Specialist panel generator settings.
 
     ``biases`` may be an explicit (k, m) offset array; by default each
     specialist gets a constant offset spread evenly in
     [-bias_scale, +bias_scale]. ``K=None`` reads the population quote
-    directly (the infinite-sample limit). ``truth`` pins a single truth
-    quote; otherwise one is sampled per clique from the vertex hull
-    (``truth_mode='adversarial'`` samples outside the coherent set
-    instead).
+    directly (the infinite-sample limit). A truth quote is sampled per
+    clique from the vertex hull (``truth_mode='adversarial'`` samples
+    outside the coherent set instead); ``generate_panel(..., truth=)``
+    pins one.
     """
 
     k: int = 4
@@ -70,7 +69,6 @@ class PanelModel:
     bias_scale: float = 0.05
     biases: np.ndarray | None = None
     K: int | None = 8
-    truth: np.ndarray | None = None
     truth_mode: str = "coherent"
 
     def bias_matrix(self, m: int) -> np.ndarray:
@@ -136,6 +134,20 @@ def sample_labels(truth: TruthDraw, rng: np.random.Generator) -> np.ndarray:
     return (rng.uniform(size=truth.p_star.size) < truth.p_star).astype(int)
 
 
+def clique_truth(model: PanelModel, clique: Clique, master_seed: int,
+                 clique_index: int) -> tuple[TruthDraw, np.ndarray]:
+    """The truth quote and outcome labels of one ensemble clique.
+
+    Both come from one stream per ``(master_seed, clique_index)``, the
+    truth first; labels the clique already carries are kept as they are.
+    """
+    rng = _rng(master_seed, clique_index, 0x72)
+    truth = sample_truth(clique.relation, rng, model.truth_mode)
+    if clique.labels is not None:
+        return truth, np.asarray(clique.labels, dtype=int)
+    return truth, sample_labels(truth, rng)
+
+
 @dataclass(frozen=True)
 class Panel:
     truth: TruthDraw
@@ -166,12 +178,7 @@ def generate_panel(model: PanelModel, clique: Clique, seed,
     parts = seed if isinstance(seed, tuple) else (seed,)
     rng = _rng(*parts)
     if truth is None:
-        if model.truth is not None:
-            V = enumerate_vertices(clique.relation).as_array()
-            p = np.asarray(model.truth, dtype=float)
-            truth = TruthDraw(p, None, V, coherent=is_member(build_polytope(clique.relation), p))
-        else:
-            truth = sample_truth(clique.relation, rng, model.truth_mode)
+        truth = sample_truth(clique.relation, rng, model.truth_mode)
     population = population_quotes(model, clique, truth, rng)
     raw = sample_k_marginals(population, model.K, rng)
     repaired = np.stack([project_relation(clique.relation, q).projected for q in raw])
@@ -246,19 +253,7 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
     """Route, aggregate, certify, and repair every (clique, seed) cell."""
     records = []
     for ci, clique in enumerate(cliques):
-        truth_rng = _rng(master_seed, ci, 0x72)
-        truth = None
-        if model.truth is None:
-            truth = sample_truth(clique.relation, truth_rng, model.truth_mode)
-        if clique.labels is not None:
-            labels = np.asarray(clique.labels, dtype=int)
-        else:
-            effective = truth
-            if effective is None:
-                V = enumerate_vertices(clique.relation).as_array()
-                effective = TruthDraw(np.asarray(model.truth, dtype=float), None, V,
-                                      coherent=True)
-            labels = sample_labels(effective, truth_rng)
+        truth, labels = clique_truth(model, clique, master_seed, ci)
         for seed in range(n_seeds):
             panel = generate_panel(model, clique, (master_seed, ci, seed), truth=truth)
             owners = route(policy, model.k, clique.relation, ci, seed)

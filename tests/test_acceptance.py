@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines and timings.
 """
 
+import dataclasses
 import math
 import time
 
@@ -362,7 +363,8 @@ def test_criterion_9_brier_transfer():
 
 def test_criterion_10_ablation_ordering():
     model = PanelModel(k=4, sigma=0.05, bias_scale=0.15, K=8)
-    model.biases = np.abs(model.bias_matrix(4)) + 0.05  # over-allocated raw panel
+    # over-allocated raw panel
+    model = dataclasses.replace(model, biases=np.abs(model.bias_matrix(4)) + 0.05)
     cliques = [Clique(id=f"p{i}", relation=partition(4)) for i in range(15)]
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform"), n_seeds=4)
     mean_a = float(np.mean([r.eps["A"] for r in records]))

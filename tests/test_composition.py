@@ -18,6 +18,7 @@ from coherify.composition import (
 )
 from coherify.polytope import (
     Clique,
+    LinearConstraint,
     PolytopeSpec,
     build_polytope,
     conjunction,
@@ -71,8 +72,7 @@ def test_aggregate_dimension_mismatch():
 
 def test_ownership_map_total():
     comp = partition_split()
-    owner = comp.ownership
-    assert owner.owner_of == (0, 1, 2, 3)
+    assert comp.owner_of == (0, 1, 2, 3)
 
 
 # --- residual certificates ----------------------------------------------------
@@ -138,7 +138,7 @@ def test_repaired_quote_is_member_of_joint_set():
         comp = CompositionSpec(
             free_components([1] * m), relation_coupling(relation, range(m)), m
         )
-        joint = comp.joint_polytope()
+        joint = comp.joint_polytope
         for _ in range(50):
             cert = residual(comp, [[v] for v in rng.uniform(size=m)])
             assert is_member(joint, cert.repaired, 1e-8)
@@ -288,6 +288,13 @@ def test_disagreement_bound_rejects_incoherent_reference():
         disagreement_bound(negation_split(), [[0.84], [0.89]], (0.9, 0.9))
 
 
+def test_disagreement_bound_rejects_nan_reference():
+    with pytest.raises(ValueError):
+        disagreement_bound(negation_split(), [[0.84], [0.89]], (np.nan, np.nan))
+    with pytest.raises(ValueError):
+        disagreement_bound(partition_split(3), [[0.2], [0.3], [0.5]], (0.5, np.nan, 0.5))
+
+
 def test_disagreement_bound_dominates_on_random_trials():
     rng = np.random.default_rng(4)
     for relation in (negation(), partition(4), conjunction()):
@@ -388,6 +395,65 @@ def test_cross_component_flags():
     assert negation_split().cross_component_flags() == (True,)
 
 
+# --- coupling and joint constraint systems ----------------------------------------
+
+
+MIXED_CUTS = (
+    CouplingConstraint("frechet-halfspace", (0, 3), 0.0, a=(-1.0, 1.0)),
+    CouplingConstraint("partition-sum", (0, 1, 2), 1.0),
+    CouplingConstraint("ladder-chain", (1, 3)),
+    CouplingConstraint("equality", (2, 3)),
+)
+
+
+def test_coupling_polytope_holds_every_cut_equalities_first():
+    comp = CompositionSpec(
+        (ComponentSpec(build_polytope(negation()), (0, 1)),
+         ComponentSpec(PolytopeSpec(dim=2), (2, 3))),
+        MIXED_CUTS,
+        4,
+    )
+    coupling = comp.coupling_polytope
+    assert [c.name for c in coupling.equalities] == ["c1:partition-sum:sum", "c3:equality:eq0"]
+    assert [c.name for c in coupling.halfspaces] == ["c0:frechet-halfspace:hs",
+                                                     "c2:ladder-chain:step0"]
+    assert coupling.equalities[0].a == (1.0, 1.0, 1.0, 0.0)
+    assert coupling.halfspaces[0].a == (-1.0, 0.0, 0.0, 1.0)
+    assert comp.coupling_polytope is coupling  # built once
+    joint = comp.joint_polytope
+    assert joint.equalities == (
+        LinearConstraint((1.0, 1.0, 0.0, 0.0), 1.0, "m0:neg:r1+r2=1"),
+    ) + coupling.equalities
+    assert joint.halfspaces == coupling.halfspaces
+
+
+def test_has_feasible_point_true_or_unknown():
+    assert partition_split().has_feasible_point() is True
+    over_full = CompositionSpec(
+        free_components([1, 1]), (CouplingConstraint("partition-sum", (0, 1), 3.0),), 2
+    )
+    assert over_full.has_feasible_point() is None
+    too_many_vertices = CompositionSpec(
+        free_components([1] * 13), relation_coupling(partition(13), range(13)), 13
+    )
+    assert too_many_vertices.has_feasible_point() is None
+
+
+def test_certificate_does_not_depend_on_cut_order():
+    rng = np.random.default_rng(21)
+    orders = [(0, 1, 2, 3), (1, 0, 3, 2), (3, 2, 1, 0), (2, 0, 3, 1)]
+    for _ in range(10):
+        locals_ = [rng.uniform(-0.2, 1.2, size=2), rng.uniform(-0.2, 1.2, size=2)]
+        certs = [
+            residual(CompositionSpec(free_components([2, 2]),
+                                     tuple(MIXED_CUTS[i] for i in order), 4), locals_)
+            for order in orders
+        ]
+        for cert in certs[1:]:
+            assert abs(cert.epsilon_star - certs[0].epsilon_star) <= 1e-9
+            assert np.max(np.abs(cert.repaired - certs[0].repaired)) <= 1e-8
+
+
 # --- single-relation recognition ---------------------------------------------------
 
 
@@ -395,19 +461,19 @@ def test_cross_component_flags():
 def test_single_relation_recognizes_split_and_owner_layouts(relation):
     m = relation.m
     split = CompositionSpec(free_components([1] * m), relation_coupling(relation, range(m)), m)
-    assert split.single_relation() == (relation, tuple(range(m)))
+    assert split.single_relation == (relation, tuple(range(m)))
     clique = Clique(id="c", relation=relation)
     sole_owner = composition_for(clique, np.zeros(m, dtype=int)).comp
-    assert sole_owner.single_relation() == (relation, tuple(range(m)))
+    assert sole_owner.single_relation == (relation, tuple(range(m)))
     mixed = composition_for(clique, np.arange(m) % 2).comp
-    assert mixed.single_relation() == (relation, tuple(range(m)))
+    assert mixed.single_relation == (relation, tuple(range(m)))
 
 
 def test_single_relation_keeps_permuted_ladder_coords():
     coords = (2, 0, 3, 1)
     comp = CompositionSpec(free_components([1] * 4), relation_coupling(ladder(4), coords), 4)
-    assert comp.single_relation() == (ladder(4), coords)
-    assert comp.single_relation() is comp.single_relation()  # cached
+    assert comp.single_relation == (ladder(4), coords)
+    assert comp.single_relation is comp.single_relation  # cached
 
 
 def test_single_relation_none_for_other_joint_sets():
@@ -432,7 +498,7 @@ def test_single_relation_none_for_other_joint_sets():
     uncoupled = CompositionSpec(free3, (), 3)
     for comp in (infeasible, two_relations, foreign_component, component_on_other_coords,
                  repeated, uncoupled):
-        assert comp.single_relation() is None
+        assert comp.single_relation is None
 
 
 def test_single_relation_allows_relation_on_a_subset_of_coords():
@@ -442,4 +508,4 @@ def test_single_relation_allows_relation_on_a_subset_of_coords():
         relation_coupling(negation(), (1, 2)),
         3,
     )
-    assert comp.single_relation() == (negation(), (1, 2))
+    assert comp.single_relation == (negation(), (1, 2))

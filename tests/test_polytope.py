@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coherify.polytope import (
     Clique,
+    LinearConstraint,
     PolytopeSpec,
     Relation,
     RelationKind,
@@ -84,6 +85,26 @@ def test_is_member_examples():
     assert is_member(build_polytope(conjunction()), (0.5, 0.5, 0.25))
 
 
+def test_is_member_rejects_nan():
+    assert not is_member(build_polytope(partition(3)), [np.nan] * 3)
+    assert not is_member(build_polytope(conjunction()), (0.5, np.nan, 0.25))
+    assert not is_member(PolytopeSpec(dim=2), (np.nan, 0.5))
+
+
+def test_gaps_are_equality_gaps_then_halfspace_excesses():
+    spec = PolytopeSpec(
+        dim=2,
+        equalities=(LinearConstraint((1.0, 1.0), 1.0, "sum"),),
+        halfspaces=(LinearConstraint((-1.0, 1.0), 0.0, "r2<=r1"),),
+    )
+    X = np.array([[0.2, 0.3], [0.9, 0.6], [1.5, -0.5]])
+    assert np.allclose(spec.gaps(X), [[0.5, 0.1], [0.5, 0.0], [0.0, 0.0]])  # box not included
+    assert spec.gaps(X[0]).shape == (2,)
+    assert spec.gaps(X.reshape(3, 1, 2)).shape == (3, 1, 2)
+    assert np.isnan(spec.gaps([np.nan, 0.5])).all()
+    assert PolytopeSpec(dim=3).gaps(np.zeros((4, 3))).shape == (4, 0)
+
+
 def test_is_member_dimension_mismatch():
     with pytest.raises(ValueError):
         is_member(build_polytope(negation()), (0.5, 0.5, 0.5))
@@ -156,8 +177,6 @@ def test_convex_combinations_of_vertices_are_members(data, relation):
 
 
 def test_polytope_rejects_zero_normals():
-    from coherify.polytope import LinearConstraint
-
     with pytest.raises(ValueError):
         PolytopeSpec(dim=2, equalities=(LinearConstraint((0.0, 0.0), 1.0, "zero"),))
 

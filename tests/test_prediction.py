@@ -282,7 +282,7 @@ def _samples_by_joint_dykstra(comp, panel):
     k, m = P.shape
     sigma = np.array(list(itertools.product(range(k), repeat=m)))
     X = P[sigma, np.arange(m)]
-    return np.sum((X - project_polytope_batch(comp.joint_polytope(), X)) ** 2, axis=1)
+    return np.sum((X - project_polytope_batch(comp.joint_polytope, X)) ** 2, axis=1)
 
 
 @pytest.mark.parametrize(
@@ -301,7 +301,7 @@ def test_exact_route_samples_match_joint_dykstra(relation):
     )
     for comp in (split_composition(relation), reversed_split,
                  composition_for(Clique(id="c", relation=relation), np.zeros(m, dtype=int)).comp):
-        assert comp.single_relation() is not None
+        assert comp.single_relation is not None
         samples = observe_magnitude_samples(comp, panel)
         assert np.max(np.abs(samples - _samples_by_joint_dykstra(comp, panel))) <= 1e-8
 
@@ -314,7 +314,7 @@ def test_fallback_samples_match_joint_dykstra():
         (CouplingConstraint("equality", (0, 2)),),
         4,
     )
-    assert comp.single_relation() is None
+    assert comp.single_relation is None
     rng = np.random.default_rng(5)
     panel = [rng.uniform(size=4) for _ in range(3)]
     samples = observe_magnitude_samples(comp, panel)

@@ -250,7 +250,7 @@ def test_hierarchical_equals_direct_joint_projection(relation):
     comp = CompositionSpec(
         free_components([1] * m), relation_coupling(relation, range(m)), m
     )
-    joint = comp.joint_polytope()
+    joint = comp.joint_polytope
     rng = np.random.default_rng(13)
     for _ in range(25):
         q = rng.uniform(size=m)
@@ -273,9 +273,9 @@ def test_hierarchical_with_relation_components_and_equality_coupling():
     for _ in range(20):
         q = rng.uniform(size=4)
         hier = project_hierarchical(comp, q)
-        direct = project_dykstra(comp.joint_polytope(), q)
+        direct = project_dykstra(comp.joint_polytope, q)
         assert np.max(np.abs(hier.projected - direct.projected)) <= 1e-8
-        assert is_member(comp.joint_polytope(), hier.projected, 1e-8)
+        assert is_member(comp.joint_polytope, hier.projected, 1e-8)
 
 
 def test_hierarchical_soak_on_random_mixed_compositions():
@@ -315,9 +315,9 @@ def test_hierarchical_soak_on_random_mixed_compositions():
         if comp.has_feasible_point() is not True:
             continue  # keep only visibly feasible systems
         accepted += 1
-        joint = comp.joint_polytope()
+        joint = comp.joint_polytope
         feasible_points = [
-            v for v in comp.product_vertices()
+            v for v in comp.product_vertices
             if is_member(joint, v, 1e-9)
         ]
         for _ in range(5):

@@ -29,3 +29,12 @@ def test_script_main_runs_and_prints_its_table(name, argv, first_column, capsys)
     header = next(i for i, line in enumerate(lines) if line.split()[:1] == [first_column])
     assert set(lines[header + 1]) == {"-"}
     assert len(lines[header + 1]) == len(lines[header])
+
+
+def test_gate_calibration_refuses_too_few_bets_without_traceback(capsys):
+    assert load_script("run_gate_calibration").main(["--n-cliques", "2", "--n-seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: 2 bets, gate calibration needs at least 40; raise --n-cliques or --n-seeds"
+    ]

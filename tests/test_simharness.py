@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from coherify.polytope import (
     Clique,
     build_polytope,
     conjunction,
+    enumerate_vertices,
     is_member,
     negation,
     partition,
@@ -14,6 +17,7 @@ from coherify.simharness import (
     PanelModel,
     RoutingPolicy,
     SimConfig,
+    TruthDraw,
     composition_for,
     generate_panel,
     hardness_experiment,
@@ -48,9 +52,10 @@ def test_noiseless_panel_reproduces_truth():
 def test_negation_bias_panel_population_stats():
     # +-0.1 coherence-aligned offsets around (0.5, 0.5)
     biases = np.array([[0.1, -0.1], [-0.1, 0.1]])
-    model = PanelModel(k=2, sigma=0.0, biases=biases, K=None,
-                       truth=np.array([0.5, 0.5]))
-    panel = generate_panel(model, neg_clique(), seed=1)
+    model = PanelModel(k=2, sigma=0.0, biases=biases, K=None)
+    V = enumerate_vertices(negation()).as_array()
+    truth = TruthDraw(np.array([0.5, 0.5]), None, V, coherent=True)
+    panel = generate_panel(model, neg_clique(), seed=1, truth=truth)
     assert np.allclose(panel.population, [[0.6, 0.4], [0.4, 0.6]])
     D = np.mean((panel.population - panel.population.mean(axis=0)) ** 2, axis=0)
     assert np.allclose(D, [0.01, 0.01])
@@ -143,7 +148,7 @@ def test_single_owner_ensemble_is_coherent():
 def test_operator_ordering_on_partitions():
     # positive offsets give every specialist an over-allocated raw quote
     model = PanelModel(k=4, sigma=0.05, bias_scale=0.15, K=8)
-    model.biases = np.abs(model.bias_matrix(4)) + 0.05
+    model = dataclasses.replace(model, biases=np.abs(model.bias_matrix(4)) + 0.05)
     cliques = [part_clique(i) for i in range(12)]
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform"), n_seeds=4)
     eps_a = np.mean([r.eps["A"] for r in records])

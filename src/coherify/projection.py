@@ -3,12 +3,13 @@
 One route per question: for a catalog relation, ``project_relation_batch``
 projects many quotes exactly at once -- closed forms for a single affine
 cut or a chain (negation, partition, ladder), the clipped mean for
-paraphrase, and an exact min-norm-point oracle over vertex hulls for the
-Frechet relations, which is also the ground truth. ``project_relation``
-answers one quote the same way, through the batched route on one row or,
-for the Frechet relations, through ``project_oracle``, which also reports
-its major cycles. General and composed systems go through one batched
-Boyle-Dykstra engine: one exact local set plus a list of linear rows.
+paraphrase, and the nearest of the 15 face projections of a tetrahedron
+for the two Frechet relations (conjunction, disjunction).
+``project_relation`` answers one quote through the same batched route on
+one row. ``project_oracle``, a min-norm-point search over vertex hulls,
+is the independent ground truth that tests hold every route to. General
+and composed systems go through one batched Boyle-Dykstra engine: one
+exact local set plus the rows of one constraint system.
 
 Plain alternating projection is not a substitute for Dykstra here: it
 finds *a* feasible point, not the nearest one. The correction vectors are
@@ -17,6 +18,7 @@ what make the cycle converge to the exact L2 projection.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -38,7 +40,7 @@ DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
 RESIDUAL_FLOOR = 1e-9  # certificate-level report threshold, not a projection tolerance
 ORACLE_VERTEX_LIMIT = 4096
-ISOTONIC_BLOCK = 1 << 16  # entries per (rows, m, m) temporary of the isotonic min-max formula
+BLOCK_ENTRIES = 1 << 16  # entries per temporary of the isotonic and face routes
 
 CLOSED_FORM_KINDS = frozenset(
     {RelationKind.NEGATION, RelationKind.PARTITION, RelationKind.LADDER}
@@ -69,6 +71,47 @@ def _polytope(relation: Relation) -> PolytopeSpec:
 @lru_cache(maxsize=None)
 def _vertex_array(relation: Relation) -> np.ndarray:
     return enumerate_vertices(relation).as_array()
+
+
+def _simplex_faces(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One affine map per nonempty vertex subset (face) of the simplex conv(V).
+
+    Face ``f`` maps a point ``x`` to ``G[f] @ x + h[f]``: its first ``k``
+    entries are the barycentric weights, over all ``k`` vertices (zero off
+    the face), of the projection of ``x`` onto the face's affine hull, and
+    the last ``d`` entries are that projection. A face that spans the
+    whole space projects every point to itself. Raises ``ValueError``
+    unless the rows of ``V`` are affinely independent.
+    """
+    k, d = V.shape
+    # Hadamard: det(gram) <= prod(diag(gram)), with equality for orthogonal
+    # edges and zero exactly when the edges are linearly dependent
+    edges = V[1:] - V[0]
+    gram = edges @ edges.T
+    if not np.linalg.det(gram) > 1e-12 * np.prod(np.diag(gram)):
+        raise ValueError(f"the {k} vertices are not affinely independent")
+    faces = [list(S) for r in range(1, k + 1) for S in itertools.combinations(range(k), r)]
+    G = np.zeros((len(faces), k + d, d))
+    h = np.zeros((len(faces), k + d))
+    for f, S in enumerate(faces):
+        base = V[S[0]]
+        E = V[S[1:]] - base  # edge vectors from the face's first vertex
+        L = np.linalg.solve(E @ E.T, E)  # x - base -> coefficients of the edges
+        M = np.vstack([-L.sum(axis=0), L])  # weights = M @ (x - base) + e_0
+        P = np.eye(d) if len(S) == d + 1 else E.T @ L
+        G[f, S] = M
+        h[f, S] = -M @ base
+        h[f, S[0]] += 1.0
+        G[f, k:] = P
+        h[f, k:] = base - P @ base
+    G.setflags(write=False)
+    h.setflags(write=False)
+    return G, h
+
+
+@lru_cache(maxsize=None)
+def _face_table(relation: Relation) -> tuple[np.ndarray, np.ndarray]:
+    return _simplex_faces(_vertex_array(relation))
 
 
 def _most_violated(spec: PolytopeSpec, q: np.ndarray) -> str | None:
@@ -123,14 +166,14 @@ def _nonincreasing_rows(X: np.ndarray) -> np.ndarray:
     Min-max formula (Robertson, Wright & Dykstra 1988): the fit at ``i`` is
     the smallest over ``s <= i`` of the largest mean of ``X[s..t]`` over
     ``t >= i``. Means come from row prefix sums. Rows go in blocks so that
-    each ``(rows, m, m)`` temporary holds at most ``ISOTONIC_BLOCK``
+    each ``(rows, m, m)`` temporary holds at most ``BLOCK_ENTRIES``
     entries.
     """
     n, m = X.shape
     length, below = _segment_grid(m)
     diag = np.arange(m)
     out = np.empty_like(X)
-    step = max(1, ISOTONIC_BLOCK // (m * m))
+    step = max(1, BLOCK_ENTRIES // (m * m))
     for start in range(0, n, step):
         B = X[start:start + step]
         S = np.zeros((B.shape[0], m + 1))
@@ -146,14 +189,38 @@ def _nonincreasing_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nearest_face_rows(table: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Row-wise projection onto a simplex from its ``_simplex_faces`` table.
+
+    The projection lies in the relative interior of exactly one face, where
+    it is the projection onto that face's affine hull; every face whose
+    weights are all nonnegative gives a point of the simplex. So the
+    nearest such candidate is the projection. Vertex faces always qualify.
+    """
+    G, h = table
+    n, d = X.shape
+    k = G.shape[1] - d
+    out = np.empty_like(X)
+    step = max(1, BLOCK_ENTRIES // h.size)
+    for start in range(0, n, step):
+        B = X[start:start + step]
+        Y = np.einsum("fod,nd->nfo", G, B) + h
+        candidates = Y[:, :, k:]
+        dist2 = np.sum((candidates - B[:, None, :]) ** 2, axis=2)
+        dist2[np.any(Y[:, :, :k] < 0.0, axis=2)] = np.inf
+        out[start:start + step] = candidates[np.arange(len(B)), np.argmin(dist2, axis=1)]
+    return out
+
+
 def project_relation_batch(relation: Relation, X) -> np.ndarray:
     """Exact projection of each row of ``X`` onto one catalog relation's polytope.
 
     negation shifts along (1, 1) onto r1 + r2 = 1, then clips; partition is
     the simplex sort form; paraphrase is the clipped row mean; ladder is
     non-increasing isotonic regression clipped to the unit box; conjunction
-    and disjunction run the min-norm-point oracle row by row over the
-    relation's vertices.
+    and disjunction, whose hulls are tetrahedra, take the nearest
+    nonnegative-weight projection onto one of the 15 faces, all faces of
+    all rows at once. Each row's result does not depend on the other rows.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != relation.m:
@@ -169,60 +236,44 @@ def project_relation_batch(relation: Relation, X) -> np.ndarray:
         return np.repeat(level[:, None], relation.m, axis=1)
     if kind is RelationKind.LADDER:
         return np.clip(_nonincreasing_rows(X), 0.0, 1.0)
-    V = _vertex_array(relation)
-    return np.array([q + _min_norm_point(V - q)[0] for q in X]).reshape(X.shape)
-
-
-def _exact(relation: Relation, q) -> ProjectionResult:
-    """One quote through ``project_relation_batch``."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (relation.m,):
-        raise ValueError(f"quote has shape {q.shape}, relation needs ({relation.m},)")
-    projected = project_relation_batch(relation, q[None, :])[0]
-    return _result(_polytope(relation), q, projected, iterations=1, converged=True)
+    return _nearest_face_rows(_face_table(relation), X)
 
 
 def project_closed_form(relation: Relation, q) -> ProjectionResult:
     """Closed-form projections: negation, partition, ladder.
 
-    One quote through ``project_relation_batch``: negation maps (q1, q2) to
+    One quote through ``project_relation``: negation maps (q1, q2) to
     ((1+q1-q2)/2, (1-q1+q2)/2) clipped to the unit box; partition is the
     simplex sort algorithm; ladder is non-increasing isotonic regression
     clipped to the unit box.
     """
     if relation.kind not in CLOSED_FORM_KINDS:
         raise ValueError(f"no closed-form projection for relation {relation.kind.value}")
-    return _exact(relation, q)
-
-
-Row = tuple[np.ndarray, float, float, bool, str]  # (a, b, a.a, is_equality, name)
-
-
-def _rows(spec: PolytopeSpec) -> list[Row]:
-    """A spec's equality rows, then its halfspace rows ``a . r <= b``."""
-    n_eq = len(spec.equalities)
-    return [(a, float(b), float(a @ a), i < n_eq, c.name)
-            for i, (a, b, c) in enumerate(zip(spec.A, spec.b, spec.equalities + spec.halfspaces))]
+    return project_relation(relation, q)
 
 
 def _clip(y: np.ndarray) -> np.ndarray:
     return np.clip(y, 0.0, 1.0)
 
 
-def _cyclic(X: np.ndarray, local, rows: list[Row], tol: float, max_iter: int):
-    """Batched Boyle-Dykstra cycle over one local set and linear rows.
+def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int):
+    """Batched Boyle-Dykstra cycle over one local set and a spec's linear rows.
 
     Rows of ``X`` are independent problems. Each cycle projects onto the
     local set with ``local`` (an exact projector of an ``(n, d)`` array),
-    then onto each row's hyperplane or halfspace, carrying one correction
-    array per set; it stops when the largest correction change over a full
-    cycle drops below ``tol``. Returns the iterate, the cycle count,
-    whether it converged, the corrections' l1 norm at cycle
-    ``max_iter // 2`` (None if the cycle stopped first), and the final
-    corrections.
+    then onto the hyperplane or halfspace of each row of ``spec.A`` in
+    order (equalities first; the spec's box is left to ``local``),
+    carrying one correction array per set; it stops when the largest
+    correction change over a full cycle drops below ``tol``. Returns the
+    iterate, the cycle count, whether it converged, the corrections' l1
+    norm at cycle ``max_iter // 2`` (None if the cycle stopped first), and
+    the final corrections.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    n_eq = len(spec.equalities)
+    rows = list(enumerate(zip(spec.A, spec.b.tolist(),
+                              np.einsum("ij,ij->i", spec.A, spec.A).tolist()), start=1))
     x = X.copy()
     corrections = np.zeros((1 + len(rows),) + x.shape)  # the local set's, then each row's
     converged = False
@@ -234,10 +285,10 @@ def _cyclic(X: np.ndarray, local, rows: list[Row], tol: float, max_iter: int):
         p_new = y - x
         delta = float(np.max(np.abs(p_new - corrections[0])))
         corrections[0] = p_new
-        for i, (a, b, aa, is_eq, _) in enumerate(rows, start=1):
+        for i, (a, b, aa) in rows:
             y = x + corrections[i]
             t = (y @ a - b) / aa
-            if not is_eq:
+            if i > n_eq:
                 np.maximum(t, 0.0, out=t)
             p_new = t[:, None] * a
             x = y - p_new
@@ -261,7 +312,7 @@ def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
     q = np.asarray(q, dtype=float)
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
-    x, iterations, converged, _, _ = _cyclic(q[None, :], _clip, _rows(spec), tol, max_iter)
+    x, iterations, converged, _, _ = _cyclic(q[None, :], _clip, spec, tol, max_iter)
     return _result(spec, q, x[0], iterations=iterations, converged=converged)
 
 
@@ -269,7 +320,7 @@ def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray, tol: float = DYKST
                            max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
     """Dykstra on many quotes at once; rows of ``X`` are independent problems."""
     X = np.asarray(X, dtype=float)
-    return _cyclic(X, _clip, _rows(spec), tol, max_iter)[0]
+    return _cyclic(X, _clip, spec, tol, max_iter)[0]
 
 
 def _min_norm_point(P: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, int]:
@@ -347,19 +398,16 @@ def project_oracle(vertices, q) -> ProjectionResult:
 def project_relation(relation: Relation, q) -> ProjectionResult:
     """Exact projection onto a catalog relation's polytope.
 
-    Closed forms where they exist (``project_closed_form``) and the clipped
-    mean for paraphrase, both through ``project_relation_batch`` on one
-    row, and the vertex-hull oracle for the two Frechet relations, which
-    reports its major cycles.
+    Every relation answers through ``project_relation_batch`` on one row:
+    the closed forms, the paraphrase mean and the Frechet face route alike,
+    so the result is bit for bit that row of a batch and always reports
+    one iteration, converged.
     """
-    if relation.kind in CLOSED_FORM_KINDS:
-        return project_closed_form(relation, q)
-    if relation.kind is RelationKind.PARAPHRASE:
-        return _exact(relation, q)
     q = np.asarray(q, dtype=float)
-    res = project_oracle(_vertex_array(relation), q)
-    return ProjectionResult(res.projected, res.residual, res.iterations, res.converged,
-                            _most_violated(_polytope(relation), q))
+    if q.shape != (relation.m,):
+        raise ValueError(f"quote has shape {q.shape}, relation needs ({relation.m},)")
+    projected = project_relation_batch(relation, q[None, :])[0]
+    return _result(_polytope(relation), q, projected, iterations=1, converged=True)
 
 
 def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
@@ -379,8 +427,12 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
 
     Converges to the projection onto the joint coherent set, i.e. agrees
     with running ``project_dykstra`` on the assembled joint constraint
-    system. Empty intersections are caught by a vertex pre-check at small
-    joint dimension and by correction-norm divergence otherwise.
+    system. An empty intersection makes the corrections grow without
+    bound: when the cycle has not converged by ``max_iter`` and the
+    corrections' l1 norm exceeds 1 and grew by more than half since cycle
+    ``max_iter // 2``, ``InfeasibleCouplingError`` is raised unless
+    ``comp.has_feasible_point()`` finds a product vertex that meets every
+    coupling cut.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (comp.joint_dim,):
@@ -395,7 +447,7 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
         return x
 
     x, iterations, converged, mid_norm, corrections = _cyclic(
-        q[None, :], local, _rows(comp.coupling_polytope), tol, max_iter
+        q[None, :], local, comp.coupling_polytope, tol, max_iter
     )
     if not converged:
         end_norm = float(np.sum(np.abs(corrections)))

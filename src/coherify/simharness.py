@@ -32,7 +32,12 @@ from .polytope import (
     build_polytope,
     enumerate_vertices,
 )
-from .projection import RESIDUAL_FLOOR, project_hierarchical, project_relation
+from .projection import (
+    RESIDUAL_FLOOR,
+    project_hierarchical,
+    project_relation,
+    project_relation_batch,
+)
 
 OPERATORS = ("A", "B", "C", "D")
 POLICY_KINDS = ("random-uniform", "structured-by-relation", "single-owner")
@@ -174,14 +179,18 @@ def sample_k_marginals(population: np.ndarray, K: int | None,
 
 def generate_panel(model: PanelModel, clique: Clique, seed,
                    truth: TruthDraw | None = None) -> Panel:
-    """Population offsets, K-sample read-out, then per-specialist repair."""
+    """Population offsets, K-sample read-out, then per-specialist repair.
+
+    The k specialist rows are repaired in one ``project_relation_batch``
+    call; each row equals its own ``project_relation`` projection.
+    """
     parts = seed if isinstance(seed, tuple) else (seed,)
     rng = _rng(*parts)
     if truth is None:
         truth = sample_truth(clique.relation, rng, model.truth_mode)
     population = population_quotes(model, clique, truth, rng)
     raw = sample_k_marginals(population, model.K, rng)
-    repaired = np.stack([project_relation(clique.relation, q).projected for q in raw])
+    repaired = project_relation_batch(clique.relation, raw)
     return Panel(truth=truth, population=population, raw=raw, repaired=repaired)
 
 

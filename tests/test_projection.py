@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from coherify.polytope import (
 )
 from coherify.projection import (
     InfeasibleCouplingError,
+    _simplex_faces,
     project_closed_form,
     project_dykstra,
     project_hierarchical,
@@ -390,6 +393,63 @@ def test_batch_projection_matches_scalar():
             assert np.max(np.abs(batch[i] - scalar)) <= 1e-7
             assert np.max(np.abs(batch[i] - exact)) <= 1e-7
             assert np.max(np.abs(exact_batch[i] - exact)) <= 1e-12
+
+
+FRECHET = [conjunction(), disjunction()]
+
+
+@pytest.mark.parametrize("relation", FRECHET, ids=lambda r: r.kind.value)
+def test_frechet_face_route_matches_oracle(relation):
+    V = enumerate_vertices(relation).as_array()
+    rng = np.random.default_rng(23)
+    X = np.vstack([
+        rng.uniform(-0.5, 1.5, size=(1500, 3)),
+        rng.uniform(0.0, 1.0, size=(1500, 3)),
+        rng.dirichlet(np.ones(len(V)), size=500) @ V,
+    ])
+    batch = project_relation_batch(relation, X)
+    for q, row in zip(X, batch):
+        assert np.max(np.abs(row - project_oracle(V, q).projected)) <= 1e-12
+
+
+@pytest.mark.parametrize("relation", FRECHET, ids=lambda r: r.kind.value)
+def test_frechet_face_route_fixes_vertices_edge_midpoints_and_facet_centroids(relation):
+    V = enumerate_vertices(relation).as_array()
+    points = np.array([V[list(face)].mean(axis=0)
+                       for r in (1, 2, 3) for face in itertools.combinations(range(len(V)), r)])
+    assert len(points) == 4 + 6 + 4
+    assert np.array_equal(project_relation_batch(relation, points), points)
+
+
+@pytest.mark.parametrize(
+    "relation", ALL_RELATIONS + [partition(12), ladder(12), paraphrase(12)],
+    ids=lambda r: f"{r.kind.value}{r.m}",
+)
+def test_batch_rows_equal_one_row_calls_bit_for_bit(relation):
+    rng = np.random.default_rng(29)
+    X = rng.uniform(-0.5, 1.5, size=(700, relation.m))  # more rows than one face-route block
+    batch = project_relation_batch(relation, X)
+    for i in range(0, len(X), 7):
+        assert np.array_equal(batch[i], project_relation_batch(relation, X[i:i + 1])[0])
+
+
+def test_face_table_refuses_affinely_dependent_vertices():
+    square = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="affinely independent"):
+        _simplex_faces(square)
+    with pytest.raises(ValueError, match="affinely independent"):
+        _simplex_faces(np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]))
+    G, h = _simplex_faces(enumerate_vertices(conjunction()).as_array())
+    assert G.shape == (15, 4 + 3, 3) and h.shape == (15, 4 + 3)
+
+
+@pytest.mark.parametrize("relation", ALL_RELATIONS, ids=lambda r: r.kind.value)
+def test_project_relation_is_the_batched_route_on_one_row(relation):
+    rng = np.random.default_rng(31)
+    for q in rng.uniform(-0.5, 1.5, size=(50, relation.m)):
+        res = project_relation(relation, q)
+        assert np.array_equal(res.projected, project_relation_batch(relation, q[None])[0])
+        assert res.iterations == 1 and res.converged
 
 
 def test_batch_route_rejects_wrong_shapes():

@@ -7,11 +7,15 @@ from coherify.polytope import (
     Clique,
     build_polytope,
     conjunction,
+    disjunction,
     enumerate_vertices,
     is_member,
+    ladder,
     negation,
+    paraphrase,
     partition,
 )
+from coherify.projection import project_relation
 from coherify.simharness import (
     ConfigError,
     PanelModel,
@@ -78,6 +82,21 @@ def test_panel_rows_are_locally_coherent_after_repair():
     spec = build_polytope(clique.relation)
     for row in panel.repaired:
         assert is_member(spec, row, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [negation(), conjunction(), disjunction(), partition(4), ladder(5), paraphrase(3)],
+    ids=lambda r: r.kind.value,
+)
+def test_batched_panel_repair_matches_per_row_projection(relation):
+    # generate_panel repairs its k rows in one batched call; each row must be
+    # exactly what project_relation gives that specialist alone
+    model = PanelModel(k=6, sigma=0.3, K=8)
+    panel = generate_panel(model, Clique(id="c", relation=relation), seed=(4, 2))
+    per_row = np.stack([project_relation(relation, q).projected for q in panel.raw])
+    assert panel.repaired.shape == panel.raw.shape
+    assert np.array_equal(panel.repaired, per_row)
 
 
 def test_k_sampling_population_limit():

@@ -24,6 +24,7 @@ from .projection import (
     project_closed_form,
     project_dykstra,
     project_hierarchical,
+    project_hierarchical_batch,
     project_oracle,
     project_relation,
 )
@@ -41,6 +42,7 @@ from .composition import (
     is_product_structured,
     relation_coupling,
     residual,
+    residual_batch,
 )
 from .prediction import (
     MagnitudePrediction,

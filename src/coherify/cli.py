@@ -23,14 +23,14 @@ from .composition import (
     CompositionSpec,
     CouplingConstraint,
     CouplingSet,
-    residual,
+    residual_batch,
 )
 from .decision import AllocationRule, BetRecord, gate_sweep, murphy, regret
 from .jsonio import dump_lines, dumps, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
 from .polytope import Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
-from .projection import project_relation
+from .projection import project_relation_results
 from .simharness import (
     ConfigError,
     SimConfig,
@@ -96,7 +96,7 @@ def _write_manifest(args, manifest: dict, out_path: str) -> None:
 # --- project ---------------------------------------------------------------
 
 
-def _project_record(entry):
+def _project_quote(entry) -> tuple[Clique, np.ndarray]:
     lineno, record = entry
     try:
         clique = Clique.from_json(record)
@@ -105,21 +105,30 @@ def _project_record(entry):
         raise InputError(f"line {lineno}: {exc}") from exc
     if quote.shape != (clique.relation.m,):
         raise InputError(f"line {lineno}: quote length {quote.size} != m={clique.relation.m}")
-    result = project_relation(clique.relation, quote)
-    return {
-        "id": clique.id,
-        "projected": [float(v) for v in result.projected],
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "active_constraint": result.active_constraint,
-    }
+    return clique, quote
 
 
 def cmd_project(args) -> int:
     text = _read_text(args.input)
-    records = parse_lines(text)
-    out = [_project_record(entry) for entry in records]
+    parsed = [_project_quote(entry) for entry in parse_lines(text)]
+    by_relation: dict = {}
+    for i, (clique, _) in enumerate(parsed):
+        by_relation.setdefault(clique.relation, []).append(i)
+    results = {}
+    for relation, indices in by_relation.items():
+        quotes = np.stack([parsed[i][1] for i in indices])
+        results.update(zip(indices, project_relation_results(relation, quotes)))
+    out = [
+        {
+            "id": clique.id,
+            "projected": [float(v) for v in results[i].projected],
+            "residual": results[i].residual,
+            "iterations": results[i].iterations,
+            "converged": results[i].converged,
+            "active_constraint": results[i].active_constraint,
+        }
+        for i, (clique, _) in enumerate(parsed)
+    ]
     _write_text(args.out, dump_lines(out))
     _write_manifest(args, _manifest("project", "", args.seed, {"input": text}), args.out)
     return 0
@@ -128,40 +137,55 @@ def cmd_project(args) -> int:
 # --- certify ---------------------------------------------------------------
 
 
-def composition_from_json(record: dict) -> tuple[CompositionSpec, list[np.ndarray]]:
-    owners = [int(v) for v in record["owners"]]
+def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, list[np.ndarray]]:
+    """One certify record's composition and local quotes.
+
+    ``shapes`` maps each (owners, coupling) shape seen before to its spec,
+    so that a file builds one ``CompositionSpec`` per shape.
+    """
+    owners = tuple(int(v) for v in record["owners"])
     locals_ = [np.asarray(q, dtype=float) for q in record["locals"]]
-    joint_dim = len(owners)
     component_ids = sorted(set(owners))
     if len(locals_) != len(component_ids):
         raise ValueError(
             f"{len(component_ids)} owners referenced but {len(locals_)} local quotes given"
         )
-    components = []
-    for cid in component_ids:
-        coords = tuple(j for j, o in enumerate(owners) if o == cid)
-        components.append(ComponentSpec(PolytopeSpec(dim=len(coords)), coords))
-    coupling = CouplingSet(
-        tuple(CouplingConstraint.from_json(c) for c in record.get("coupling", []))
-    )
-    return CompositionSpec(tuple(components), coupling, joint_dim), locals_
-
-
-def _certify_record(entry, tol: float = 1e-8):
-    lineno, record = entry
-    try:
-        comp, locals_ = composition_from_json(record)
-        cert = residual(comp, locals_, tol=tol)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"line {lineno}: {exc}") from exc
-    return cert.to_json()
+    coupling = tuple(CouplingConstraint.from_json(c) for c in record.get("coupling", []))
+    if (owners, coupling) not in shapes:
+        components = []
+        for cid in component_ids:
+            coords = tuple(j for j, o in enumerate(owners) if o == cid)
+            components.append(ComponentSpec(PolytopeSpec(dim=len(coords)), coords))
+        shapes[owners, coupling] = CompositionSpec(tuple(components), CouplingSet(coupling),
+                                                   len(owners))
+    return shapes[owners, coupling], locals_
 
 
 def cmd_certify(args) -> int:
+    """Certify every record in one ``residual_batch`` call.
+
+    Errors are reported as certifying the records one by one in order
+    would: the earliest record that is malformed or fails to certify.
+    """
     text = _read_text(args.input)
-    records = parse_lines(text)
-    out = [_certify_record(entry, args.tol) for entry in records]
-    _write_text(args.out, dump_lines(out))
+    shapes: dict = {}
+    items, linenos = [], []
+    malformed = None
+    for lineno, record in parse_lines(text):
+        try:
+            items.append(composition_from_json(record, shapes))
+        except (KeyError, ValueError, TypeError) as exc:
+            malformed = (lineno, exc)
+            break  # no later record can fail first
+        linenos.append(lineno)
+    try:
+        certs = residual_batch(items, tol=args.tol)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"line {linenos[exc.index]}: {exc}") from exc
+    if malformed is not None:
+        lineno, exc = malformed
+        raise InputError(f"line {lineno}: {exc}") from exc
+    _write_text(args.out, dump_lines(cert.to_json() for cert in certs))
     _write_manifest(args, _manifest("certify", "", args.seed, {"input": text}), args.out)
     return 0
 

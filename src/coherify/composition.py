@@ -27,8 +27,11 @@ from .polytope import (
     is_member,
 )
 from .projection import (
+    _DIVERGED,
     InfeasibleCouplingError,
     RESIDUAL_FLOOR,
+    _hierarchical_cycle,
+    _project_locals,
     project_hierarchical,
     project_local,
 )
@@ -209,6 +212,12 @@ class CompositionSpec:
         return PolytopeSpec(dim=self.joint_dim, equalities=tuple(eqs), halfspaces=tuple(hss))
 
     @cached_property
+    def constrained(self) -> tuple[tuple[int, ComponentSpec], ...]:
+        """``(index, component)`` for every component that is not a free box."""
+        return tuple((a, c) for a, c in enumerate(self.components)
+                     if c.polytope.equalities or c.polytope.halfspaces)
+
+    @cached_property
     def single_relation(self) -> tuple[Relation, tuple[int, ...]] | None:
         """``(relation, coords)`` when the joint set is one catalog polytope on ``coords``.
 
@@ -329,11 +338,54 @@ def _check_locals(comp: CompositionSpec, locals_: list) -> list[np.ndarray]:
 
 def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
     """Owner-selected assembly: joint coordinate j takes its owner's value."""
-    locals_ = _check_locals(comp, locals_)
+    return _assemble(comp, _check_locals(comp, locals_))
+
+
+def _assemble(comp: CompositionSpec, locals_: list[np.ndarray]) -> np.ndarray:
     x = np.zeros(comp.joint_dim)
     for component, q in zip(comp.components, locals_):
         x[list(component.coords)] = q
     return x
+
+
+def _composed(system: CompositionSpec, comps, locals_list, repair_locals: bool, tol: float):
+    """Composed quotes, one row per item, and whether each item's locals were coherent.
+
+    Every comp shares ``system``'s joint dimension and constrained
+    components; the rows are locally repaired when ``repair_locals``.
+    """
+    X = np.array([_assemble(comp, locals_) for comp, locals_ in zip(comps, locals_list)])
+    coherent = np.all((X >= -tol) & (X <= 1.0 + tol), axis=1)
+    for _, component in system.constrained:
+        coords = list(component.coords)
+        coherent &= [is_member(component.polytope, x[coords], tol) for x in X]
+    if repair_locals:
+        X = _project_locals(system, X)
+    return X, coherent.tolist()
+
+
+def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
+                 locally_coherent: bool, tol: float) -> Certificate:
+    distance = float(np.linalg.norm(x - projected))
+    eps = distance if distance >= RESIDUAL_FLOOR else 0.0
+    return Certificate(
+        epsilon_star=eps,
+        exposure_bound=float(np.sqrt(comp.joint_dim)) * eps,
+        repaired=projected,
+        binding=comp.joint_polytope.violated(x, tol),
+        inputs_locally_coherent=locally_coherent,
+        composed=x,
+    )
+
+
+def _unconverged(comp: CompositionSpec, diverging: bool) -> Exception:
+    """What certifying a quote whose joint projection did not converge raises."""
+    feasible = comp.has_feasible_point() is True
+    if diverging and not feasible:
+        return InfeasibleCouplingError(_DIVERGED)
+    if feasible:
+        return RuntimeError("joint projection did not converge within the iteration cap")
+    return InfeasibleCouplingError("joint projection did not converge; coupling may be empty")
 
 
 def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
@@ -344,29 +396,77 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
     evaluation paths need this); the certificate still reports whether the
     inputs were locally coherent.
     """
-    locals_ = _check_locals(comp, locals_)
-    locally_coherent = all(
-        is_member(component.polytope, q, tol) for component, q in zip(comp.components, locals_)
-    )
-    if repair_locals:
-        locals_ = [project_local(component.polytope, q)
-                   for component, q in zip(comp.components, locals_)]
-    x = aggregate(comp, locals_)
-    proj = project_hierarchical(comp, x)
+    X, coherent = _composed(comp, [comp], [_check_locals(comp, locals_)], repair_locals, tol)
+    proj = project_hierarchical(comp, X[0])
     if not proj.converged:
-        if comp.has_feasible_point() is True:
-            raise RuntimeError("joint projection did not converge within the iteration cap")
-        raise InfeasibleCouplingError("joint projection did not converge; coupling may be empty")
-    eps = proj.residual if proj.residual >= RESIDUAL_FLOOR else 0.0
-    binding = tuple(name for name, v in comp.joint_polytope.violations(x) if v > tol)
-    return Certificate(
-        epsilon_star=eps,
-        exposure_bound=float(np.sqrt(comp.joint_dim)) * eps,
-        repaired=proj.projected,
-        binding=binding,
-        inputs_locally_coherent=locally_coherent,
-        composed=x,
-    )
+        raise _unconverged(comp, diverging=False)
+    return _certificate(comp, X[0], proj.projected, coherent[0], tol)
+
+
+def _by_system(comps) -> list[list[int]]:
+    """Positions of ``comps`` grouped by constraint system, in order of each group's first.
+
+    A system is everything the joint projection reads: the joint
+    dimension, the constrained components (index, coordinates and
+    polytope) and the coupling cuts. Free-box compositions that split the
+    coordinates among owners differently share one.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, comp in enumerate(comps):
+        groups.setdefault((comp.joint_dim, comp.constrained, comp.coupling.constraints),
+                          []).append(i)
+    return list(groups.values())
+
+
+def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list[Certificate]:
+    """``residual`` for every ``(comp, locals_)`` item, one engine run per constraint system.
+
+    Items are grouped with ``_by_system``, so free-box compositions that
+    split the coordinates among owners differently share one batched
+    cycle. Each certificate equals ``residual(comp, locals_, repair_locals,
+    tol)`` bit for bit, and they come back in input order.
+
+    Failures are those of ``residual`` on the items in order: the earliest
+    failing item's exception is raised, with that item's position in
+    ``items`` as its ``index`` attribute.
+    """
+    items = list(items)
+    checked: list[list[np.ndarray]] = []
+    bad = None
+    for i, (comp, locals_) in enumerate(items):
+        try:
+            checked.append(_check_locals(comp, locals_))
+        except (TypeError, ValueError) as exc:
+            bad = exc
+            bad.index = i
+            break
+    certs: list[Certificate | None] = [None] * len(checked)
+    failures: dict[int, Exception] = {}
+    for indices in _by_system([comp for comp, _ in items[:len(checked)]]):
+        if failures and indices[0] > min(failures):
+            break  # every item left comes after a failure
+        system = items[indices[0]][0]
+        try:
+            X, coherent = _composed(system, [items[i][0] for i in indices],
+                                    [checked[i] for i in indices], repair_locals, tol)
+            projected, _, converged, diverging = _hierarchical_cycle(system, X)
+        except (TypeError, ValueError) as exc:
+            # e.g. a zero-normal coupling cut: the whole group shares it,
+            # so the group's first item is the first to fail
+            failures[indices[0]] = exc
+            continue
+        for row, i in enumerate(indices):
+            if converged[row]:
+                certs[i] = _certificate(system, X[row], projected[row], coherent[row], tol)
+            else:
+                failures[i] = _unconverged(system, bool(diverging[row]))
+    if failures:
+        first = min(failures)
+        failures[first].index = first
+        raise failures[first]
+    if bad is not None:
+        raise bad
+    return certs
 
 
 def is_product_structured(comp: CompositionSpec, tol: float = 1e-8) -> bool:

@@ -179,15 +179,40 @@ class PolytopeSpec:
             np.maximum(g[..., k:], 0.0, out=g[..., k:])
         return g
 
-    def violations(self, q: np.ndarray) -> list[tuple[str, float]]:
-        """(name, violation) for every constraint, box included."""
+    def _excesses(self, q) -> np.ndarray:
+        """Every constraint's violation at one point, box included, as one array.
+
+        Order: the ``gaps`` entries, then ``r_i >= 0`` and ``r_i <= 1`` for
+        each coordinate in turn; ``_name`` names each entry. A NaN
+        coordinate violates nothing.
+        """
         q = np.asarray(q, dtype=float)
-        names = [c.name for c in self.equalities + self.halfspaces]
-        out = list(zip(names, self.gaps(q).tolist()))
-        for i, v in enumerate(q):
-            out.append((f"box:r{i + 1}>=0", float(max(-v, 0.0))))
-            out.append((f"box:r{i + 1}<=1", float(max(v - 1.0, 0.0))))
-        return out
+        box = np.empty(2 * q.size)
+        np.negative(q, out=box[0::2])
+        np.subtract(q, 1.0, out=box[1::2])
+        return np.fmax(np.concatenate((self.gaps(q), box)), 0.0)
+
+    def _name(self, k: int) -> str:
+        n_eq = len(self.equalities)
+        if k < n_eq:
+            return self.equalities[k].name
+        if k < len(self.A):
+            return self.halfspaces[k - n_eq].name
+        i, upper = divmod(k - len(self.A), 2)
+        return f"box:r{i + 1}<=1" if upper else f"box:r{i + 1}>=0"
+
+    def most_violated(self, q) -> str | None:
+        """Name of the constraint (box included) ``q`` violates most, if by more than 1e-12.
+
+        Ties go to the first constraint in ``_excesses`` order.
+        """
+        e = self._excesses(q)
+        k = int(np.argmax(e))
+        return self._name(k) if e[k] > 1e-12 else None
+
+    def violated(self, q, tol: float) -> tuple[str, ...]:
+        """Names of every constraint (box included) ``q`` violates by more than ``tol``."""
+        return tuple(self._name(k) for k in (self._excesses(q) > tol).nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ for the two Frechet relations (conjunction, disjunction).
 one row. ``project_oracle``, a min-norm-point search over vertex hulls,
 is the independent ground truth that tests hold every route to. General
 and composed systems go through one batched Boyle-Dykstra engine: one
-exact local set plus the rows of one constraint system.
+exact local set plus the rows of one constraint system, with each row
+stopping on its own and coming out as its own one-row call would.
 
 Plain alternating projection is not a substitute for Dykstra here: it
 finds *a* feasible point, not the nearest one. The correction vectors are
@@ -114,20 +115,12 @@ def _face_table(relation: Relation) -> tuple[np.ndarray, np.ndarray]:
     return _simplex_faces(_vertex_array(relation))
 
 
-def _most_violated(spec: PolytopeSpec, q: np.ndarray) -> str | None:
-    worst_name, worst = None, 1e-12
-    for name, v in spec.violations(q):
-        if v > worst:
-            worst_name, worst = name, v
-    return worst_name
-
-
 def _result(spec: PolytopeSpec | None, q, projected, iterations: int,
             converged: bool) -> ProjectionResult:
     q = np.asarray(q, dtype=float)
     projected = np.asarray(projected, dtype=float)
     residual = float(np.linalg.norm(q - projected))
-    active = _most_violated(spec, q) if spec is not None else None
+    active = spec.most_violated(q) if spec is not None else None
     return ProjectionResult(projected, residual, iterations, converged, active)
 
 
@@ -220,9 +213,10 @@ def project_relation_batch(relation: Relation, X) -> np.ndarray:
     non-increasing isotonic regression clipped to the unit box; conjunction
     and disjunction, whose hulls are tetrahedra, take the nearest
     nonnegative-weight projection onto one of the 15 faces, all faces of
-    all rows at once. Each row's result does not depend on the other rows.
+    all rows at once. Each row's result does not depend on the other rows
+    (nor on the memory layout of ``X``, which is made C-contiguous).
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != relation.m:
         raise ValueError(f"quotes have shape {X.shape}, relation needs (n, {relation.m})")
     kind = relation.kind
@@ -253,53 +247,87 @@ def project_closed_form(relation: Relation, q) -> ProjectionResult:
 
 
 def _clip(y: np.ndarray) -> np.ndarray:
-    return np.clip(y, 0.0, 1.0)
+    return y.clip(0.0, 1.0)
 
 
 def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int):
     """Batched Boyle-Dykstra cycle over one local set and a spec's linear rows.
 
-    Rows of ``X`` are independent problems. Each cycle projects onto the
-    local set with ``local`` (an exact projector of an ``(n, d)`` array),
-    then onto the hyperplane or halfspace of each row of ``spec.A`` in
-    order (equalities first; the spec's box is left to ``local``),
-    carrying one correction array per set; it stops when the largest
-    correction change over a full cycle drops below ``tol``. Returns the
-    iterate, the cycle count, whether it converged, the corrections' l1
-    norm at cycle ``max_iter // 2`` (None if the cycle stopped first), and
-    the final corrections.
+    Rows of ``X`` are independent problems, and no row's arithmetic depends
+    on the others: the row dots go through ``einsum``, where a BLAS
+    ``X @ a`` sums a row differently with the batch around it. So each row
+    comes out bit for bit as its own one-row call.
+
+    Each cycle projects onto the local set with ``local`` (an exact
+    row-wise projector that returns a new ``(n, d)`` array), then onto the
+    hyperplane or halfspace of each row ``a`` of ``spec.A`` in order
+    (equalities first; the spec's box is left to ``local``). The local set
+    carries a correction array; each cut carries its multiplier ``t``, its
+    correction being ``t * a``, so a cut costs one row dot and one axpy. A
+    row stops once its largest correction change over a full cycle drops
+    below ``tol``; the other rows go on without it.
+
+    Returns, per row: the iterate, the cycle count, whether it converged,
+    and whether it looks divergent -- unconverged after ``max_iter`` cycles
+    with the corrections' l1 norm above 1 and more than 1.5 times its value
+    at cycle ``max_iter // 2``, which is how an empty intersection shows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    X = np.ascontiguousarray(X)  # a strided row would be summed by another kernel
     n_eq = len(spec.equalities)
-    rows = list(enumerate(zip(spec.A, spec.b.tolist(),
-                              np.einsum("ij,ij->i", spec.A, spec.A).tolist()), start=1))
-    x = X.copy()
-    corrections = np.zeros((1 + len(rows),) + x.shape)  # the local set's, then each row's
-    converged = False
-    iterations = 0
+    A = spec.A
+    cuts = list(enumerate(zip(A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
+                              np.abs(A).max(axis=1, initial=0.0).tolist())))
+
+    def l1(P, T):
+        return np.abs(P).sum(axis=1) + sum(np.abs(t) * np.abs(a).sum() for t, a in zip(T, A))
+
+    n = len(X)
+    out = np.empty_like(X)
+    iterations = np.empty(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
     mid_norm = None
-    for iterations in range(1, max_iter + 1):
-        y = x + corrections[0]
-        x = local(y)
-        p_new = y - x
-        delta = float(np.max(np.abs(p_new - corrections[0])))
-        corrections[0] = p_new
-        for i, (a, b, aa) in rows:
-            y = x + corrections[i]
-            t = (y @ a - b) / aa
-            if i > n_eq:
-                np.maximum(t, 0.0, out=t)
-            p_new = t[:, None] * a
-            x = y - p_new
-            delta = max(delta, float(np.max(np.abs(p_new - corrections[i]))))
-            corrections[i] = p_new
-        if delta < tol:
-            converged = True
+    live = np.arange(n)  # rows still cycling, as indices into X
+    x = X
+    P = np.zeros_like(X)
+    T = [np.zeros(n)] * len(cuts)  # never written in place
+    for it in range(1, max_iter + 1):
+        if not live.size:
             break
-        if iterations == max_iter // 2:
-            mid_norm = float(np.sum(np.abs(corrections)))
-    return x, iterations, converged, mid_norm, corrections
+        y = x + P
+        x = local(y)
+        P_new = y - x
+        delta = np.maximum.reduce(np.abs(P_new - P), axis=1)
+        P = P_new
+        for i, (a, b, aa, a_max) in cuts:
+            t = (np.einsum("ij,j->i", x, a) - b) / aa + T[i]
+            if i >= n_eq:
+                np.maximum(t, 0.0, out=t)
+            step = T[i] - t
+            x += step[:, None] * a
+            T[i] = t
+            change = np.abs(step)  # of the correction t * a: |step| * max|a|
+            delta = np.maximum(delta, change if a_max == 1.0 else change * a_max)
+        done = delta < tol
+        if np.count_nonzero(done):
+            rows = live[done]
+            out[rows] = x[done]
+            iterations[rows] = it
+            converged[rows] = True
+            keep = ~done
+            live, x, P, T = live[keep], x[keep], P[keep], [t[keep] for t in T]
+        if it == max_iter // 2:
+            mid_norm = np.full(n, np.inf)
+            mid_norm[live] = l1(P, T)
+    diverging = np.zeros(n, dtype=bool)
+    if live.size:
+        out[live] = x
+        iterations[live] = max_iter
+        if mid_norm is not None:
+            end_norm = l1(P, T)
+            diverging[live] = (end_norm > 1.0) & (end_norm > 1.5 * mid_norm[live] + 1e-6)
+    return out, iterations, converged, diverging
 
 
 def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
@@ -312,13 +340,13 @@ def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
     q = np.asarray(q, dtype=float)
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
-    x, iterations, converged, _, _ = _cyclic(q[None, :], _clip, spec, tol, max_iter)
-    return _result(spec, q, x[0], iterations=iterations, converged=converged)
+    x, iterations, converged, _ = _cyclic(q[None, :], _clip, spec, tol, max_iter)
+    return _result(spec, q, x[0], iterations=int(iterations[0]), converged=bool(converged[0]))
 
 
 def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray, tol: float = DYKSTRA_TOL,
                            max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
-    """Dykstra on many quotes at once; rows of ``X`` are independent problems."""
+    """Dykstra on many quotes at once; each row equals its own ``project_dykstra`` projection."""
     X = np.asarray(X, dtype=float)
     return _cyclic(X, _clip, spec, tol, max_iter)[0]
 
@@ -395,6 +423,14 @@ def project_oracle(vertices, q) -> ProjectionResult:
     return _result(None, q, q + x, iterations=majors, converged=True)
 
 
+def project_relation_results(relation: Relation, X) -> list[ProjectionResult]:
+    """``project_relation`` for every row of ``X`` through one ``project_relation_batch`` call."""
+    X = np.asarray(X, dtype=float)
+    spec = _polytope(relation)
+    return [_result(spec, q, p, iterations=1, converged=True)
+            for q, p in zip(X, project_relation_batch(relation, X))]
+
+
 def project_relation(relation: Relation, q) -> ProjectionResult:
     """Exact projection onto a catalog relation's polytope.
 
@@ -406,58 +442,80 @@ def project_relation(relation: Relation, q) -> ProjectionResult:
     q = np.asarray(q, dtype=float)
     if q.shape != (relation.m,):
         raise ValueError(f"quote has shape {q.shape}, relation needs ({relation.m},)")
-    projected = project_relation_batch(relation, q[None, :])[0]
-    return _result(_polytope(relation), q, projected, iterations=1, converged=True)
+    return project_relation_results(relation, q[None, :])[0]
 
 
 def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
-    """Exact local repair: clip for free boxes, relation dispatch otherwise."""
+    """Exact local repair of one quote, or of each row of an ``(n, dim)`` array.
+
+    Clip for free boxes, the relation's own route otherwise.
+    """
     v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != polytope.dim:
+        raise ValueError(f"quotes have shape {v.shape}, polytope needs (..., {polytope.dim})")
     if not polytope.equalities and not polytope.halfspaces:
-        return np.clip(v, 0.0, 1.0)
+        return _clip(v)
+    X = np.atleast_2d(v)
     if polytope.relation is not None:
-        return project_relation(polytope.relation, v).projected
-    # no closed route: tight generic Dykstra (approximate at tol)
-    return project_dykstra(polytope, v, tol=1e-12).projected
+        out = project_relation_batch(polytope.relation, X)
+    else:  # no closed route: tight generic Dykstra (approximate at tol)
+        out = _cyclic(X, _clip, polytope, 1e-12, DYKSTRA_MAX_ITER)[0]
+    return out if v.ndim == 2 else out[0]
+
+
+def _project_locals(comp: "CompositionSpec", Y: np.ndarray) -> np.ndarray:
+    """Each row of ``Y`` onto the product of the lifted local polytopes.
+
+    The box clip, then each constrained component's own route on its
+    coordinates; row by row this is ``project_local`` on every component.
+    """
+    x = _clip(Y)
+    for _, component in comp.constrained:
+        coords = list(component.coords)
+        x[:, coords] = project_local(component.polytope, Y[:, coords])
+    return x
+
+
+def _hierarchical_cycle(comp: "CompositionSpec", X: np.ndarray, tol: float = DYKSTRA_TOL,
+                        max_iter: int = DYKSTRA_MAX_ITER):
+    """``_cyclic`` over the product of the local polytopes and the coupling cuts."""
+    return _cyclic(X, lambda Y: _project_locals(comp, Y), comp.coupling_polytope, tol, max_iter)
+
+
+_DIVERGED = ("correction vectors diverge and no feasible point is known; "
+             "the coupling intersection is empty")
+
+
+def project_hierarchical_batch(comp: "CompositionSpec", X, tol: float = DYKSTRA_TOL,
+                               max_iter: int = DYKSTRA_MAX_ITER) -> list[ProjectionResult]:
+    """Project every row of ``X`` onto the joint coherent set of ``comp`` in one cycle.
+
+    A Dykstra cycle over the lifted local polytopes (one product set) and
+    each coupling cut; it converges to the projection onto the joint set,
+    i.e. agrees with ``project_dykstra`` on the assembled joint constraint
+    system. Each row stops on its own, and each result equals the row's
+    own ``project_hierarchical`` call bit for bit. An empty intersection
+    makes the corrections grow without bound: when a row has not converged
+    by ``max_iter`` and its corrections' l1 norm exceeds 1 and grew by more
+    than half since cycle ``max_iter // 2``, ``InfeasibleCouplingError`` is
+    raised unless ``comp.has_feasible_point()`` finds a product vertex that
+    meets every coupling cut.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != comp.joint_dim:
+        raise ValueError(f"quotes have shape {X.shape}, composition needs (n, {comp.joint_dim})")
+    x, iterations, converged, diverging = _hierarchical_cycle(comp, X, tol, max_iter)
+    if diverging.any() and comp.has_feasible_point() is not True:
+        raise InfeasibleCouplingError(_DIVERGED)
+    spec = comp.joint_polytope
+    return [_result(spec, q, p, iterations=k, converged=c)
+            for q, p, k, c in zip(X, x, iterations.tolist(), converged.tolist())]
 
 
 def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
                          max_iter: int = DYKSTRA_MAX_ITER) -> ProjectionResult:
-    """Dykstra cycle over the lifted local polytopes (one product set) and each coupling cut.
-
-    Converges to the projection onto the joint coherent set, i.e. agrees
-    with running ``project_dykstra`` on the assembled joint constraint
-    system. An empty intersection makes the corrections grow without
-    bound: when the cycle has not converged by ``max_iter`` and the
-    corrections' l1 norm exceeds 1 and grew by more than half since cycle
-    ``max_iter // 2``, ``InfeasibleCouplingError`` is raised unless
-    ``comp.has_feasible_point()`` finds a product vertex that meets every
-    coupling cut.
-    """
+    """One quote through ``project_hierarchical_batch``: the joint-set projection."""
     q = np.asarray(q, dtype=float)
     if q.shape != (comp.joint_dim,):
         raise ValueError(f"quote has shape {q.shape}, composition needs ({comp.joint_dim},)")
-    constrained = [(list(c.coords), c.polytope) for c in comp.components
-                   if c.polytope.equalities or c.polytope.halfspaces]
-
-    def local(y: np.ndarray) -> np.ndarray:
-        x = _clip(y)
-        for coords, polytope in constrained:
-            x[0, coords] = project_local(polytope, y[0, coords])
-        return x
-
-    x, iterations, converged, mid_norm, corrections = _cyclic(
-        q[None, :], local, comp.coupling_polytope, tol, max_iter
-    )
-    if not converged:
-        end_norm = float(np.sum(np.abs(corrections)))
-        # empty intersections make the corrections grow without bound
-        diverging = (
-            mid_norm is not None and end_norm > 1.0 and end_norm > 1.5 * mid_norm + 1e-6
-        )
-        if diverging and comp.has_feasible_point() is not True:
-            raise InfeasibleCouplingError(
-                "correction vectors diverge and no feasible point is known; "
-                "the coupling intersection is empty"
-            )
-    return _result(comp.joint_polytope, q, x[0], iterations=iterations, converged=converged)
+    return project_hierarchical_batch(comp, q[None, :], tol, max_iter)[0]

@@ -19,8 +19,9 @@ from .composition import (
     Certificate,
     ComponentSpec,
     CompositionSpec,
+    _by_system,
     relation_coupling,
-    residual,
+    residual_batch,
 )
 from .decision import BetRecord
 from .jsonio import finite_float
@@ -34,7 +35,7 @@ from .polytope import (
 )
 from .projection import (
     RESIDUAL_FLOOR,
-    project_hierarchical,
+    project_hierarchical_batch,
     project_relation,
     project_relation_batch,
 )
@@ -259,46 +260,66 @@ def _restrict(panel_rows: np.ndarray, routed: RoutedComposition) -> list[np.ndar
 
 def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy,
                  n_seeds: int, master_seed: int = 0) -> list[EnsembleRecord]:
-    """Route, aggregate, certify, and repair every (clique, seed) cell."""
-    records = []
+    """Route, aggregate, certify, and repair every (clique, seed) cell.
+
+    Every cell is built first. Then one ``residual_batch`` call certifies
+    the raw compositions (A) and one the locally repaired ones (B), and
+    ``_repair_residuals`` re-projects every joint repair (C, D), so cells
+    that share a constraint system share one engine run. Values equal the
+    cell-by-cell ones bit for bit. When a certificate fails, the error
+    raised is the one of the earliest failing cell among all A
+    certificates, then among all B; cell by cell, a B failure could come
+    before a later cell's A failure.
+    """
+    cells, raw, repaired = [], [], []
     for ci, clique in enumerate(cliques):
         truth, labels = clique_truth(model, clique, master_seed, ci)
         for seed in range(n_seeds):
             panel = generate_panel(model, clique, (master_seed, ci, seed), truth=truth)
-            owners = route(policy, model.k, clique.relation, ci, seed)
-            routed = composition_for(clique, owners)
-            cert_raw = residual(routed.comp, _restrict(panel.raw, routed), repair_locals=False)
-            cert = residual(routed.comp, _restrict(panel.repaired, routed))
-            quotes = {
-                "A": cert_raw.composed,
-                "B": cert.composed,
-                "C": cert_raw.repaired,
-                "D": cert.repaired,
-            }
-            eps = {
-                "A": cert_raw.epsilon_star,
-                "B": cert.epsilon_star,
-                "C": _repair_residual(routed.comp, cert_raw.repaired),
-                "D": _repair_residual(routed.comp, cert.repaired),
-            }
-            records.append(
-                EnsembleRecord(
-                    clique_id=clique.id,
-                    clique_index=ci,
-                    seed=seed,
-                    owners=routed.owners,
-                    labels=tuple(int(v) for v in labels),
-                    quotes={k: tuple(float(x) for x in v) for k, v in quotes.items()},
-                    eps=eps,
-                    certificate=cert,
-                )
+            routed = composition_for(clique, route(policy, model.k, clique.relation, ci, seed))
+            cells.append((ci, clique.id, seed, labels, routed.owners))
+            raw.append((routed.comp, _restrict(panel.raw, routed)))
+            repaired.append((routed.comp, _restrict(panel.repaired, routed)))
+    certs_raw = residual_batch(raw, repair_locals=False)
+    certs = residual_batch(repaired)
+    comps = [comp for comp, _ in raw]
+    left = _repair_residuals(comps + comps, [c.repaired for c in certs_raw + certs])
+    n = len(cells)
+    records = []
+    for j, (ci, clique_id, seed, labels, owners) in enumerate(cells):
+        cert_raw, cert = certs_raw[j], certs[j]
+        quotes = {"A": cert_raw.composed, "B": cert.composed,
+                  "C": cert_raw.repaired, "D": cert.repaired}
+        eps = {"A": cert_raw.epsilon_star, "B": cert.epsilon_star,
+               "C": left[j], "D": left[n + j]}
+        records.append(
+            EnsembleRecord(
+                clique_id=clique_id,
+                clique_index=ci,
+                seed=seed,
+                owners=owners,
+                labels=tuple(int(v) for v in labels),
+                quotes={k: tuple(float(x) for x in v) for k, v in quotes.items()},
+                eps=eps,
+                certificate=cert,
             )
+        )
     return records
 
 
-def _repair_residual(comp: CompositionSpec, quote: np.ndarray) -> float:
-    r = project_hierarchical(comp, quote).residual
-    return r if r >= RESIDUAL_FLOOR else 0.0
+def _repair_residuals(comps: list[CompositionSpec], quotes: list[np.ndarray]) -> list[float]:
+    """How far re-projecting each joint repair moves it, floored to 0 below ``RESIDUAL_FLOOR``.
+
+    ``project_hierarchical(comp, quote).residual`` for each pair, with one
+    ``project_hierarchical_batch`` call per constraint system; like it, a
+    re-projection that does not converge is not an error.
+    """
+    out = [0.0] * len(quotes)
+    for indices in _by_system(comps):
+        results = project_hierarchical_batch(comps[indices[0]], [quotes[i] for i in indices])
+        for i, res in zip(indices, results):
+            out[i] = res.residual if res.residual >= RESIDUAL_FLOOR else 0.0
+    return out
 
 
 def to_bet_records(records: list[EnsembleRecord], naive_op: str = "B",

@@ -246,6 +246,41 @@ def test_record_streams_keep_input_order_and_jobs_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+EMPTY_COUPLING_LINE = (
+    '{"owners": [0, 1], "coupling": [{"kind": "partition-sum", "coords": [0, 1], "b": 3.0}], '
+    '"locals": [[0.5], [0.5]]}'
+)
+MISCOUNTED_LINE = '{"owners": [0, 1], "coupling": [], "locals": [[0.3]]}'
+MISSHAPEN_LINE = '{"owners": [0, 0, 1], "coupling": [], "locals": [[0.3], [0.4]]}'
+ZERO_NORMAL_LINE = (
+    '{"owners": [0, 1], "coupling": [{"kind": "frechet-halfspace", "coords": [0, 1], '
+    '"a": [0, 0], "b": 1.0}], "locals": [[0.5], [0.5]]}'
+)
+ZERO_NORMAL_MESSAGE = "constraint c0:frechet-halfspace:hs has zero normal"
+EMPTY_MESSAGE = ("correction vectors diverge and no feasible point is known; "
+                 "the coupling intersection is empty")
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        ([EMPTY_COUPLING_LINE, MISCOUNTED_LINE], f"line 2: {EMPTY_MESSAGE}"),
+        ([MISCOUNTED_LINE, EMPTY_COUPLING_LINE], "line 2: 2 owners referenced but 1 local quotes given"),
+        ([EMPTY_COUPLING_LINE, MISSHAPEN_LINE], f"line 2: {EMPTY_MESSAGE}"),
+        ([MISSHAPEN_LINE, EMPTY_COUPLING_LINE], "line 2: component 0 quote has shape (1,), needs (2,)"),
+        ([ZERO_NORMAL_LINE], f"line 2: {ZERO_NORMAL_MESSAGE}"),
+        ([ZERO_NORMAL_LINE, EMPTY_COUPLING_LINE], f"line 2: {ZERO_NORMAL_MESSAGE}"),
+        ([EMPTY_COUPLING_LINE, ZERO_NORMAL_LINE], f"line 2: {EMPTY_MESSAGE}"),
+        ([ZERO_NORMAL_LINE, MISCOUNTED_LINE], f"line 2: {ZERO_NORMAL_MESSAGE}"),
+    ],
+)
+def test_certify_reports_the_earliest_failing_record(tmp_path, capsys, lines, expected):
+    inp = tmp_path / "in.jsonl"
+    inp.write_text("\n".join([PARTITION_CERTIFY_LINE] + lines + [PARTITION_CERTIFY_LINE]) + "\n")
+    assert run_cli(["certify", str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_project_matches_project_relation_for_every_relation(tmp_path):
     inp = tmp_path / "in.jsonl"
     inp.write_text("\n".join(MIXED_PROJECT_LINES) + "\n")

@@ -15,6 +15,7 @@ from coherify.composition import (
     is_product_structured,
     relation_coupling,
     residual,
+    residual_batch,
 )
 from coherify.polytope import (
     Clique,
@@ -29,7 +30,7 @@ from coherify.polytope import (
     paraphrase,
     partition,
 )
-from coherify.projection import project_relation
+from coherify.projection import InfeasibleCouplingError, project_relation
 from coherify.simharness import composition_for
 
 ALL_RELATIONS = [negation(), conjunction(), disjunction(), partition(5), ladder(4), paraphrase(3)]
@@ -452,6 +453,109 @@ def test_certificate_does_not_depend_on_cut_order():
         for cert in certs[1:]:
             assert abs(cert.epsilon_star - certs[0].epsilon_star) <= 1e-9
             assert np.max(np.abs(cert.repaired - certs[0].repaired)) <= 1e-8
+
+
+# --- batched certificates -----------------------------------------------------------
+
+
+def assert_same_certificate(got, want):
+    assert got.repaired.tobytes() == want.repaired.tobytes()
+    assert got.composed.tobytes() == want.composed.tobytes()
+    assert (got.epsilon_star, got.exposure_bound, got.binding, got.inputs_locally_coherent) == (
+        want.epsilon_star, want.exposure_bound, want.binding, want.inputs_locally_coherent)
+
+
+def batch_items(rng):
+    items = []
+    for relation in ALL_RELATIONS + [partition(8), ladder(7), paraphrase(6)]:
+        for owners in [rng.integers(0, 3, size=relation.m) for _ in range(5)] + [[0] * relation.m] * 2:
+            comp = composition_for(Clique(id="c", relation=relation), np.array(owners)).comp
+            items.append((comp, [rng.uniform(-0.2, 1.2, size=len(c.coords))
+                                 for c in comp.components]))
+    mixed = [CompositionSpec(free_components(split), MIXED_CUTS, 4)
+             for split in ([2, 2], [1, 3], [1, 1, 2])]
+    mixed.append(CompositionSpec((ComponentSpec(build_polytope(negation()), (0, 1)),
+                                  ComponentSpec(PolytopeSpec(dim=2), (2, 3))), MIXED_CUTS, 4))
+    capped = PolytopeSpec(dim=2, halfspaces=(LinearConstraint((1.0, 1.0), 1.2, "cap"),))
+    mixed.append(CompositionSpec((ComponentSpec(capped, (0, 1)),
+                                  ComponentSpec(PolytopeSpec(dim=1), (2,))),
+                                 relation_coupling(partition(3), range(3)), 3))
+    for comp in mixed:
+        for _ in range(3):
+            items.append((comp, [rng.uniform(-0.2, 1.2, size=len(c.coords))
+                                 for c in comp.components]))
+    return [items[i] for i in rng.permutation(len(items))]
+
+
+@pytest.mark.parametrize("repair_locals", [True, False])
+def test_residual_batch_equals_residual_bit_for_bit(repair_locals):
+    items = batch_items(np.random.default_rng(8))
+    batch = residual_batch(items, repair_locals=repair_locals)
+    assert len(batch) == len(items)
+    for (comp, locals_), got in zip(items, batch):
+        assert_same_certificate(got, residual(comp, locals_, repair_locals=repair_locals))
+
+
+def test_residual_batch_runs_one_cycle_per_constraint_system(monkeypatch):
+    import coherify.composition as composition
+
+    runs = []
+    cycle = composition._hierarchical_cycle
+    monkeypatch.setattr(composition, "_hierarchical_cycle",
+                        lambda comp, X: runs.append(len(X)) or cycle(comp, X))
+    rng = np.random.default_rng(2)
+    splits = [[0, 1, 0, 1], [0, 0, 1, 2], [2, 1, 0, 0], [0, 1, 2, 3], [3, 3, 3, 3]]
+    clique = Clique(id="p", relation=partition(4))
+    comps = [composition_for(clique, np.array(owners)).comp for owners in splits]
+    items = [(comp, [rng.uniform(size=len(c.coords)) for c in comp.components]) for comp in comps]
+    residual_batch(items)
+    assert runs == [4, 1]  # free-box splits share one cycle; the sole owner has its own
+
+
+def test_residual_batch_raises_the_earliest_failure_with_its_index():
+    good = (partition_split(), [[0.39], [0.73], [0.67], [0.71]])
+    empty = (CompositionSpec(free_components([1, 1]),
+                             (CouplingConstraint("partition-sum", (0, 1), 3.0),), 2),
+             [[0.5], [0.5]])
+    misshapen = (partition_split(), [[0.39], [0.73], [0.67]])
+    zero_normal = (CompositionSpec(free_components([1, 1]),
+                                   (CouplingConstraint("frechet-halfspace", (0, 1), 1.0,
+                                                       (0.0, 0.0)),), 2),
+                   [[0.5], [0.5]])
+    for items, error, index in (([good, empty, misshapen], InfeasibleCouplingError, 1),
+                                ([good, misshapen, empty], ValueError, 1),
+                                ([misshapen, good, empty], ValueError, 0),
+                                ([good, zero_normal, good], ValueError, 1),
+                                ([good, zero_normal, empty], ValueError, 1),
+                                ([good, empty, zero_normal], InfeasibleCouplingError, 1)):
+        with pytest.raises(error) as batch_exc:
+            residual_batch(items)
+        assert batch_exc.value.index == index
+        with pytest.raises(error) as one_exc:
+            residual(*items[index])
+        assert str(batch_exc.value) == str(one_exc.value)
+    assert residual_batch([]) == []
+
+
+def test_residual_batch_failure_in_a_later_group_can_come_first(monkeypatch):
+    import coherify.composition as composition
+
+    cycle = composition._hierarchical_cycle
+
+    def capped(comp, X):  # the partition group's last row misses the iteration cap
+        projected, iterations, converged, diverging = cycle(comp, X)
+        if len(X) == 2:
+            converged[-1] = False
+        return projected, iterations, converged, diverging
+
+    monkeypatch.setattr(composition, "_hierarchical_cycle", capped)
+    good = (partition_split(), [[0.39], [0.73], [0.67], [0.71]])
+    empty = (CompositionSpec(free_components([1, 1]),
+                             (CouplingConstraint("partition-sum", (0, 1), 3.0),), 2),
+             [[0.5], [0.5]])
+    with pytest.raises(InfeasibleCouplingError) as exc:
+        residual_batch([good, empty, good])  # groups: items 0 and 2, then item 1
+    assert exc.value.index == 1
 
 
 # --- single-relation recognition ---------------------------------------------------

@@ -23,12 +23,15 @@ from coherify.polytope import (
     paraphrase,
     partition,
 )
+from coherify import projection
 from coherify.projection import (
     InfeasibleCouplingError,
+    _hierarchical_cycle,
     _simplex_faces,
     project_closed_form,
     project_dykstra,
     project_hierarchical,
+    project_hierarchical_batch,
     project_oracle,
     project_polytope_batch,
     project_relation,
@@ -347,6 +350,73 @@ def test_hierarchical_detects_empty_intersection():
         project_hierarchical(comp, np.array([0.5, 0.5]), max_iter=2000)
 
 
+def assert_same_result(got, want):
+    assert got.projected.tobytes() == want.projected.tobytes()
+    assert (got.residual, got.iterations, got.converged, got.active_constraint) == (
+        want.residual, want.iterations, want.converged, want.active_constraint)
+
+
+def paraphrase_split() -> CompositionSpec:
+    return CompositionSpec(free_components([2, 3, 3]), relation_coupling(paraphrase(8), range(8)), 8)
+
+
+def test_hierarchical_batch_rows_stop_on_their_own_bit_for_bit():
+    comp = paraphrase_split()
+    rng = np.random.default_rng(3)
+    X = np.vstack([np.full(8, 0.4), rng.uniform(size=(3, 8))])  # a member, then far rows
+    cycles = [project_hierarchical(comp, q).iterations for q in X]
+    assert cycles[0] == 1 and min(cycles[1:]) >= 100
+    max_iter = max(cycles) - 1  # the slowest row no longer converges
+    batch = project_hierarchical_batch(comp, X, max_iter=max_iter)
+    assert [r.converged for r in batch].count(False) == 1
+    for q, got in zip(X, batch):
+        assert_same_result(got, project_hierarchical(comp, q, max_iter=max_iter))
+
+
+def test_hierarchical_batch_keeps_going_when_a_diverging_row_has_a_feasible_point():
+    comp = paraphrase_split()
+    X = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.4] * 8])
+    _, _, converged, diverging = _hierarchical_cycle(comp, X, max_iter=4)
+    assert diverging.tolist() == [True, False] and comp.has_feasible_point() is True
+    batch = project_hierarchical_batch(comp, X, max_iter=4)
+    assert [r.converged for r in batch] == converged.tolist() == [False, True]
+    for q, got in zip(X, batch):
+        assert_same_result(got, project_hierarchical(comp, q, max_iter=4))
+
+
+def test_hierarchical_batch_raises_on_empty_intersection():
+    coupling = (
+        CouplingConstraint("partition-sum", (0, 1), 1.0),
+        CouplingConstraint("frechet-halfspace", (0, 1), 0.3, a=(1.0, 1.0)),
+    )
+    comp = CompositionSpec(free_components([1, 1]), coupling, 2)
+    X = np.array([[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
+    with pytest.raises(InfeasibleCouplingError):
+        project_hierarchical_batch(comp, X, max_iter=2000)
+    for q in X:
+        with pytest.raises(InfeasibleCouplingError):
+            project_hierarchical(comp, q, max_iter=2000)
+
+
+def test_hierarchical_batch_rejects_wrong_shapes():
+    with pytest.raises(ValueError):
+        project_hierarchical_batch(paraphrase_split(), np.zeros(8))
+    with pytest.raises(ValueError):
+        project_hierarchical_batch(paraphrase_split(), np.zeros((2, 7)))
+
+
+def test_empty_batches_run_no_cycle(monkeypatch):
+    comp = paraphrase_split()
+    cycles = []
+    clip = projection._clip  # every cycle's local projector starts with it
+    monkeypatch.setattr(projection, "_clip", lambda Y: cycles.append(len(Y)) or clip(Y))
+    assert project_hierarchical_batch(comp, np.empty((0, 8))) == []
+    assert project_polytope_batch(comp.joint_polytope, np.empty((0, 8))).shape == (0, 8)
+    assert cycles == []
+    assert len(project_hierarchical_batch(comp, np.full((1, 8), 0.4))) == 1
+    assert cycles == [1]  # the counter sees the cycles there are
+
+
 # --- projection laws ---------------------------------------------------------
 
 
@@ -429,6 +499,7 @@ def test_batch_rows_equal_one_row_calls_bit_for_bit(relation):
     rng = np.random.default_rng(29)
     X = rng.uniform(-0.5, 1.5, size=(700, relation.m))  # more rows than one face-route block
     batch = project_relation_batch(relation, X)
+    assert np.array_equal(project_relation_batch(relation, np.asfortranarray(X)), batch)
     for i in range(0, len(X), 7):
         assert np.array_equal(batch[i], project_relation_batch(relation, X[i:i + 1])[0])
 

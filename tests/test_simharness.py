@@ -15,13 +15,15 @@ from coherify.polytope import (
     paraphrase,
     partition,
 )
-from coherify.projection import project_relation
+from coherify.composition import residual
+from coherify.projection import RESIDUAL_FLOOR, project_hierarchical, project_relation
 from coherify.simharness import (
     ConfigError,
     PanelModel,
     RoutingPolicy,
     SimConfig,
     TruthDraw,
+    clique_truth,
     composition_for,
     generate_panel,
     hardness_experiment,
@@ -185,6 +187,39 @@ def test_ensemble_records_are_deterministic():
     b = run_ensemble(cliques, model, RoutingPolicy("random-uniform"), 2, master_seed=7)
     assert [r.quotes for r in a] == [r.quotes for r in b]
     assert [r.eps for r in a] == [r.eps for r in b]
+
+
+@pytest.mark.parametrize("policy", ["random-uniform", "single-owner"])
+def test_run_ensemble_equals_per_cell_reference(policy):
+    model = PanelModel(k=3, sigma=0.1, K=8)
+    relations = [negation(), conjunction(), disjunction(), partition(4), ladder(4), paraphrase(3)]
+    cliques = [Clique(id=f"{r.kind.value}-{i}", relation=r) for i, r in enumerate(relations)]
+    policy = RoutingPolicy(policy, seed=5)
+    records = run_ensemble(cliques, model, policy, n_seeds=3, master_seed=5)
+    assert [(r.clique_index, r.seed) for r in records] == [(i, s) for i in range(6) for s in range(3)]
+    for r in records:
+        clique = cliques[r.clique_index]
+        truth, labels = clique_truth(model, clique, 5, r.clique_index)
+        panel = generate_panel(model, clique, (5, r.clique_index, r.seed), truth=truth)
+        routed = composition_for(clique, route(policy, model.k, clique.relation,
+                                               r.clique_index, r.seed))
+
+        def restrict(rows):
+            return [rows[s][list(c.coords)] for s, c in zip(routed.specialists, routed.comp.components)]
+
+        def repair_eps(quote):
+            eps = project_hierarchical(routed.comp, quote).residual
+            return eps if eps >= RESIDUAL_FLOOR else 0.0
+
+        raw = residual(routed.comp, restrict(panel.raw), repair_locals=False)
+        cert = residual(routed.comp, restrict(panel.repaired))
+        assert (r.clique_id, r.owners, r.labels) == (clique.id, routed.owners, tuple(labels))
+        assert r.quotes == {"A": tuple(raw.composed.tolist()), "B": tuple(cert.composed.tolist()),
+                            "C": tuple(raw.repaired.tolist()), "D": tuple(cert.repaired.tolist())}
+        assert r.eps == {"A": raw.epsilon_star, "B": cert.epsilon_star,
+                         "C": repair_eps(raw.repaired), "D": repair_eps(cert.repaired)}
+        assert r.certificate.binding == cert.binding
+        assert r.certificate.repaired.tobytes() == cert.repaired.tobytes()
 
 
 def test_to_bet_records_carries_naive_eps():

@@ -27,13 +27,11 @@ from .polytope import (
     is_member,
 )
 from .projection import (
-    _DIVERGED,
-    InfeasibleCouplingError,
     RESIDUAL_FLOOR,
     _hierarchical_cycle,
     _project_locals,
+    _unconverged,
     project_hierarchical,
-    project_local,
 )
 
 PRODUCT_VERTEX_LIMIT = 4096
@@ -378,16 +376,6 @@ def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
     )
 
 
-def _unconverged(comp: CompositionSpec, diverging: bool) -> Exception:
-    """What certifying a quote whose joint projection did not converge raises."""
-    feasible = comp.has_feasible_point() is True
-    if diverging and not feasible:
-        return InfeasibleCouplingError(_DIVERGED)
-    if feasible:
-        return RuntimeError("joint projection did not converge within the iteration cap")
-    return InfeasibleCouplingError("joint projection did not converge; coupling may be empty")
-
-
 def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
              tol: float = 1e-8) -> Certificate:
     """Certify one composition: local repair, aggregate, joint projection.
@@ -399,7 +387,7 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
     X, coherent = _composed(comp, [comp], [_check_locals(comp, locals_)], repair_locals, tol)
     proj = project_hierarchical(comp, X[0])
     if not proj.converged:
-        raise _unconverged(comp, diverging=False)
+        raise _unconverged(comp)
     return _certificate(comp, X[0], proj.projected, coherent[0], tol)
 
 
@@ -449,7 +437,7 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
         try:
             X, coherent = _composed(system, [items[i][0] for i in indices],
                                     [checked[i] for i in indices], repair_locals, tol)
-            projected, _, converged, diverging = _hierarchical_cycle(system, X)
+            projected, _, converged = _hierarchical_cycle(system, X)
         except (TypeError, ValueError) as exc:
             # e.g. a zero-normal coupling cut: the whole group shares it,
             # so the group's first item is the first to fail
@@ -459,7 +447,7 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
             if converged[row]:
                 certs[i] = _certificate(system, X[row], projected[row], coherent[row], tol)
             else:
-                failures[i] = _unconverged(system, bool(diverging[row]))
+                failures[i] = _unconverged(system)
     if failures:
         first = min(failures)
         failures[first].index = first
@@ -469,28 +457,46 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     return certs
 
 
+def _product_hull(comp: CompositionSpec) -> np.ndarray:
+    """``comp.product_vertices``, refusing a component whose hull they do not span.
+
+    Only a catalog relation's vertices and a free box's corners are known
+    to be the vertices of the component's hull; any other component keeps
+    just its 0/1 points, which can miss the hull or be empty.
+    """
+    for a, component in comp.constrained:
+        if component.polytope.relation is None:
+            raise ValueError(f"component {a} is neither a catalog relation nor a free box; "
+                             "the vertices of its hull are unknown")
+    return comp.product_vertices
+
+
 def is_product_structured(comp: CompositionSpec, tol: float = 1e-8) -> bool:
     """Whether every coupling cut is redundant over the product of local hulls.
 
     Decided exactly at small joint dimension by maximizing each cut's
     violation over the product vertex hull; linear violations peak at
     vertices. An empty coupling set is product-structured by definition.
+    Otherwise every component must be a catalog relation or a free box
+    (``ValueError`` names the first that is not).
     """
     if len(comp.coupling) == 0:
         return True
-    return bool(np.max(comp.coupling_polytope.gaps(comp.product_vertices)) <= tol)
+    return bool(np.max(comp.coupling_polytope.gaps(_product_hull(comp))) <= tol)
 
 
 def construct_witness(comp: CompositionSpec, tol: float = 1e-8):
     """Locally coherent component quotes whose composition is incoherent.
 
     Searches the product vertex hull for the point that most violates the
-    worst coupling cut, then restricts it to each component. Fails only if
-    the composition was product-structured after all.
+    worst coupling cut, then restricts it to each component. Fails if the
+    composition was product-structured after all, and with ``ValueError``,
+    as ``is_product_structured`` does, on a component that is neither a
+    catalog relation nor a free box.
     """
     if len(comp.coupling) == 0:
         raise ProductStructuredError("no coupling cuts; the composition is product-structured")
-    vertices = comp.product_vertices
+    vertices = _product_hull(comp)
     per_point = comp.coupling_polytope.gaps(vertices).max(axis=1)
     best = float(per_point.max())
     if best <= tol:
@@ -521,11 +527,8 @@ def disagreement_bound(comp: CompositionSpec, locals_: list, reference,
     reference = np.asarray(reference, dtype=float)
     if not is_member(comp.joint_polytope, reference, tol):
         raise ValueError("reference quote is not in the joint coherent set")
-    locals_ = _check_locals(comp, locals_)
-    repaired = [project_local(component.polytope, q)
-                for component, q in zip(comp.components, locals_)]
-    x = aggregate(comp, repaired)
-    return float(np.linalg.norm(x - reference))
+    X, _ = _composed(comp, [comp], [_check_locals(comp, locals_)], True, tol)
+    return float(np.linalg.norm(X[0] - reference))
 
 
 def attribute(comp: CompositionSpec, cert: Certificate) -> dict[int, float]:

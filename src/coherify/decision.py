@@ -8,7 +8,7 @@ small weight floor to stay finite when an allocation zeroes the winner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,6 +18,17 @@ from .projection import project_simplex
 BRIER_NORMALIZATION = "per-coordinate-mean"
 DEFAULT_LOG_FLOOR = 1e-6
 GATE_MIN_BETS = 40  # fewest bets gate_sweep calibrates on
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def _fields_json(report) -> dict:
+    """A report dataclass's fields in declaration order, tuples as lists."""
+    return {f.name: _plain(getattr(report, f.name)) for f in fields(report)}
 
 
 @dataclass(frozen=True)
@@ -165,19 +176,7 @@ class RegretSummary:
     brier_normalization: str = BRIER_NORMALIZATION
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "n_unique_yes": self.n_unique_yes,
-            "rule": self.rule,
-            "mean_delta_brier": self.mean_delta_brier,
-            "ci_delta_brier": list(self.ci_delta_brier),
-            "mean_delta_log": self.mean_delta_log,
-            "ci_delta_log": list(self.ci_delta_log) if self.ci_delta_log else None,
-            "mean_delta_log_all": self.mean_delta_log_all,
-            "brier_naive": self.brier_naive,
-            "brier_repaired": self.brier_repaired,
-            "brier_normalization": self.brier_normalization,
-        }
+        return _fields_json(self)
 
 
 def regret(bets: list[BetRecord], rule: AllocationRule | None = None,
@@ -218,23 +217,21 @@ def regret(bets: list[BetRecord], rule: AllocationRule | None = None,
 
 
 def mann_whitney_auc(scores: np.ndarray, positives: np.ndarray) -> float:
-    """Rank-based AUC of ``scores`` against a binary flag, ties at half credit."""
+    """Rank-based AUC of ``scores`` against a binary flag, ties at half credit.
+
+    Scores tie only when exactly equal, and a tied pair counts half. A
+    ulp-level move in a repaired quote can therefore split or join a tie
+    and move the AUC.
+    """
     scores = np.asarray(scores, dtype=float)
     positives = np.asarray(positives, dtype=bool)
     n1 = int(positives.sum())
     n0 = positives.size - n1
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie group at sorted positions i..j (count c) shares rank (i+j)/2 + 1 = j + 1 - (c-1)/2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     r1 = ranks[positives].sum()
     u = r1 - n1 * (n1 + 1) / 2.0
     return float(u / (n1 * n0))
@@ -249,13 +246,7 @@ class OperatingPoint:
     fpr: float
 
     def to_json(self) -> dict:
-        return {
-            "capture_target": self.capture_target,
-            "tau": self.tau,
-            "alert_rate": self.alert_rate,
-            "capture": self.capture,
-            "fpr": self.fpr,
-        }
+        return _fields_json(self)
 
 
 @dataclass(frozen=True)
@@ -267,13 +258,7 @@ class CVStability:
     std_alert_rate: float
 
     def to_json(self) -> dict:
-        return {
-            "capture_target": self.capture_target,
-            "mean_capture": self.mean_capture,
-            "std_capture": self.std_capture,
-            "mean_alert_rate": self.mean_alert_rate,
-            "std_alert_rate": self.std_alert_rate,
-        }
+        return _fields_json(self)
 
 
 @dataclass(frozen=True)
@@ -286,14 +271,7 @@ class GateReport:
     cv: tuple[CVStability, ...]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "auc": self.auc,
-            "harm_rate": self.harm_rate,
-            "harm_threshold": self.harm_threshold,
-            "operating_points": [p.to_json() for p in self.operating_points],
-            "cv": [c.to_json() for c in self.cv],
-        }
+        return _fields_json(self)
 
 
 def _tau_for_capture(harm_eps: np.ndarray, target: float) -> float:
@@ -388,11 +366,17 @@ class MurphyDecomposition:
     brier: float
 
     def to_json(self) -> dict:
-        return {"rel": self.rel, "res": self.res, "unc": self.unc, "brier": self.brier}
+        return _fields_json(self)
 
 
 def murphy(quotes, labels, n_bins: int = 10) -> MurphyDecomposition:
-    """Reliability/resolution/uncertainty split over equal-width forecast bins."""
+    """Reliability/resolution/uncertainty split over equal-width forecast bins.
+
+    A forecast ``p`` in [0, 1] falls in bin ``floor(p * n_bins)``, capped at
+    the last bin so that it also takes ``p = 1``; a forecast on an inner bin
+    edge such as 0.5 belongs to the bin above it. A ulp-level move in a
+    repaired quote can therefore cross an edge and move the split.
+    """
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
     p = np.asarray(quotes, dtype=float).ravel()

@@ -267,10 +267,10 @@ def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int)
     row stops once its largest correction change over a full cycle drops
     below ``tol``; the other rows go on without it.
 
-    Returns, per row: the iterate, the cycle count, whether it converged,
-    and whether it looks divergent -- unconverged after ``max_iter`` cycles
-    with the corrections' l1 norm above 1 and more than 1.5 times its value
-    at cycle ``max_iter // 2``, which is how an empty intersection shows.
+    Returns, per row: the iterate, the cycle count and whether it
+    converged. A row still cycling after ``max_iter`` cycles comes out as
+    its last iterate with ``converged`` False; what that means (the cap
+    was too low, or the intersection is empty) is left to the caller.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -280,14 +280,10 @@ def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int)
     cuts = list(enumerate(zip(A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
                               np.abs(A).max(axis=1, initial=0.0).tolist())))
 
-    def l1(P, T):
-        return np.abs(P).sum(axis=1) + sum(np.abs(t) * np.abs(a).sum() for t, a in zip(T, A))
-
     n = len(X)
     out = np.empty_like(X)
     iterations = np.empty(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    mid_norm = None
     live = np.arange(n)  # rows still cycling, as indices into X
     x = X
     P = np.zeros_like(X)
@@ -317,17 +313,9 @@ def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int)
             converged[rows] = True
             keep = ~done
             live, x, P, T = live[keep], x[keep], P[keep], [t[keep] for t in T]
-        if it == max_iter // 2:
-            mid_norm = np.full(n, np.inf)
-            mid_norm[live] = l1(P, T)
-    diverging = np.zeros(n, dtype=bool)
-    if live.size:
-        out[live] = x
-        iterations[live] = max_iter
-        if mid_norm is not None:
-            end_norm = l1(P, T)
-            diverging[live] = (end_norm > 1.0) & (end_norm > 1.5 * mid_norm[live] + 1e-6)
-    return out, iterations, converged, diverging
+    out[live] = x
+    iterations[live] = max_iter
+    return out, iterations, converged
 
 
 def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
@@ -340,7 +328,7 @@ def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
     q = np.asarray(q, dtype=float)
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
-    x, iterations, converged, _ = _cyclic(q[None, :], _clip, spec, tol, max_iter)
+    x, iterations, converged = _cyclic(q[None, :], _clip, spec, tol, max_iter)
     return _result(spec, q, x[0], iterations=int(iterations[0]), converged=bool(converged[0]))
 
 
@@ -482,8 +470,16 @@ def _hierarchical_cycle(comp: "CompositionSpec", X: np.ndarray, tol: float = DYK
     return _cyclic(X, lambda Y: _project_locals(comp, Y), comp.coupling_polytope, tol, max_iter)
 
 
-_DIVERGED = ("correction vectors diverge and no feasible point is known; "
-             "the coupling intersection is empty")
+def _unconverged(comp: "CompositionSpec") -> Exception:
+    """The error for a joint projection of ``comp`` that did not converge.
+
+    The one place that reads ``has_feasible_point``: with a feasible point
+    known the iteration cap was too low; without one the coupling may be
+    empty, which is all that was checked.
+    """
+    if comp.has_feasible_point() is True:
+        return RuntimeError("joint projection did not converge within the iteration cap")
+    return InfeasibleCouplingError("joint projection did not converge; coupling may be empty")
 
 
 def project_hierarchical_batch(comp: "CompositionSpec", X, tol: float = DYKSTRA_TOL,
@@ -494,19 +490,23 @@ def project_hierarchical_batch(comp: "CompositionSpec", X, tol: float = DYKSTRA_
     each coupling cut; it converges to the projection onto the joint set,
     i.e. agrees with ``project_dykstra`` on the assembled joint constraint
     system. Each row stops on its own, and each result equals the row's
-    own ``project_hierarchical`` call bit for bit. An empty intersection
-    makes the corrections grow without bound: when a row has not converged
-    by ``max_iter`` and its corrections' l1 norm exceeds 1 and grew by more
-    than half since cycle ``max_iter // 2``, ``InfeasibleCouplingError`` is
-    raised unless ``comp.has_feasible_point()`` finds a product vertex that
-    meets every coupling cut.
+    own ``project_hierarchical`` call bit for bit.
+
+    A row that has not converged by ``max_iter`` is judged by
+    ``_unconverged``, the rule ``residual`` follows too: when
+    ``comp.has_feasible_point()`` finds no product vertex that meets every
+    coupling cut, ``InfeasibleCouplingError`` is raised for the batch,
+    whether or not the row's corrections were growing; when it finds one,
+    the row comes back with ``converged=False``.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != comp.joint_dim:
         raise ValueError(f"quotes have shape {X.shape}, composition needs (n, {comp.joint_dim})")
-    x, iterations, converged, diverging = _hierarchical_cycle(comp, X, tol, max_iter)
-    if diverging.any() and comp.has_feasible_point() is not True:
-        raise InfeasibleCouplingError(_DIVERGED)
+    x, iterations, converged = _hierarchical_cycle(comp, X, tol, max_iter)
+    if not converged.all():
+        error = _unconverged(comp)
+        if isinstance(error, InfeasibleCouplingError):
+            raise error
     spec = comp.joint_polytope
     return [_result(spec, q, p, iterations=k, converged=c)
             for q, p, k, c in zip(X, x, iterations.tolist(), converged.tolist())]

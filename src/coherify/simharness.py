@@ -26,6 +26,7 @@ from .composition import (
 from .decision import BetRecord
 from .jsonio import finite_float
 from .polytope import (
+    _FIXED_ARITY,
     Clique,
     PolytopeSpec,
     Relation,
@@ -312,7 +313,8 @@ def _repair_residuals(comps: list[CompositionSpec], quotes: list[np.ndarray]) ->
 
     ``project_hierarchical(comp, quote).residual`` for each pair, with one
     ``project_hierarchical_batch`` call per constraint system; like it, a
-    re-projection that does not converge is not an error.
+    re-projection that does not converge is an error only when no feasible
+    point is known.
     """
     out = [0.0] * len(quotes)
     for indices in _by_system(comps):
@@ -398,8 +400,6 @@ _CONFIG_KEYS = {
     "n_seeds", "policy", "master_seed", "truth", "naive_operator",
     "repaired_operator", "n_draws",
 }
-
-_VARIABLE_ARITY = {RelationKind.PARTITION, RelationKind.LADDER, RelationKind.PARAPHRASE}
 
 
 class ConfigError(ValueError):
@@ -518,8 +518,7 @@ class SimConfig:
         cliques = []
         for kind_name in self.relations:
             kind = RelationKind(kind_name)
-            m = self.m if kind in _VARIABLE_ARITY else {"neg": 2, "and": 3, "or": 3}[kind.value]
-            relation = Relation(kind, m)
+            relation = Relation(kind, _FIXED_ARITY.get(kind, self.m))
             for i in range(self.n_cliques):
                 cliques.append(Clique(id=f"{kind.value}-{i:04d}", relation=relation))
         return cliques

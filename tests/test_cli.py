@@ -257,8 +257,7 @@ ZERO_NORMAL_LINE = (
     '"a": [0, 0], "b": 1.0}], "locals": [[0.5], [0.5]]}'
 )
 ZERO_NORMAL_MESSAGE = "constraint c0:frechet-halfspace:hs has zero normal"
-EMPTY_MESSAGE = ("correction vectors diverge and no feasible point is known; "
-                 "the coupling intersection is empty")
+EMPTY_MESSAGE = "joint projection did not converge; coupling may be empty"
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from coherify.polytope import (
     paraphrase,
     partition,
 )
-from coherify.projection import InfeasibleCouplingError, project_relation
+from coherify.projection import InfeasibleCouplingError, project_hierarchical, project_relation
 from coherify.simharness import composition_for
 
 ALL_RELATIONS = [negation(), conjunction(), disjunction(), partition(5), ladder(4), paraphrase(3)]
@@ -204,6 +204,30 @@ def test_witness_refused_on_product_structured():
     comp = CompositionSpec(free_components([2, 2]), (), 4)
     with pytest.raises(ProductStructuredError):
         construct_witness(comp)
+
+
+def generic_component_split(local: PolytopeSpec) -> CompositionSpec:
+    """``local`` on coordinates 0 and 1, a free box on 2, and x0 + x1 + x2 <= 2."""
+    return CompositionSpec((ComponentSpec(local, (0, 1)), ComponentSpec(PolytopeSpec(dim=1), (2,))),
+                           (CouplingConstraint("frechet-halfspace", (0, 1, 2), 2.0,
+                                               a=(1.0, 1.0, 1.0)),), 3)
+
+
+CAPPED = PolytopeSpec(dim=2, halfspaces=(LinearConstraint((1.0, 1.0), 1.5, "cap"),))
+LEVEL = PolytopeSpec(dim=2, equalities=(LinearConstraint((1.0, 1.0), 1.5, "level"),))
+
+
+@pytest.mark.parametrize("local", [CAPPED, LEVEL], ids=["capped", "level"])
+def test_dichotomy_refuses_a_component_whose_hull_vertices_are_unknown(local):
+    # not product-structured: (1, 0.5, 1) in the product hull violates the
+    # cut, but the 0/1 points of CAPPED miss (1, 0.5) and LEVEL has none
+    comp = generic_component_split(local)
+    cert = residual(comp, [[1.0, 0.5], [1.0]])
+    assert cert.inputs_locally_coherent and cert.epsilon_star > 0.28
+    for decide in (is_product_structured, construct_witness):
+        with pytest.raises(ValueError, match="component 0 is neither a catalog relation"):
+            decide(comp)
+    assert is_product_structured(CompositionSpec(comp.components, (), 3))
 
 
 def test_product_test_respects_enumeration_bound():
@@ -543,10 +567,10 @@ def test_residual_batch_failure_in_a_later_group_can_come_first(monkeypatch):
     cycle = composition._hierarchical_cycle
 
     def capped(comp, X):  # the partition group's last row misses the iteration cap
-        projected, iterations, converged, diverging = cycle(comp, X)
+        projected, iterations, converged = cycle(comp, X)
         if len(X) == 2:
             converged[-1] = False
-        return projected, iterations, converged, diverging
+        return projected, iterations, converged
 
     monkeypatch.setattr(composition, "_hierarchical_cycle", capped)
     good = (partition_split(), [[0.39], [0.73], [0.67], [0.71]])
@@ -556,6 +580,31 @@ def test_residual_batch_failure_in_a_later_group_can_come_first(monkeypatch):
     with pytest.raises(InfeasibleCouplingError) as exc:
         residual_batch([good, empty, good])  # groups: items 0 and 2, then item 1
     assert exc.value.index == 1
+
+
+def test_unconverged_row_without_a_feasible_point_raises_one_error_everywhere(monkeypatch):
+    import functools
+
+    import coherify.composition as composition
+
+    # nonempty, but no 0/1 point meets the cut; one cycle stops no row and
+    # is too short for the corrections to grow
+    comp = CompositionSpec(free_components([1, 1]),
+                           (CouplingConstraint("partition-sum", (0, 1), 0.5),), 2)
+    assert comp.has_feasible_point() is None
+    assert project_hierarchical(comp, [0.5, 0.5]).converged
+    with pytest.raises(InfeasibleCouplingError) as library:
+        project_hierarchical(comp, [0.5, 0.5], max_iter=1)
+    cycle = composition._hierarchical_cycle
+    monkeypatch.setattr(composition, "project_hierarchical",
+                        functools.partial(project_hierarchical, max_iter=1))
+    monkeypatch.setattr(composition, "_hierarchical_cycle",
+                        lambda comp, X: cycle(comp, X, max_iter=1))
+    with pytest.raises(InfeasibleCouplingError) as one:
+        residual(comp, [[0.5], [0.5]])
+    with pytest.raises(InfeasibleCouplingError) as batch:
+        residual_batch([(comp, [[0.5], [0.5]])])
+    assert str(library.value) == str(one.value) == str(batch.value)
 
 
 # --- single-relation recognition ---------------------------------------------------

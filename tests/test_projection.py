@@ -376,8 +376,8 @@ def test_hierarchical_batch_rows_stop_on_their_own_bit_for_bit():
 def test_hierarchical_batch_keeps_going_when_a_diverging_row_has_a_feasible_point():
     comp = paraphrase_split()
     X = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.4] * 8])
-    _, _, converged, diverging = _hierarchical_cycle(comp, X, max_iter=4)
-    assert diverging.tolist() == [True, False] and comp.has_feasible_point() is True
+    _, _, converged = _hierarchical_cycle(comp, X, max_iter=4)
+    assert comp.has_feasible_point() is True
     batch = project_hierarchical_batch(comp, X, max_iter=4)
     assert [r.converged for r in batch] == converged.tolist() == [False, True]
     for q, got in zip(X, batch):

@@ -2,8 +2,10 @@
 
 All record streams are JSONL; CLI input order equals output order. Exit
 codes: 0 success, 1 operational failure, 2 malformed input (offending
-line reported on stderr). A run manifest sidecar records the exact
-configuration behind every simulate / regret / gate / predict run.
+line reported on stderr); a flag out of its range is a usage error (exit
+2) before any input is read. Every command writes a run manifest
+recording its exact configuration to ``--manifest-out``, or by default to
+``<out>.manifest.json`` whenever ``--out`` is a file.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -334,13 +337,30 @@ def cmd_predict(args) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _alpha_list(text: str) -> str:
+    """``--alpha-list``: comma-separated levels, each strictly between 0 and 1."""
+    for tok in filter(None, (tok.strip() for tok in text.split(","))):
+        if not 0.0 < float(tok) < 1.0:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"each level must be in (0, 1), got {tok!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coherify",
         description="Certify, repair, and monitor coherence of composed probabilistic quotes.",
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--tol", type=float, default=1e-8, help="membership tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=1e-8,
+                        help="membership tolerance (finite, >= 0)")
     parser.add_argument("--manifest-out", default=None, help="run manifest path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -357,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monitor", help="run the sequential coherence test on a residual stream")
     p.add_argument("input", help="residual stream JSONL")
     p.add_argument("--out", default="-")
-    p.add_argument("--alpha-list", default=",".join(str(a) for a in DEFAULT_ALPHAS))
+    p.add_argument("--alpha-list", type=_alpha_list,
+                   default=",".join(str(a) for a in DEFAULT_ALPHAS),
+                   help="comma-separated test levels, each in (0, 1)")
     p.set_defaults(fn=cmd_monitor)
 
     p = sub.add_parser("simulate", help="run a synthetic specialist-panel ensemble")

@@ -28,6 +28,7 @@ from .polytope import (
 )
 from .projection import (
     RESIDUAL_FLOOR,
+    _coupled_halfspaces,
     _hierarchical_cycle,
     _project_locals,
     _unconverged,
@@ -143,18 +144,11 @@ def relation_coupling(relation: Relation, coords) -> tuple[CouplingConstraint, .
         return (CouplingConstraint("ladder-chain", coords),)
     if kind is RelationKind.PARAPHRASE:
         return (CouplingConstraint("equality", coords, 0.0),)
-    c1, c2, c3 = coords
-    if kind is RelationKind.CONJUNCTION:
-        return (
-            CouplingConstraint("frechet-halfspace", (c1, c3), 0.0, a=(-1.0, 1.0)),
-            CouplingConstraint("frechet-halfspace", (c2, c3), 0.0, a=(-1.0, 1.0)),
-            CouplingConstraint("frechet-halfspace", (c1, c2, c3), 1.0, a=(1.0, 1.0, -1.0)),
-        )
-    # disjunction
-    return (
-        CouplingConstraint("frechet-halfspace", (c1, c3), 0.0, a=(1.0, -1.0)),
-        CouplingConstraint("frechet-halfspace", (c2, c3), 0.0, a=(1.0, -1.0)),
-        CouplingConstraint("frechet-halfspace", (c1, c2, c3), 0.0, a=(-1.0, -1.0, 1.0)),
+    # conjunction and disjunction: the Frechet bounds of the relation's own polytope
+    return tuple(
+        CouplingConstraint("frechet-halfspace", tuple(coords[j] for j in support), c.b,
+                           a=tuple(c.a[j] for j in support))
+        for support, c in _coupled_halfspaces(relation)
     )
 
 
@@ -328,7 +322,7 @@ def _check_locals(comp: CompositionSpec, locals_: list) -> list[np.ndarray]:
             raise ValueError(
                 f"component {a} quote has shape {q.shape}, needs ({component.polytope.dim},)"
             )
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError(f"component {a} quote has non-finite entries")
         out.append(q)
     return out
@@ -391,28 +385,16 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
     return _certificate(comp, X[0], proj.projected, coherent[0], tol)
 
 
-def _by_system(comps) -> list[list[int]]:
-    """Positions of ``comps`` grouped by constraint system, in order of each group's first.
-
-    A system is everything the joint projection reads: the joint
-    dimension, the constrained components (index, coordinates and
-    polytope) and the coupling cuts. Free-box compositions that split the
-    coordinates among owners differently share one.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, comp in enumerate(comps):
-        groups.setdefault((comp.joint_dim, comp.constrained, comp.coupling.constraints),
-                          []).append(i)
-    return list(groups.values())
-
-
 def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list[Certificate]:
     """``residual`` for every ``(comp, locals_)`` item, one engine run per constraint system.
 
-    Items are grouped with ``_by_system``, so free-box compositions that
-    split the coordinates among owners differently share one batched
-    cycle. Each certificate equals ``residual(comp, locals_, repair_locals,
-    tol)`` bit for bit, and they come back in input order.
+    A constraint system is everything the joint projection reads: the
+    joint dimension, the constrained components (index, coordinates and
+    polytope) and the coupling cuts. So free-box compositions that split
+    the coordinates among owners differently share one batched cycle; the
+    cycles run in order of each system's first item. Each certificate
+    equals ``residual(comp, locals_, repair_locals, tol)`` bit for bit,
+    and they come back in input order.
 
     Failures are those of ``residual`` on the items in order: the earliest
     failing item's exception is raised, with that item's position in
@@ -428,9 +410,13 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
             bad = exc
             bad.index = i
             break
+    systems: dict[tuple, list[int]] = {}
+    for i, (comp, _) in enumerate(items[:len(checked)]):
+        systems.setdefault((comp.joint_dim, comp.constrained, comp.coupling.constraints),
+                           []).append(i)
     certs: list[Certificate | None] = [None] * len(checked)
     failures: dict[int, Exception] = {}
-    for indices in _by_system([comp for comp, _ in items[:len(checked)]]):
+    for indices in systems.values():
         if failures and indices[0] > min(failures):
             break  # every item left comes after a failure
         system = items[indices[0]][0]

@@ -51,6 +51,9 @@ class EProcessState:
     crossed_at: tuple[int | None, ...] = ()
 
     def __post_init__(self):
+        for alpha in self.alphas:
+            if not 0.0 < alpha < 1.0:
+                raise ValueError(f"alpha={alpha} must be in (0, 1)")
         if not self.log_e:
             object.__setattr__(self, "log_e", tuple(0.0 for _ in self.lambdas))
         if not self.crossed_at:

@@ -17,8 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import CompositionSpec
-from .polytope import Relation, RelationKind, build_polytope
-from .projection import project_polytope_batch, project_relation_batch
+from .polytope import Relation, RelationKind
+from .projection import (
+    _coupled_halfspaces,
+    _hierarchical_cycle,
+    _unconverged,
+    project_relation_batch,
+)
 
 EXHAUSTIVE_LIMIT = 65_536
 BOUNDARY_TOL = 1e-9
@@ -66,13 +71,7 @@ def panel_stats(panel) -> PanelStats:
 
 def _candidate_normals(relation: Relation) -> list[tuple[np.ndarray, float]]:
     """Defining multi-coordinate halfspaces of an inequality relation, in id order."""
-    spec = build_polytope(relation)
-    out = []
-    for c in spec.halfspaces:
-        a = np.asarray(c.a, dtype=float)
-        if np.count_nonzero(a) >= 2:
-            out.append((a, c.b))
-    return out
+    return [(np.asarray(c.a, dtype=float), c.b) for _, c in _coupled_halfspaces(relation)]
 
 
 def predict_magnitude(stats: PanelStats, relation: Relation,
@@ -125,8 +124,9 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     Exhausts all k^m assignments when that is cheaper than sampling;
     otherwise draws ``n_draws`` assignment vectors from ``seed``. When the
     joint set is one catalog polytope (``comp.single_relation``) the draws
-    are projected exactly by ``project_relation_batch``; any other
-    composition goes through the batched Dykstra cycle.
+    are projected exactly by ``project_relation_batch``; any other goes
+    through the certification engine's cycle and raises, as a certificate
+    does, when a draw misses the iteration cap.
     """
     P = np.stack([np.asarray(q, dtype=float) for q in panel])
     k, m = P.shape
@@ -140,7 +140,9 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     X = P[sigma, np.arange(m)]
     single = comp.single_relation
     if single is None:
-        projected = project_polytope_batch(comp.joint_polytope, X)
+        projected, _, converged = _hierarchical_cycle(comp, X)
+        if not converged.all():
+            raise _unconverged(comp)
     else:
         relation, coords = single
         projected = np.clip(X, 0.0, 1.0)

@@ -70,6 +70,14 @@ def _polytope(relation: Relation) -> PolytopeSpec:
 
 
 @lru_cache(maxsize=None)
+def _coupled_halfspaces(relation: Relation) -> tuple:
+    """``(support, halfspace)`` for each halfspace of the relation tying >= 2 coordinates."""
+    halfspaces = _polytope(relation).halfspaces
+    supports = [tuple(j for j, v in enumerate(c.a) if v) for c in halfspaces]
+    return tuple((s, c) for s, c in zip(supports, halfspaces) if len(s) >= 2)
+
+
+@lru_cache(maxsize=None)
 def _vertex_array(relation: Relation) -> np.ndarray:
     return enumerate_vertices(relation).as_array()
 

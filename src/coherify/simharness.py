@@ -11,7 +11,7 @@ projection, D locally repaired plus joint projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .composition import (
     Certificate,
     ComponentSpec,
     CompositionSpec,
-    _by_system,
     relation_coupling,
     residual_batch,
 )
@@ -34,12 +33,7 @@ from .polytope import (
     build_polytope,
     enumerate_vertices,
 )
-from .projection import (
-    RESIDUAL_FLOOR,
-    project_hierarchical_batch,
-    project_relation,
-    project_relation_batch,
-)
+from .projection import project_relation, project_relation_batch
 
 OPERATORS = ("A", "B", "C", "D")
 POLICY_KINDS = ("random-uniform", "structured-by-relation", "single-owner")
@@ -264,13 +258,12 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
     """Route, aggregate, certify, and repair every (clique, seed) cell.
 
     Every cell is built first. Then one ``residual_batch`` call certifies
-    the raw compositions (A) and one the locally repaired ones (B), and
-    ``_repair_residuals`` re-projects every joint repair (C, D), so cells
-    that share a constraint system share one engine run. Values equal the
-    cell-by-cell ones bit for bit. When a certificate fails, the error
-    raised is the one of the earliest failing cell among all A
-    certificates, then among all B; cell by cell, a B failure could come
-    before a later cell's A failure.
+    the raw compositions (A), one the locally repaired ones (B), and one
+    re-projects the joint repairs of both (C, D), so each constraint
+    system gets one engine run per call, and C and D raise, as every
+    certificate does, when a re-projection misses the iteration cap.
+    Values equal the cell-by-cell ones bit for bit. A failure raised is
+    that of the earliest failing cell among all A, then B, then C and D.
     """
     cells, raw, repaired = [], [], []
     for ci, clique in enumerate(cliques):
@@ -283,8 +276,9 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
             repaired.append((routed.comp, _restrict(panel.repaired, routed)))
     certs_raw = residual_batch(raw, repair_locals=False)
     certs = residual_batch(repaired)
-    comps = [comp for comp, _ in raw]
-    left = _repair_residuals(comps + comps, [c.repaired for c in certs_raw + certs])
+    joint = [(comp, [cert.repaired[list(c.coords)] for c in comp.components])
+             for (comp, _), cert in zip(raw + raw, certs_raw + certs)]
+    certs_joint = residual_batch(joint, repair_locals=False)
     n = len(cells)
     records = []
     for j, (ci, clique_id, seed, labels, owners) in enumerate(cells):
@@ -292,7 +286,7 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
         quotes = {"A": cert_raw.composed, "B": cert.composed,
                   "C": cert_raw.repaired, "D": cert.repaired}
         eps = {"A": cert_raw.epsilon_star, "B": cert.epsilon_star,
-               "C": left[j], "D": left[n + j]}
+               "C": certs_joint[j].epsilon_star, "D": certs_joint[n + j].epsilon_star}
         records.append(
             EnsembleRecord(
                 clique_id=clique_id,
@@ -306,22 +300,6 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
             )
         )
     return records
-
-
-def _repair_residuals(comps: list[CompositionSpec], quotes: list[np.ndarray]) -> list[float]:
-    """How far re-projecting each joint repair moves it, floored to 0 below ``RESIDUAL_FLOOR``.
-
-    ``project_hierarchical(comp, quote).residual`` for each pair, with one
-    ``project_hierarchical_batch`` call per constraint system; like it, a
-    re-projection that does not converge is an error only when no feasible
-    point is known.
-    """
-    out = [0.0] * len(quotes)
-    for indices in _by_system(comps):
-        results = project_hierarchical_batch(comps[indices[0]], [quotes[i] for i in indices])
-        for i, res in zip(indices, results):
-            out[i] = res.residual if res.residual >= RESIDUAL_FLOOR else 0.0
-    return out
 
 
 def to_bet_records(records: list[EnsembleRecord], naive_op: str = "B",

@@ -349,3 +349,46 @@ def test_simulate_ecdf_csv(tmp_path, scenario):
     last = lines[-1].split(",")
     assert last[0] == "partition"
     assert float(last[2]) == 1.0
+
+
+MONITOR_LINE = '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}'
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["monitor", "--alpha-list", "1.5"], "--alpha-list"),
+        (["monitor", "--alpha-list", "0"], "--alpha-list"),
+        (["monitor", "--alpha-list", "0.05,nan"], "--alpha-list"),
+        (["--tol", "-1", "certify"], "--tol"),
+        (["--tol", "nan", "certify"], "--tol"),
+    ],
+    ids=["alpha-above-1", "alpha-0", "alpha-nan", "tol-negative", "tol-nan"],
+)
+def test_out_of_range_flags_are_usage_errors_before_any_input(tmp_path, capsys, monkeypatch,
+                                                              flags, flag):
+    import coherify.cli as cli
+
+    inp = tmp_path / "in.jsonl"
+    inp.write_text((MONITOR_LINE if "monitor" in flags else PARTITION_CERTIFY_LINE) + "\n")
+    read = []
+    monkeypatch.setattr(cli, "_read_text", lambda path: read.append(path) or inp.read_text())
+    out = tmp_path / "o.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(flags + [str(inp), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["project", "certify", "monitor"])
+def test_record_commands_write_their_manifest_sidecar(tmp_path, command):
+    line = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
+            "monitor": MONITOR_LINE}[command]
+    inp = tmp_path / "in.jsonl"
+    inp.write_text(line + "\n")
+    out = tmp_path / "o.jsonl"
+    assert run_cli([command, str(inp), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["input_digests"]) == {"input"}

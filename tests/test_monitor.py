@@ -117,6 +117,12 @@ def test_stepwise_matches_vectorized_recomputation():
     assert state.log_e_mix_max == pytest.approx(float(mix.max()), abs=1e-9)
 
 
+@pytest.mark.parametrize("alphas", [(1.5,), (0.0,), (0.05, 1.0), (-0.1,), (math.nan,)])
+def test_state_rejects_alpha_outside_the_unit_interval(alphas):
+    with pytest.raises(ValueError, match="must be in \\(0, 1\\)"):
+        EProcessState(alphas=alphas)
+
+
 def test_serialization_round_trip():
     state = EProcessState()
     for e in (0.1, 0.9, 1.7):

@@ -21,7 +21,7 @@ from coherify.polytope import (
     paraphrase,
     partition,
 )
-from coherify.projection import project_polytope_batch, project_relation
+from coherify.projection import InfeasibleCouplingError, project_polytope_batch, project_relation
 from coherify.simharness import composition_for
 from coherify.prediction import (
     REGIME_BOUNDARY,
@@ -306,16 +306,51 @@ def test_exact_route_samples_match_joint_dykstra(relation):
         assert np.max(np.abs(samples - _samples_by_joint_dykstra(comp, panel))) <= 1e-8
 
 
-def test_fallback_samples_match_joint_dykstra():
-    # two negation cliques whose first coordinates must agree: no single relation
-    comp = CompositionSpec(
+def two_negations():
+    """Two negation cliques whose first coordinates must agree: no single relation."""
+    return CompositionSpec(
         (ComponentSpec(build_polytope(negation()), (0, 1)),
          ComponentSpec(build_polytope(negation()), (2, 3))),
         (CouplingConstraint("equality", (0, 2)),),
         4,
     )
+
+
+def test_fallback_samples_match_joint_dykstra():
+    comp = two_negations()
     assert comp.single_relation is None
     rng = np.random.default_rng(5)
     panel = [rng.uniform(size=4) for _ in range(3)]
     samples = observe_magnitude_samples(comp, panel)
     assert np.max(np.abs(samples - _samples_by_joint_dykstra(comp, panel))) <= 1e-8
+
+
+def test_fallback_raises_on_an_empty_coupling():
+    # x1 + x2 = 1 and x1 + x2 <= 0.3 over two free boxes: no point meets both
+    comp = CompositionSpec(
+        free_components([1, 1]),
+        (CouplingConstraint("partition-sum", (0, 1), 1.0),
+         CouplingConstraint("frechet-halfspace", (0, 1), 0.3, a=(1.0, 1.0))),
+        2,
+    )
+    assert comp.single_relation is None
+    with pytest.raises(InfeasibleCouplingError):
+        observe_magnitude_samples(comp, [np.array([0.2, 0.9]), np.array([0.6, 0.1])])
+
+
+def test_fallback_raises_when_a_draw_does_not_converge(monkeypatch):
+    import coherify.prediction as prediction
+
+    cycle = prediction._hierarchical_cycle
+
+    def one_row_stuck(comp, X):
+        x, iterations, converged = cycle(comp, X)
+        assert converged.all()
+        converged[len(X) // 2] = False
+        return x, iterations, converged
+
+    monkeypatch.setattr(prediction, "_hierarchical_cycle", one_row_stuck)
+    rng = np.random.default_rng(5)
+    panel = [rng.uniform(size=4) for _ in range(3)]
+    with pytest.raises(RuntimeError, match="iteration cap"):
+        observe_magnitude_samples(two_negations(), panel)

@@ -222,6 +222,49 @@ def test_run_ensemble_equals_per_cell_reference(policy):
         assert r.certificate.repaired.tobytes() == cert.repaired.tobytes()
 
 
+def test_run_ensemble_runs_three_cycles_per_constraint_system(monkeypatch):
+    import coherify.composition as composition
+
+    runs = {}
+    cycle = composition._hierarchical_cycle
+
+    def counted(comp, X):
+        system = (comp.joint_dim, comp.constrained, comp.coupling.constraints)
+        runs.setdefault(system, []).append(len(X))
+        return cycle(comp, X)
+
+    monkeypatch.setattr(composition, "_hierarchical_cycle", counted)
+    model = PanelModel(k=3, sigma=0.1, K=8)
+    cliques = [neg_clique(0), part_clique(1), Clique(id="and-2", relation=conjunction())]
+    records = run_ensemble(cliques, model, RoutingPolicy("random-uniform", seed=2), n_seeds=6)
+    assert len(runs) >= 4  # sole owners get systems of their own
+    for rows in runs.values():
+        # A, B, then the C and D re-projections of the same cells together
+        assert len(rows) == 3 and rows[2] == 2 * rows[0] == 2 * rows[1]
+    assert sum(rows[0] for rows in runs.values()) == len(records)
+
+
+def test_run_ensemble_raises_when_a_joint_re_projection_misses_the_cap(monkeypatch):
+    import coherify.composition as composition
+
+    runs = []
+    cycle = composition._hierarchical_cycle
+
+    def third_run_stuck(comp, X):
+        x, iterations, converged = cycle(comp, X)
+        runs.append(len(X))
+        if len(runs) == 3:  # the C and D re-projections
+            converged[-1] = False
+        return x, iterations, converged
+
+    monkeypatch.setattr(composition, "_hierarchical_cycle", third_run_stuck)
+    model = PanelModel(k=3, sigma=0.1, K=8)
+    # one sole-owner system, whose coupling has a feasible point
+    with pytest.raises(RuntimeError, match="iteration cap"):
+        run_ensemble([part_clique()], model, RoutingPolicy("single-owner"), n_seeds=2)
+    assert runs == [2, 2, 4]
+
+
 def test_to_bet_records_carries_naive_eps():
     model = PanelModel(k=4, sigma=0.1, K=8)
     records = run_ensemble([part_clique()], model, RoutingPolicy("random-uniform"), 2)

@@ -31,6 +31,12 @@ def main(argv=None) -> int:
         return 2
 
     rule = AllocationRule("proportional")
+    try:
+        targets = tuple(float(t) for t in args.capture_targets.split(","))
+        report = gate_sweep(bets, rule, capture_targets=targets, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summary = regret(bets, rule, seed=args.seed)
     print(f"bets: {summary.n} ({summary.n_unique_yes} unique-YES)")
     print(f"mean delta Brier: {summary.mean_delta_brier:+.4f} "
@@ -39,8 +45,6 @@ def main(argv=None) -> int:
         print(f"mean delta log-payoff: {summary.mean_delta_log:+.4f} "
               f"CI {summary.ci_delta_log}")
 
-    targets = tuple(float(t) for t in args.capture_targets.split(","))
-    report = gate_sweep(bets, rule, capture_targets=targets, seed=args.seed)
     print(f"\nAUC of the certificate against top-quartile log regret: {report.auc:.3f}")
     header = f"{'target':>8}{'tau':>10}{'alert':>8}{'capture':>9}{'FPR':>8}"
     print(header)

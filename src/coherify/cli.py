@@ -1,11 +1,12 @@
 """Command-line surface: project, certify, monitor, simulate, regret, gate, predict.
 
 All record streams are JSONL; CLI input order equals output order. Exit
-codes: 0 success, 1 operational failure, 2 malformed input (offending
-line reported on stderr); a flag out of its range is a usage error (exit
-2) before any input is read. Every command writes a run manifest
-recording its exact configuration to ``--manifest-out``, or by default to
-``<out>.manifest.json`` whenever ``--out`` is a file.
+codes: 0 success, 1 operational failure (such as a well-formed certify
+record whose joint projection misses the iteration cap), 2 malformed
+input; a record error names its line on stderr. A flag out of its range
+is a usage error (exit 2) before any input is read. Every command writes
+a run manifest recording its exact configuration to ``--manifest-out``,
+or by default to ``<out>.manifest.json`` whenever ``--out`` is a file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .composition import (
     residual_batch,
 )
 from .decision import AllocationRule, BetRecord, gate_sweep, murphy, regret
-from .jsonio import dump_lines, dumps, parse_lines
+from .jsonio import InputError, dump_lines, dumps, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
 from .polytope import Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
@@ -45,10 +46,6 @@ from .simharness import (
 )
 
 CONFIG_DIR_ENV = "COHERIFY_CONFIG_DIR"
-
-
-class InputError(ValueError):
-    """Malformed input stream; maps to exit code 2."""
 
 
 def _read_text(path: str) -> str:
@@ -183,6 +180,8 @@ def cmd_certify(args) -> int:
         linenos.append(lineno)
     try:
         certs = residual_batch(items, tol=args.tol)
+    except RuntimeError as exc:  # a well-formed record the engine could not certify
+        raise RuntimeError(f"line {linenos[exc.index]}: {exc}") from exc
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"line {linenos[exc.index]}: {exc}") from exc
     if malformed is not None:
@@ -353,6 +352,22 @@ def _alpha_list(text: str) -> str:
     return text
 
 
+def _capture_targets(text: str) -> str:
+    """``--capture-targets``: comma-separated harm-capture targets, each in (0, 1]."""
+    for tok in filter(None, (tok.strip() for tok in text.split(","))):
+        if not 0.0 < float(tok) <= 1.0:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"each target must be in (0, 1], got {tok!r}")
+    return text
+
+
+def _bins(text: str) -> int:
+    """``--bins``: an integer >= 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coherify",
@@ -394,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--rule", default="proportional",
                    choices=["proportional", "truncated-kelly", "max-entropy"])
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=_bins, default=10, help="Murphy forecast bins (>= 2)")
     p.set_defaults(fn=cmd_regret)
 
     p = sub.add_parser("gate", help="calibrate certificate gating thresholds")
@@ -402,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--rule", default="proportional",
                    choices=["proportional", "truncated-kelly", "max-entropy"])
-    p.add_argument("--capture-targets", default="0.9,0.5")
+    p.add_argument("--capture-targets", type=_capture_targets, default="0.9,0.5",
+                   help="comma-separated harm-capture targets, each in (0, 1]")
     p.set_defaults(fn=cmd_gate)
 
     p = sub.add_parser("predict", help="panel-covariance residual prediction vs observation")
@@ -417,15 +433,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            for problem in exc.problems:
-                print(f"config error: {problem}", file=sys.stderr)
-            return 1
-        message = str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        malformed = isinstance(exc, InputError) or message.startswith("line ")
-        return 2 if malformed else 1
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return 1
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -312,10 +312,15 @@ class Certificate:
         }
 
 
-def _check_locals(comp: CompositionSpec, locals_: list) -> list[np.ndarray]:
+def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
+    """Owner-selected assembly: joint coordinate j takes its owner's value.
+
+    Refuses a wrong quote count, then, component by component, a quote of
+    the wrong shape or with a non-finite entry.
+    """
     if len(locals_) != len(comp.components):
         raise ValueError(f"expected {len(comp.components)} local quotes, got {len(locals_)}")
-    out = []
+    x = np.zeros(comp.joint_dim)
     for a, (component, q) in enumerate(zip(comp.components, locals_)):
         q = np.asarray(q, dtype=float)
         if q.shape != (component.polytope.dim,):
@@ -324,33 +329,19 @@ def _check_locals(comp: CompositionSpec, locals_: list) -> list[np.ndarray]:
             )
         if not np.isfinite(q).all():
             raise ValueError(f"component {a} quote has non-finite entries")
-        out.append(q)
-    return out
-
-
-def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
-    """Owner-selected assembly: joint coordinate j takes its owner's value."""
-    return _assemble(comp, _check_locals(comp, locals_))
-
-
-def _assemble(comp: CompositionSpec, locals_: list[np.ndarray]) -> np.ndarray:
-    x = np.zeros(comp.joint_dim)
-    for component, q in zip(comp.components, locals_):
         x[list(component.coords)] = q
     return x
 
 
-def _composed(system: CompositionSpec, comps, locals_list, repair_locals: bool, tol: float):
-    """Composed quotes, one row per item, and whether each item's locals were coherent.
+def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: float):
+    """Assembled rows ``X``, locally repaired when ``repair_locals``, and whether each was coherent.
 
-    Every comp shares ``system``'s joint dimension and constrained
-    components; the rows are locally repaired when ``repair_locals``.
+    A row's locals are coherent when the row is in the box and meets every
+    constraint of ``system``'s constrained components within ``tol``.
     """
-    X = np.array([_assemble(comp, locals_) for comp, locals_ in zip(comps, locals_list)])
     coherent = np.all((X >= -tol) & (X <= 1.0 + tol), axis=1)
     for _, component in system.constrained:
-        coords = list(component.coords)
-        coherent &= [is_member(component.polytope, x[coords], tol) for x in X]
+        coherent &= component.polytope.gaps(X[:, list(component.coords)]).max(axis=1) <= tol
     if repair_locals:
         X = _project_locals(system, X)
     return X, coherent.tolist()
@@ -378,7 +369,7 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
     evaluation paths need this); the certificate still reports whether the
     inputs were locally coherent.
     """
-    X, coherent = _composed(comp, [comp], [_check_locals(comp, locals_)], repair_locals, tol)
+    X, coherent = _composed(comp, aggregate(comp, locals_)[None, :], repair_locals, tol)
     proj = project_hierarchical(comp, X[0])
     if not proj.converged:
         raise _unconverged(comp)
@@ -401,45 +392,33 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     ``items`` as its ``index`` attribute.
     """
     items = list(items)
-    checked: list[list[np.ndarray]] = []
-    bad = None
-    for i, (comp, locals_) in enumerate(items):
-        try:
-            checked.append(_check_locals(comp, locals_))
-        except (TypeError, ValueError) as exc:
-            bad = exc
-            bad.index = i
-            break
-    systems: dict[tuple, list[int]] = {}
-    for i, (comp, _) in enumerate(items[:len(checked)]):
-        systems.setdefault((comp.joint_dim, comp.constrained, comp.coupling.constraints),
-                           []).append(i)
-    certs: list[Certificate | None] = [None] * len(checked)
     failures: dict[int, Exception] = {}
-    for indices in systems.values():
-        if failures and indices[0] > min(failures):
-            break  # every item left comes after a failure
-        system = items[indices[0]][0]
+    systems: dict[tuple, dict[int, np.ndarray]] = {}  # system -> {item index: assembled row}
+    for i, (comp, locals_) in enumerate(items):
+        key = (comp.joint_dim, comp.constrained, comp.coupling.constraints)
         try:
-            X, coherent = _composed(system, [items[i][0] for i in indices],
-                                    [checked[i] for i in indices], repair_locals, tol)
-            projected, _, converged = _hierarchical_cycle(system, X)
+            x = aggregate(comp, locals_)
+            if key not in systems:  # a malformed cut fails at the first item that carries it
+                comp.coupling_polytope
         except (TypeError, ValueError) as exc:
-            # e.g. a zero-normal coupling cut: the whole group shares it,
-            # so the group's first item is the first to fail
-            failures[indices[0]] = exc
-            continue
-        for row, i in enumerate(indices):
+            failures[i] = exc
+            break  # no later item can fail first
+        systems.setdefault(key, {})[i] = x
+    certs: list[Certificate | None] = [None] * len(items)
+    for rows in systems.values():
+        system = items[next(iter(rows))][0]
+        X, coherent = _composed(system, np.array(list(rows.values())), repair_locals, tol)
+        projected, _, converged = _hierarchical_cycle(system, X)
+        error = None if converged.all() else _unconverged(system)
+        for row, i in enumerate(rows):
             if converged[row]:
                 certs[i] = _certificate(system, X[row], projected[row], coherent[row], tol)
             else:
-                failures[i] = _unconverged(system)
+                failures[i] = error
     if failures:
         first = min(failures)
         failures[first].index = first
         raise failures[first]
-    if bad is not None:
-        raise bad
     return certs
 
 
@@ -513,7 +492,7 @@ def disagreement_bound(comp: CompositionSpec, locals_: list, reference,
     reference = np.asarray(reference, dtype=float)
     if not is_member(comp.joint_polytope, reference, tol):
         raise ValueError("reference quote is not in the joint coherent set")
-    X, _ = _composed(comp, [comp], [_check_locals(comp, locals_)], True, tol)
+    X, _ = _composed(comp, aggregate(comp, locals_)[None, :], True, tol)
     return float(np.linalg.norm(X[0] - reference))
 
 

@@ -290,7 +290,11 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
     Harm is the top quartile of per-bet repaired-minus-naive log payoff.
     Reports the rank AUC, an operating point per capture target, and a
     stratified cross-validation stability check of those thresholds.
+    Each capture target must lie in (0, 1].
     """
+    for target in capture_targets:
+        if not 0.0 < target <= 1.0:  # also false for NaN
+            raise ValueError(f"capture target {target!r} is outside (0, 1]")
     if len(bets) < GATE_MIN_BETS:
         raise ValueError(f"gate calibration needs at least {GATE_MIN_BETS} bets")
     rule = rule or AllocationRule()

@@ -50,6 +50,10 @@ def finite_float(token: str) -> float:
     return value
 
 
+class InputError(ValueError):
+    """Malformed input stream; the CLI maps it to exit code 2."""
+
+
 _DECODER = json.JSONDecoder(parse_constant=finite_float, parse_float=finite_float)
 
 
@@ -62,7 +66,7 @@ def parse_lines(text: str):
         try:
             out.append((lineno, _DECODER.decode(line)))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise InputError(f"line {lineno}: {exc}") from exc
     return out

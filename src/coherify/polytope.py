@@ -34,11 +34,7 @@ _FIXED_ARITY = {
     RelationKind.CONJUNCTION: 3,
     RelationKind.DISJUNCTION: 3,
 }
-_MIN_ARITY = {
-    RelationKind.PARTITION: 2,
-    RelationKind.LADDER: 2,
-    RelationKind.PARAPHRASE: 2,
-}
+_MIN_ARITY = 2  # of every variable-arity kind
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,8 @@ class Relation:
         if kind in _FIXED_ARITY:
             if self.m != _FIXED_ARITY[kind]:
                 raise ValueError(f"{kind.value} requires m={_FIXED_ARITY[kind]}, got m={self.m}")
-        elif self.m < _MIN_ARITY[kind]:
-            raise ValueError(f"{kind.value} requires m>={_MIN_ARITY[kind]}, got m={self.m}")
+        elif self.m < _MIN_ARITY:
+            raise ValueError(f"{kind.value} requires m>={_MIN_ARITY}, got m={self.m}")
 
 
 def negation() -> Relation:

@@ -26,6 +26,8 @@ from .decision import BetRecord
 from .jsonio import finite_float
 from .polytope import (
     _FIXED_ARITY,
+    _MIN_ARITY,
+    ENUMERATION_LIMIT,
     Clique,
     PolytopeSpec,
     Relation,
@@ -391,12 +393,12 @@ class SimConfig:
     """Scenario settings parsed from a flat ``key = value`` file.
 
     Recognized keys: relations (comma list of neg/and/or/partition/ladder/
-    paraphrase), m (arity for the variable-arity kinds), n_cliques,
+    paraphrase), m (arity for the variable-arity kinds, 2 to 12), n_cliques,
     panel_k, sigma, bias_scale, biases (explicit per-specialist offset
     rows, ``;``-separated specialists with comma-separated coordinates,
     overriding bias_scale), K (0 means the population limit), n_seeds,
     policy, master_seed, truth (coherent|adversarial), naive_operator,
-    repaired_operator, n_draws (prediction command only). Lines starting
+    repaired_operator, n_draws (prediction command only, >= 1). Lines starting
     with ``#`` are comments.
     """
 
@@ -478,16 +480,16 @@ class SimConfig:
                 problems.append(f"{key}: must be one of {OPERATORS}")
         if config.biases is not None and len(config.biases) != config.panel_k:
             problems.append("biases: need one row per specialist (panel_k)")
-        if config.panel_k < 1:
-            problems.append("panel_k: must be >= 1")
-        if config.n_cliques < 1:
-            problems.append("n_cliques: must be >= 1")
-        if config.n_seeds < 1:
-            problems.append("n_seeds: must be >= 1")
+        for key in ("panel_k", "n_cliques", "n_seeds", "n_draws"):
+            if getattr(config, key) < 1:
+                problems.append(f"{key}: must be >= 1")
         if config.sigma < 0:
             problems.append("sigma: must be >= 0")
         if config.K < 0:
             problems.append("K: must be >= 0 (0 means population limit)")
+        variable_arity = any(RelationKind(k) not in _FIXED_ARITY for k in config.relations)
+        if variable_arity and not _MIN_ARITY <= config.m <= ENUMERATION_LIMIT:
+            problems.append(f"m: must be between {_MIN_ARITY} and {ENUMERATION_LIMIT}")
         if problems:
             raise ConfigError(problems)
         return config

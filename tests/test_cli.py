@@ -157,6 +157,22 @@ def test_simulate_config_errors_listed(tmp_path, capsys):
     assert "relations" in err and "policy" in err
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("relations = partition\nm = 12\nn_draws = 0\n", "n_draws: must be >= 1"),
+        ("relations = ladder\nm = 13\n", "m: must be between 2 and 12"),
+    ],
+    ids=["draws-0", "ladder-m13"],
+)
+def test_predict_refuses_a_bad_draw_count_or_arity_as_a_config_error(tmp_path, capsys,
+                                                                      text, problem):
+    config = tmp_path / "pred.cfg"
+    config.write_text(text)
+    assert run_cli(["predict", str(config), "--out", str(tmp_path / "p.jsonl")]) == 1
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+
+
 def test_regret_and_gate_pipeline(tmp_path, scenario):
     bets = tmp_path / "bets.jsonl"
     run_cli(["simulate", str(scenario), "--out", str(bets)])
@@ -175,6 +191,16 @@ def test_regret_and_gate_pipeline(tmp_path, scenario):
     assert gate["n"] == 48
     assert len(gate["operating_points"]) == 2
     assert 0 <= gate["auc"] <= 1
+
+
+def test_gate_and_regret_take_the_edges_of_their_ranges(tmp_path, scenario):
+    bets = tmp_path / "bets.jsonl"
+    assert run_cli(["simulate", str(scenario), "--out", str(bets)]) == 0
+    gate_path = tmp_path / "gate.json"
+    assert run_cli(["gate", str(bets), "--out", str(gate_path), "--capture-targets", "1"]) == 0
+    assert [p["capture_target"] for p in json.loads(gate_path.read_text())["operating_points"]] \
+        == [1.0]
+    assert run_cli(["regret", str(bets), "--out", str(tmp_path / "r.json"), "--bins", "2"]) == 0
 
 
 def test_predict_schema(tmp_path):
@@ -280,6 +306,44 @@ def test_certify_reports_the_earliest_failing_record(tmp_path, capsys, lines, ex
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+UNCONVERGED_LINE = (
+    '{"owners": [0, 1, 2], "coupling": [{"kind": "partition-sum", "coords": [0, 1, 2], '
+    '"b": 1.0}], "locals": [[0.6], [0.7], [0.2]]}'
+)
+CAP_MESSAGE = "joint projection did not converge within the iteration cap"
+
+
+@pytest.fixture
+def one_cycle_cap(monkeypatch):
+    """Every batched joint projection stops after one Dykstra cycle."""
+    import functools
+
+    import coherify.composition as composition
+    from coherify import projection
+
+    monkeypatch.setattr(composition, "_hierarchical_cycle",
+                        functools.partial(projection._hierarchical_cycle, max_iter=1))
+
+
+def test_certify_reports_a_projection_past_the_cap_with_its_line(tmp_path, capsys, one_cycle_cap):
+    # the record is well formed and its coupling is feasible: an operational failure
+    inp = tmp_path / "in.jsonl"
+    inp.write_text('{"owners": [0, 1], "coupling": [], "locals": [[0.3], [0.4]]}\n'
+                   + UNCONVERGED_LINE + "\n")
+    out = tmp_path / "o.jsonl"
+    assert run_cli(["certify", str(inp), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: line 2: {CAP_MESSAGE}\n"
+    assert not out.exists()
+    inp.write_text(EMPTY_COUPLING_LINE + "\n" + UNCONVERGED_LINE + "\n")
+    assert run_cli(["certify", str(inp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {EMPTY_MESSAGE}\n"
+
+
+def test_simulate_reports_a_projection_past_the_cap(tmp_path, capsys, scenario, one_cycle_cap):
+    assert run_cli(["simulate", str(scenario), "--out", str(tmp_path / "b.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: {CAP_MESSAGE}\n"
+
+
 def test_project_matches_project_relation_for_every_relation(tmp_path):
     inp = tmp_path / "in.jsonl"
     inp.write_text("\n".join(MIXED_PROJECT_LINES) + "\n")
@@ -362,8 +426,15 @@ MONITOR_LINE = '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}'
         (["monitor", "--alpha-list", "0.05,nan"], "--alpha-list"),
         (["--tol", "-1", "certify"], "--tol"),
         (["--tol", "nan", "certify"], "--tol"),
+        (["gate", "--capture-targets", "1.5"], "--capture-targets"),
+        (["gate", "--capture-targets", "0"], "--capture-targets"),
+        (["gate", "--capture-targets", "0.9,nan"], "--capture-targets"),
+        (["regret", "--bins", "0"], "--bins"),
+        (["regret", "--bins", "1"], "--bins"),
+        (["regret", "--bins", "2.5"], "--bins"),
     ],
-    ids=["alpha-above-1", "alpha-0", "alpha-nan", "tol-negative", "tol-nan"],
+    ids=["alpha-above-1", "alpha-0", "alpha-nan", "tol-negative", "tol-nan",
+         "target-above-1", "target-0", "target-nan", "bins-0", "bins-1", "bins-fraction"],
 )
 def test_out_of_range_flags_are_usage_errors_before_any_input(tmp_path, capsys, monkeypatch,
                                                               flags, flag):

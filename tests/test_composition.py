@@ -25,6 +25,7 @@ from coherify.polytope import (
     conjunction,
     disjunction,
     enumerate_vertices,
+    is_member,
     ladder,
     negation,
     paraphrase,
@@ -228,6 +229,48 @@ def test_dichotomy_refuses_a_component_whose_hull_vertices_are_unknown(local):
         with pytest.raises(ValueError, match="component 0 is neither a catalog relation"):
             decide(comp)
     assert is_product_structured(CompositionSpec(comp.components, (), 3))
+
+
+COHERENCE_TOL = 1e-4
+
+
+def near_tolerance_items() -> list:
+    """Locals whose worst gap lies just below, then just above, ``COHERENCE_TOL``.
+
+    Each constrained component is joined by a free box on one coordinate
+    under a cut that never binds; each item nudges the component off its
+    polytope, or the box coordinate past 1 or below 0.
+    """
+    items = []
+    for local, base, nudge in ((build_polytope(negation()), [0.4, 0.6], [0.0, 1.0]),
+                               (build_polytope(ladder(3)), [0.5, 0.5, 0.2], [0.0, 1.0, 0.0]),
+                               (CAPPED, [0.8, 0.7], [0.0, 1.0])):
+        d = local.dim
+        comp = CompositionSpec(
+            (ComponentSpec(local, tuple(range(d))), ComponentSpec(PolytopeSpec(dim=1), (d,))),
+            (CouplingConstraint("frechet-halfspace", tuple(range(d + 1)), d + 1.0,
+                                a=(1.0,) * (d + 1)),), d + 1)
+        for scale in (0.9, 1.1):
+            step = scale * COHERENCE_TOL
+            base_q = np.array(base)
+            items += [(comp, [base_q + step * np.array(nudge), [0.5]]),
+                      (comp, [base_q, [1.0 + step]]),
+                      (comp, [base_q, [-step]])]
+    return items
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["residual", "residual_batch"])
+def test_inputs_locally_coherent_is_membership_of_every_local_quote(batched):
+    items = near_tolerance_items()
+    if batched:
+        certs = residual_batch(items, tol=COHERENCE_TOL)
+    else:
+        certs = [residual(comp, locals_, tol=COHERENCE_TOL) for comp, locals_ in items]
+    reference = [all(is_member(component.polytope, q, COHERENCE_TOL)
+                     for component, q in zip(comp.components, locals_))
+                 for comp, locals_ in items]
+    assert reference == ([True] * 3 + [False] * 3) * 3
+    assert [cert.inputs_locally_coherent for cert in certs] == reference
 
 
 def test_product_test_respects_enumeration_bound():

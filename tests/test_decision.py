@@ -262,11 +262,10 @@ def test_auc_half_when_independent():
     assert mann_whitney_auc(scores, harm) == pytest.approx(0.5, abs=0.03)
 
 
-def test_gate_sweep_recovers_informative_threshold():
-    rng = np.random.default_rng(7)
-    # eps tracks the realized log-payoff regret by construction
+def _informative_bets(n: int, rng) -> list[BetRecord]:
+    """Bets whose eps tracks the realized log-payoff regret by construction."""
     bets = []
-    for i in range(400):
+    for i in range(n):
         gap = rng.uniform(0, 0.4)
         naive = np.array([0.25 + gap, 0.25 - gap / 3, 0.25 - gap / 3, 0.25 - gap / 3])
         repaired = np.full(4, 0.25)
@@ -275,6 +274,11 @@ def test_gate_sweep_recovers_informative_threshold():
         bets.append(
             BetRecord(f"g{i}", 0, tuple(naive), tuple(repaired), tuple(labels), gap)
         )
+    return bets
+
+
+def test_gate_sweep_recovers_informative_threshold():
+    bets = _informative_bets(400, np.random.default_rng(7))
     report = gate_sweep(bets, AllocationRule("proportional"), capture_targets=(0.9, 0.5))
     assert report.auc > 0.95
     by_target = {p.capture_target: p for p in report.operating_points}
@@ -284,6 +288,14 @@ def test_gate_sweep_recovers_informative_threshold():
     assert by_target[0.9].tau <= by_target[0.5].tau
     for cv in report.cv:
         assert cv.mean_capture >= cv.capture_target - 0.15
+
+
+@pytest.mark.parametrize("target", [1.5, 0.0, -0.5, float("nan")])
+def test_gate_sweep_refuses_a_capture_target_outside_the_unit_interval(target):
+    bets = _informative_bets(100, np.random.default_rng(7))
+    assert gate_sweep(bets, capture_targets=(1.0,)).operating_points[0].capture == 1.0
+    with pytest.raises(ValueError, match=r"capture target .* is outside \(0, 1\]"):
+        gate_sweep(bets, capture_targets=(0.9, target))
 
 
 def test_gate_sweep_needs_enough_bets():

@@ -38,3 +38,11 @@ def test_gate_calibration_refuses_too_few_bets_without_traceback(capsys):
     assert captured.err.splitlines() == [
         "error: 2 bets, gate calibration needs at least 40; raise --n-cliques or --n-seeds"
     ]
+
+
+def test_gate_calibration_refuses_a_capture_target_outside_the_unit_interval(capsys):
+    argv = ["--n-cliques", "20", "--n-seeds", "2", "--capture-targets", "0.9,1.5"]
+    assert load_script("run_gate_calibration").main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: capture target 1.5 is outside (0, 1]"]

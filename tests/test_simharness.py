@@ -422,3 +422,24 @@ def test_config_reports_all_problems():
         SimConfig.parse(bad)
     problems = err.value.problems
     assert len(problems) >= 5
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("relations = partition\nm = 12\nn_draws = 0\n", "n_draws: must be >= 1"),
+        ("n_draws = -3\n", "n_draws: must be >= 1"),
+        ("relations = ladder\nm = 13\n", "m: must be between 2 and 12"),
+        ("relations = neg, paraphrase\nm = 1\n", "m: must be between 2 and 12"),
+    ],
+    ids=["draws-0", "draws-negative", "ladder-m13", "paraphrase-m1"],
+)
+def test_config_lists_draw_count_and_arity_problems(text, problem):
+    with pytest.raises(ConfigError) as err:
+        SimConfig.parse(text)
+    assert err.value.problems == [problem]
+
+
+def test_config_ignores_m_when_every_relation_has_a_fixed_arity():
+    assert SimConfig.parse("relations = neg, and, or\nm = 13\n").m == 13
+    assert SimConfig.parse("relations = ladder\nm = 12\nn_draws = 1\n").n_draws == 1

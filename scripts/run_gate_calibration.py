@@ -9,6 +9,11 @@ from coherify.polytope import Clique, partition
 from coherify.simharness import PanelModel, RoutingPolicy, run_ensemble, to_bet_records
 
 
+def error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-cliques", type=int, default=60)
@@ -18,6 +23,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--capture-targets", default="0.9,0.5")
     args = parser.parse_args(argv)
+    try:  # gate_sweep's rule and message, checked before anything is simulated
+        targets = tuple(float(t) for t in args.capture_targets.split(","))
+        for target in targets:
+            if not 0.0 < target <= 1.0:  # also false for NaN
+                raise ValueError(f"capture target {target!r} is outside (0, 1]")
+    except ValueError as exc:
+        return error(str(exc))
 
     model = PanelModel(k=4, sigma=args.sigma, bias_scale=0.1, K=args.K)
     cliques = [Clique(id=f"partition-{i}", relation=partition(4))
@@ -26,17 +38,14 @@ def main(argv=None) -> int:
                            args.n_seeds, master_seed=args.seed)
     bets = to_bet_records(records)
     if len(bets) < GATE_MIN_BETS:
-        print(f"error: {len(bets)} bets, gate calibration needs at least {GATE_MIN_BETS}; "
-              "raise --n-cliques or --n-seeds", file=sys.stderr)
-        return 2
+        return error(f"{len(bets)} bets, gate calibration needs at least {GATE_MIN_BETS}; "
+                     "raise --n-cliques or --n-seeds")
 
     rule = AllocationRule("proportional")
     try:
-        targets = tuple(float(t) for t in args.capture_targets.split(","))
         report = gate_sweep(bets, rule, capture_targets=targets, seed=args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return error(str(exc))
     summary = regret(bets, rule, seed=args.seed)
     print(f"bets: {summary.n} ({summary.n_unique_yes} unique-YES)")
     print(f"mean delta Brier: {summary.mean_delta_brier:+.4f} "

@@ -24,7 +24,6 @@ from .projection import (
     project_closed_form,
     project_dykstra,
     project_hierarchical,
-    project_hierarchical_batch,
     project_oracle,
     project_relation,
 )

@@ -32,7 +32,6 @@ from .projection import (
     _hierarchical_cycle,
     _project_locals,
     _unconverged,
-    project_hierarchical,
 )
 
 PRODUCT_VERTEX_LIMIT = 4096
@@ -365,31 +364,28 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
              tol: float = 1e-8) -> Certificate:
     """Certify one composition: local repair, aggregate, joint projection.
 
+    ``residual_batch`` on one item, errors included (``index`` 0).
     ``repair_locals=False`` skips the per-component repair (the raw-composed
     evaluation paths need this); the certificate still reports whether the
     inputs were locally coherent.
     """
-    X, coherent = _composed(comp, aggregate(comp, locals_)[None, :], repair_locals, tol)
-    proj = project_hierarchical(comp, X[0])
-    if not proj.converged:
-        raise _unconverged(comp)
-    return _certificate(comp, X[0], proj.projected, coherent[0], tol)
+    return residual_batch([(comp, locals_)], repair_locals, tol)[0]
 
 
 def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list[Certificate]:
-    """``residual`` for every ``(comp, locals_)`` item, one engine run per constraint system.
+    """Certify every ``(comp, locals_)`` item, one engine run per constraint system.
 
     A constraint system is everything the joint projection reads: the
     joint dimension, the constrained components (index, coordinates and
     polytope) and the coupling cuts. So free-box compositions that split
     the coordinates among owners differently share one batched cycle; the
-    cycles run in order of each system's first item. Each certificate
-    equals ``residual(comp, locals_, repair_locals, tol)`` bit for bit,
-    and they come back in input order.
+    cycles run in order of each system's first item. Certificates come
+    back in input order, each bit for bit the item's own ``residual``.
 
-    Failures are those of ``residual`` on the items in order: the earliest
-    failing item's exception is raised, with that item's position in
-    ``items`` as its ``index`` attribute.
+    An item fails when it is malformed (``aggregate``, its coupling cuts)
+    or its row misses the iteration cap (``_unconverged``). The earliest
+    failing item's exception is raised, with its position in ``items`` as
+    its ``index`` attribute.
     """
     items = list(items)
     failures: dict[int, Exception] = {}

@@ -490,40 +490,18 @@ def _unconverged(comp: "CompositionSpec") -> Exception:
     return InfeasibleCouplingError("joint projection did not converge; coupling may be empty")
 
 
-def project_hierarchical_batch(comp: "CompositionSpec", X, tol: float = DYKSTRA_TOL,
-                               max_iter: int = DYKSTRA_MAX_ITER) -> list[ProjectionResult]:
-    """Project every row of ``X`` onto the joint coherent set of ``comp`` in one cycle.
-
-    A Dykstra cycle over the lifted local polytopes (one product set) and
-    each coupling cut; it converges to the projection onto the joint set,
-    i.e. agrees with ``project_dykstra`` on the assembled joint constraint
-    system. Each row stops on its own, and each result equals the row's
-    own ``project_hierarchical`` call bit for bit.
-
-    A row that has not converged by ``max_iter`` is judged by
-    ``_unconverged``, the rule ``residual`` follows too: when
-    ``comp.has_feasible_point()`` finds no product vertex that meets every
-    coupling cut, ``InfeasibleCouplingError`` is raised for the batch,
-    whether or not the row's corrections were growing; when it finds one,
-    the row comes back with ``converged=False``.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != comp.joint_dim:
-        raise ValueError(f"quotes have shape {X.shape}, composition needs (n, {comp.joint_dim})")
-    x, iterations, converged = _hierarchical_cycle(comp, X, tol, max_iter)
-    if not converged.all():
-        error = _unconverged(comp)
-        if isinstance(error, InfeasibleCouplingError):
-            raise error
-    spec = comp.joint_polytope
-    return [_result(spec, q, p, iterations=k, converged=c)
-            for q, p, k, c in zip(X, x, iterations.tolist(), converged.tolist())]
-
-
 def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
                          max_iter: int = DYKSTRA_MAX_ITER) -> ProjectionResult:
-    """One quote through ``project_hierarchical_batch``: the joint-set projection."""
+    """Project one quote onto the joint coherent set of ``comp``.
+
+    One row of the cycle ``residual_batch`` runs. A quote still cycling
+    after ``max_iter`` cycles raises ``_unconverged(comp)``, as a
+    certificate does.
+    """
     q = np.asarray(q, dtype=float)
     if q.shape != (comp.joint_dim,):
         raise ValueError(f"quote has shape {q.shape}, composition needs ({comp.joint_dim},)")
-    return project_hierarchical_batch(comp, q[None, :], tol, max_iter)[0]
+    x, iterations, converged = _hierarchical_cycle(comp, q[None, :], tol, max_iter)
+    if not converged[0]:
+        raise _unconverged(comp)
+    return _result(comp.joint_polytope, q, x[0], iterations=int(iterations[0]), converged=True)

@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coherify.cli  # noqa: F401 -- the tracer finds every traced layer among loaded modules
 import coherify.composition as composition
-from coherify.composition import CompositionSpec, free_components, relation_coupling
-from coherify.polytope import partition
+from coherify.composition import CompositionSpec
+from coherify.polytope import Clique, partition
+from coherify.simharness import composition_for
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 bench_trace = pytest.importorskip("bench_trace")
@@ -38,13 +40,15 @@ def test_has_feasible_point_is_a_plain_method():
 
 def test_tracer_records_and_restores():
     original = composition.residual
-    comp = CompositionSpec(free_components([1] * 3), relation_coupling(partition(3), range(3)), 3)
+    # a sole owner brings the relation's own polytope, which residual repairs locally
+    comp = composition_for(Clique(id="p", relation=partition(3)), np.zeros(3, dtype=int)).comp
     tracer = bench_trace.Tracer()
     with tracer.recording():
-        composition.residual(comp, [np.array([0.5])] * 3)  # through the module, as rebound
+        composition.residual(comp, [np.full(3, 0.5)])  # through the module, as rebound
         comp.has_feasible_point()
     assert tracer.calls["composition.residual"] == 1
     assert tracer.calls["composition.has_feasible_point"] == 1
-    assert tracer.calls["projection.project_hierarchical"] == 1
+    # once for the local repair, once in the single cycle the repaired quote needs
+    assert tracer.calls["projection.project_local"] == 2
     assert composition.residual is original
     assert inspect.isfunction(CompositionSpec.__dict__["has_feasible_point"])

@@ -626,8 +626,6 @@ def test_residual_batch_failure_in_a_later_group_can_come_first(monkeypatch):
 
 
 def test_unconverged_row_without_a_feasible_point_raises_one_error_everywhere(monkeypatch):
-    import functools
-
     import coherify.composition as composition
 
     # nonempty, but no 0/1 point meets the cut; one cycle stops no row and
@@ -639,8 +637,6 @@ def test_unconverged_row_without_a_feasible_point_raises_one_error_everywhere(mo
     with pytest.raises(InfeasibleCouplingError) as library:
         project_hierarchical(comp, [0.5, 0.5], max_iter=1)
     cycle = composition._hierarchical_cycle
-    monkeypatch.setattr(composition, "project_hierarchical",
-                        functools.partial(project_hierarchical, max_iter=1))
     monkeypatch.setattr(composition, "_hierarchical_cycle",
                         lambda comp, X: cycle(comp, X, max_iter=1))
     with pytest.raises(InfeasibleCouplingError) as one:

@@ -11,6 +11,7 @@ from coherify.composition import (
     CouplingConstraint,
     free_components,
     relation_coupling,
+    residual_batch,
 )
 from coherify.polytope import (
     build_polytope,
@@ -28,10 +29,10 @@ from coherify.projection import (
     InfeasibleCouplingError,
     _hierarchical_cycle,
     _simplex_faces,
+    _unconverged,
     project_closed_form,
     project_dykstra,
     project_hierarchical,
-    project_hierarchical_batch,
     project_oracle,
     project_polytope_batch,
     project_relation,
@@ -350,12 +351,6 @@ def test_hierarchical_detects_empty_intersection():
         project_hierarchical(comp, np.array([0.5, 0.5]), max_iter=2000)
 
 
-def assert_same_result(got, want):
-    assert got.projected.tobytes() == want.projected.tobytes()
-    assert (got.residual, got.iterations, got.converged, got.active_constraint) == (
-        want.residual, want.iterations, want.converged, want.active_constraint)
-
-
 def paraphrase_split() -> CompositionSpec:
     return CompositionSpec(free_components([2, 3, 3]), relation_coupling(paraphrase(8), range(8)), 8)
 
@@ -367,21 +362,30 @@ def test_hierarchical_batch_rows_stop_on_their_own_bit_for_bit():
     cycles = [project_hierarchical(comp, q).iterations for q in X]
     assert cycles[0] == 1 and min(cycles[1:]) >= 100
     max_iter = max(cycles) - 1  # the slowest row no longer converges
-    batch = project_hierarchical_batch(comp, X, max_iter=max_iter)
-    assert [r.converged for r in batch].count(False) == 1
-    for q, got in zip(X, batch):
-        assert_same_result(got, project_hierarchical(comp, q, max_iter=max_iter))
+    x, iterations, converged = _hierarchical_cycle(comp, X, max_iter=max_iter)
+    assert converged.tolist().count(False) == 1
+    for q, p, k, c in zip(X, x, iterations.tolist(), converged.tolist()):
+        one, one_k, one_c = _hierarchical_cycle(comp, q[None, :], max_iter=max_iter)
+        assert (one[0].tobytes(), int(one_k[0]), bool(one_c[0])) == (p.tobytes(), k, c)
+        if c:
+            got = project_hierarchical(comp, q, max_iter=max_iter)
+            assert (got.projected.tobytes(), got.iterations) == (p.tobytes(), k)
+        else:
+            with pytest.raises(RuntimeError):
+                project_hierarchical(comp, q, max_iter=max_iter)
 
 
-def test_hierarchical_batch_keeps_going_when_a_diverging_row_has_a_feasible_point():
+def test_hierarchical_raises_past_the_cap_when_a_feasible_point_is_known():
     comp = paraphrase_split()
     X = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.4] * 8])
     _, _, converged = _hierarchical_cycle(comp, X, max_iter=4)
     assert comp.has_feasible_point() is True
-    batch = project_hierarchical_batch(comp, X, max_iter=4)
-    assert [r.converged for r in batch] == converged.tolist() == [False, True]
-    for q, got in zip(X, batch):
-        assert_same_result(got, project_hierarchical(comp, q, max_iter=4))
+    assert converged.tolist() == [False, True]
+    with pytest.raises(RuntimeError) as exc:
+        project_hierarchical(comp, X[0], max_iter=4)
+    expected = _unconverged(comp)
+    assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
+    assert project_hierarchical(comp, X[1], max_iter=4).converged
 
 
 def test_hierarchical_batch_raises_on_empty_intersection():
@@ -392,17 +396,17 @@ def test_hierarchical_batch_raises_on_empty_intersection():
     comp = CompositionSpec(free_components([1, 1]), coupling, 2)
     X = np.array([[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
     with pytest.raises(InfeasibleCouplingError):
-        project_hierarchical_batch(comp, X, max_iter=2000)
+        residual_batch([(comp, q[:, None]) for q in X])
     for q in X:
         with pytest.raises(InfeasibleCouplingError):
             project_hierarchical(comp, q, max_iter=2000)
 
 
-def test_hierarchical_batch_rejects_wrong_shapes():
+def test_hierarchical_rejects_wrong_shapes():
     with pytest.raises(ValueError):
-        project_hierarchical_batch(paraphrase_split(), np.zeros(8))
+        project_hierarchical(paraphrase_split(), np.zeros((1, 8)))
     with pytest.raises(ValueError):
-        project_hierarchical_batch(paraphrase_split(), np.zeros((2, 7)))
+        project_hierarchical(paraphrase_split(), np.zeros(7))
 
 
 def test_empty_batches_run_no_cycle(monkeypatch):
@@ -410,10 +414,11 @@ def test_empty_batches_run_no_cycle(monkeypatch):
     cycles = []
     clip = projection._clip  # every cycle's local projector starts with it
     monkeypatch.setattr(projection, "_clip", lambda Y: cycles.append(len(Y)) or clip(Y))
-    assert project_hierarchical_batch(comp, np.empty((0, 8))) == []
+    x, iterations, converged = _hierarchical_cycle(comp, np.empty((0, 8)))
+    assert x.shape == (0, 8) and iterations.shape == converged.shape == (0,)
     assert project_polytope_batch(comp.joint_polytope, np.empty((0, 8))).shape == (0, 8)
     assert cycles == []
-    assert len(project_hierarchical_batch(comp, np.full((1, 8), 0.4))) == 1
+    assert _hierarchical_cycle(comp, np.full((1, 8), 0.4))[0].shape == (1, 8)
     assert cycles == [1]  # the counter sees the cycles there are
 
 

@@ -46,3 +46,21 @@ def test_gate_calibration_refuses_a_capture_target_outside_the_unit_interval(cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: capture target 1.5 is outside (0, 1]"]
+
+
+@pytest.mark.parametrize("target, message", [
+    ("1.5", "capture target 1.5 is outside (0, 1]"),
+    ("abc", "could not convert string to float: 'abc'"),
+])
+def test_gate_calibration_refuses_a_bad_capture_target_before_simulating(
+        target, message, monkeypatch, capsys):
+    script = load_script("run_gate_calibration")
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --capture-targets")
+
+    monkeypatch.setattr(script, "run_ensemble", no_simulation)
+    assert script.main(["--capture-targets", f"0.9,{target}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]

@@ -63,9 +63,11 @@ def main(argv=None) -> int:
               f"{point.capture:>9.3f}{point.fpr:>8.3f}")
     print("\n5-fold CV stability:")
     for cv in report.cv:
-        print(f"  target {cv.capture_target:.2f}: capture {cv.mean_capture:.3f}"
-              f" +- {cv.std_capture:.3f}, alert {cv.mean_alert_rate:.3f}"
-              f" +- {cv.std_alert_rate:.3f}")
+        capture, capture_sd, alert, alert_sd = (
+            "n/a" if v is None else f"{v:.3f}"
+            for v in (cv.mean_capture, cv.std_capture, cv.mean_alert_rate, cv.std_alert_rate))
+        print(f"  target {cv.capture_target:.2f}: capture {capture} +- {capture_sd},"
+              f" alert {alert} +- {alert_sd}")
     return 0
 
 

@@ -6,14 +6,15 @@ every component polytope (lifted to the joint coordinates) with the
 cross-component coupling cuts. The certificate reports the L2 distance
 from the locally repaired composition to that set, the matching
 worst-case payout bound sqrt(m*) times the distance, the repaired quote,
-and which constraints were binding.
+and, named on first read, the constraints that were binding.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,12 +30,14 @@ from .polytope import (
 from .projection import (
     RESIDUAL_FLOOR,
     _coupled_halfspaces,
+    _cut_table,
     _hierarchical_cycle,
     _project_locals,
     _unconverged,
 )
 
 PRODUCT_VERTEX_LIMIT = 4096
+SYSTEM_CACHE_SIZE = 256  # constraint systems kept per process
 
 
 class ProductStructuredError(ValueError):
@@ -151,12 +154,59 @@ def relation_coupling(relation: Relation, coords) -> tuple[CouplingConstraint, .
     )
 
 
+_relation_coupling = lru_cache(maxsize=SYSTEM_CACHE_SIZE)(relation_coupling)  # tuple coords only
+
+
+@dataclass(frozen=True)
+class ConstraintSystem:
+    """What the joint projection of a composition reads, built once per system key.
+
+    ``coupling`` holds the coupling cuts, ``joint`` the lifted local
+    constraints plus those cuts, and ``cuts`` the cycle's per-cut
+    constants of ``coupling``.
+    """
+
+    coupling: PolytopeSpec
+    joint: PolytopeSpec
+    cuts: tuple
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def constraint_system(joint_dim: int, constrained: tuple, cuts: tuple) -> ConstraintSystem:
+    """The constraint system of every composition with this system key.
+
+    The key is everything the joint projection reads: the joint dimension,
+    the constrained components (``CompositionSpec.constrained``) and the
+    coupling cuts. Built once per key per process and kept in a bounded
+    cache (``constraint_system.cache_clear()`` empties it); a malformed
+    cut raises here and is not cached.
+    """
+    def lift(c: LinearConstraint, component: ComponentSpec, name: str) -> LinearConstraint:
+        return LinearConstraint(_unit(joint_dim, dict(zip(component.coords, c.a))), c.b, name)
+
+    eqs: list[LinearConstraint] = []
+    hss: list[LinearConstraint] = []
+    for idx, c in enumerate(cuts):
+        rows, is_eq = c.linear_rows(joint_dim, f"c{idx}:{c.kind}")
+        (eqs if is_eq else hss).extend(rows)
+    coupling = PolytopeSpec(dim=joint_dim, equalities=tuple(eqs), halfspaces=tuple(hss))
+    eqs, hss = [], []
+    for a, component in constrained:
+        local = component.polytope
+        eqs += [lift(c, component, f"m{a}:{c.name}") for c in local.equalities]
+        hss += [lift(c, component, f"m{a}:{c.name}") for c in local.halfspaces]
+    joint = PolytopeSpec(dim=joint_dim, equalities=tuple(eqs) + coupling.equalities,
+                         halfspaces=tuple(hss) + coupling.halfspaces)
+    return ConstraintSystem(coupling, joint, _cut_table(coupling))
+
+
 @dataclass
 class CompositionSpec:
     """Components, ownership, and coupling over ``joint_dim`` coordinates.
 
-    Treated as immutable after construction; derived artifacts (the
-    coupling and joint constraint systems, product vertices, the single
+    Treated as immutable after construction. The coupling and joint
+    constraint systems come from the per-process ``constraint_system``
+    cache; the other derived artifacts (product vertices, the single
     catalog relation) are cached properties.
     """
 
@@ -193,14 +243,19 @@ class CompositionSpec:
                      for c in self.coupling.constraints)
 
     @cached_property
+    def system(self) -> ConstraintSystem:
+        """The composition's constraint system, from the per-process ``constraint_system`` cache."""
+        return constraint_system(self.joint_dim, self.constrained, self.coupling.constraints)
+
+    @property
     def coupling_polytope(self) -> PolytopeSpec:
         """The coupling cuts as one constraint system over the joint space."""
-        eqs: list[LinearConstraint] = []
-        hss: list[LinearConstraint] = []
-        for idx, c in enumerate(self.coupling.constraints):
-            rows, is_eq = c.linear_rows(self.joint_dim, f"c{idx}:{c.kind}")
-            (eqs if is_eq else hss).extend(rows)
-        return PolytopeSpec(dim=self.joint_dim, equalities=tuple(eqs), halfspaces=tuple(hss))
+        return self.system.coupling
+
+    @property
+    def joint_polytope(self) -> PolytopeSpec:
+        """The assembled joint constraint system: lifted locals plus coupling."""
+        return self.system.joint
 
     @cached_property
     def constrained(self) -> tuple[tuple[int, ComponentSpec], ...]:
@@ -229,7 +284,7 @@ class CompositionSpec:
                 relation = Relation(kind, len(coords))
             except ValueError:
                 continue
-            if relation_coupling(relation, coords) != cuts:
+            if _relation_coupling(relation, coords) != cuts:
                 continue
             if all((c.polytope.relation == relation and c.coords == coords)
                    or not (c.polytope.equalities or c.polytope.halfspaces)
@@ -237,22 +292,6 @@ class CompositionSpec:
                 return relation, coords
             return None
         return None
-
-    @cached_property
-    def joint_polytope(self) -> PolytopeSpec:
-        """The assembled joint constraint system: lifted locals plus coupling."""
-        eqs: list[LinearConstraint] = []
-        hss: list[LinearConstraint] = []
-        for a, component in enumerate(self.components):
-            local = component.polytope
-            eqs += [self._lift(c, component, f"m{a}:{c.name}") for c in local.equalities]
-            hss += [self._lift(c, component, f"m{a}:{c.name}") for c in local.halfspaces]
-        coupling = self.coupling_polytope
-        return PolytopeSpec(dim=self.joint_dim, equalities=tuple(eqs) + coupling.equalities,
-                            halfspaces=tuple(hss) + coupling.halfspaces)
-
-    def _lift(self, c: LinearConstraint, component: ComponentSpec, name: str) -> LinearConstraint:
-        return LinearConstraint(_unit(self.joint_dim, dict(zip(component.coords, c.a))), c.b, name)
 
     @cached_property
     def product_vertices(self) -> np.ndarray:
@@ -289,18 +328,29 @@ class CompositionSpec:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Runtime coherence certificate for one composed quote."""
+    """Runtime coherence certificate for one composed quote.
+
+    ``binding`` names the constraints of the joint set ``joint`` (box
+    included) that ``composed`` violates by more than ``tol``; it is
+    worked out on first read, so a caller that never reads it never pays
+    for it.
+    """
 
     epsilon_star: float
     exposure_bound: float
     repaired: np.ndarray
-    binding: tuple[str, ...]
     inputs_locally_coherent: bool
     composed: np.ndarray
+    joint: PolytopeSpec = field(repr=False, compare=False)
+    tol: float = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.repaired.setflags(write=False)
         self.composed.setflags(write=False)
+
+    @cached_property
+    def binding(self) -> tuple[str, ...]:
+        return self.joint.violated(self.composed, self.tol)
 
     def to_json(self) -> dict:
         return {
@@ -352,11 +402,12 @@ def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
     eps = distance if distance >= RESIDUAL_FLOOR else 0.0
     return Certificate(
         epsilon_star=eps,
-        exposure_bound=float(np.sqrt(comp.joint_dim)) * eps,
+        exposure_bound=math.sqrt(comp.joint_dim) * eps,
         repaired=projected,
-        binding=comp.joint_polytope.violated(x, tol),
         inputs_locally_coherent=locally_coherent,
         composed=x,
+        joint=comp.joint_polytope,
+        tol=tol,
     )
 
 
@@ -377,10 +428,12 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
 
     A constraint system is everything the joint projection reads: the
     joint dimension, the constrained components (index, coordinates and
-    polytope) and the coupling cuts. So free-box compositions that split
-    the coordinates among owners differently share one batched cycle; the
+    polytope) and the coupling cuts, built once per process by
+    ``constraint_system``. So free-box compositions that split the
+    coordinates among owners differently share one batched cycle; the
     cycles run in order of each system's first item. Certificates come
-    back in input order, each bit for bit the item's own ``residual``.
+    back in input order, each bit for bit the item's own ``residual``,
+    and name their binding constraints only when ``binding`` is read.
 
     An item fails when it is malformed (``aggregate``, its coupling cuts)
     or its row misses the iteration cap (``_unconverged``). The earliest

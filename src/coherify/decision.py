@@ -251,11 +251,17 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class CVStability:
+    """Fold statistics of one capture target; None when no fold could be scored.
+
+    A fold is scored when both its training and its test part hold a harm
+    bet, so a sweep with a single harm bet scores none.
+    """
+
     capture_target: float
-    mean_capture: float
-    std_capture: float
-    mean_alert_rate: float
-    std_alert_rate: float
+    mean_capture: float | None
+    std_capture: float | None
+    mean_alert_rate: float | None
+    std_alert_rate: float | None
 
     def to_json(self) -> dict:
         return _fields_json(self)
@@ -289,7 +295,8 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
 
     Harm is the top quartile of per-bet repaired-minus-naive log payoff.
     Reports the rank AUC, an operating point per capture target, and a
-    stratified cross-validation stability check of those thresholds.
+    stratified cross-validation stability check of those thresholds,
+    whose figures are None when too few harm bets fall in the folds.
     Each capture target must lie in (0, 1].
     """
     for target in capture_targets:
@@ -335,8 +342,9 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
             alert = eps[test] >= tau
             captures.append(float(alert[harm[test]].mean()))
             alerts.append(float(alert.mean()))
-        if not captures:  # too few harm bets to stratify; flag, don't warn
-            captures = alerts = [math.nan]
+        if not captures:  # too few harm bets to stratify
+            cv.append(CVStability(float(target), None, None, None, None))
+            continue
         cv.append(
             CVStability(
                 capture_target=float(target),

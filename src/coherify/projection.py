@@ -258,7 +258,18 @@ def _clip(y: np.ndarray) -> np.ndarray:
     return y.clip(0.0, 1.0)
 
 
-def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int):
+def _cut_table(spec: PolytopeSpec) -> tuple:
+    """The cycle's per-cut constants of ``spec``: ``(i, a, b, a . a, max|a|, is_halfspace)``.
+
+    One entry per row ``a`` of ``spec.A``, in order (equalities first).
+    """
+    A = spec.A
+    return tuple(zip(range(len(A)), A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
+                     np.abs(A).max(axis=1, initial=0.0).tolist(),
+                     [False] * len(spec.equalities) + [True] * len(spec.halfspaces)))
+
+
+def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
     """Batched Boyle-Dykstra cycle over one local set and a spec's linear rows.
 
     Rows of ``X`` are independent problems, and no row's arithmetic depends
@@ -268,12 +279,12 @@ def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int)
 
     Each cycle projects onto the local set with ``local`` (an exact
     row-wise projector that returns a new ``(n, d)`` array), then onto the
-    hyperplane or halfspace of each row ``a`` of ``spec.A`` in order
-    (equalities first; the spec's box is left to ``local``). The local set
-    carries a correction array; each cut carries its multiplier ``t``, its
-    correction being ``t * a``, so a cut costs one row dot and one axpy. A
-    row stops once its largest correction change over a full cycle drops
-    below ``tol``; the other rows go on without it.
+    hyperplane or halfspace of each cut of ``cuts`` (a spec's
+    ``_cut_table``) in order; the spec's box is left to ``local``. The
+    local set carries a correction array; each cut carries its multiplier
+    ``t``, its correction being ``t * a``, so a cut costs one row dot and
+    one axpy. A row stops once its largest correction change over a full
+    cycle drops below ``tol``; the other rows go on without it.
 
     Returns, per row: the iterate, the cycle count and whether it
     converged. A row still cycling after ``max_iter`` cycles comes out as
@@ -283,11 +294,6 @@ def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int)
     if tol <= 0:
         raise ValueError("tol must be positive")
     X = np.ascontiguousarray(X)  # a strided row would be summed by another kernel
-    n_eq = len(spec.equalities)
-    A = spec.A
-    cuts = list(enumerate(zip(A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
-                              np.abs(A).max(axis=1, initial=0.0).tolist())))
-
     n = len(X)
     out = np.empty_like(X)
     iterations = np.empty(n, dtype=int)
@@ -304,9 +310,9 @@ def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int)
         P_new = y - x
         delta = np.maximum.reduce(np.abs(P_new - P), axis=1)
         P = P_new
-        for i, (a, b, aa, a_max) in cuts:
+        for i, a, b, aa, a_max, halfspace in cuts:
             t = (np.einsum("ij,j->i", x, a) - b) / aa + T[i]
-            if i >= n_eq:
+            if halfspace:
                 np.maximum(t, 0.0, out=t)
             step = T[i] - t
             x += step[:, None] * a
@@ -336,7 +342,7 @@ def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
     q = np.asarray(q, dtype=float)
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
-    x, iterations, converged = _cyclic(q[None, :], _clip, spec, tol, max_iter)
+    x, iterations, converged = _cyclic(q[None, :], _clip, _cut_table(spec), tol, max_iter)
     return _result(spec, q, x[0], iterations=int(iterations[0]), converged=bool(converged[0]))
 
 
@@ -344,7 +350,7 @@ def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray, tol: float = DYKST
                            max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
     """Dykstra on many quotes at once; each row equals its own ``project_dykstra`` projection."""
     X = np.asarray(X, dtype=float)
-    return _cyclic(X, _clip, spec, tol, max_iter)[0]
+    return _cyclic(X, _clip, _cut_table(spec), tol, max_iter)[0]
 
 
 def _min_norm_point(P: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, int]:
@@ -455,7 +461,7 @@ def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
     if polytope.relation is not None:
         out = project_relation_batch(polytope.relation, X)
     else:  # no closed route: tight generic Dykstra (approximate at tol)
-        out = _cyclic(X, _clip, polytope, 1e-12, DYKSTRA_MAX_ITER)[0]
+        out = _cyclic(X, _clip, _cut_table(polytope), 1e-12, DYKSTRA_MAX_ITER)[0]
     return out if v.ndim == 2 else out[0]
 
 
@@ -475,7 +481,7 @@ def _project_locals(comp: "CompositionSpec", Y: np.ndarray) -> np.ndarray:
 def _hierarchical_cycle(comp: "CompositionSpec", X: np.ndarray, tol: float = DYKSTRA_TOL,
                         max_iter: int = DYKSTRA_MAX_ITER):
     """``_cyclic`` over the product of the local polytopes and the coupling cuts."""
-    return _cyclic(X, lambda Y: _project_locals(comp, Y), comp.coupling_polytope, tol, max_iter)
+    return _cyclic(X, lambda Y: _project_locals(comp, Y), comp.system.cuts, tol, max_iter)
 
 
 def _unconverged(comp: "CompositionSpec") -> Exception:

@@ -12,14 +12,16 @@ projection, D locally repaired plus joint projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .composition import (
+    SYSTEM_CACHE_SIZE,
     Certificate,
     ComponentSpec,
     CompositionSpec,
-    relation_coupling,
+    _relation_coupling,
     residual_batch,
 )
 from .decision import BetRecord
@@ -32,10 +34,8 @@ from .polytope import (
     PolytopeSpec,
     Relation,
     RelationKind,
-    build_polytope,
-    enumerate_vertices,
 )
-from .projection import project_relation, project_relation_batch
+from .projection import _polytope, _vertex_array, project_relation, project_relation_batch
 
 OPERATORS = ("A", "B", "C", "D")
 POLICY_KINDS = ("random-uniform", "structured-by-relation", "single-owner")
@@ -111,7 +111,7 @@ def sample_truth(relation: Relation, rng: np.random.Generator,
     Adversarial mode: rejection-sample a box point at distance > 0.05 from
     the coherent set, for the label-incoherence regime.
     """
-    V = enumerate_vertices(relation).as_array()
+    V = _vertex_array(relation)
     if mode == "coherent":
         w = rng.dirichlet(np.ones(len(V)))
         return TruthDraw(w @ V, w, V, coherent=True)
@@ -212,28 +212,31 @@ class RoutedComposition:
     owners: tuple[int, ...]       # panel row owning each joint coordinate
 
 
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _free_box(dim: int) -> PolytopeSpec:
+    return PolytopeSpec(dim=dim)
+
+
 def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
     """Composition spec for one routing of a clique.
 
     A specialist that owns every coordinate contributes its full local
     polytope (its internal repair covers the whole relation); partial
     owners contribute free boxes, and the relation itself enters as the
-    coupling cut over the joint coordinates.
+    coupling cut over the joint coordinates. The polytopes, boxes and cuts
+    are the cached ones, so every layout of one relation shares them.
     """
-    m = clique.relation.m
+    relation = clique.relation
+    m = relation.m
     owners = np.asarray(owners, dtype=int)
-    specialists = tuple(sorted(set(int(o) for o in owners)))
+    specialists = tuple(sorted(set(owners.tolist())))
     components = []
     for s in specialists:
-        coords = tuple(int(j) for j in np.nonzero(owners == s)[0])
-        if len(coords) == m:
-            polytope = build_polytope(clique.relation)
-        else:
-            polytope = PolytopeSpec(dim=len(coords))
+        coords = tuple(np.nonzero(owners == s)[0].tolist())
+        polytope = _polytope(relation) if len(coords) == m else _free_box(len(coords))
         components.append(ComponentSpec(polytope, coords))
-    coupling = relation_coupling(clique.relation, tuple(range(m)))
-    comp = CompositionSpec(tuple(components), coupling, m)
-    return RoutedComposition(comp, specialists, tuple(int(o) for o in owners))
+    comp = CompositionSpec(tuple(components), _relation_coupling(relation, tuple(range(m))), m)
+    return RoutedComposition(comp, specialists, tuple(owners.tolist()))
 
 
 @dataclass(frozen=True)

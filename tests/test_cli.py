@@ -203,6 +203,29 @@ def test_gate_and_regret_take_the_edges_of_their_ranges(tmp_path, scenario):
     assert run_cli(["regret", str(bets), "--out", str(tmp_path / "r.json"), "--bins", "2"]) == 0
 
 
+def one_harm_bets_text(n: int = 40) -> str:
+    """``n`` neg bets where only the first repair helps, so there is a single harm bet."""
+    return "".join(
+        json.dumps({"clique_id": f"neg-{i:04d}", "seed": 0, "naive": [0.4, 0.6],
+                    "repaired": [0.7, 0.3] if i == 0 else [0.4, 0.6], "labels": [1, 0],
+                    "eps_star": 0.5 if i == 0 else 0.01 * i}) + "\n"
+        for i in range(n)
+    )
+
+
+def test_gate_reports_null_cv_when_no_fold_can_be_scored(tmp_path):
+    bets = tmp_path / "bets.jsonl"
+    bets.write_text(one_harm_bets_text())
+    gate_path = tmp_path / "gate.json"
+    assert run_cli(["gate", str(bets), "--out", str(gate_path)]) == 0
+    gate = json.loads(gate_path.read_text())
+    assert (gate["n"], gate["harm_rate"]) == (40, 1 / 40)
+    assert [cv["capture_target"] for cv in gate["cv"]] == [0.9, 0.5]
+    for cv in gate["cv"]:
+        assert [cv[k] for k in ("mean_capture", "std_capture", "mean_alert_rate",
+                                "std_alert_rate")] == [None] * 4
+
+
 def test_predict_schema(tmp_path):
     config = tmp_path / "pred.cfg"
     config.write_text(

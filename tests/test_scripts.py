@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from coherify.decision import BetRecord
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # gate calibration refuses fewer than 40 bets, so it needs 40 (clique, seed) cells
@@ -64,3 +66,17 @@ def test_gate_calibration_refuses_a_bad_capture_target_before_simulating(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_gate_calibration_prints_n_a_for_cv_figures_no_fold_could_score(monkeypatch, capsys):
+    script = load_script("run_gate_calibration")
+    bets = [BetRecord(f"neg-{i}", 0, (0.4, 0.6), (0.7, 0.3) if i == 0 else (0.4, 0.6), (1, 0),
+                      0.5 if i == 0 else 0.01 * i)
+            for i in range(40)]  # one harm bet, so no fold has harm on both sides
+    monkeypatch.setattr(script, "run_ensemble", lambda *args, **kwargs: [])
+    monkeypatch.setattr(script, "to_bet_records", lambda records: bets)
+    assert script.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cv = lines[lines.index("5-fold CV stability:") + 1:]
+    assert cv == ["  target 0.90: capture n/a +- n/a, alert n/a +- n/a",
+                  "  target 0.50: capture n/a +- n/a, alert n/a +- n/a"]

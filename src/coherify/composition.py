@@ -326,14 +326,15 @@ class CompositionSpec:
         return True if np.any(feasible) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Runtime coherence certificate for one composed quote.
 
     ``binding`` names the constraints of the joint set ``joint`` (box
     included) that ``composed`` violates by more than ``tol``; it is
     worked out on first read, so a caller that never reads it never pays
-    for it.
+    for it. Certificates hold arrays, so ``==`` and ``hash`` go by
+    identity; ``to_json()`` gives the values to compare.
     """
 
     epsilon_star: float
@@ -341,8 +342,8 @@ class Certificate:
     repaired: np.ndarray
     inputs_locally_coherent: bool
     composed: np.ndarray
-    joint: PolytopeSpec = field(repr=False, compare=False)
-    tol: float = field(repr=False, compare=False)
+    joint: PolytopeSpec = field(repr=False)
+    tol: float = field(repr=False)
 
     def __post_init__(self):
         self.repaired.setflags(write=False)
@@ -361,25 +362,46 @@ class Certificate:
         }
 
 
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _placement(layout: tuple) -> np.ndarray:
+    """The index that puts quotes concatenated in component order into joint order.
+
+    ``layout`` holds each component's coordinates; owners partition the
+    joint coordinates, so together they are a permutation of them.
+    """
+    return np.argsort([j for coords in layout for j in coords])
+
+
+def _refuse_non_finite(quotes: list) -> None:
+    for a, q in enumerate(quotes):
+        if not np.isfinite(q).all():
+            raise ValueError(f"component {a} quote has non-finite entries")
+
+
 def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
     """Owner-selected assembly: joint coordinate j takes its owner's value.
 
     Refuses a wrong quote count, then, component by component, a quote of
-    the wrong shape or with a non-finite entry.
+    the wrong shape or with a non-finite entry. Shapes are checked per
+    component and finiteness over all quotes at once; which component
+    holds a non-finite entry is looked up only when one does.
     """
-    if len(locals_) != len(comp.components):
-        raise ValueError(f"expected {len(comp.components)} local quotes, got {len(locals_)}")
-    x = np.zeros(comp.joint_dim)
-    for a, (component, q) in enumerate(zip(comp.components, locals_)):
+    components = comp.components
+    if len(locals_) != len(components):
+        raise ValueError(f"expected {len(components)} local quotes, got {len(locals_)}")
+    quotes = []
+    for a, (component, q) in enumerate(zip(components, locals_)):
         q = np.asarray(q, dtype=float)
         if q.shape != (component.polytope.dim,):
+            _refuse_non_finite(quotes)  # an earlier component's fault comes first
             raise ValueError(
                 f"component {a} quote has shape {q.shape}, needs ({component.polytope.dim},)"
             )
-        if not np.isfinite(q).all():
-            raise ValueError(f"component {a} quote has non-finite entries")
-        x[list(component.coords)] = q
-    return x
+        quotes.append(q)
+    flat = np.concatenate(quotes) if quotes else np.zeros(0)
+    if not np.isfinite(flat).all():
+        _refuse_non_finite(quotes)
+    return flat[_placement(tuple(c.coords for c in components))]
 
 
 def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: float):

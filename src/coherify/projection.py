@@ -10,7 +10,10 @@ one row. ``project_oracle``, a min-norm-point search over vertex hulls,
 is the independent ground truth that tests hold every route to. General
 and composed systems go through one batched Boyle-Dykstra engine: one
 exact local set plus the rows of one constraint system, with each row
-stopping on its own and coming out as its own one-row call would.
+stopping on its own and coming out as its own one-row call would. A cut
+whose row is ``e_j +- e_k`` (equality chains, ladder steps, two-coordinate
+sums and Frechet bounds) reads and writes only its two columns; every
+other cut takes a full-width dot and axpy.
 
 Plain alternating projection is not a substitute for Dykstra here: it
 finds *a* feasible point, not the nearest one. The correction vectors are
@@ -52,7 +55,7 @@ class InfeasibleCouplingError(ValueError):
     """The joint constraint system has empty intersection."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds an array: compares and hashes by identity
 class ProjectionResult:
     projected: np.ndarray
     residual: float
@@ -258,15 +261,30 @@ def _clip(y: np.ndarray) -> np.ndarray:
     return y.clip(0.0, 1.0)
 
 
+def _pair(a: np.ndarray) -> tuple[int, int, float] | None:
+    """``(j, k, sign)`` when the row ``a`` is ``e_j + sign * e_k`` with ``sign`` +-1, else None."""
+    support = np.flatnonzero(a).tolist()
+    if len(support) != 2:
+        return None
+    j, k = support if a[support[0]] == 1.0 else support[::-1]
+    sign = float(a[k])
+    return (j, k, sign) if a[j] == 1.0 and abs(sign) == 1.0 else None
+
+
 def _cut_table(spec: PolytopeSpec) -> tuple:
-    """The cycle's per-cut constants of ``spec``: ``(i, a, b, a . a, max|a|, is_halfspace)``.
+    """The cycle's per-cut constants of ``spec``: ``(i, a, b, a . a, max|a|, is_halfspace, pair)``.
 
     One entry per row ``a`` of ``spec.A``, in order (equalities first).
+    ``pair`` is ``_pair(a)``: ``(j, k, sign)`` for a row ``e_j + sign * e_k``
+    (every equality, ladder-chain and negation-sum row, the two-coordinate
+    partition-sums and the catalog's two-coordinate Frechet bounds), None
+    for any other row.
     """
     A = spec.A
     return tuple(zip(range(len(A)), A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
                      np.abs(A).max(axis=1, initial=0.0).tolist(),
-                     [False] * len(spec.equalities) + [True] * len(spec.halfspaces)))
+                     [False] * len(spec.equalities) + [True] * len(spec.halfspaces),
+                     [_pair(a) for a in A]))
 
 
 def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
@@ -282,9 +300,17 @@ def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
     hyperplane or halfspace of each cut of ``cuts`` (a spec's
     ``_cut_table``) in order; the spec's box is left to ``local``. The
     local set carries a correction array; each cut carries its multiplier
-    ``t``, its correction being ``t * a``, so a cut costs one row dot and
-    one axpy. A row stops once its largest correction change over a full
-    cycle drops below ``tol``; the other rows go on without it.
+    ``t``, its correction being ``t * a``. A pair cut ``e_j + sign * e_k``
+    reads and writes only columns ``j`` and ``k``: its dot is
+    ``x_j + sign * x_k`` and its step goes into those two columns. That is
+    the dense result bit for bit: both terms are exact, so any summation
+    order rounds once, and ``x + step * -1.0`` is ``x - step``. Off the
+    cut's support only a ``-0.0`` entry (which only a ``local`` can make;
+    a dense axpy adds ``step * 0.0`` to it) and a NaN (which a dense dot
+    spreads to every cut) can differ. Every other cut costs one row dot
+    and one full-width axpy. A row stops once its largest correction
+    change over a full cycle drops below ``tol``; the other rows go on
+    without it.
 
     Returns, per row: the iterate, the cycle count and whether it
     converged. A row still cycling after ``max_iter`` cycles comes out as
@@ -310,12 +336,27 @@ def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
         P_new = y - x
         delta = np.maximum.reduce(np.abs(P_new - P), axis=1)
         P = P_new
-        for i, a, b, aa, a_max, halfspace in cuts:
-            t = (np.einsum("ij,j->i", x, a) - b) / aa + T[i]
+        for i, a, b, aa, a_max, halfspace, pair in cuts:
+            if pair is None:
+                t = np.einsum("ij,j->i", x, a)
+            else:  # the two terms of a +-1 pair: one rounding, as in any einsum order
+                j, k, sign = pair
+                xj, xk = x[:, j], x[:, k]
+                t = xj + xk if sign > 0 else xj - xk
+            if b:
+                t = t - b
+            t = t / aa + T[i]
             if halfspace:
-                np.maximum(t, 0.0, out=t)
+                t = np.maximum(t, 0.0)
             step = T[i] - t
-            x += step[:, None] * a
+            if pair is None:
+                x += step[:, None] * a
+            else:  # x + step * -1.0 is x - step
+                xj += step
+                if sign > 0:
+                    xk += step
+                else:
+                    xk -= step
             T[i] = t
             change = np.abs(step)  # of the correction t * a: |step| * max|a|
             delta = np.maximum(delta, change if a_max == 1.0 else change * a_max)

@@ -72,6 +72,32 @@ def test_aggregate_dimension_mismatch():
         aggregate(negation_split(), [[0.84, 0.2], [0.89]])
 
 
+def test_aggregate_places_scattered_owners_in_joint_order():
+    comp = CompositionSpec((ComponentSpec(PolytopeSpec(dim=2), (3, 0)),
+                            ComponentSpec(build_polytope(negation()), (1, 4)),
+                            ComponentSpec(PolytopeSpec(dim=1), (2,))), (), 5)
+    x = aggregate(comp, [[0.1, 0.2], np.array([0.3, 0.4]), [-0.0]])
+    assert x.tobytes() == np.array([0.2, 0.3, -0.0, 0.1, 0.4]).tobytes()
+
+
+@pytest.mark.parametrize("locals_, message", [
+    ([[0.1]], "expected 3 local quotes, got 1"),
+    ([[0.1, np.nan], [0.2, 0.3], [0.4]], "component 0 quote has non-finite entries"),
+    ([[0.1, 0.2], [0.2, 0.3], [np.inf]], "component 2 quote has non-finite entries"),
+    # component by component: shape, then finiteness, as a quote-by-quote pass meets them
+    ([[np.nan, 0.2], [0.3], [0.4]], "component 0 quote has non-finite entries"),
+    ([[0.1, 0.2], [0.3], [np.nan]], r"component 1 quote has shape \(1,\), needs \(2,\)"),
+    ([[0.1, 0.2], [0.2, np.inf], [0.4, 0.5]], "component 1 quote has non-finite entries"),
+    ([[0.1, 0.2], [0.2, 0.3], 0.4], r"component 2 quote has shape \(\), needs \(1,\)"),
+])
+def test_aggregate_refuses_the_first_bad_component(locals_, message):
+    comp = CompositionSpec((ComponentSpec(PolytopeSpec(dim=2), (3, 0)),
+                            ComponentSpec(build_polytope(negation()), (1, 4)),
+                            ComponentSpec(PolytopeSpec(dim=1), (2,))), (), 5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        aggregate(comp, locals_)
+
+
 def test_ownership_map_total():
     comp = partition_split()
     assert comp.owner_of == (0, 1, 2, 3)
@@ -451,6 +477,19 @@ def test_certificate_json_shape():
     record = cert.to_json()
     assert set(record) == {"eps_star", "exposure_bound", "repaired", "binding"}
     assert isinstance(record["repaired"], list)
+
+
+def test_certificates_and_projection_results_compare_and_hash_by_identity():
+    locals_ = [[0.39], [0.73], [0.67], [0.71]]
+    first, second = (residual(partition_split(), locals_) for _ in range(2))
+    assert first == first and first != second
+    assert hash(first) == hash(first)
+    assert first in {first} and second not in {first}
+    assert len({first, second}) == 2
+    assert first.to_json() == second.to_json()  # the way to compare values
+    one, two = (project_relation(negation(), [0.9, 0.9]) for _ in range(2))
+    assert one == one and one != two
+    assert one in {one} and len({one, two}) == 2
 
 
 def test_cross_component_flags():

@@ -422,6 +422,133 @@ def test_empty_batches_run_no_cycle(monkeypatch):
     assert cycles == [1]  # the counter sees the cycles there are
 
 
+# --- pair cuts -----------------------------------------------------------------
+
+
+def _pairs(*cuts: CouplingConstraint, dim: int = 5) -> list:
+    """The ``pair`` field of each cut-table entry of the coupling ``cuts``."""
+    comp = CompositionSpec(free_components([1] * dim), cuts, dim)
+    return [entry[-1] for entry in comp.system.cuts]
+
+
+def _all_dense(cuts: tuple) -> tuple:
+    return tuple(entry[:-1] + (None,) for entry in cuts)
+
+
+def test_cut_table_marks_two_coordinate_unit_rows_as_pairs():
+    # rows read e_j + sign * e_k, with j the coordinate whose coefficient is +1
+    assert _pairs(CouplingConstraint("equality", (3, 0, 4))) == [(3, 0, -1.0), (0, 4, -1.0)]
+    assert _pairs(CouplingConstraint("ladder-chain", (2, 0, 3))) == [(0, 2, -1.0), (3, 0, -1.0)]
+    assert _pairs(CouplingConstraint("negation-sum", (4, 1))) == [(1, 4, 1.0)]
+    assert _pairs(CouplingConstraint("partition-sum", (2, 0))) == [(0, 2, 1.0)]
+    assert _pairs(*relation_coupling(conjunction(), (0, 1, 2))) == [(2, 0, -1.0), (2, 1, -1.0),
+                                                                    None]
+    assert _pairs(*relation_coupling(disjunction(), (0, 1, 2))) == [(0, 2, -1.0), (1, 2, -1.0),
+                                                                    None]
+    assert _pairs(*relation_coupling(paraphrase(3), (0, 1, 2))) == [(0, 1, -1.0), (1, 2, -1.0)]
+    pair = _pairs(CouplingConstraint("negation-sum", (0, 1)))[0]
+    assert [type(v) for v in pair] == [int, int, float]
+
+
+@pytest.mark.parametrize("cut", [
+    CouplingConstraint("partition-sum", (0, 1, 2)),
+    CouplingConstraint("partition-sum", (0, 1, 2, 3, 4)),
+    CouplingConstraint("frechet-halfspace", (0, 1, 2), 1.0, a=(1.0, 1.0, -1.0)),
+    CouplingConstraint("frechet-halfspace", (0, 1), 0.0, a=(2.0, -1.0)),
+    CouplingConstraint("frechet-halfspace", (0, 1), 0.5, a=(1.0, 0.5)),
+    CouplingConstraint("frechet-halfspace", (0, 1), 0.5, a=(-1.0, -2.0)),
+    CouplingConstraint("frechet-halfspace", (3, 1), 0.5, a=(-1.0, -1.0)),  # no +1 coefficient
+])
+def test_cut_table_keeps_other_rows_dense(cut):
+    assert _pairs(cut) == [None]
+
+
+def _cycle_both_ways(comp: CompositionSpec, X: np.ndarray, max_iter: int):
+    local = lambda Y: projection._project_locals(comp, Y)  # noqa: E731
+    cuts = comp.system.cuts
+    return (projection._cyclic(X, local, cuts, projection.DYKSTRA_TOL, max_iter),
+            projection._cyclic(X, local, _all_dense(cuts), projection.DYKSTRA_TOL, max_iter))
+
+
+def _same_bits(got, want) -> bool:
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@st.composite
+def pair_and_dense_systems(draw):
+    """A composition over 2..6 coordinates with random pair and dense coupling cuts,
+    and 1..5 quotes, some entries exactly 0, -0.0 or 1."""
+    dim = draw(st.integers(2, 6))
+    widths = []
+    while sum(widths) < dim:
+        widths.append(draw(st.integers(1, dim - sum(widths))))
+    components = list(free_components(widths))
+    if widths[0] == 2 and draw(st.booleans()):  # a relation's own local route too
+        components[0] = ComponentSpec(build_polytope(negation()), (0, 1))
+    cuts = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["equality", "negation-sum", "partition-sum",
+                                     "ladder-chain", "frechet-halfspace"]))
+        size = 2 if kind == "negation-sum" else draw(st.integers(2, min(dim, 4)))
+        coords = tuple(draw(st.permutations(range(dim)))[:size])
+        if kind == "frechet-halfspace":
+            a = [draw(st.sampled_from([1.0, -1.0])) for _ in coords]
+            if draw(st.booleans()):
+                a[draw(st.integers(0, size - 1))] = draw(st.sampled_from([0.5, 2.0, -2.0]))
+            b = draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0]))
+            cuts.append(CouplingConstraint(kind, coords, b, a=tuple(a)))
+        elif kind in ("negation-sum", "partition-sum"):
+            cuts.append(CouplingConstraint(kind, coords, draw(st.sampled_from([1.0, 0.5]))))
+        else:
+            cuts.append(CouplingConstraint(kind, coords))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                      st.floats(-0.25, 1.25, allow_nan=False, allow_subnormal=False))
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    return CompositionSpec(tuple(components), tuple(cuts), dim), np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=pair_and_dense_systems())
+def test_pair_kernel_matches_every_cut_dense_bit_for_bit(system):
+    comp, X = system
+    pair, dense = _cycle_both_ways(comp, X, max_iter=300)
+    assert _same_bits(pair, dense)
+
+
+def test_pair_kernel_matches_dense_on_rows_that_stop_apart():
+    rng = np.random.default_rng(8)
+    X = np.vstack([np.full(8, 0.4), rng.uniform(size=(3, 8)), [-0.0, 0.5, 1.0, 0, 0, 0, 0, 1]])
+    ladder_split = CompositionSpec(free_components([3, 5]), relation_coupling(ladder(8), range(8)))
+    and_split = CompositionSpec(free_components([2, 2]), relation_coupling(conjunction(), (0, 1, 3)))
+    for comp in (paraphrase_split(), ladder_split, and_split):
+        Y = X[:, :comp.joint_dim]
+        pair, dense = _cycle_both_ways(comp, Y, max_iter=10_000)
+        assert _same_bits(pair, dense)
+        assert len(set(pair[1].tolist())) >= 2  # rows stopped at different cycles
+    cert = residual_batch([(paraphrase_split(), [X[4, :2], X[4, 2:5], X[4, 5:]])])[0]
+    assert np.signbit(cert.composed[0])  # the -0.0 entry reaches the cycle ...
+    assert not np.signbit(cert.repaired).any()  # ... and the first cycle's y = x + P drops its sign
+
+
+def test_pair_kernel_keeps_a_signed_zero_off_its_support():
+    # a local set that hands back -0.0 in a column no cut reads: the dense axpy
+    # adds step * 0.0 = +0.0 there when step >= 0, which clears the sign; the
+    # pair kernel never touches the column
+    def local(Y):
+        x = Y.clip(0.0, 1.0)
+        x[:, 2] = -0.0
+        return x
+
+    comp = CompositionSpec(free_components([1, 1, 1]), relation_coupling(negation(), (0, 1)), 3)
+    cuts = comp.system.cuts
+    X = np.array([[0.1, 0.1, 0.0]])
+    pair = projection._cyclic(X, local, cuts, projection.DYKSTRA_TOL, 100)
+    dense = projection._cyclic(X, local, _all_dense(cuts), projection.DYKSTRA_TOL, 100)
+    assert pair[0][:, :2].tobytes() == dense[0][:, :2].tobytes()
+    assert _same_bits(pair[1:], dense[1:])
+    assert np.signbit(pair[0][0, 2]) and not np.signbit(dense[0][0, 2])
+
+
 # --- projection laws ---------------------------------------------------------
 
 

@@ -4,9 +4,11 @@ All record streams are JSONL; CLI input order equals output order. Exit
 codes: 0 success, 1 operational failure (such as a well-formed certify
 record whose joint projection misses the iteration cap), 2 malformed
 input; a record error names its line on stderr. A flag out of its range
-is a usage error (exit 2) before any input is read. Every command writes
-a run manifest recording its exact configuration to ``--manifest-out``,
-or by default to ``<out>.manifest.json`` whenever ``--out`` is a file.
+is a usage error (exit 2) before any input is read. Each command returns
+its output text with the manifest fields that depend on it (config text,
+seed, named inputs), and ``main`` writes every output and every run
+manifest: to ``--manifest-out``, or by default to ``<out>.manifest.json``
+whenever ``--out`` is a file. A command that fails writes neither.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .composition import (
     ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
-    CouplingSet,
     residual_batch,
 )
 from .decision import AllocationRule, BetRecord, gate_sweep, murphy, regret
@@ -46,6 +47,8 @@ from .simharness import (
 )
 
 CONFIG_DIR_ENV = "COHERIFY_CONFIG_DIR"
+
+Run = tuple[str, str, int | None, dict[str, str]]  # output text, config text, seed, inputs
 
 
 def _read_text(path: str) -> str:
@@ -74,43 +77,50 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _manifest(command: str, config_text: str, seed: int, inputs: dict[str, str]) -> dict:
-    return {
-        "command": command,
-        "config_hash": _digest(config_text),
-        "master_seed": seed,
-        "input_digests": {name: _digest(text) for name, text in inputs.items()},
-        "tool_version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-
-
-def _write_manifest(args, manifest: dict, out_path: str) -> None:
+def _write_run(args, text: str, config_text: str, seed: int | None,
+               inputs: dict[str, str]) -> None:
+    """Write a command's output to ``--out``, then its run manifest."""
+    _write_text(args.out, text)
     target = args.manifest_out
-    if target is None and out_path not in (None, "-"):
-        target = out_path + ".manifest.json"
+    if target is None and args.out != "-":
+        target = args.out + ".manifest.json"
     if target:
+        manifest = {
+            "command": args.command,
+            "config_hash": _digest(config_text),
+            "master_seed": seed,
+            "input_digests": {name: _digest(t) for name, t in inputs.items()},
+            "tool_version": __version__,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        }
         Path(target).write_text(dumps(manifest) + "\n")
+
+
+def _parsed(text: str, parse) -> list:
+    """``parse(record)`` for every record of ``text``; a record it refuses names its line."""
+    out = []
+    for lineno, record in parse_lines(text):
+        try:
+            out.append(parse(record))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+    return out
 
 
 # --- project ---------------------------------------------------------------
 
 
-def _project_quote(entry) -> tuple[Clique, np.ndarray]:
-    lineno, record = entry
-    try:
-        clique = Clique.from_json(record)
-        quote = np.asarray(record["quote"], dtype=float)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"line {lineno}: {exc}") from exc
+def _project_quote(record) -> tuple[Clique, np.ndarray]:
+    clique = Clique.from_json(record)
+    quote = np.asarray(record["quote"], dtype=float)
     if quote.shape != (clique.relation.m,):
-        raise InputError(f"line {lineno}: quote length {quote.size} != m={clique.relation.m}")
+        raise ValueError(f"quote length {quote.size} != m={clique.relation.m}")
     return clique, quote
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> Run:
     text = _read_text(args.input)
-    parsed = [_project_quote(entry) for entry in parse_lines(text)]
+    parsed = _parsed(text, _project_quote)
     by_relation: dict = {}
     for i, (clique, _) in enumerate(parsed):
         by_relation.setdefault(clique.relation, []).append(i)
@@ -129,9 +139,7 @@ def cmd_project(args) -> int:
         }
         for i, (clique, _) in enumerate(parsed)
     ]
-    _write_text(args.out, dump_lines(out))
-    _write_manifest(args, _manifest("project", "", args.seed, {"input": text}), args.out)
-    return 0
+    return dump_lines(out), "", args.seed, {"input": text}
 
 
 # --- certify ---------------------------------------------------------------
@@ -156,12 +164,11 @@ def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, 
         for cid in component_ids:
             coords = tuple(j for j, o in enumerate(owners) if o == cid)
             components.append(ComponentSpec(PolytopeSpec(dim=len(coords)), coords))
-        shapes[owners, coupling] = CompositionSpec(tuple(components), CouplingSet(coupling),
-                                                   len(owners))
+        shapes[owners, coupling] = CompositionSpec(tuple(components), coupling, len(owners))
     return shapes[owners, coupling], locals_
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> Run:
     """Certify every record in one ``residual_batch`` call.
 
     Errors are reported as certifying the records one by one in order
@@ -187,40 +194,29 @@ def cmd_certify(args) -> int:
     if malformed is not None:
         lineno, exc = malformed
         raise InputError(f"line {lineno}: {exc}") from exc
-    _write_text(args.out, dump_lines(cert.to_json() for cert in certs))
-    _write_manifest(args, _manifest("certify", "", args.seed, {"input": text}), args.out)
-    return 0
+    return dump_lines(cert.to_json() for cert in certs), "", args.seed, {"input": text}
 
 
 # --- monitor ---------------------------------------------------------------
 
 
-def cmd_monitor(args) -> int:
+def cmd_monitor(args) -> Run:
     text = _read_text(args.input)
-    records = parse_lines(text)
     alpha_tokens = [tok.strip() for tok in args.alpha_list.split(",") if tok.strip()]
-    alphas = tuple(float(tok) for tok in alpha_tokens)
-    state = EProcessState(alphas=alphas)
-    out = []
-    for lineno, record in records:
-        try:
-            step = StreamStep(
-                eps_sq=float(record["eps_sq"]), m=int(record["m"]), k_samples=int(record["K"])
-            )
-            state = update(state, step)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
-        out.append(
-            {
-                "t": state.t,
-                "log_e_mix": state.log_e_mix,
-                "crossed": {tok: state.crossed_at[i] for i, tok in enumerate(alpha_tokens)},
-            }
-        )
-    _write_text(args.out, dump_lines(out))
-    _write_manifest(args, _manifest("monitor", args.alpha_list, args.seed, {"input": text}),
-                    args.out)
-    return 0
+    state = EProcessState(alphas=tuple(float(tok) for tok in alpha_tokens))
+
+    def step(record) -> dict:
+        nonlocal state
+        state = update(state, StreamStep(
+            eps_sq=float(record["eps_sq"]), m=int(record["m"]), k_samples=int(record["K"])
+        ))
+        return {
+            "t": state.t,
+            "log_e_mix": state.log_e_mix,
+            "crossed": {tok: state.crossed_at[i] for i, tok in enumerate(alpha_tokens)},
+        }
+
+    return dump_lines(_parsed(text, step)), args.alpha_list, args.seed, {"input": text}
 
 
 # --- simulate / regret / gate / predict -------------------------------------
@@ -235,20 +231,16 @@ def _load_config(args) -> tuple[SimConfig, str]:
     return config, text
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Run:
     config, config_text = _load_config(args)
     records = run_ensemble(
         config.build_cliques(), config.build_model(), config.build_policy(),
         config.n_seeds, config.master_seed,
     )
     bets = to_bet_records(records, config.naive_operator, config.repaired_operator)
-    _write_text(args.out, dump_lines(b.to_json() for b in bets))
     if args.ecdf_out:
         _write_text(args.ecdf_out, _eps_ecdf_csv(records))
-    _write_manifest(
-        args, _manifest("simulate", config_text, config.master_seed, {}), args.out
-    )
-    return 0
+    return dump_lines(b.to_json() for b in bets), config_text, config.master_seed, {}
 
 
 def _eps_ecdf_csv(records) -> str:
@@ -266,19 +258,9 @@ def _eps_ecdf_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_bets(path: str) -> tuple[list[BetRecord], str]:
-    text = _read_text(path)
-    bets = []
-    for lineno, record in parse_lines(text):
-        try:
-            bets.append(BetRecord.from_json(record))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
-    return bets, text
-
-
-def cmd_regret(args) -> int:
-    bets, text = _load_bets(args.input)
+def cmd_regret(args) -> Run:
+    text = _read_text(args.input)
+    bets = _parsed(text, BetRecord.from_json)
     rule = AllocationRule(kind=args.rule)
     summary = regret(bets, rule, seed=args.seed or 0)
     payload = summary.to_json()
@@ -287,26 +269,19 @@ def cmd_regret(args) -> int:
     payload["murphy_repaired"] = murphy(flat_q, flat_y, args.bins).to_json()
     flat_qn = [v for b in bets for v in b.quote_naive]
     payload["murphy_naive"] = murphy(flat_qn, flat_y, args.bins).to_json()
-    _write_text(args.out, dumps(payload) + "\n")
-    _write_manifest(args, _manifest("regret", args.rule, args.seed or 0, {"bets": text}),
-                    args.out)
-    return 0
+    return dumps(payload) + "\n", args.rule, args.seed or 0, {"bets": text}
 
 
-def cmd_gate(args) -> int:
-    bets, text = _load_bets(args.input)
+def cmd_gate(args) -> Run:
+    text = _read_text(args.input)
+    bets = _parsed(text, BetRecord.from_json)
     targets = tuple(float(tok) for tok in args.capture_targets.split(",") if tok.strip())
     report = gate_sweep(bets, AllocationRule(kind=args.rule), targets, seed=args.seed or 0)
-    _write_text(args.out, dumps(report.to_json()) + "\n")
-    _write_manifest(
-        args, _manifest("gate", args.capture_targets, args.seed or 0, {"bets": text}), args.out
-    )
-    return 0
+    return dumps(report.to_json()) + "\n", args.capture_targets, args.seed or 0, {"bets": text}
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> Run:
     config, config_text = _load_config(args)
-
     model = config.build_model()
     out = []
     for ci, clique in enumerate(config.build_cliques()):
@@ -328,9 +303,7 @@ def cmd_predict(args) -> int:
                 "regime": prediction.regime,
             }
         )
-    _write_text(args.out, dump_lines(out))
-    _write_manifest(args, _manifest("predict", config_text, config.master_seed, {}), args.out)
-    return 0
+    return dump_lines(out), config_text, config.master_seed, {}
 
 
 # --- entry point -------------------------------------------------------------
@@ -379,52 +352,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--manifest-out", default=None, help="run manifest path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("project", help="project quotes onto their clique polytopes")
-    p.add_argument("input", help="clique+quote JSONL ('-' for stdin)")
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_project)
+    def command(name: str, fn, about: str, source: str, source_help: str):
+        """A subcommand that reads ``source`` and whose output ``main`` writes to ``--out``."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument(source, help=source_help)
+        p.add_argument("--out", default="-")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("certify", help="certify composed quotes")
-    p.add_argument("input", help="composition JSONL")
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_certify)
-
-    p = sub.add_parser("monitor", help="run the sequential coherence test on a residual stream")
-    p.add_argument("input", help="residual stream JSONL")
-    p.add_argument("--out", default="-")
+    command("project", cmd_project, "project quotes onto their clique polytopes",
+            "input", "clique+quote JSONL ('-' for stdin)")
+    command("certify", cmd_certify, "certify composed quotes", "input", "composition JSONL")
+    p = command("monitor", cmd_monitor, "run the sequential coherence test on a residual stream",
+                "input", "residual stream JSONL")
     p.add_argument("--alpha-list", type=_alpha_list,
                    default=",".join(str(a) for a in DEFAULT_ALPHAS),
                    help="comma-separated test levels, each in (0, 1)")
-    p.set_defaults(fn=cmd_monitor)
-
-    p = sub.add_parser("simulate", help="run a synthetic specialist-panel ensemble")
-    p.add_argument("config", help="scenario config file (key = value lines)")
-    p.add_argument("--out", default="-")
+    p = command("simulate", cmd_simulate, "run a synthetic specialist-panel ensemble",
+                "config", "scenario config file (key = value lines)")
     p.add_argument("--ecdf-out", default=None,
                    help="also write per-relation residual ECDF points as CSV")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("regret", help="score naive vs repaired bets")
-    p.add_argument("input", help="bets JSONL")
-    p.add_argument("--out", default="-")
+    p = command("regret", cmd_regret, "score naive vs repaired bets", "input", "bets JSONL")
     p.add_argument("--rule", default="proportional",
                    choices=["proportional", "truncated-kelly", "max-entropy"])
     p.add_argument("--bins", type=_bins, default=10, help="Murphy forecast bins (>= 2)")
-    p.set_defaults(fn=cmd_regret)
-
-    p = sub.add_parser("gate", help="calibrate certificate gating thresholds")
-    p.add_argument("input", help="bets JSONL")
-    p.add_argument("--out", default="-")
+    p = command("gate", cmd_gate, "calibrate certificate gating thresholds", "input", "bets JSONL")
     p.add_argument("--rule", default="proportional",
                    choices=["proportional", "truncated-kelly", "max-entropy"])
     p.add_argument("--capture-targets", type=_capture_targets, default="0.9,0.5",
                    help="comma-separated harm-capture targets, each in (0, 1]")
-    p.set_defaults(fn=cmd_gate)
-
-    p = sub.add_parser("predict", help="panel-covariance residual prediction vs observation")
-    p.add_argument("config", help="scenario config file")
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_predict)
+    command("predict", cmd_predict, "panel-covariance residual prediction vs observation",
+            "config", "scenario config file")
     return parser
 
 
@@ -432,7 +390,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        _write_run(args, *args.fn(args))
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -440,6 +398,7 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -157,13 +157,14 @@ def relation_coupling(relation: Relation, coords) -> tuple[CouplingConstraint, .
 _relation_coupling = lru_cache(maxsize=SYSTEM_CACHE_SIZE)(relation_coupling)  # tuple coords only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """What the joint projection of a composition reads, built once per system key.
 
     ``coupling`` holds the coupling cuts, ``joint`` the lifted local
     constraints plus those cuts, and ``cuts`` the cycle's per-cut
-    constants of ``coupling``.
+    constants of ``coupling``. Compares and hashes by identity: one
+    object per cached system key.
     """
 
     coupling: PolytopeSpec
@@ -448,14 +449,15 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
 def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list[Certificate]:
     """Certify every ``(comp, locals_)`` item, one engine run per constraint system.
 
-    A constraint system is everything the joint projection reads: the
-    joint dimension, the constrained components (index, coordinates and
-    polytope) and the coupling cuts, built once per process by
-    ``constraint_system``. So free-box compositions that split the
-    coordinates among owners differently share one batched cycle; the
-    cycles run in order of each system's first item. Certificates come
-    back in input order, each bit for bit the item's own ``residual``,
-    and name their binding constraints only when ``binding`` is read.
+    A constraint system (``comp.system``) is everything the joint
+    projection reads: the joint dimension, the constrained components
+    (index, coordinates and polytope) and the coupling cuts, built once
+    per process by ``constraint_system``. So free-box compositions that
+    split the coordinates among owners differently share one batched
+    cycle; the cycles run in order of each system's first item.
+    Certificates come back in input order, each bit for bit the item's
+    own ``residual``, and name their binding constraints only when
+    ``binding`` is read.
 
     An item fails when it is malformed (``aggregate``, its coupling cuts)
     or its row misses the iteration cap (``_unconverged``). The earliest
@@ -464,26 +466,24 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     """
     items = list(items)
     failures: dict[int, Exception] = {}
-    systems: dict[tuple, dict[int, np.ndarray]] = {}  # system -> {item index: assembled row}
+    systems: dict[ConstraintSystem, dict[int, np.ndarray]] = {}  # {item index: assembled row}
     for i, (comp, locals_) in enumerate(items):
-        key = (comp.joint_dim, comp.constrained, comp.coupling.constraints)
         try:
             x = aggregate(comp, locals_)
-            if key not in systems:  # a malformed cut fails at the first item that carries it
-                comp.coupling_polytope
+            system = comp.system  # a malformed cut fails at the first item that carries it
         except (TypeError, ValueError) as exc:
             failures[i] = exc
             break  # no later item can fail first
-        systems.setdefault(key, {})[i] = x
+        systems.setdefault(system, {})[i] = x
     certs: list[Certificate | None] = [None] * len(items)
     for rows in systems.values():
-        system = items[next(iter(rows))][0]
-        X, coherent = _composed(system, np.array(list(rows.values())), repair_locals, tol)
-        projected, _, converged = _hierarchical_cycle(system, X)
-        error = None if converged.all() else _unconverged(system)
+        comp = items[next(iter(rows))][0]
+        X, coherent = _composed(comp, np.array(list(rows.values())), repair_locals, tol)
+        projected, _, converged = _hierarchical_cycle(comp, X)
+        error = None if converged.all() else _unconverged(comp)
         for row, i in enumerate(rows):
             if converged[row]:
-                certs[i] = _certificate(system, X[row], projected[row], coherent[row], tol)
+                certs[i] = _certificate(comp, X[row], projected[row], coherent[row], tol)
             else:
                 failures[i] = error
     if failures:

@@ -18,6 +18,8 @@ from .projection import project_simplex
 BRIER_NORMALIZATION = "per-coordinate-mean"
 DEFAULT_LOG_FLOOR = 1e-6
 GATE_MIN_BETS = 40  # fewest bets gate_sweep calibrates on
+GATE_FOLDS = 5  # gate_sweep's cross-validation folds
+REGRET_BOOTSTRAPS = 1000  # regret's paired-bootstrap resamples
 
 
 def _plain(value):
@@ -152,10 +154,10 @@ def log_payoff_delta(bet: BetRecord, rule: AllocationRule) -> float:
     return math.log(max(w_rep[i], rule.w_min)) - math.log(max(w_naive[i], rule.w_min))
 
 
-def _bootstrap_ci(values: np.ndarray, n_boot: int, seed: int) -> tuple[float, float]:
+def _bootstrap_ci(values: np.ndarray, seed: int) -> tuple[float, float]:
     rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0xB007)))
     n = values.size
-    idx = rng.integers(0, n, size=(n_boot, n))
+    idx = rng.integers(0, n, size=(REGRET_BOOTSTRAPS, n))
     means = values[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
@@ -180,13 +182,14 @@ class RegretSummary:
 
 
 def regret(bets: list[BetRecord], rule: AllocationRule | None = None,
-           n_boot: int = 1000, seed: int = 0) -> RegretSummary:
+           seed: int = 0) -> RegretSummary:
     """Paired naive-vs-repaired scoring over resolved bets.
 
     Delta Brier is repaired minus naive, so negative means the repair
     helped. Log-payoff deltas are computed on the unique-YES subset and
     also averaged over all bets (zeros elsewhere); confidence intervals
-    are a paired bootstrap over (clique, seed) records.
+    are a paired bootstrap (``REGRET_BOOTSTRAPS`` resamples) over
+    (clique, seed) records.
     """
     if not bets:
         raise ValueError("no bets to score")
@@ -201,13 +204,13 @@ def regret(bets: list[BetRecord], rule: AllocationRule | None = None,
     if unique_mask.any():
         dlog_unique = dlog_all[unique_mask]
         summary_dlog = float(dlog_unique.mean())
-        ci_dlog = _bootstrap_ci(dlog_unique, n_boot, seed)
+        ci_dlog = _bootstrap_ci(dlog_unique, seed)
     return RegretSummary(
         n=len(bets),
         n_unique_yes=int(unique_mask.sum()),
         rule=rule.kind,
         mean_delta_brier=float(delta_brier.mean()),
-        ci_delta_brier=_bootstrap_ci(delta_brier, n_boot, seed + 1),
+        ci_delta_brier=_bootstrap_ci(delta_brier, seed + 1),
         mean_delta_log=summary_dlog,
         ci_delta_log=ci_dlog,
         mean_delta_log_all=float(dlog_all.mean()),
@@ -290,13 +293,14 @@ def _tau_for_capture(harm_eps: np.ndarray, target: float) -> float:
 
 
 def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
-               capture_targets=(0.9, 0.5), n_folds: int = 5, seed: int = 0) -> GateReport:
+               capture_targets=(0.9, 0.5), seed: int = 0) -> GateReport:
     """Threshold sweep of the certificate against realized log-payoff harm.
 
     Harm is the top quartile of per-bet repaired-minus-naive log payoff.
     Reports the rank AUC, an operating point per capture target, and a
-    stratified cross-validation stability check of those thresholds,
-    whose figures are None when too few harm bets fall in the folds.
+    stratified ``GATE_FOLDS``-fold cross-validation stability check of
+    those thresholds, whose figures are None when too few harm bets fall
+    in the folds.
     Each capture target must lie in (0, 1].
     """
     for target in capture_targets:
@@ -330,11 +334,11 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
     for label in (False, True):
         idx = np.nonzero(harm == label)[0]
         rng.shuffle(idx)
-        folds[idx] = np.arange(idx.size) % n_folds
+        folds[idx] = np.arange(idx.size) % GATE_FOLDS
     cv = []
     for target in capture_targets:
         captures, alerts = [], []
-        for f in range(n_folds):
+        for f in range(GATE_FOLDS):
             train, test = folds != f, folds == f
             if not harm[train].any() or not harm[test].any():
                 continue

@@ -126,6 +126,12 @@ def _face_table(relation: Relation) -> tuple[np.ndarray, np.ndarray]:
     return _simplex_faces(_vertex_array(relation))
 
 
+def _check_finite(q: np.ndarray) -> None:
+    """Refuse quotes with a NaN or infinite entry, before any arithmetic on them."""
+    if not np.isfinite(q).all():
+        raise ValueError("quotes have non-finite entries")
+
+
 def _result(spec: PolytopeSpec | None, q, projected, iterations: int,
             converged: bool) -> ProjectionResult:
     q = np.asarray(q, dtype=float)
@@ -225,7 +231,9 @@ def project_relation_batch(relation: Relation, X) -> np.ndarray:
     and disjunction, whose hulls are tetrahedra, take the nearest
     nonnegative-weight projection onto one of the 15 faces, all faces of
     all rows at once. Each row's result does not depend on the other rows
-    (nor on the memory layout of ``X``, which is made C-contiguous).
+    (nor on the memory layout of ``X``, which is made C-contiguous). Rows
+    are not checked for finiteness: this runs inside every engine cycle,
+    on rows that ``aggregate`` or a public route has already checked.
     """
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != relation.m:
@@ -383,6 +391,7 @@ def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
     q = np.asarray(q, dtype=float)
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
+    _check_finite(q)
     x, iterations, converged = _cyclic(q[None, :], _clip, _cut_table(spec), tol, max_iter)
     return _result(spec, q, x[0], iterations=int(iterations[0]), converged=bool(converged[0]))
 
@@ -391,6 +400,7 @@ def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray, tol: float = DYKST
                            max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
     """Dykstra on many quotes at once; each row equals its own ``project_dykstra`` projection."""
     X = np.asarray(X, dtype=float)
+    _check_finite(X)
     return _cyclic(X, _clip, _cut_table(spec), tol, max_iter)[0]
 
 
@@ -462,6 +472,7 @@ def project_oracle(vertices, q) -> ProjectionResult:
     q = np.asarray(q, dtype=float)
     if q.shape != (V.shape[1],):
         raise ValueError(f"quote has shape {q.shape}, vertices have dimension {V.shape[1]}")
+    _check_finite(q)
     x, majors = _min_norm_point(V - q)
     return _result(None, q, q + x, iterations=majors, converged=True)
 
@@ -485,13 +496,16 @@ def project_relation(relation: Relation, q) -> ProjectionResult:
     q = np.asarray(q, dtype=float)
     if q.shape != (relation.m,):
         raise ValueError(f"quote has shape {q.shape}, relation needs ({relation.m},)")
+    _check_finite(q)
     return project_relation_results(relation, q[None, :])[0]
 
 
 def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
     """Exact local repair of one quote, or of each row of an ``(n, dim)`` array.
 
-    Clip for free boxes, the relation's own route otherwise.
+    Clip for free boxes, the relation's own route otherwise. Unchecked for
+    finiteness, like ``project_relation_batch``: it runs inside every
+    engine cycle.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != polytope.dim:
@@ -548,6 +562,7 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
     q = np.asarray(q, dtype=float)
     if q.shape != (comp.joint_dim,):
         raise ValueError(f"quote has shape {q.shape}, composition needs ({comp.joint_dim},)")
+    _check_finite(q)
     x, iterations, converged = _hierarchical_cycle(comp, q[None, :], tol, max_iter)
     if not converged[0]:
         raise _unconverged(comp)

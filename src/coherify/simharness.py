@@ -11,7 +11,7 @@ projection, D locally repaired plus joint projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -378,13 +378,6 @@ def hardness_experiment(model: PanelModel, relations: list[Relation], n_cliques:
 
 # --- scenario configs -------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "relations", "m", "n_cliques", "panel_k", "sigma", "bias_scale", "biases", "K",
-    "n_seeds", "policy", "master_seed", "truth", "naive_operator",
-    "repaired_operator", "n_draws",
-}
-
-
 class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = problems
@@ -395,14 +388,14 @@ class ConfigError(ValueError):
 class SimConfig:
     """Scenario settings parsed from a flat ``key = value`` file.
 
-    Recognized keys: relations (comma list of neg/and/or/partition/ladder/
-    paraphrase), m (arity for the variable-arity kinds, 2 to 12), n_cliques,
-    panel_k, sigma, bias_scale, biases (explicit per-specialist offset
-    rows, ``;``-separated specialists with comma-separated coordinates,
-    overriding bias_scale), K (0 means the population limit), n_seeds,
-    policy, master_seed, truth (coherent|adversarial), naive_operator,
-    repaired_operator, n_draws (prediction command only, >= 1). Lines starting
-    with ``#`` are comments.
+    The recognized keys are the fields: relations (comma list of
+    neg/and/or/partition/ladder/paraphrase), m (arity for the variable-arity
+    kinds, 2 to 12), n_cliques, panel_k, sigma, bias_scale, biases (explicit
+    per-specialist offset rows, ``;``-separated specialists with
+    comma-separated coordinates, overriding bias_scale), K (0 means the
+    population limit), n_seeds, policy, master_seed, truth
+    (coherent|adversarial), naive_operator, repaired_operator, n_draws
+    (prediction command only, >= 1). Lines starting with ``#`` are comments.
     """
 
     relations: tuple[str, ...] = ("partition",)
@@ -425,6 +418,7 @@ class SimConfig:
     def parse(cls, text: str) -> "SimConfig":
         problems: list[str] = []
         values: dict = {}
+        keys = {f.name for f in fields(cls)}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -434,7 +428,7 @@ class SimConfig:
                 continue
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 problems.append(f"line {lineno}: unknown key {key!r}")
                 continue
             values[key] = value

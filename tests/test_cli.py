@@ -475,14 +475,71 @@ def test_out_of_range_flags_are_usage_errors_before_any_input(tmp_path, capsys, 
     assert read == [] and not out.exists()
 
 
-@pytest.mark.parametrize("command", ["project", "certify", "monitor"])
-def test_record_commands_write_their_manifest_sidecar(tmp_path, command):
-    line = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
-            "monitor": MONITOR_LINE}[command]
-    inp = tmp_path / "in.jsonl"
-    inp.write_text(line + "\n")
-    out = tmp_path / "o.jsonl"
-    assert run_cli([command, str(inp), "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+MANIFEST_INPUTS = {"project": {"input"}, "certify": {"input"}, "monitor": {"input"},
+                   "simulate": set(), "regret": {"bets"}, "gate": {"bets"}, "predict": set()}
+BAD_BET_LINE = '{"clique_id": "x", "seed": 0}'
+
+
+@pytest.fixture(scope="module")
+def manifest_sources(tmp_path_factory):
+    """Per command: a good source, a malformed one, and the exit code the malformed one gets."""
+    d = tmp_path_factory.mktemp("sources")
+    files = {
+        "project": PARTITION_PROJECT_LINE + "\n",
+        "project.bad": PARTITION_PROJECT_LINE + "\n"
+                       '{"id": "p", "relation": "partition", "m": 3, "quote": [0.2, 0.5]}\n',
+        "certify": PARTITION_CERTIFY_LINE + "\n",
+        "certify.bad": PARTITION_CERTIFY_LINE + "\n" + MISCOUNTED_LINE + "\n",
+        "monitor": MONITOR_LINE + "\n",
+        "monitor.bad": MONITOR_LINE + '\n{"t": 2, "eps_sq": 5.0, "m": 2, "K": 8}\n',
+        "scenario": "relations = partition\nm = 4\nn_cliques = 12\nsigma = 0.15\n"
+                    "bias_scale = 0.1\nmaster_seed = 3\n",
+        "predict": "relations = neg\nn_cliques = 2\nmaster_seed = 1\nn_draws = 50\n",
+        "config.bad": "relations = nonsense\n",
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    assert main(["simulate", str(d / "scenario"), "--out", str(d / "bets")]) == 0
+    bets = (d / "bets").read_text()
+    (d / "bets.bad").write_text(bets.splitlines()[0] + "\n" + BAD_BET_LINE + "\n")
+    return {
+        "project": (d / "project", d / "project.bad", 2),
+        "certify": (d / "certify", d / "certify.bad", 2),
+        "monitor": (d / "monitor", d / "monitor.bad", 2),
+        "simulate": (d / "scenario", d / "config.bad", 1),
+        "regret": (d / "bets", d / "bets.bad", 2),
+        "gate": (d / "bets", d / "bets.bad", 2),
+        "predict": (d / "predict", d / "config.bad", 1),
+    }
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_INPUTS))
+def test_every_command_writes_its_manifest_only_where_asked(tmp_path, monkeypatch, capsys,
+                                                            manifest_sources, command):
+    good, bad, bad_exit = manifest_sources[command]
+    monkeypatch.chdir(tmp_path)
+
+    def written():
+        return sorted(p.name for p in tmp_path.iterdir())
+
+    # --out FILE: the output and its sidecar
+    assert run_cli(["--seed", "7", command, str(good), "--out", "o.txt"]) == 0
+    assert written() == ["o.txt", "o.txt.manifest.json"]
+    manifest = json.loads((tmp_path / "o.txt.manifest.json").read_text())
     assert manifest["command"] == command
-    assert set(manifest["input_digests"]) == {"input"}
+    assert manifest["master_seed"] == 7
+    assert set(manifest["input_digests"]) == MANIFEST_INPUTS[command]
+    # stdout with --manifest-out PATH: PATH only
+    capsys.readouterr()
+    assert run_cli(["--seed", "7", "--manifest-out", "m.json", command, str(good)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "o.txt").read_text()
+    assert written() == ["m.json", "o.txt", "o.txt.manifest.json"]
+    explicit = json.loads((tmp_path / "m.json").read_text())
+    assert {**explicit, "timestamp": None} == {**manifest, "timestamp": None}
+    # stdout alone: no manifest
+    assert run_cli(["--seed", "7", command, str(good)]) == 0
+    assert written() == ["m.json", "o.txt", "o.txt.manifest.json"]
+    # a malformed record or config: neither output nor manifest
+    assert run_cli([command, str(bad), "--out", "bad.txt"]) == bad_exit
+    assert run_cli(["--manifest-out", "bad.json", command, str(bad)]) == bad_exit
+    assert written() == ["m.json", "o.txt", "o.txt.manifest.json"]

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -667,3 +668,33 @@ def test_result_residual_matches_norm():
     q = np.array([0.9, 0.9])
     res = project_closed_form(negation(), q)
     assert res.residual == pytest.approx(float(np.linalg.norm(q - res.projected)), abs=1e-12)
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def _non_finite_routes():
+    spec = build_polytope(partition(3))
+    vertices = enumerate_vertices(partition(3))
+    comp = CompositionSpec(free_components([1, 1, 1]),
+                           relation_coupling(partition(3), range(3)), 3)
+    return {
+        "dykstra": lambda q: project_dykstra(spec, q),
+        "polytope_batch": lambda q: project_polytope_batch(spec, np.stack([[0.2, 0.3, 0.5], q])),
+        "relation": lambda q: project_relation(partition(3), q),
+        "closed_form": lambda q: project_closed_form(partition(3), q),
+        "oracle": lambda q: project_oracle(vertices, q),
+        "hierarchical": lambda q: project_hierarchical(comp, q),
+    }
+
+
+@pytest.mark.parametrize("route", ["dykstra", "polytope_batch", "relation", "closed_form",
+                                   "oracle", "hierarchical"])
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_public_routes_refuse_non_finite_quotes_before_any_arithmetic(route, bad):
+    project = _non_finite_routes()[route]
+    q = np.array([bad, 0.5, 0.2])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^quotes have non-finite entries$"):
+        project(q)
+    assert time.perf_counter() - start < 0.010  # no cycle ran to the iteration cap

@@ -443,3 +443,39 @@ def test_config_lists_draw_count_and_arity_problems(text, problem):
 def test_config_ignores_m_when_every_relation_has_a_fixed_arity():
     assert SimConfig.parse("relations = neg, and, or\nm = 13\n").m == 13
     assert SimConfig.parse("relations = ladder\nm = 12\nn_draws = 1\n").n_draws == 1
+
+
+EVERY_KEY = """\
+relations = neg, ladder
+m = 5
+n_cliques = 3
+panel_k = 2
+sigma = 0.2
+bias_scale = 0.1
+biases = 0.1,-0.1; -0.1,0.1
+K = 0
+n_seeds = 2
+policy = single-owner
+master_seed = 9
+truth = adversarial
+naive_operator = A
+repaired_operator = C
+n_draws = 7
+"""
+
+
+def test_config_keys_are_the_dataclass_fields():
+    keys = [line.split("=")[0].strip() for line in EVERY_KEY.splitlines()]
+    assert keys == [f.name for f in dataclasses.fields(SimConfig)]
+    config, default = SimConfig.parse(EVERY_KEY), SimConfig()
+    assert all(getattr(config, key) != getattr(default, key) for key in keys)
+    assert config.biases == ((0.1, -0.1), (-0.1, 0.1))
+
+
+def test_config_reports_unknown_keys_and_bad_values_in_order():
+    with pytest.raises(ConfigError) as err:
+        SimConfig.parse("bogus = 1\nm = x\nno equals sign\nbiases = 1\n")
+    assert err.value.problems == ["line 1: unknown key 'bogus'",
+                                  "line 3: expected 'key = value'",
+                                  "m: expected an integer",
+                                  "biases: need one row per specialist (panel_k)"]

@@ -15,6 +15,7 @@ from coherify.composition import (
     free_components,
     relation_coupling,
     residual,
+    residual_batch,
 )
 from coherify.jsonio import dump_lines
 from coherify.polytope import (
@@ -194,3 +195,23 @@ def test_certify_names_binding_once_per_record_with_unchanged_output(tmp_path, v
     lines = out.read_text().splitlines()
     assert lines[:len(GOLDEN_CERTIFY)] == [want for _, want in GOLDEN_CERTIFY]
     assert len(violated_calls) == len(lines)  # once per record, when to_json reads it
+
+
+def test_batch_past_the_cache_bound_certifies_as_one_residual_per_item():
+    clear_coherify_caches()
+    rng = np.random.default_rng(22)
+
+    def item(k):  # a fresh spec each time, so a repeat looks its system up again
+        cut = CouplingConstraint("partition-sum", (0, 1), 0.5 + k / 1000.0)
+        return CompositionSpec(free_components([1, 1]), (cut,), 2), list(rng.uniform(size=(2, 1)))
+
+    keys = list(range(SYSTEM_CACHE_SIZE + 20)) + list(range(20)) * 2
+    items = [item(k) for k in keys]
+    certs = residual_batch(items)
+    # the first systems were evicted before their repeats were looked up
+    assert items[0][0].system is not items[SYSTEM_CACHE_SIZE + 20][0].system
+    for (comp, locals_), cert in zip(items, certs):
+        alone = residual(comp, locals_)
+        assert cert.to_json() == alone.to_json()
+        assert cert.repaired.tobytes() == alone.repaired.tobytes()
+        assert cert.epsilon_star == alone.epsilon_star

@@ -19,7 +19,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n-cliques", type=int, default=60)
     parser.add_argument("--n-seeds", type=int, default=4)
     parser.add_argument("--sigma", type=float, default=0.15)
-    parser.add_argument("--K", type=int, default=8)
+    parser.add_argument("--K", type=int, default=8,
+                        help="samples per question; 0 = population limit")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--capture-targets", default="0.9,0.5")
     args = parser.parse_args(argv)
@@ -31,7 +32,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return error(str(exc))
 
-    model = PanelModel(k=4, sigma=args.sigma, bias_scale=0.1, K=args.K)
+    model = PanelModel(k=4, sigma=args.sigma, bias_scale=0.1, K=args.K or None)
     cliques = [Clique(id=f"partition-{i}", relation=partition(4))
                for i in range(args.n_cliques)]
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform"),

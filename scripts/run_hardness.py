@@ -34,19 +34,19 @@ def main(argv=None) -> int:
     model = PanelModel(k=args.panel_k, sigma=args.sigma, K=args.K or None)
     relations = [partition(4), negation(), disjunction(), conjunction(), ladder(4),
                  paraphrase(3)]
-    report = hardness_experiment(model, relations, args.n_cliques, args.n_seeds,
-                                 master_seed=args.seed)
+    rows = hardness_experiment(model, relations, args.n_cliques, args.n_seeds,
+                               master_seed=args.seed)
 
     header = f"{'relation':<12}{'Pr(eps>0)':>12}{'Pr|split':>12}{'mean eps':>12}{'n':>8}"
     print(header)
     print("-" * len(header))
-    for row in report.rows:
+    for row in rows:
         print(f"{row.relation:<12}{row.prevalence:>12.3f}{row.prevalence_split:>12.3f}"
               f"{row.mean_eps:>12.4f}{row.n:>8}")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("relation,prevalence,prevalence_split,mean_eps,n\n")
-            for row in report.rows:
+            for row in rows:
                 fh.write(f"{row.relation},{row.prevalence},{row.prevalence_split},"
                          f"{row.mean_eps},{row.n}\n")
         print(f"\nwrote {args.csv}")

@@ -25,11 +25,12 @@ def main(argv=None) -> int:
     parser.add_argument("--sigma", type=float, default=0.05)
     parser.add_argument("--mass-bias", type=float, default=0.15,
                         help="uniform upward offset making raw panels over-allocate")
-    parser.add_argument("--K", type=int, default=8)
+    parser.add_argument("--K", type=int, default=8,
+                        help="samples per question; 0 = population limit")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    model = PanelModel(k=4, sigma=args.sigma, K=args.K)
+    model = PanelModel(k=4, sigma=args.sigma, K=args.K or None)
     model = dataclasses.replace(model, biases=np.abs(model.bias_matrix(args.m)) + args.mass_bias)
     cliques = [Clique(id=f"partition-{i}", relation=partition(args.m))
                for i in range(args.n_cliques)]

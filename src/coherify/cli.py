@@ -19,6 +19,7 @@ import hashlib
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -263,12 +264,12 @@ def cmd_regret(args) -> Run:
     bets = _parsed(text, BetRecord.from_json)
     rule = AllocationRule(kind=args.rule)
     summary = regret(bets, rule, seed=args.seed or 0)
-    payload = summary.to_json()
+    payload = asdict(summary)
     flat_q = [v for b in bets for v in b.quote_repaired]
     flat_y = [v for b in bets for v in b.labels]
-    payload["murphy_repaired"] = murphy(flat_q, flat_y, args.bins).to_json()
+    payload["murphy_repaired"] = asdict(murphy(flat_q, flat_y, args.bins))
     flat_qn = [v for b in bets for v in b.quote_naive]
-    payload["murphy_naive"] = murphy(flat_qn, flat_y, args.bins).to_json()
+    payload["murphy_naive"] = asdict(murphy(flat_qn, flat_y, args.bins))
     return dumps(payload) + "\n", args.rule, args.seed or 0, {"bets": text}
 
 
@@ -277,7 +278,7 @@ def cmd_gate(args) -> Run:
     bets = _parsed(text, BetRecord.from_json)
     targets = tuple(float(tok) for tok in args.capture_targets.split(",") if tok.strip())
     report = gate_sweep(bets, AllocationRule(kind=args.rule), targets, seed=args.seed or 0)
-    return dumps(report.to_json()) + "\n", args.capture_targets, args.seed or 0, {"bets": text}
+    return dumps(asdict(report)) + "\n", args.capture_targets, args.seed or 0, {"bets": text}
 
 
 def cmd_predict(args) -> Run:

@@ -238,11 +238,6 @@ class CompositionSpec:
                 raise ValueError("coupling constraint references coordinates outside the joint space")
         self.owner_of = tuple(owner_of)
 
-    def cross_component_flags(self) -> tuple[bool, ...]:
-        """True where a coupling constraint spans >= 2 owners; intra cuts are flagged off."""
-        return tuple(len({self.owner_of[j] for j in c.coords}) >= 2
-                     for c in self.coupling.constraints)
-
     @cached_property
     def system(self) -> ConstraintSystem:
         """The composition's constraint system, from the per-process ``constraint_system`` cache."""
@@ -462,8 +457,11 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     An item fails when it is malformed (``aggregate``, its coupling cuts)
     or its row misses the iteration cap (``_unconverged``). The earliest
     failing item's exception is raised, with its position in ``items`` as
-    its ``index`` attribute.
+    its ``index`` attribute. A ``tol`` that is not a finite number >= 0 is
+    refused before any item is read.
     """
+    if not 0.0 <= tol < math.inf:  # also false for NaN
+        raise ValueError(f"tol={tol!r} must be a finite number >= 0")
     items = list(items)
     failures: dict[int, Exception] = {}
     systems: dict[ConstraintSystem, dict[int, np.ndarray]] = {}  # {item index: assembled row}

@@ -8,7 +8,7 @@ small weight floor to stay finite when an allocation zeroes the winner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,17 +22,6 @@ GATE_FOLDS = 5  # gate_sweep's cross-validation folds
 REGRET_BOOTSTRAPS = 1000  # regret's paired-bootstrap resamples
 
 
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value.to_json() if hasattr(value, "to_json") else value
-
-
-def _fields_json(report) -> dict:
-    """A report dataclass's fields in declaration order, tuples as lists."""
-    return {f.name: _plain(getattr(report, f.name)) for f in fields(report)}
-
-
 @dataclass(frozen=True)
 class BetRecord:
     clique_id: str
@@ -41,7 +30,7 @@ class BetRecord:
     quote_repaired: tuple[float, ...]
     labels: tuple[int, ...]
     eps_star: float
-    unique_yes: int | None = field(default=None)
+    unique_yes: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "quote_naive", tuple(float(v) for v in self.quote_naive))
@@ -177,9 +166,6 @@ class RegretSummary:
     brier_repaired: float
     brier_normalization: str = BRIER_NORMALIZATION
 
-    def to_json(self) -> dict:
-        return _fields_json(self)
-
 
 def regret(bets: list[BetRecord], rule: AllocationRule | None = None,
            seed: int = 0) -> RegretSummary:
@@ -248,9 +234,6 @@ class OperatingPoint:
     capture: float
     fpr: float
 
-    def to_json(self) -> dict:
-        return _fields_json(self)
-
 
 @dataclass(frozen=True)
 class CVStability:
@@ -266,9 +249,6 @@ class CVStability:
     mean_alert_rate: float | None
     std_alert_rate: float | None
 
-    def to_json(self) -> dict:
-        return _fields_json(self)
-
 
 @dataclass(frozen=True)
 class GateReport:
@@ -278,9 +258,6 @@ class GateReport:
     harm_threshold: float
     operating_points: tuple[OperatingPoint, ...]
     cv: tuple[CVStability, ...]
-
-    def to_json(self) -> dict:
-        return _fields_json(self)
 
 
 def _tau_for_capture(harm_eps: np.ndarray, target: float) -> float:
@@ -380,9 +357,6 @@ class MurphyDecomposition:
     res: float
     unc: float
     brier: float
-
-    def to_json(self) -> dict:
-        return _fields_json(self)
 
 
 def murphy(quotes, labels, n_bins: int = 10) -> MurphyDecomposition:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 LAMBDA_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 DEFAULT_ALPHAS = (0.05, 1e-4)
@@ -60,17 +60,7 @@ class EProcessState:
             object.__setattr__(self, "crossed_at", tuple(None for _ in self.alphas))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lambdas": list(self.lambdas),
-                "log_e": list(self.log_e),
-                "t": self.t,
-                "log_e_mix": self.log_e_mix,
-                "log_e_mix_max": self.log_e_mix_max,
-                "alphas": list(self.alphas),
-                "crossed_at": list(self.crossed_at),
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, payload: str) -> "EProcessState":

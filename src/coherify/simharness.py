@@ -74,6 +74,14 @@ class PanelModel:
     K: int | None = 8
     truth_mode: str = "coherent"
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be >= 1")
+        if not self.sigma >= 0.0:  # also true for NaN
+            raise ValueError(f"sigma={self.sigma} must be >= 0")
+        if self.K is not None and self.K < 1:
+            raise ValueError(f"K={self.K} must be >= 1, or None for the population limit")
+
     def bias_matrix(self, m: int) -> np.ndarray:
         if self.biases is not None:
             biases = np.asarray(self.biases, dtype=float)
@@ -339,17 +347,9 @@ class HardnessRow:
     n: int
 
 
-@dataclass(frozen=True)
-class HardnessReport:
-    rows: tuple[HardnessRow, ...]
-
-    def by_relation(self) -> dict[str, HardnessRow]:
-        return {r.relation: r for r in self.rows}
-
-
 def hardness_experiment(model: PanelModel, relations: list[Relation], n_cliques: int,
-                        n_seeds: int = 4, master_seed: int = 0) -> HardnessReport:
-    """Positive-residual prevalence and mean residual per relation.
+                        n_seeds: int = 4, master_seed: int = 0) -> tuple[HardnessRow, ...]:
+    """Positive-residual prevalence and mean residual, one row per relation in order.
 
     Uses one shared panel model so the per-coordinate variance is matched;
     the residual scored is the post-local-repair composed one.
@@ -373,7 +373,7 @@ def hardness_experiment(model: PanelModel, relations: list[Relation], n_cliques:
                 n=eps.size,
             )
         )
-    return HardnessReport(tuple(rows))
+    return tuple(rows)
 
 
 # --- scenario configs -------------------------------------------------------

@@ -173,6 +173,17 @@ def test_predict_refuses_a_bad_draw_count_or_arity_as_a_config_error(tmp_path, c
     assert capsys.readouterr().err == f"config error: {problem}\n"
 
 
+REGRET_KEYS = [
+    "n", "n_unique_yes", "rule", "mean_delta_brier", "ci_delta_brier", "mean_delta_log",
+    "ci_delta_log", "mean_delta_log_all", "brier_naive", "brier_repaired", "brier_normalization",
+    "murphy_repaired", "murphy_naive",
+]
+MURPHY_KEYS = ["rel", "res", "unc", "brier"]
+GATE_KEYS = ["n", "auc", "harm_rate", "harm_threshold", "operating_points", "cv"]
+OPERATING_POINT_KEYS = ["capture_target", "tau", "alert_rate", "capture", "fpr"]
+CV_KEYS = ["capture_target", "mean_capture", "std_capture", "mean_alert_rate", "std_alert_rate"]
+
+
 def test_regret_and_gate_pipeline(tmp_path, scenario):
     bets = tmp_path / "bets.jsonl"
     run_cli(["simulate", str(scenario), "--out", str(bets)])
@@ -182,7 +193,8 @@ def test_regret_and_gate_pipeline(tmp_path, scenario):
     summary = json.loads(summary_path.read_text())
     assert summary["n"] == 48
     assert summary["brier_normalization"] == "per-coordinate-mean"
-    assert "murphy_repaired" in summary
+    assert list(summary) == REGRET_KEYS
+    assert list(summary["murphy_repaired"]) == list(summary["murphy_naive"]) == MURPHY_KEYS
     gate_path = tmp_path / "gate.json"
     rc = run_cli(["gate", str(bets), "--out", str(gate_path),
                   "--capture-targets", "0.9,0.5"])
@@ -191,6 +203,9 @@ def test_regret_and_gate_pipeline(tmp_path, scenario):
     assert gate["n"] == 48
     assert len(gate["operating_points"]) == 2
     assert 0 <= gate["auc"] <= 1
+    assert list(gate) == GATE_KEYS
+    assert [list(p) for p in gate["operating_points"]] == [OPERATING_POINT_KEYS] * 2
+    assert [list(cv) for cv in gate["cv"]] == [CV_KEYS] * 2
 
 
 def test_gate_and_regret_take_the_edges_of_their_ranges(tmp_path, scenario):
@@ -220,6 +235,8 @@ def test_gate_reports_null_cv_when_no_fold_can_be_scored(tmp_path):
     assert run_cli(["gate", str(bets), "--out", str(gate_path)]) == 0
     gate = json.loads(gate_path.read_text())
     assert (gate["n"], gate["harm_rate"]) == (40, 1 / 40)
+    assert list(gate) == GATE_KEYS
+    assert [list(cv) for cv in gate["cv"]] == [CV_KEYS] * 2
     assert [cv["capture_target"] for cv in gate["cv"]] == [0.9, 0.5]
     for cv in gate["cv"]:
         assert [cv[k] for k in ("mean_capture", "std_capture", "mean_alert_rate",

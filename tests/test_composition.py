@@ -151,6 +151,18 @@ def test_residual_raw_path_keeps_violation():
     assert not cert.inputs_locally_coherent
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_residual_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    def items():
+        raise AssertionError("read an item before checking tol")
+        yield
+
+    with pytest.raises(ValueError, match="must be a finite number >= 0"):
+        residual(partition_split(), [[0.39], [0.73], [0.67], [0.71]], tol=tol)
+    with pytest.raises(ValueError, match="must be a finite number >= 0"):
+        residual_batch(items(), tol=tol)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_residual_rejects_non_finite_locals(bad):
     with pytest.raises(ValueError, match="component 1 quote has non-finite entries"):
@@ -490,16 +502,6 @@ def test_certificates_and_projection_results_compare_and_hash_by_identity():
     one, two = (project_relation(negation(), [0.9, 0.9]) for _ in range(2))
     assert one == one and one != two
     assert one in {one} and len({one, two}) == 2
-
-
-def test_cross_component_flags():
-    comp = CompositionSpec(
-        (ComponentSpec(build_polytope(negation()), (0, 1)),),
-        relation_coupling(negation(), range(2)),
-        2,
-    )
-    assert comp.cross_component_flags() == (False,)
-    assert negation_split().cross_component_flags() == (True,)
 
 
 # --- coupling and joint constraint systems ----------------------------------------

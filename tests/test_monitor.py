@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -128,6 +129,9 @@ def test_serialization_round_trip():
     for e in (0.1, 0.9, 1.7):
         state = update(state, StreamStep(eps_sq=e, m=2, k_samples=8))
     assert EProcessState.from_json(state.to_json()) == state
+    assert list(json.loads(state.to_json())) == [
+        "lambdas", "log_e", "t", "log_e_mix", "log_e_mix_max", "alphas", "crossed_at",
+    ]
 
 
 @settings(max_examples=50, deadline=None)

@@ -33,6 +33,12 @@ def test_script_main_runs_and_prints_its_table(name, argv, first_column, capsys)
     assert len(lines[header + 1]) == len(lines[header])
 
 
+@pytest.mark.parametrize("name, argv, first_column", CASES[1:], ids=[c[0] for c in CASES[1:]])
+def test_script_reads_K_0_as_the_population_limit(name, argv, first_column, capsys):
+    assert load_script(name).main(argv + ["--K", "0"]) == 0
+    assert first_column in capsys.readouterr().out
+
+
 def test_gate_calibration_refuses_too_few_bets_without_traceback(capsys):
     assert load_script("run_gate_calibration").main(["--n-cliques", "2", "--n-seeds", "1"]) == 2
     captured = capsys.readouterr()

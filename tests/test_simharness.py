@@ -69,6 +69,15 @@ def test_negation_bias_panel_population_stats():
     assert np.allclose(panel.repaired, panel.population)
 
 
+@pytest.mark.parametrize("settings, name", [
+    ({"K": 0}, "K"), ({"K": -1}, "K"), ({"k": 0}, "k"), ({"sigma": -0.1}, "sigma"),
+    ({"sigma": float("nan")}, "sigma"),
+], ids=["K=0", "K=-1", "k=0", "sigma=-0.1", "sigma=nan"])
+def test_panel_model_refuses_settings_without_a_panel(settings, name):
+    with pytest.raises(ValueError, match=f"^{name}="):
+        PanelModel(**settings)
+
+
 def test_generate_panel_is_deterministic():
     model = PanelModel(k=4, sigma=0.1, K=8)
     a = generate_panel(model, part_clique(), seed=(3, 1))
@@ -338,10 +347,9 @@ def test_hardness_equality_relations_dominate():
     # relation is incoherent (K-sample readouts are lattice-valued and can
     # satisfy the equality by chance, which is why K=None here)
     model = PanelModel(k=4, sigma=0.08, K=None)
-    report = hardness_experiment(
+    rows = {row.relation: row for row in hardness_experiment(
         model, [negation(), partition(4), conjunction()], n_cliques=10, n_seeds=2
-    )
-    rows = report.by_relation()
+    )}
     assert rows["neg"].prevalence_split >= 0.95
     assert rows["partition"].prevalence_split >= 0.95
     assert min(rows["neg"].prevalence, rows["partition"].prevalence) >= rows["and"].prevalence
@@ -349,16 +357,16 @@ def test_hardness_equality_relations_dominate():
 
 def test_hardness_zero_noise_is_all_zero():
     model = PanelModel(k=4, sigma=0.0, bias_scale=0.0, K=None)
-    report = hardness_experiment(model, [negation(), partition(4)], n_cliques=5, n_seeds=2)
-    for row in report.rows:
+    rows = hardness_experiment(model, [negation(), partition(4)], n_cliques=5, n_seeds=2)
+    for row in rows:
         assert row.mean_eps == 0.0
         assert row.prevalence == 0.0
 
 
 def test_hardness_conjunction_interior_panel_not_always_positive():
     model = PanelModel(k=4, sigma=0.02, bias_scale=0.01, K=None)
-    report = hardness_experiment(model, [conjunction()], n_cliques=20, n_seeds=2)
-    assert report.rows[0].prevalence < 1.0
+    rows = hardness_experiment(model, [conjunction()], n_cliques=20, n_seeds=2)
+    assert rows[0].prevalence < 1.0
 
 
 # --- configs -------------------------------------------------------------------

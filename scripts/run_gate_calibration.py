@@ -24,15 +24,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--capture-targets", default="0.9,0.5")
     args = parser.parse_args(argv)
-    try:  # gate_sweep's rule and message, checked before anything is simulated
+    try:  # gate_sweep's rule and message, and PanelModel's, checked before anything is simulated
         targets = tuple(float(t) for t in args.capture_targets.split(","))
         for target in targets:
             if not 0.0 < target <= 1.0:  # also false for NaN
                 raise ValueError(f"capture target {target!r} is outside (0, 1]")
+        model = PanelModel(k=4, sigma=args.sigma, bias_scale=0.1, K=args.K or None)
     except ValueError as exc:
         return error(str(exc))
 
-    model = PanelModel(k=4, sigma=args.sigma, bias_scale=0.1, K=args.K or None)
     cliques = [Clique(id=f"partition-{i}", relation=partition(4))
                for i in range(args.n_cliques)]
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform"),

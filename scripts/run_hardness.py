@@ -31,7 +31,11 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", default=None, help="write rows as CSV here")
     args = parser.parse_args(argv)
 
-    model = PanelModel(k=args.panel_k, sigma=args.sigma, K=args.K or None)
+    try:
+        model = PanelModel(k=args.panel_k, sigma=args.sigma, K=args.K or None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     relations = [partition(4), negation(), disjunction(), conjunction(), ladder(4),
                  paraphrase(3)]
     rows = hardness_experiment(model, relations, args.n_cliques, args.n_seeds,

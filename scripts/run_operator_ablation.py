@@ -30,7 +30,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    model = PanelModel(k=4, sigma=args.sigma, K=args.K or None)
+    try:
+        model = PanelModel(k=4, sigma=args.sigma, K=args.K or None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     model = dataclasses.replace(model, biases=np.abs(model.bias_matrix(args.m)) + args.mass_bias)
     cliques = [Clique(id=f"partition-{i}", relation=partition(args.m))
                for i in range(args.n_cliques)]

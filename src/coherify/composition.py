@@ -52,7 +52,7 @@ class ComponentSpec:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
         if len(self.coords) != self.polytope.dim:
             raise ValueError("owned coordinate count must match the local polytope dimension")
 
@@ -214,7 +214,6 @@ class CompositionSpec:
     components: tuple[ComponentSpec, ...]
     coupling: CouplingSet = CouplingSet()
     joint_dim: int = 0
-    owner_of: tuple[int, ...] = field(init=False, repr=False, compare=False)  # coord -> component
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -222,21 +221,18 @@ class CompositionSpec:
             self.coupling = CouplingSet(tuple(self.coupling))
         if self.joint_dim == 0:
             self.joint_dim = sum(len(c.coords) for c in self.components)
-        owner_of = [-1] * self.joint_dim
-        for a, component in enumerate(self.components):
+        unowned = set(range(self.joint_dim))
+        for component in self.components:
             for j in component.coords:
-                if not (0 <= j < self.joint_dim):
-                    raise ValueError(f"coordinate {j} outside the joint space")
-                if owner_of[j] != -1:
-                    raise ValueError(f"joint coordinate {j} owned twice")
-                owner_of[j] = a
-        if any(o == -1 for o in owner_of):
-            missing = [j for j, o in enumerate(owner_of) if o == -1]
-            raise ValueError(f"joint coordinates {missing} have no owner")
+                if j not in unowned:
+                    raise ValueError(f"joint coordinate {j} owned twice" if 0 <= j < self.joint_dim
+                                     else f"coordinate {j} outside the joint space")
+                unowned.remove(j)
+        if unowned:
+            raise ValueError(f"joint coordinates {sorted(unowned)} have no owner")
         for c in self.coupling.constraints:
-            if any(j >= self.joint_dim for j in c.coords):
+            if max(c.coords) >= self.joint_dim:
                 raise ValueError("coupling constraint references coordinates outside the joint space")
-        self.owner_of = tuple(owner_of)
 
     @cached_property
     def system(self) -> ConstraintSystem:
@@ -365,7 +361,7 @@ def _placement(layout: tuple) -> np.ndarray:
     ``layout`` holds each component's coordinates; owners partition the
     joint coordinates, so together they are a permutation of them.
     """
-    return np.argsort([j for coords in layout for j in coords])
+    return np.array([j for coords in layout for j in coords]).argsort()
 
 
 def _refuse_non_finite(quotes: list) -> None:
@@ -388,16 +384,15 @@ def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
     quotes = []
     for a, (component, q) in enumerate(zip(components, locals_)):
         q = np.asarray(q, dtype=float)
-        if q.shape != (component.polytope.dim,):
+        coords = component.coords
+        if q.shape != (len(coords),):
             _refuse_non_finite(quotes)  # an earlier component's fault comes first
-            raise ValueError(
-                f"component {a} quote has shape {q.shape}, needs ({component.polytope.dim},)"
-            )
+            raise ValueError(f"component {a} quote has shape {q.shape}, needs ({len(coords)},)")
         quotes.append(q)
     flat = np.concatenate(quotes) if quotes else np.zeros(0)
     if not np.isfinite(flat).all():
         _refuse_non_finite(quotes)
-    return flat[_placement(tuple(c.coords for c in components))]
+    return flat[_placement(tuple([c.coords for c in components]))]
 
 
 def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: float):
@@ -406,7 +401,7 @@ def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: 
     A row's locals are coherent when the row is in the box and meets every
     constraint of ``system``'s constrained components within ``tol``.
     """
-    coherent = np.all((X >= -tol) & (X <= 1.0 + tol), axis=1)
+    coherent = np.logical_and.reduce((X >= -tol) & (X <= 1.0 + tol), axis=1)
     for _, component in system.constrained:
         coherent &= component.polytope.gaps(X[:, list(component.coords)]).max(axis=1) <= tol
     if repair_locals:
@@ -416,7 +411,8 @@ def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: 
 
 def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
                  locally_coherent: bool, tol: float) -> Certificate:
-    distance = float(np.linalg.norm(x - projected))
+    d = x - projected
+    distance = math.sqrt(d.dot(d))  # np.linalg.norm's own sum for a 1-D float64 vector
     eps = distance if distance >= RESIDUAL_FLOOR else 0.0
     return Certificate(
         epsilon_star=eps,
@@ -478,7 +474,8 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
         comp = items[next(iter(rows))][0]
         X, coherent = _composed(comp, np.array(list(rows.values())), repair_locals, tol)
         projected, _, converged = _hierarchical_cycle(comp, X)
-        error = None if converged.all() else _unconverged(comp)
+        converged = converged.tolist()
+        error = None if all(converged) else _unconverged(comp)
         for row, i in enumerate(rows):
             if converged[row]:
                 certs[i] = _certificate(comp, X[row], projected[row], coherent[row], tol)

@@ -76,13 +76,6 @@ class EProcessState:
         )
 
 
-def _logsumexp(values) -> float:
-    hi = max(values)
-    if hi == -math.inf:
-        return -math.inf
-    return hi + math.log(sum(math.exp(v - hi) for v in values))
-
-
 def update(state: EProcessState, step: StreamStep) -> EProcessState:
     """Advance one step; malformed steps (eps_sq non-finite or outside [0, m]) are rejected."""
     m = int(step.m)
@@ -94,15 +87,15 @@ def update(state: EProcessState, step: StreamStep) -> EProcessState:
         raise ValueError(f"eps_sq={eps_sq} outside the admissible range [0, {m}]")
     centered = eps_sq - m / (4.0 * K)
     spread = m / (2.0 * K)
-    log_e = tuple(
-        le + lam * centered - lam * lam * spread for le, lam in zip(state.log_e, state.lambdas)
-    )
-    log_mix = _logsumexp(log_e) - math.log(len(log_e))
+    log_e = tuple([le + lam * centered - lam * lam * spread
+                   for le, lam in zip(state.log_e, state.lambdas)])
+    hi = max(log_e)  # log-sum-exp of log_e, shifted by its largest term
+    if hi != -math.inf:
+        hi += math.log(sum([math.exp(v - hi) for v in log_e]))
+    log_mix = hi - math.log(len(log_e))
     t = state.t + 1
-    crossed = tuple(
-        t if prior is None and log_mix >= -math.log(alpha) else prior
-        for prior, alpha in zip(state.crossed_at, state.alphas)
-    )
+    crossed = tuple([t if prior is None and log_mix >= -math.log(alpha) else prior
+                     for prior, alpha in zip(state.crossed_at, state.alphas)])
     return EProcessState(
         lambdas=state.lambdas,
         log_e=log_e,

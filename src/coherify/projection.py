@@ -336,9 +336,9 @@ def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
     x = X
     P = np.zeros_like(X)
     T = [np.zeros(n)] * len(cuts)  # never written in place
+    if not n:  # an empty batch runs no cycle
+        return out, iterations, converged
     for it in range(1, max_iter + 1):
-        if not live.size:
-            break
         y = x + P
         x = local(y)
         P_new = y - x
@@ -369,7 +369,13 @@ def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
             change = np.abs(step)  # of the correction t * a: |step| * max|a|
             delta = np.maximum(delta, change if a_max == 1.0 else change * a_max)
         done = delta < tol
-        if np.count_nonzero(done):
+        stopped = np.count_nonzero(done)
+        if stopped == len(live):  # every live row at once: nothing left to slice
+            out[live] = x
+            iterations[live] = it
+            converged[live] = True
+            return out, iterations, converged
+        if stopped:
             rows = live[done]
             out[rows] = x[done]
             iterations[rows] = it
@@ -536,7 +542,8 @@ def _project_locals(comp: "CompositionSpec", Y: np.ndarray) -> np.ndarray:
 def _hierarchical_cycle(comp: "CompositionSpec", X: np.ndarray, tol: float = DYKSTRA_TOL,
                         max_iter: int = DYKSTRA_MAX_ITER):
     """``_cyclic`` over the product of the local polytopes and the coupling cuts."""
-    return _cyclic(X, lambda Y: _project_locals(comp, Y), comp.system.cuts, tol, max_iter)
+    local = (lambda Y: _project_locals(comp, Y)) if comp.constrained else _clip
+    return _cyclic(X, local, comp.system.cuts, tol, max_iter)
 
 
 def _unconverged(comp: "CompositionSpec") -> Exception:

@@ -236,15 +236,18 @@ def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
     """
     relation = clique.relation
     m = relation.m
-    owners = np.asarray(owners, dtype=int)
-    specialists = tuple(sorted(set(owners.tolist())))
+    owners = tuple(np.asarray(owners, dtype=int).tolist())
+    owned: dict[int, list[int]] = {}
+    for j, s in enumerate(owners):
+        owned.setdefault(s, []).append(j)
+    specialists = tuple(sorted(owned))
     components = []
     for s in specialists:
-        coords = tuple(np.nonzero(owners == s)[0].tolist())
+        coords = tuple(owned[s])
         polytope = _polytope(relation) if len(coords) == m else _free_box(len(coords))
         components.append(ComponentSpec(polytope, coords))
     comp = CompositionSpec(tuple(components), _relation_coupling(relation, tuple(range(m))), m)
-    return RoutedComposition(comp, specialists, tuple(owners.tolist()))
+    return RoutedComposition(comp, specialists, owners)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherify.composition import (
     Certificate,
@@ -7,6 +9,7 @@ from coherify.composition import (
     CompositionSpec,
     CouplingConstraint,
     ProductStructuredError,
+    _certificate,
     aggregate,
     attribute,
     construct_witness,
@@ -31,7 +34,12 @@ from coherify.polytope import (
     paraphrase,
     partition,
 )
-from coherify.projection import InfeasibleCouplingError, project_hierarchical, project_relation
+from coherify.projection import (
+    RESIDUAL_FLOOR,
+    InfeasibleCouplingError,
+    project_hierarchical,
+    project_relation,
+)
 from coherify.simharness import composition_for
 
 ALL_RELATIONS = [negation(), conjunction(), disjunction(), partition(5), ladder(4), paraphrase(3)]
@@ -99,8 +107,25 @@ def test_aggregate_refuses_the_first_bad_component(locals_, message):
 
 
 def test_ownership_map_total():
-    comp = partition_split()
-    assert comp.owner_of == (0, 1, 2, 3)
+    comp = CompositionSpec((ComponentSpec(PolytopeSpec(dim=2), (2, 0)),
+                            ComponentSpec(PolytopeSpec(dim=1), (3,)),
+                            ComponentSpec(PolytopeSpec(dim=1), (1,))), (), 4)
+    x = aggregate(comp, [[0.1, 0.2], [0.3], [0.4]])
+    assert x.tolist() == [0.2, 0.4, 0.1, 0.3]  # every coordinate takes its one owner's value
+
+
+@pytest.mark.parametrize("layout, joint_dim, message", [
+    (((0, 1), (1, 2)), 3, "joint coordinate 1 owned twice"),
+    (((0,), (0,)), 2, "joint coordinate 0 owned twice"),
+    (((0,), (3,)), 4, r"joint coordinates \[1, 2\] have no owner"),
+    (((0, 1), (4,)), 3, "coordinate 4 outside the joint space"),
+    (((0, -1),), 2, "coordinate -1 outside the joint space"),
+    (((1, 1), (0, 2)), 0, "joint coordinate 1 owned twice"),  # joint_dim 0: the owned count
+])
+def test_ownership_refuses_a_coordinate_owned_twice_or_by_none(layout, joint_dim, message):
+    components = tuple(ComponentSpec(PolytopeSpec(dim=len(c)), c) for c in layout)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CompositionSpec(components, (), joint_dim)
 
 
 # --- residual certificates ----------------------------------------------------
@@ -482,6 +507,19 @@ def test_attribute_squares_sum_to_eps_squared():
 
 
 # --- certificates as JSON ---------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 24))
+def test_certificate_distance_is_the_norm_bit_for_bit(data, dim):
+    entry = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                      st.floats(-1e-6, 1e-6, allow_nan=False))  # subnormals and signed zeros too
+    x, projected = (np.array(data.draw(st.lists(entry, min_size=dim, max_size=dim)))
+                    for _ in range(2))
+    comp = CompositionSpec(free_components([dim]), (), dim)
+    norm = float(np.linalg.norm(x - projected))
+    cert = _certificate(comp, x, projected, True, 1e-8)
+    assert cert.epsilon_star.hex() == (norm if norm >= RESIDUAL_FLOOR else 0.0).hex()
 
 
 def test_certificate_json_shape():

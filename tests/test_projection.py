@@ -376,6 +376,21 @@ def test_hierarchical_batch_rows_stop_on_their_own_bit_for_bit():
                 project_hierarchical(comp, q, max_iter=max_iter)
 
 
+def test_hierarchical_batch_rows_that_stop_together_equal_their_one_row_calls_bit_for_bit():
+    rng = np.random.default_rng(5)
+    box_split = CompositionSpec(free_components([2, 3]), relation_coupling(partition(5), range(5)))
+    sole_owner = CompositionSpec((ComponentSpec(build_polytope(ladder(3)), (0, 1, 2)),
+                                  ComponentSpec(build_polytope(negation()), (3, 4))),
+                                 relation_coupling(ladder(3), range(3)), 5)
+    for comp, X in [(box_split, 0.2 + rng.uniform(-0.05, 0.05, size=(6, 5))),  # clip locally
+                    (sole_owner, rng.uniform(-0.2, 1.2, size=(6, 5)))]:  # components' own routes
+        x, iterations, converged = _hierarchical_cycle(comp, X)
+        assert set(iterations.tolist()) == {2} and converged.all()  # every row in one cycle
+        for q, p in zip(X, x):
+            one, one_k, one_c = _hierarchical_cycle(comp, q[None, :])
+            assert (one[0].tobytes(), int(one_k[0]), bool(one_c[0])) == (p.tobytes(), 2, True)
+
+
 def test_hierarchical_raises_past_the_cap_when_a_feasible_point_is_known():
     comp = paraphrase_split()
     X = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.4] * 8])

@@ -39,6 +39,36 @@ def test_script_reads_K_0_as_the_population_limit(name, argv, first_column, caps
     assert first_column in capsys.readouterr().out
 
 
+K_MESSAGE = "K=-1 must be >= 1, or None for the population limit"
+PANEL_FLAGS = [
+    ("run_hardness", "--panel-k", "0", "k=0 must be >= 1"),
+    ("run_hardness", "--sigma", "-1", "sigma=-1.0 must be >= 0"),
+    ("run_hardness", "--K", "-1", K_MESSAGE),
+    ("run_operator_ablation", "--sigma", "-1", "sigma=-1.0 must be >= 0"),
+    ("run_operator_ablation", "--K", "-1", K_MESSAGE),
+    ("run_gate_calibration", "--sigma", "-1", "sigma=-1.0 must be >= 0"),
+    ("run_gate_calibration", "--K", "-1", K_MESSAGE),
+]
+
+
+@pytest.mark.parametrize("name, flag, value, message", PANEL_FLAGS,
+                         ids=[f"{c[0]}{c[1]}={c[2]}" for c in PANEL_FLAGS])
+def test_script_refuses_an_out_of_range_panel_flag_without_traceback(
+        name, flag, value, message, monkeypatch, capsys):
+    script = load_script(name)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError(f"simulated before refusing {flag} {value}")
+
+    for runner in ("run_ensemble", "hardness_experiment"):
+        if hasattr(script, runner):
+            monkeypatch.setattr(script, runner, no_simulation)
+    assert script.main([flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_gate_calibration_refuses_too_few_bets_without_traceback(capsys):
     assert load_script("run_gate_calibration").main(["--n-cliques", "2", "--n-seeds", "1"]) == 2
     captured = capsys.readouterr()

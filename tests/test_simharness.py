@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherify.polytope import (
     Clique,
+    PolytopeSpec,
     build_polytope,
     conjunction,
     disjunction,
@@ -15,7 +18,7 @@ from coherify.polytope import (
     paraphrase,
     partition,
 )
-from coherify.composition import residual
+from coherify.composition import ComponentSpec, relation_coupling, residual
 from coherify.projection import RESIDUAL_FLOOR, project_hierarchical, project_relation
 from coherify.simharness import (
     ConfigError,
@@ -161,6 +164,51 @@ def test_composition_for_full_owner_gets_relation_polytope():
     assert routed.comp.components[0].polytope.relation == partition(4)
     routed2 = composition_for(part_clique(), np.array([0, 1, 0, 1]))
     assert all(c.polytope.relation is None for c in routed2.comp.components)
+
+
+def _composition_by_nonzero(relation, owners):
+    """``composition_for``'s parts built with one ``np.nonzero`` per specialist."""
+    owners = np.asarray(owners, dtype=int)
+    specialists = tuple(sorted(set(owners.tolist())))
+    components = []
+    for s in specialists:
+        coords = tuple(np.nonzero(owners == s)[0].tolist())
+        whole = len(coords) == relation.m
+        components.append(ComponentSpec(
+            build_polytope(relation) if whole else PolytopeSpec(dim=len(coords)), coords))
+    coupling = relation_coupling(relation, range(relation.m))
+    return specialists, tuple(components), coupling, tuple(owners.tolist())
+
+
+OWNER_FORMS = {
+    "list": lambda o: o,
+    "numpy int64": lambda o: np.array(o, dtype=np.int64),
+    "numpy int32 scalars": lambda o: [np.int32(s) for s in o],
+    "float": lambda o: [s + 0.75 for s in o],  # truncated, as np.asarray(..., dtype=int) does
+    "float array": lambda o: np.array(o, dtype=float) + 0.25,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation=st.sampled_from([negation(), conjunction(), disjunction(), partition(4),
+                                 partition(7), ladder(4), ladder(6), paraphrase(3)]),
+       data=st.data(), form=st.sampled_from(sorted(OWNER_FORMS)))
+def test_composition_for_builds_what_a_nonzero_construction_builds(relation, data, form):
+    k = data.draw(st.integers(1, 6))
+    owners = OWNER_FORMS[form](
+        data.draw(st.lists(st.integers(0, k - 1), min_size=relation.m, max_size=relation.m)))
+    routed = composition_for(Clique(id="c", relation=relation), owners)
+    specialists, components, coupling, owner_tuple = _composition_by_nonzero(relation, owners)
+    comp = routed.comp
+    assert routed.specialists == specialists
+    assert routed.owners == owner_tuple
+    assert all(type(s) is int for s in routed.specialists + routed.owners)
+    assert comp.joint_dim == relation.m
+    assert [c.coords for c in comp.components] == [c.coords for c in components]
+    assert [c.polytope for c in comp.components] == [c.polytope for c in components]
+    assert comp.coupling.constraints == coupling
+    assert comp.constrained == tuple((a, c) for a, c in enumerate(comp.components)
+                                     if len(c.coords) == relation.m)
 
 
 # --- ensembles ------------------------------------------------------------------

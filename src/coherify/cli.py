@@ -32,7 +32,7 @@ from .composition import (
     residual_batch,
 )
 from .decision import AllocationRule, BetRecord, gate_sweep, murphy, regret
-from .jsonio import InputError, dump_lines, dumps, parse_lines
+from .jsonio import InputError, dump_lines, dumps, json_int, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
 from .polytope import Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
@@ -152,7 +152,7 @@ def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, 
     ``shapes`` maps each (owners, coupling) shape seen before to its spec,
     so that a file builds one ``CompositionSpec`` per shape.
     """
-    owners = tuple(int(v) for v in record["owners"])
+    owners = tuple(json_int(v, "owners") for v in record["owners"])
     locals_ = [np.asarray(q, dtype=float) for q in record["locals"]]
     component_ids = sorted(set(owners))
     if len(locals_) != len(component_ids):
@@ -208,9 +208,9 @@ def cmd_monitor(args) -> Run:
 
     def step(record) -> dict:
         nonlocal state
-        state = update(state, StreamStep(
-            eps_sq=float(record["eps_sq"]), m=int(record["m"]), k_samples=int(record["K"])
-        ))
+        state = update(state, StreamStep(eps_sq=float(record["eps_sq"]),
+                                         m=json_int(record["m"], "m"),
+                                         k_samples=json_int(record["K"], "K")))
         return {
             "t": state.t,
             "log_e_mix": state.log_e_mix,

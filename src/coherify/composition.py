@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .jsonio import json_int
 from .polytope import (
     LinearConstraint,
     PolytopeSpec,
@@ -118,7 +119,7 @@ class CouplingConstraint:
     def from_json(cls, record: dict) -> "CouplingConstraint":
         return cls(
             kind=str(record["kind"]),
-            coords=tuple(record["coords"]),
+            coords=tuple(json_int(c, "coords") for c in record["coords"]),
             b=float(record.get("b", 1.0)),
             a=tuple(record["a"]) if record.get("a") is not None else None,
         )

@@ -50,6 +50,18 @@ def finite_float(token: str) -> float:
     return value
 
 
+def json_int(value, field: str) -> int:
+    """``value`` when it is a JSON integer, else ``ValueError`` naming ``field``.
+
+    The decoder makes an ``int`` only of an integer literal, so this
+    refuses ``true`` and ``false``, strings such as ``"0"`` and every
+    number with a fraction or exponent, ``1.9`` and ``2.0`` alike.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{field} takes JSON integers, got {json.dumps(value, default=repr)}")
+    return value
+
+
 class InputError(ValueError):
     """Malformed input stream; the CLI maps it to exit code 2."""
 

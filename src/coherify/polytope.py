@@ -16,6 +16,8 @@ from enum import Enum
 
 import numpy as np
 
+from .jsonio import json_int
+
 ENUMERATION_LIMIT = 12  # 2^m outcome scan beyond this is off the table
 MEMBERSHIP_TOL = 1e-8
 
@@ -100,7 +102,7 @@ class Clique:
 
     @classmethod
     def from_json(cls, record: dict) -> "Clique":
-        relation = Relation(RelationKind(record["relation"]), int(record["m"]))
+        relation = Relation(RelationKind(record["relation"]), json_int(record["m"], "m"))
         return cls(
             id=str(record["id"]),
             relation=relation,

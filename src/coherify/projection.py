@@ -10,9 +10,13 @@ one row. ``project_oracle``, a min-norm-point search over vertex hulls,
 is the independent ground truth that tests hold every route to. General
 and composed systems go through one batched Boyle-Dykstra engine: one
 exact local set plus the rows of one constraint system, with each row
-stopping on its own and coming out as its own one-row call would. A cut
-whose row is ``e_j +- e_k`` (equality chains, ladder steps, two-coordinate
-sums and Frechet bounds) reads and writes only its two columns; every
+stopping on its own and coming out as its own one-row call would. Cuts
+whose rows are ``e_j +- e_k`` (equality chains, ladder steps, two-coordinate
+sums and Frechet bounds) are swept in blocks of cuts on disjoint columns,
+each block in one step on two strided column views: a chain over evenly
+spaced coordinates is two blocks, its even links and then its odd links
+(the multicolour order of Gauss-Seidel; Dykstra's limit is the same for
+any fixed cyclic order), and any other such cut is a block of one. Every
 other cut takes a full-width dot and axpy.
 
 Plain alternating projection is not a substitute for Dykstra here: it
@@ -280,19 +284,57 @@ def _pair(a: np.ndarray) -> tuple[int, int, float] | None:
 
 
 def _cut_table(spec: PolytopeSpec) -> tuple:
-    """The cycle's per-cut constants of ``spec``: ``(i, a, b, a . a, max|a|, is_halfspace, pair)``.
+    """The cycle's sweep over ``spec``'s rows, one entry per step.
 
-    One entry per row ``a`` of ``spec.A``, in order (equalities first).
-    ``pair`` is ``_pair(a)``: ``(j, k, sign)`` for a row ``e_j + sign * e_k``
-    (every equality, ladder-chain and negation-sum row, the two-coordinate
-    partition-sums and the catalog's two-coordinate Frechet bounds), None
-    for any other row.
+    An entry is ``(a, b, a . a, max|a|, is_halfspace, block, columns)``.
+    Rows keep the order of ``spec.A`` (equalities first), except that the
+    pair rows ``e_j + sign * e_k`` (``_pair``) are swept in blocks. A run
+    of pair rows that share ``b``, ``a . a``, sign and kind and form a
+    chain -- row ``t`` reads columns ``j + t * d`` and ``k + t * d`` with
+    ``|d| = |k - j|``, as an equality or ladder chain over evenly spaced
+    coordinates does -- becomes two blocks in its place: its even links,
+    then its odd links. Every other pair row is a block of one. The cuts
+    of a block touch pairwise-disjoint columns; for a block, ``a`` stacks
+    its rows and ``block`` is ``(js, ks, sign)``, where the basic slices
+    ``js`` and ``ks`` pick the ``j`` and ``k`` columns of the rows of
+    ``a`` in order. ``block`` is None for a dense row (any other row),
+    whose ``a`` is the row itself. ``columns`` slices the step's cuts out
+    of ``_cyclic``'s array of correction changes: one column per cut, in
+    sweep order, after the ``spec.dim`` columns of the local set.
     """
     A = spec.A
-    return tuple(zip(range(len(A)), A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
-                     np.abs(A).max(axis=1, initial=0.0).tolist(),
-                     [False] * len(spec.equalities) + [True] * len(spec.halfspaces),
-                     [_pair(a) for a in A]))
+    rows = list(zip(A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
+                    np.abs(A).max(axis=1, initial=0.0).tolist(),
+                    [False] * len(spec.equalities) + [True] * len(spec.halfspaces)))
+    pairs = [_pair(a) for a in A]
+    table = []
+    col = spec.dim  # each step's column of the cycle's correction changes
+    i = 0
+    while i < len(rows):
+        if pairs[i] is None:
+            table.append(rows[i] + (None, slice(col, col + 1)))
+            col += 1
+            i += 1
+            continue
+        j, k, sign = pairs[i]
+        shared = (rows[i][1:], sign)
+        end = i + 1
+        for d in (k - j, j - k):  # the chain runs one way along its coordinates
+            while (end < len(rows) and pairs[end] is not None
+                   and (rows[end][1:], pairs[end][2]) == shared
+                   and pairs[end][:2] == (j + (end - i) * d, k + (end - i) * d)):
+                end += 1
+            if end > i + 1:
+                break
+        links = end - i
+        for p in range(min(links, 2)):  # the even links, then the odd ones
+            ts = range(p, links, 2)[::1 if d > 0 else -1]  # links in ascending column order
+            js, ks = (slice(c + ts[0] * d, c + ts[-1] * d + 1, 2 * abs(d)) for c in (j, k))
+            table.append((A[[i + t for t in ts]],) + rows[i][1:]
+                         + ((js, ks, sign), slice(col, col + len(ts))))
+            col += len(ts)
+        i = end
+    return tuple(table)
 
 
 def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
@@ -304,21 +346,22 @@ def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
     comes out bit for bit as its own one-row call.
 
     Each cycle projects onto the local set with ``local`` (an exact
-    row-wise projector that returns a new ``(n, d)`` array), then onto the
-    hyperplane or halfspace of each cut of ``cuts`` (a spec's
-    ``_cut_table``) in order; the spec's box is left to ``local``. The
-    local set carries a correction array; each cut carries its multiplier
-    ``t``, its correction being ``t * a``. A pair cut ``e_j + sign * e_k``
-    reads and writes only columns ``j`` and ``k``: its dot is
-    ``x_j + sign * x_k`` and its step goes into those two columns. That is
-    the dense result bit for bit: both terms are exact, so any summation
-    order rounds once, and ``x + step * -1.0`` is ``x - step``. Off the
-    cut's support only a ``-0.0`` entry (which only a ``local`` can make;
-    a dense axpy adds ``step * 0.0`` to it) and a NaN (which a dense dot
-    spreads to every cut) can differ. Every other cut costs one row dot
-    and one full-width axpy. A row stops once its largest correction
-    change over a full cycle drops below ``tol``; the other rows go on
-    without it.
+    row-wise projector that returns a new ``(n, d)`` array), then sweeps
+    the steps of ``cuts`` (a spec's ``_cut_table``) in order; the spec's
+    box is left to ``local``. The local set carries a correction array;
+    each cut carries its multiplier ``t``, its correction being ``t * a``.
+    A dense step costs one row dot and one full-width axpy. A block step
+    projects all its cuts ``e_j + sign * e_k`` at once, with one set of
+    ufunc calls on the column views ``x[:, js]`` and ``x[:, ks]``: the dot
+    of each cut is ``x_j + sign * x_k``, and its step goes into its two
+    columns. The cuts of a block touch disjoint columns, so this is the
+    one-cut-at-a-time dense sweep over them bit for bit: both terms of a
+    dot are exact, so any summation order rounds once, and ``x + step *
+    -1.0`` is ``x - step``. Off a cut's support only a ``-0.0`` entry
+    (which only a ``local`` can make; a dense axpy adds ``step * 0.0`` to
+    it) and a NaN (which a dense dot spreads to every cut) can differ. A
+    row stops once its largest correction change over a full cycle drops
+    below ``tol``; the other rows go on without it.
 
     Returns, per row: the iterate, the cycle count and whether it
     converged. A row still cycling after ``max_iter`` cycles comes out as
@@ -327,29 +370,30 @@ def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    X = np.ascontiguousarray(X)  # a strided row would be summed by another kernel
-    n = len(X)
-    out = np.empty_like(X)
-    iterations = np.empty(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    live = np.arange(n)  # rows still cycling, as indices into X
-    x = X
-    P = np.zeros_like(X)
-    T = [np.zeros(n)] * len(cuts)  # never written in place
+    x = np.ascontiguousarray(X)  # a strided row would be summed by another kernel
+    n, d = x.shape
     if not n:  # an empty batch runs no cycle
-        return out, iterations, converged
+        return np.empty_like(x), np.empty(0, dtype=int), np.empty(0, dtype=bool)
+    # corrections and multipliers start at 0.0, which adds as a zero array would
+    P = 0.0
+    T = [0.0] * len(cuts)
+    # each cycle's correction changes: the local set's in the first d columns,
+    # then each cut's in its own column (the ``columns`` of its cut-table step)
+    D = np.empty((n, cuts[-1][-1].stop if cuts else d))
+    local_change, changes = D[:, :d], [D[:, col] for *_, col in cuts]
+    live = None  # every row of X while none has stopped; then the live rows' indices
     for it in range(1, max_iter + 1):
         y = x + P
         x = local(y)
         P_new = y - x
-        delta = np.maximum.reduce(np.abs(P_new - P), axis=1)
+        np.abs(np.subtract(P_new, P, out=local_change), out=local_change)
         P = P_new
-        for i, a, b, aa, a_max, halfspace, pair in cuts:
-            if pair is None:
+        for i, (a, b, aa, a_max, halfspace, block, _) in enumerate(cuts):
+            if block is None:
                 t = np.einsum("ij,j->i", x, a)
-            else:  # the two terms of a +-1 pair: one rounding, as in any einsum order
-                j, k, sign = pair
-                xj, xk = x[:, j], x[:, k]
+            else:
+                js, ks, sign = block
+                xj, xk = x[:, js], x[:, ks]
                 t = xj + xk if sign > 0 else xj - xk
             if b:
                 t = t - b
@@ -357,33 +401,42 @@ def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
             if halfspace:
                 t = np.maximum(t, 0.0)
             step = T[i] - t
-            if pair is None:
-                x += step[:, None] * a
+            T[i] = t
+            if block is None:
+                step = step[:, None]
+                x += step * a
             else:  # x + step * -1.0 is x - step
                 xj += step
                 if sign > 0:
                     xk += step
                 else:
                     xk -= step
-            T[i] = t
-            change = np.abs(step)  # of the correction t * a: |step| * max|a|
-            delta = np.maximum(delta, change if a_max == 1.0 else change * a_max)
-        done = delta < tol
+            change = np.abs(step, out=changes[i])  # of the correction t * a: |step| * max|a|
+            if a_max != 1.0:
+                change *= a_max
+        done = np.maximum.reduce(D, axis=1) < tol
         stopped = np.count_nonzero(done)
-        if stopped == len(live):  # every live row at once: nothing left to slice
-            out[live] = x
-            iterations[live] = it
-            converged[live] = True
+        if not stopped:
+            continue
+        if live is None:
+            if stopped == n:  # every row in the same cycle: the iterate is the output
+                return x, np.full(n, it), done
+            live = np.arange(n)
+            out = np.empty_like(x)
+            iterations = np.full(n, max_iter)
+            converged = np.zeros(n, dtype=bool)
+        rows = live[done]
+        out[rows] = x[done]
+        iterations[rows] = it
+        converged[rows] = True
+        if stopped == len(live):
             return out, iterations, converged
-        if stopped:
-            rows = live[done]
-            out[rows] = x[done]
-            iterations[rows] = it
-            converged[rows] = True
-            keep = ~done
-            live, x, P, T = live[keep], x[keep], P[keep], [t[keep] for t in T]
+        keep = ~done
+        live, x, P, D, T = live[keep], x[keep], P[keep], D[keep], [t[keep] for t in T]
+        local_change, changes = D[:, :d], [D[:, col] for *_, col in cuts]
+    if live is None:  # a copy: with max_iter < 1 no cycle ran, and x is still X
+        return x.copy(), np.full(n, max_iter), np.zeros(n, dtype=bool)
     out[live] = x
-    iterations[live] = max_iter
     return out, iterations, converged
 
 

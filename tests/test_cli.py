@@ -418,6 +418,39 @@ def test_non_finite_input_exits_2_with_line(tmp_path, capsys, command, line):
     assert "line 2: non-finite number" in capsys.readouterr().err
 
 
+def _integer_cases():
+    """``(command, field, template, value, bad)``: a record template whose ``field``
+    takes the JSON integer ``value``, and ``bad``, a token that ``int()`` would read as
+    that integer, for every integer field of the record formats."""
+    templates = [
+        ("project", "m",
+         '{{"id": "p", "relation": "partition", "m": {}, "quote": [0.2, 0.3, 0.5]}}', 3),
+        ("certify", "owners", '{{"owners": [0, {}], "coupling": [], "locals": [[0.3], [0.6]]}}', 1),
+        ("certify", "coords", '{{"owners": [0, 1], "coupling": [{{"kind": "equality", '
+                              '"coords": [0, {}], "b": 0.0}}], "locals": [[0.3], [0.6]]}}', 1),
+        ("monitor", "m", '{{"t": 2, "eps_sq": 0.0625, "m": {}, "K": 8}}', 2),
+        ("monitor", "K", '{{"t": 2, "eps_sq": 0.0625, "m": 2, "K": {}}}', 8),
+    ]
+    for command, field, template, value in templates:
+        bads = [f'"{value}"', f"{value}.9", f"{value}.0"] + (["true"] if value == 1 else [])
+        for bad in bads:
+            yield pytest.param(command, field, template, value, bad, id=f"{command}-{field}-{bad}")
+
+
+@pytest.mark.parametrize("command, field, template, value, bad", _integer_cases())
+def test_integer_fields_take_only_json_integers(tmp_path, capsys, command, field, template, value,
+                                                bad):
+    # int() would read each of these as an integer and go on with it
+    inp = tmp_path / "in.jsonl"
+    good = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
+            "monitor": '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}'}[command]
+    inp.write_text(good + "\n" + template.format(bad) + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {field} takes JSON integers, got {bad}\n"
+    inp.write_text(good + "\n" + template.format(value) + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 0
+
+
 def test_float_serialization_17_digits_round_trip():
     value = 0.1234567890123456789
     text = dumps({"x": value})

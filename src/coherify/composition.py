@@ -35,6 +35,7 @@ from .projection import (
     _hierarchical_cycle,
     _project_locals,
     _unconverged,
+    project_relation_batch,
 )
 
 PRODUCT_VERTEX_LIMIT = 4096
@@ -410,6 +411,21 @@ def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: 
     return X, coherent.tolist()
 
 
+def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``X`` projected onto the joint set of ``comp``, and whether each converged.
+
+    One catalog polytope times the box (``single_relation``) is exact: the
+    clip, then ``project_relation_batch`` on its coordinates. Else the cycle.
+    """
+    if comp.single_relation is None:
+        projected, _, converged = _hierarchical_cycle(comp, X)
+        return projected, converged
+    relation, coords = comp.single_relation
+    projected = X.clip(0.0, 1.0)
+    projected[:, coords] = project_relation_batch(relation, X[:, coords])
+    return projected, np.ones(len(X), dtype=bool)
+
+
 def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
                  locally_coherent: bool, tol: float) -> Certificate:
     d = x - projected
@@ -445,14 +461,14 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     projection reads: the joint dimension, the constrained components
     (index, coordinates and polytope) and the coupling cuts, built once
     per process by ``constraint_system``. So free-box compositions that
-    split the coordinates among owners differently share one batched
-    cycle; the cycles run in order of each system's first item.
-    Certificates come back in input order, each bit for bit the item's
-    own ``residual``, and name their binding constraints only when
-    ``binding`` is read.
+    split the coordinates among owners differently share one projection
+    (``_joint_projection``: exact for one catalog polytope, else the
+    cycle), run in order of each system's first item. Certificates come
+    back in input order, each bit for bit the item's own ``residual``,
+    and name their binding constraints only when ``binding`` is read.
 
     An item fails when it is malformed (``aggregate``, its coupling cuts)
-    or its row misses the iteration cap (``_unconverged``). The earliest
+    or its row misses the cycle's iteration cap (``_unconverged``). The earliest
     failing item's exception is raised, with its position in ``items`` as
     its ``index`` attribute. A ``tol`` that is not a finite number >= 0 is
     refused before any item is read.
@@ -474,7 +490,7 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     for rows in systems.values():
         comp = items[next(iter(rows))][0]
         X, coherent = _composed(comp, np.array(list(rows.values())), repair_locals, tol)
-        projected, _, converged = _hierarchical_cycle(comp, X)
+        projected, converged = _joint_projection(comp, X)
         converged = converged.tolist()
         error = None if all(converged) else _unconverged(comp)
         for row, i in enumerate(rows):

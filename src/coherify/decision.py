@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import json_int
 from .polytope import Relation, RelationKind
 from .projection import project_simplex
 
@@ -56,10 +57,10 @@ class BetRecord:
     def from_json(cls, record: dict) -> "BetRecord":
         return cls(
             clique_id=str(record["clique_id"]),
-            seed=int(record["seed"]),
+            seed=json_int(record["seed"], "seed"),
             quote_naive=tuple(record["naive"]),
             quote_repaired=tuple(record["repaired"]),
-            labels=tuple(record["labels"]),
+            labels=tuple(json_int(v, "labels") for v in record["labels"]),
             eps_star=float(record["eps_star"]),
         )
 

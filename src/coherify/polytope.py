@@ -107,7 +107,8 @@ class Clique:
             id=str(record["id"]),
             relation=relation,
             question_texts=tuple(record.get("questions", ())),
-            labels=tuple(record["labels"]) if record.get("labels") is not None else None,
+            labels=(tuple(json_int(v, "labels") for v in record["labels"])
+                    if record.get("labels") is not None else None),
         )
 
     def to_json(self) -> dict:

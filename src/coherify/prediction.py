@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import CompositionSpec
+from .composition import CompositionSpec, _joint_projection
 from .polytope import Relation, RelationKind
-from .projection import (
-    _coupled_halfspaces,
-    _hierarchical_cycle,
-    _unconverged,
-    project_relation_batch,
-)
+from .projection import _coupled_halfspaces, _unconverged
 
 EXHAUSTIVE_LIMIT = 65_536
 BOUNDARY_TOL = 1e-9
@@ -122,11 +117,11 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     """Per-draw squared residuals under uniform i.i.d. owner selection.
 
     Exhausts all k^m assignments when that is cheaper than sampling;
-    otherwise draws ``n_draws`` assignment vectors from ``seed``. When the
-    joint set is one catalog polytope (``comp.single_relation``) the draws
-    are projected exactly by ``project_relation_batch``; any other goes
-    through the certification engine's cycle and raises, as a certificate
-    does, when a draw misses the iteration cap.
+    otherwise draws ``n_draws`` assignment vectors from ``seed``. Draws are
+    projected as certificates are (``composition._joint_projection``):
+    exactly when the joint set is one catalog polytope, otherwise through
+    the engine's cycle, which raises, as a certificate does, when a draw
+    misses the iteration cap.
     """
     P = np.stack([np.asarray(q, dtype=float) for q in panel])
     k, m = P.shape
@@ -138,15 +133,9 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
         rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
         sigma = rng.integers(0, k, size=(n_draws, m))
     X = P[sigma, np.arange(m)]
-    single = comp.single_relation
-    if single is None:
-        projected, _, converged = _hierarchical_cycle(comp, X)
-        if not converged.all():
-            raise _unconverged(comp)
-    else:
-        relation, coords = single
-        projected = np.clip(X, 0.0, 1.0)
-        projected[:, coords] = project_relation_batch(relation, X[:, coords])
+    projected, converged = _joint_projection(comp, X)
+    if not converged.all():
+        raise _unconverged(comp)
     return np.sum((X - projected) ** 2, axis=1)
 
 

@@ -7,10 +7,11 @@ paraphrase, and the nearest of the 15 face projections of a tetrahedron
 for the two Frechet relations (conjunction, disjunction).
 ``project_relation`` answers one quote through the same batched route on
 one row. ``project_oracle``, a min-norm-point search over vertex hulls,
-is the independent ground truth that tests hold every route to. General
-and composed systems go through one batched Boyle-Dykstra engine: one
-exact local set plus the rows of one constraint system, with each row
-stopping on its own and coming out as its own one-row call would. Cuts
+is the independent ground truth that tests hold every route to. A
+composition whose joint set is one catalog polytope takes the exact route
+too. Any other system goes through one batched Boyle-Dykstra engine, the
+only route with an iteration cap to miss: one exact local set plus the rows
+of one constraint system, each row stopping as its own one-row call would. Cuts
 whose rows are ``e_j +- e_k`` (equality chains, ladder steps, two-coordinate
 sums and Frechet bounds) are swept in blocks of cuts on disjoint columns,
 each block in one step on two strided column views: a chain over evenly
@@ -49,6 +50,7 @@ DYKSTRA_MAX_ITER = 10_000
 RESIDUAL_FLOOR = 1e-9  # certificate-level report threshold, not a projection tolerance
 ORACLE_VERTEX_LIMIT = 4096
 BLOCK_ENTRIES = 1 << 16  # entries per temporary of the isotonic and face routes
+CUT_TABLE_CACHE_SIZE = 256  # cut tables kept per process
 
 CLOSED_FORM_KINDS = frozenset(
     {RelationKind.NEGATION, RelationKind.PARTITION, RelationKind.LADDER}
@@ -283,8 +285,9 @@ def _pair(a: np.ndarray) -> tuple[int, int, float] | None:
     return (j, k, sign) if a[j] == 1.0 and abs(sign) == 1.0 else None
 
 
+@lru_cache(maxsize=CUT_TABLE_CACHE_SIZE)
 def _cut_table(spec: PolytopeSpec) -> tuple:
-    """The cycle's sweep over ``spec``'s rows, one entry per step.
+    """The cycle's sweep over ``spec``'s rows, one entry per step, built once per spec.
 
     An entry is ``(a, b, a . a, max|a|, is_halfspace, block, columns)``.
     Rows keep the order of ``spec.A`` (equalities first), except that the
@@ -330,8 +333,9 @@ def _cut_table(spec: PolytopeSpec) -> tuple:
         for p in range(min(links, 2)):  # the even links, then the odd ones
             ts = range(p, links, 2)[::1 if d > 0 else -1]  # links in ascending column order
             js, ks = (slice(c + ts[0] * d, c + ts[-1] * d + 1, 2 * abs(d)) for c in (j, k))
-            table.append((A[[i + t for t in ts]],) + rows[i][1:]
-                         + ((js, ks, sign), slice(col, col + len(ts))))
+            a = A[[i + t for t in ts]]
+            a.setflags(write=False)  # the table is cached, so every caller shares it
+            table.append((a,) + rows[i][1:] + ((js, ks, sign), slice(col, col + len(ts))))
             col += len(ts)
         i = end
     return tuple(table)
@@ -615,9 +619,9 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
                          max_iter: int = DYKSTRA_MAX_ITER) -> ProjectionResult:
     """Project one quote onto the joint coherent set of ``comp``.
 
-    One row of the cycle ``residual_batch`` runs. A quote still cycling
-    after ``max_iter`` cycles raises ``_unconverged(comp)``, as a
-    certificate does.
+    One row of the cycle, which ``residual_batch`` skips for one catalog
+    polytope. A quote still cycling after ``max_iter`` cycles raises
+    ``_unconverged(comp)``, as a certificate does.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (comp.joint_dim,):

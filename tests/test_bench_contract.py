@@ -16,9 +16,8 @@ import pytest
 
 import coherify.cli  # noqa: F401 -- the tracer finds every traced layer among loaded modules
 import coherify.composition as composition
-from coherify.composition import CompositionSpec
-from coherify.polytope import Clique, partition
-from coherify.simharness import composition_for
+from coherify.composition import ComponentSpec, CompositionSpec, CouplingConstraint
+from coherify.polytope import build_polytope, partition
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 bench_trace = pytest.importorskip("bench_trace")
@@ -40,8 +39,11 @@ def test_has_feasible_point_is_a_plain_method():
 
 def test_tracer_records_and_restores():
     original = composition.residual
-    # a sole owner brings the relation's own polytope, which residual repairs locally
-    comp = composition_for(Clique(id="p", relation=partition(3)), np.zeros(3, dtype=int)).comp
+    # a sole owner brings a partition polytope, which residual repairs locally; the
+    # equality cut makes the joint set no catalog polytope, so it runs the cycle
+    comp = CompositionSpec((ComponentSpec(build_polytope(partition(3)), (0, 1, 2)),),
+                           (CouplingConstraint("equality", (0, 1)),), 3)
+    assert comp.single_relation is None
     tracer = bench_trace.Tracer()
     with tracer.recording():
         composition.residual(comp, [np.full(3, 0.5)])  # through the module, as rebound

@@ -346,16 +346,16 @@ def test_certify_reports_the_earliest_failing_record(tmp_path, capsys, lines, ex
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+# a sum of 2 is no catalog relation, so the record runs the cycle; (1, 1, 0) meets it
 UNCONVERGED_LINE = (
     '{"owners": [0, 1, 2], "coupling": [{"kind": "partition-sum", "coords": [0, 1, 2], '
-    '"b": 1.0}], "locals": [[0.6], [0.7], [0.2]]}'
+    '"b": 2.0}], "locals": [[0.6], [0.7], [0.2]]}'
 )
 CAP_MESSAGE = "joint projection did not converge within the iteration cap"
 
 
-@pytest.fixture
-def one_cycle_cap(monkeypatch):
-    """Every batched joint projection stops after one Dykstra cycle."""
+def cap_at_one_cycle(monkeypatch):
+    """Every batched joint projection that runs the cycle stops after one Dykstra cycle."""
     import functools
 
     import coherify.composition as composition
@@ -363,6 +363,11 @@ def one_cycle_cap(monkeypatch):
 
     monkeypatch.setattr(composition, "_hierarchical_cycle",
                         functools.partial(projection._hierarchical_cycle, max_iter=1))
+
+
+@pytest.fixture
+def one_cycle_cap(monkeypatch):
+    cap_at_one_cycle(monkeypatch)
 
 
 def test_certify_reports_a_projection_past_the_cap_with_its_line(tmp_path, capsys, one_cycle_cap):
@@ -379,9 +384,13 @@ def test_certify_reports_a_projection_past_the_cap_with_its_line(tmp_path, capsy
     assert capsys.readouterr().err == f"error: line 1: {EMPTY_MESSAGE}\n"
 
 
-def test_simulate_reports_a_projection_past_the_cap(tmp_path, capsys, scenario, one_cycle_cap):
-    assert run_cli(["simulate", str(scenario), "--out", str(tmp_path / "b.jsonl")]) == 1
-    assert capsys.readouterr().err == f"error: {CAP_MESSAGE}\n"
+def test_simulate_never_runs_the_capped_cycle(tmp_path, scenario, monkeypatch):
+    # every scenario composition is one catalog polytope, projected exactly
+    uncapped, capped = tmp_path / "uncapped.jsonl", tmp_path / "capped.jsonl"
+    assert run_cli(["simulate", str(scenario), "--out", str(uncapped)]) == 0
+    cap_at_one_cycle(monkeypatch)
+    assert run_cli(["simulate", str(scenario), "--out", str(capped)]) == 0
+    assert capped.read_bytes() == uncapped.read_bytes()
 
 
 def test_project_matches_project_relation_for_every_relation(tmp_path):
@@ -418,6 +427,10 @@ def test_non_finite_input_exits_2_with_line(tmp_path, capsys, command, line):
     assert "line 2: non-finite number" in capsys.readouterr().err
 
 
+BET_TEMPLATE = ('{{"clique_id": "n", "seed": 0, "naive": [0.4, 0.6], "repaired": [0.5, 0.5], '
+                '"labels": [1, 0], "eps_star": 0.1}}')
+
+
 def _integer_cases():
     """``(command, field, template, value, bad)``: a record template whose ``field``
     takes the JSON integer ``value``, and ``bad``, a token that ``int()`` would read as
@@ -430,6 +443,10 @@ def _integer_cases():
                               '"coords": [0, {}], "b": 0.0}}], "locals": [[0.3], [0.6]]}}', 1),
         ("monitor", "m", '{{"t": 2, "eps_sq": 0.0625, "m": {}, "K": 8}}', 2),
         ("monitor", "K", '{{"t": 2, "eps_sq": 0.0625, "m": 2, "K": {}}}', 8),
+        ("project", "labels", '{{"id": "p", "relation": "partition", "m": 3, "labels": [0, {}, 0], '
+                              '"quote": [0.2, 0.3, 0.5]}}', 1),
+        ("regret", "seed", BET_TEMPLATE.replace('"seed": 0', '"seed": {}'), 0),
+        ("regret", "labels", BET_TEMPLATE.replace('[1, 0]', '[{}, 0]'), 1),
     ]
     for command, field, template, value in templates:
         bads = [f'"{value}"', f"{value}.9", f"{value}.0"] + (["true"] if value == 1 else [])
@@ -443,7 +460,8 @@ def test_integer_fields_take_only_json_integers(tmp_path, capsys, command, field
     # int() would read each of these as an integer and go on with it
     inp = tmp_path / "in.jsonl"
     good = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
-            "monitor": '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}'}[command]
+            "monitor": '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}',
+            "regret": BET_TEMPLATE.replace("{{", "{").replace("}}", "}")}[command]
     inp.write_text(good + "\n" + template.format(bad) + "\n")
     assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
     assert capsys.readouterr().err == f"error: line 2: {field} takes JSON integers, got {bad}\n"

@@ -38,6 +38,7 @@ from coherify.projection import (
     RESIDUAL_FLOOR,
     InfeasibleCouplingError,
     project_hierarchical,
+    project_local,
     project_relation,
 )
 from coherify.simharness import composition_for
@@ -642,6 +643,21 @@ def test_residual_batch_equals_residual_bit_for_bit(repair_locals):
         assert_same_certificate(got, residual(comp, locals_, repair_locals=repair_locals))
 
 
+def owned_by(owners, coupling, polytope=None) -> CompositionSpec:
+    """Each owner a free box on its coordinates, or ``polytope`` for a sole owner."""
+    components = []
+    for owner in sorted(set(owners)):
+        coords = tuple(j for j, o in enumerate(owners) if o == owner)
+        sole = polytope is not None and len(coords) == len(owners)
+        components.append(ComponentSpec(polytope if sole else PolytopeSpec(dim=len(coords)),
+                                        coords))
+    return CompositionSpec(tuple(components), coupling, len(owners))
+
+
+# a sum of 2 is no catalog relation, and the 0/1 point (1, 1, 0, 0) meets it
+SUM_TWO = (CouplingConstraint("partition-sum", (0, 1, 2, 3), 2.0),)
+
+
 def test_residual_batch_runs_one_cycle_per_constraint_system(monkeypatch):
     import coherify.composition as composition
 
@@ -651,8 +667,8 @@ def test_residual_batch_runs_one_cycle_per_constraint_system(monkeypatch):
                         lambda comp, X: runs.append(len(X)) or cycle(comp, X))
     rng = np.random.default_rng(2)
     splits = [[0, 1, 0, 1], [0, 0, 1, 2], [2, 1, 0, 0], [0, 1, 2, 3], [3, 3, 3, 3]]
-    clique = Clique(id="p", relation=partition(4))
-    comps = [composition_for(clique, np.array(owners)).comp for owners in splits]
+    comps = [owned_by(owners, SUM_TWO, build_polytope(ladder(4))) for owners in splits]
+    assert all(comp.single_relation is None for comp in comps)
     items = [(comp, [rng.uniform(size=len(c.coords)) for c in comp.components]) for comp in comps]
     residual_batch(items)
     assert runs == [4, 1]  # free-box splits share one cycle; the sole owner has its own
@@ -695,10 +711,13 @@ def test_residual_batch_failure_in_a_later_group_can_come_first(monkeypatch):
         return projected, iterations, converged
 
     monkeypatch.setattr(composition, "_hierarchical_cycle", capped)
-    good = (partition_split(), [[0.39], [0.73], [0.67], [0.71]])
+    good = (owned_by([0, 1, 2, 3], SUM_TWO), [[0.39], [0.73], [0.67], [0.71]])
     empty = (CompositionSpec(free_components([1, 1]),
                              (CouplingConstraint("partition-sum", (0, 1), 3.0),), 2),
              [[0.5], [0.5]])
+    with pytest.raises(RuntimeError, match="iteration cap") as exc:
+        residual_batch([good, good])  # the capped group fails on its own, at item 1
+    assert exc.value.index == 1
     with pytest.raises(InfeasibleCouplingError) as exc:
         residual_batch([good, empty, good])  # groups: items 0 and 2, then item 1
     assert exc.value.index == 1
@@ -723,6 +742,81 @@ def test_unconverged_row_without_a_feasible_point_raises_one_error_everywhere(mo
     with pytest.raises(InfeasibleCouplingError) as batch:
         residual_batch([(comp, [[0.5], [0.5]])])
     assert str(library.value) == str(one.value) == str(batch.value)
+
+
+# --- the exact route for one catalog polytope ------------------------------------------
+
+
+def catalog_layouts(relation):
+    """Compositions whose joint set is ``relation``'s polytope on some coordinates (times
+    the box): ``composition_for``'s sole-owner, split and mixed layouts, and the relation
+    on scattered coordinates of a wider space, held by a sole owner or split."""
+    m = relation.m
+    clique = Clique(id="c", relation=relation)
+    layouts = [np.zeros(m, dtype=int), np.arange(m), np.arange(m) % 2, np.minimum(np.arange(m), 1)]
+    comps = [composition_for(clique, owners).comp for owners in layouts]
+    coords = tuple(j for j in range(m + 1, -1, -1) if j not in (1, m))
+    rest = tuple(sorted(set(range(m + 2)) - set(coords)))
+    cuts = relation_coupling(relation, coords)
+    comps.append(CompositionSpec((ComponentSpec(build_polytope(relation), coords),
+                                  ComponentSpec(PolytopeSpec(dim=len(rest)), rest)), cuts, m + 2))
+    comps.append(CompositionSpec(free_components([1] * (m + 2)), cuts, m + 2))
+    for comp in comps:
+        assert comp.single_relation[0] == relation
+    return comps
+
+
+@pytest.mark.parametrize("repair_locals", [True, False])
+@pytest.mark.parametrize("relation", ALL_RELATIONS, ids=lambda r: r.kind.value)
+def test_catalog_certificates_are_project_relation_bit_for_bit(relation, repair_locals):
+    rng = np.random.default_rng(31)
+    items = []
+    for comp in catalog_layouts(relation):
+        _, coords = comp.single_relation
+        for _ in range(12):
+            locals_ = [rng.uniform(-0.3, 1.3, size=len(c.coords)) for c in comp.components]
+            items.append((comp, locals_))
+            cert = residual(comp, locals_, repair_locals=repair_locals)
+            raw = aggregate(comp, locals_)
+            composed = raw.clip(0.0, 1.0) if repair_locals else raw
+            for component in comp.components if repair_locals else ():
+                composed[list(component.coords)] = project_local(component.polytope,
+                                                                 raw[list(component.coords)])
+            assert cert.composed.tobytes() == composed.tobytes()
+            exact = project_relation(relation, composed[list(coords)])
+            repaired = composed.clip(0.0, 1.0)
+            repaired[list(coords)] = exact.projected
+            assert cert.repaired.tobytes() == repaired.tobytes()
+            if len(coords) == comp.joint_dim:
+                assert cert.epsilon_star == (exact.residual if exact.residual >= RESIDUAL_FLOOR
+                                             else 0.0)
+            else:
+                assert cert.epsilon_star == _certificate(comp, composed, repaired, True,
+                                                         1e-8).epsilon_star
+    for (comp, locals_), got in zip(items, residual_batch(items, repair_locals=repair_locals)):
+        assert_same_certificate(got, residual(comp, locals_, repair_locals=repair_locals))
+
+
+class CycleReached(Exception):
+    pass
+
+
+def test_only_non_catalog_systems_reach_the_cycle(monkeypatch):
+    import coherify.composition as composition
+
+    def unreachable(comp, X, *args, **kwargs):
+        raise CycleReached(comp)
+
+    monkeypatch.setattr(composition, "_hierarchical_cycle", unreachable)
+    items = [item for item in batch_items(np.random.default_rng(4))
+             if item[0].single_relation is not None]
+    assert len(items) >= 60
+    for repair_locals in (True, False):
+        residual_batch(items, repair_locals=repair_locals)
+    for comp in (owned_by([0, 1, 2, 3], SUM_TWO), owned_by([0, 0, 0, 0], SUM_TWO),
+                 CompositionSpec(free_components([2, 2]), MIXED_CUTS, 4)):
+        with pytest.raises(CycleReached):
+            residual(comp, [np.full(len(c.coords), 0.5) for c in comp.components])
 
 
 # --- single-relation recognition ---------------------------------------------------

@@ -338,10 +338,28 @@ def test_fallback_raises_on_an_empty_coupling():
         observe_magnitude_samples(comp, [np.array([0.2, 0.9]), np.array([0.6, 0.1])])
 
 
-def test_fallback_raises_when_a_draw_does_not_converge(monkeypatch):
-    import coherify.prediction as prediction
+def test_only_non_catalog_draws_reach_the_cycle(monkeypatch):
+    import coherify.composition as composition
 
-    cycle = prediction._hierarchical_cycle
+    def unreachable(comp, X, *args, **kwargs):
+        raise AssertionError("the cycle ran")
+
+    monkeypatch.setattr(composition, "_hierarchical_cycle", unreachable)
+    rng = np.random.default_rng(8)
+    for relation in (negation(), conjunction(), partition(4), ladder(4), paraphrase(4)):
+        m = relation.m
+        panel = [rng.uniform(-0.1, 1.1, size=m) for _ in range(3)]
+        for comp in (split_composition(relation), composition_for(
+                Clique(id="c", relation=relation), np.zeros(m, dtype=int)).comp):
+            assert observe_magnitude_samples(comp, panel).shape == (3**m,)
+    with pytest.raises(AssertionError, match="the cycle ran"):
+        observe_magnitude_samples(two_negations(), [rng.uniform(size=4) for _ in range(3)])
+
+
+def test_fallback_raises_when_a_draw_does_not_converge(monkeypatch):
+    import coherify.composition as composition
+
+    cycle = composition._hierarchical_cycle
 
     def one_row_stuck(comp, X):
         x, iterations, converged = cycle(comp, X)
@@ -349,7 +367,7 @@ def test_fallback_raises_when_a_draw_does_not_converge(monkeypatch):
         converged[len(X) // 2] = False
         return x, iterations, converged
 
-    monkeypatch.setattr(prediction, "_hierarchical_cycle", one_row_stuck)
+    monkeypatch.setattr(composition, "_hierarchical_cycle", one_row_stuck)
     rng = np.random.default_rng(5)
     panel = [rng.uniform(size=4) for _ in range(3)]
     with pytest.raises(RuntimeError, match="iteration cap"):

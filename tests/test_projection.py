@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 
@@ -15,6 +16,7 @@ from coherify.composition import (
     residual_batch,
 )
 from coherify.polytope import (
+    PolytopeSpec,
     build_polytope,
     conjunction,
     disjunction,
@@ -34,6 +36,7 @@ from coherify.projection import (
     project_closed_form,
     project_dykstra,
     project_hierarchical,
+    project_local,
     project_oracle,
     project_polytope_batch,
     project_relation,
@@ -524,6 +527,24 @@ def test_cut_table_marks_two_coordinate_unit_rows_as_pairs():
 ])
 def test_cut_table_keeps_other_rows_dense(cut):
     assert _blocks(cut) == [None]
+
+
+def test_cut_table_is_built_once_per_spec_and_read_only():
+    spec = build_polytope(ladder(12))
+    table = projection._cut_table(spec)
+    assert projection._cut_table(spec) is table
+    assert projection._cut_table(dataclasses.replace(spec)) is table  # an equal spec
+    assert all(not step[0].flags.writeable for step in table)
+    assert projection._cut_table.cache_info().maxsize == projection.CUT_TABLE_CACHE_SIZE
+    # project_dykstra and project_local's generic branch read the cached table
+    generic = PolytopeSpec(dim=12, halfspaces=spec.halfspaces)
+    q = np.random.default_rng(3).uniform(size=12)
+    before = projection._cut_table.cache_info()
+    project_dykstra(spec, q)
+    project_local(generic, q)
+    project_local(generic, q)
+    after = projection._cut_table.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) in ((3, 0), (2, 1))
 
 
 def _cycle_both_ways(comp: CompositionSpec, X: np.ndarray, max_iter: int):

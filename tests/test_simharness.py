@@ -279,18 +279,28 @@ def test_run_ensemble_equals_per_cell_reference(policy):
         assert r.certificate.repaired.tobytes() == cert.repaired.tobytes()
 
 
+class CycleReached(Exception):
+    pass
+
+
+def never_cycle(comp, X, *args, **kwargs):
+    raise CycleReached(comp)
+
+
 def test_run_ensemble_runs_three_cycles_per_constraint_system(monkeypatch):
     import coherify.composition as composition
 
     runs = {}
-    cycle = composition._hierarchical_cycle
+    project = composition._joint_projection
 
     def counted(comp, X):
         system = (comp.joint_dim, comp.constrained, comp.coupling.constraints)
         runs.setdefault(system, []).append(len(X))
-        return cycle(comp, X)
+        return project(comp, X)
 
-    monkeypatch.setattr(composition, "_hierarchical_cycle", counted)
+    monkeypatch.setattr(composition, "_joint_projection", counted)
+    # every cell is one catalog polytope, projected exactly: none runs the cycle
+    monkeypatch.setattr(composition, "_hierarchical_cycle", never_cycle)
     model = PanelModel(k=3, sigma=0.1, K=8)
     cliques = [neg_clique(0), part_clique(1), Clique(id="and-2", relation=conjunction())]
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform", seed=2), n_seeds=6)
@@ -305,16 +315,17 @@ def test_run_ensemble_raises_when_a_joint_re_projection_misses_the_cap(monkeypat
     import coherify.composition as composition
 
     runs = []
-    cycle = composition._hierarchical_cycle
+    project = composition._joint_projection
 
     def third_run_stuck(comp, X):
-        x, iterations, converged = cycle(comp, X)
+        x, converged = project(comp, X)
         runs.append(len(X))
         if len(runs) == 3:  # the C and D re-projections
             converged[-1] = False
-        return x, iterations, converged
+        return x, converged
 
-    monkeypatch.setattr(composition, "_hierarchical_cycle", third_run_stuck)
+    monkeypatch.setattr(composition, "_joint_projection", third_run_stuck)
+    monkeypatch.setattr(composition, "_hierarchical_cycle", never_cycle)
     model = PanelModel(k=3, sigma=0.1, K=8)
     # one sole-owner system, whose coupling has a feasible point
     with pytest.raises(RuntimeError, match="iteration cap"):

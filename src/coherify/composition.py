@@ -158,6 +158,15 @@ def relation_coupling(relation: Relation, coords) -> tuple[CouplingConstraint, .
 
 _relation_coupling = lru_cache(maxsize=SYSTEM_CACHE_SIZE)(relation_coupling)  # tuple coords only
 
+# the relation kinds whose ``relation_coupling`` ends with a cut of this kind
+_CATALOG_KINDS = {
+    "negation-sum": (RelationKind.NEGATION,),
+    "partition-sum": (RelationKind.PARTITION,),
+    "ladder-chain": (RelationKind.LADDER,),
+    "equality": (RelationKind.PARAPHRASE,),
+    "frechet-halfspace": (RelationKind.CONJUNCTION, RelationKind.DISJUNCTION),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
@@ -273,7 +282,7 @@ class CompositionSpec:
         coords = cuts[-1].coords  # every catalog coupling ends with a cut over all its coordinates
         if len(set(coords)) != len(coords):
             return None
-        for kind in RelationKind:
+        for kind in _CATALOG_KINDS[cuts[-1].kind]:
             try:
                 relation = Relation(kind, len(coords))
             except ValueError:

@@ -21,6 +21,7 @@ DEFAULT_LOG_FLOOR = 1e-6
 GATE_MIN_BETS = 40  # fewest bets gate_sweep calibrates on
 GATE_FOLDS = 5  # gate_sweep's cross-validation folds
 REGRET_BOOTSTRAPS = 1000  # regret's paired-bootstrap resamples
+HARM_TOL = 1e-9  # nats a harm bet's regret must clear the threshold by; above round-off
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,10 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
                capture_targets=(0.9, 0.5), seed: int = 0) -> GateReport:
     """Threshold sweep of the certificate against realized log-payoff harm.
 
-    Harm is the top quartile of per-bet repaired-minus-naive log payoff.
+    Harm is the top quartile of per-bet repaired-minus-naive log payoff: a
+    bet whose regret exceeds the 0.75 quantile by more than ``HARM_TOL``,
+    so round-off in a repaired quote cannot split bets tied at the
+    quantile.
     Reports the rank AUC, an operating point per capture target, and a
     stratified ``GATE_FOLDS``-fold cross-validation stability check of
     those thresholds, whose figures are None when too few harm bets fall
@@ -290,7 +294,7 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
     regrets = np.array([log_payoff_delta(b, rule) for b in bets])
     eps = np.array([b.eps_star for b in bets])
     harm_threshold = float(np.quantile(regrets, 0.75))
-    harm = regrets > harm_threshold
+    harm = regrets > harm_threshold + HARM_TOL
     if harm.all() or not harm.any():
         raise ValueError("harm labels are degenerate (all or none); cannot calibrate")
     auc = mann_whitney_auc(eps, harm)

@@ -49,7 +49,10 @@ DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
 RESIDUAL_FLOOR = 1e-9  # certificate-level report threshold, not a projection tolerance
 ORACLE_VERTEX_LIMIT = 4096
-BLOCK_ENTRIES = 1 << 16  # entries per temporary of the isotonic and face routes
+# entries per temporary of the face route and of the isotonic row path; the
+# row path takes fewer than ``COLUMN_ROWS`` rows, so it splits them only for m > 32
+BLOCK_ENTRIES = 1 << 16
+COLUMN_ROWS = 64  # rows from which the isotonic kernel runs coordinate-major
 CUT_TABLE_CACHE_SIZE = 256  # cut tables kept per process
 
 CLOSED_FORM_KINDS = frozenset(
@@ -181,11 +184,19 @@ def _nonincreasing_rows(X: np.ndarray) -> np.ndarray:
 
     Min-max formula (Robertson, Wright & Dykstra 1988): the fit at ``i`` is
     the smallest over ``s <= i`` of the largest mean of ``X[s..t]`` over
-    ``t >= i``. Means come from row prefix sums. Rows go in blocks so that
-    each ``(rows, m, m)`` temporary holds at most ``BLOCK_ENTRIES``
-    entries.
+    ``t >= i``. Means come from row prefix sums; a singleton's mean is its
+    entry. Below ``COLUMN_ROWS`` rows, every segment of a block of rows goes
+    at once, each ``(rows, m, m)`` temporary holding at most
+    ``BLOCK_ENTRIES`` entries; from there on ``_nonincreasing_columns``
+    takes one segment at a time across all rows, in O(m n) memory. Both
+    layouts take the same means, maxima and minima in the same order, so
+    they agree bit for bit. ``COLUMN_ROWS`` is the measured crossover,
+    about 40-100 rows for m from 3 to 30: the row path's cost grows with
+    ``n m**2``, the column path's with its ``m**2`` ufunc calls.
     """
     n, m = X.shape
+    if n >= COLUMN_ROWS:
+        return _nonincreasing_columns(X)
     length, below = _segment_grid(m)
     diag = np.arange(m)
     out = np.empty_like(X)
@@ -203,6 +214,31 @@ def _nonincreasing_rows(X: np.ndarray) -> np.ndarray:
         out[start:start + step] = np.diagonal(np.minimum.accumulate(upper, axis=1),
                                               axis1=1, axis2=2)
     return out
+
+
+def _nonincreasing_columns(X: np.ndarray) -> np.ndarray:
+    """``_nonincreasing_rows`` coordinate-major: prefix sums laid out ``(m + 1, n)``
+    and one segment ``(s, t)`` at a time, every ufunc on a contiguous length-``n`` vector."""
+    n, m = X.shape
+    XT = np.ascontiguousarray(X.T)
+    S = np.zeros((m + 1, n))
+    np.cumsum(XT, axis=0, out=S[1:])
+    S, XT = list(S), list(XT)  # row views, taken once
+    fit = np.full((m, n), np.inf)  # fit[i]: smallest upper over the starts s <= i so far
+    fits = list(fit)
+    upper = np.empty(n)  # for start s: largest mean over t >= i, as t falls to s
+    buffer = np.empty(n)
+    for s in range(m):
+        upper.fill(-np.inf)
+        for t in range(m - 1, s - 1, -1):
+            if t == s:
+                mean = XT[s]
+            else:
+                mean = np.subtract(S[t + 1], S[s], out=buffer)
+                mean /= t - s + 1
+            np.maximum(upper, mean, out=upper)
+            np.minimum(fits[t], upper, out=fits[t])
+    return fit.T.copy()
 
 
 def _nearest_face_rows(table: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
@@ -233,7 +269,9 @@ def project_relation_batch(relation: Relation, X) -> np.ndarray:
 
     negation shifts along (1, 1) onto r1 + r2 = 1, then clips; partition is
     the simplex sort form; paraphrase is the clipped row mean; ladder is
-    non-increasing isotonic regression clipped to the unit box; conjunction
+    non-increasing isotonic regression clipped to the unit box, row-major
+    below ``COLUMN_ROWS`` rows and coordinate-major from there on, with the
+    same bits either way (``_nonincreasing_rows``); conjunction
     and disjunction, whose hulls are tetrahedra, take the nearest
     nonnegative-weight projection onto one of the 15 faces, all faces of
     all rows at once. Each row's result does not depend on the other rows

@@ -24,6 +24,8 @@ from coherify.polytope import (
     Clique,
     LinearConstraint,
     PolytopeSpec,
+    Relation,
+    RelationKind,
     build_polytope,
     conjunction,
     disjunction,
@@ -864,6 +866,50 @@ def test_single_relation_none_for_other_joint_sets():
     for comp in (infeasible, two_relations, foreign_component, component_on_other_coords,
                  repeated, uncoupled):
         assert comp.single_relation is None
+
+
+def _single_relation_by_search(comp):
+    """``single_relation`` by trying every relation kind in turn: the reference."""
+    cuts = comp.coupling.constraints
+    if not cuts:
+        return None
+    coords = cuts[-1].coords
+    if len(set(coords)) != len(coords):
+        return None
+    for kind in RelationKind:
+        try:
+            relation = Relation(kind, len(coords))
+        except ValueError:
+            continue
+        if relation_coupling(relation, coords) != cuts:
+            continue
+        if all((c.polytope.relation == relation and c.coords == coords)
+               or not (c.polytope.equalities or c.polytope.halfspaces)
+               for c in comp.components):
+            return relation, coords
+        return None
+    return None
+
+
+def test_single_relation_takes_its_candidate_from_the_last_cut():
+    catalog = [negation(), conjunction(), disjunction()] + [
+        make(m) for make in (partition, ladder, paraphrase) for m in range(2, 13)]
+    free3 = free_components([1, 1, 1])
+    others = [
+        CompositionSpec(free3, (CouplingConstraint("partition-sum", (0, 1, 2), 2.0),), 3),
+        CompositionSpec((ComponentSpec(build_polytope(partition(3)), (0, 1, 2)),),
+                        relation_coupling(ladder(3), range(3)), 3),
+        CompositionSpec((ComponentSpec(build_polytope(disjunction()), (0, 1, 2)),),
+                        relation_coupling(conjunction(), range(3)), 3),
+        CompositionSpec(free3, (CouplingConstraint("ladder-chain", (0, 1, 0)),), 3),
+        CompositionSpec(free3, (CouplingConstraint("equality", (2, 0, 2), 0.0),), 3),
+        CompositionSpec(free3, (CouplingConstraint("frechet-halfspace", (0, 1), 1.0,
+                                                   a=(1.0, 1.0)),), 3),
+    ]
+    # catalog_layouts: sole-owner, split and mixed owners, and scattered coordinates
+    for comp in [comp for relation in catalog for comp in catalog_layouts(relation)] + others:
+        assert comp.single_relation == _single_relation_by_search(comp)
+    assert all(comp.single_relation is None for comp in others)
 
 
 def test_single_relation_allows_relation_on_a_subset_of_coords():

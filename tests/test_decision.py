@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -310,6 +311,23 @@ def test_gate_sweep_degenerate_harm():
     # identical quotes: all deltas zero -> degenerate harm labels
     with pytest.raises(ValueError):
         gate_sweep(bets)
+
+
+def test_gate_sweep_harm_labels_ignore_round_off_at_the_threshold():
+    rng = np.random.default_rng(10)
+    harmful = _informative_bets(12, rng)
+    tied = _synthetic_bets(48, rng, lambda i: 0.002 * i)  # repaired is naive: regret exactly 0
+    base = gate_sweep(harmful + tied)
+    assert base.harm_threshold == 0.0 and base.harm_rate == 12 / 60
+    nudged = []
+    for k, bet in enumerate(tied):
+        repaired = list(bet.quote_repaired)
+        repaired[bet.unique_yes] += 1e-12 if k % 2 else -1e-12
+        nudged.append(BetRecord(bet.clique_id, bet.seed, bet.quote_naive, tuple(repaired),
+                                bet.labels, bet.eps_star))
+    moved = gate_sweep(harmful + nudged)
+    assert abs(moved.harm_threshold) < 1e-10  # the reported quantile itself is the raw one
+    assert dataclasses.replace(moved, harm_threshold=base.harm_threshold) == base
 
 
 # --- murphy ---------------------------------------------------------------------

@@ -17,6 +17,7 @@ from coherify.composition import (
 )
 from coherify.polytope import (
     PolytopeSpec,
+    RelationKind,
     build_polytope,
     conjunction,
     disjunction,
@@ -129,15 +130,30 @@ def test_pav_handles_flat_and_sorted_inputs():
     assert np.allclose(project_relation_batch(ladder(2), [[0.2, 0.8]]), [[0.5, 0.5]])
 
 
-@pytest.mark.parametrize("m", [2, 6, 12])
-def test_ladder_route_matches_pool_adjacent_violators(m):
+# row counts on both sides of the isotonic kernel's switch to the column layout
+LADDER_ROW_COUNTS = (0, 1, projection.COLUMN_ROWS - 1, projection.COLUMN_ROWS, 4096)
+
+
+def _ladder_rows(m: int) -> np.ndarray:
+    """4,096 ladder quotes cycling through five kinds, so any five rows in a row hold each:
+    in order, flat, tied, ties on the box edges, and plain draws out of the box too."""
     rng = np.random.default_rng(m)
-    X = rng.uniform(-0.3, 1.3, size=(200, m))
-    X[:10] = -np.sort(-X[:10], axis=1)  # chains already in order
-    X[10:20, 1:] = X[10:20, :1]  # flat rows
-    batch = project_relation_batch(ladder(m), X)
-    for x, row in zip(X, batch):
-        assert np.max(np.abs(row - np.clip(_pav_reference(x), 0.0, 1.0))) <= 1e-12
+    X = rng.uniform(-0.3, 1.3, size=(LADDER_ROW_COUNTS[-1], m))
+    X[0::5] = -np.sort(-X[0::5], axis=1)  # chains already in order
+    X[1::5, 1:] = X[1::5, :1]  # flat rows
+    X[2::5] = np.round(X[2::5], 1)  # tied entries
+    X[3::5] = rng.choice([-0.0, 0.0, 0.5, 1.0], size=X[3::5].shape)  # ties on the box edges
+    return X
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 12, 20])
+def test_ladder_route_matches_pool_adjacent_violators(m):
+    X = _ladder_rows(m)
+    expected = np.array([np.clip(_pav_reference(x), 0.0, 1.0) for x in X])
+    for n in LADDER_ROW_COUNTS:
+        batch = project_relation_batch(ladder(m), X[:n])
+        assert batch.shape == (n, m)
+        assert np.max(np.abs(batch - expected[:n]), initial=0.0) <= 1e-12
 
 
 # --- Dykstra -----------------------------------------------------------------
@@ -754,16 +770,25 @@ def test_frechet_face_route_fixes_vertices_edge_midpoints_and_facet_centroids(re
 
 
 @pytest.mark.parametrize(
-    "relation", ALL_RELATIONS + [partition(12), ladder(12), paraphrase(12)],
+    "relation",
+    ALL_RELATIONS + [partition(12), paraphrase(12), ladder(2), ladder(3), ladder(12), ladder(20)],
     ids=lambda r: f"{r.kind.value}{r.m}",
 )
 def test_batch_rows_equal_one_row_calls_bit_for_bit(relation):
-    rng = np.random.default_rng(29)
-    X = rng.uniform(-0.5, 1.5, size=(700, relation.m))  # more rows than one face-route block
+    if relation.kind is RelationKind.LADDER:  # both isotonic layouts
+        X, counts = _ladder_rows(relation.m), LADDER_ROW_COUNTS
+    else:
+        rng = np.random.default_rng(29)
+        X = rng.uniform(-0.5, 1.5, size=(700, relation.m))  # more rows than one face-route block
+        counts = (0, 1, 700)
     batch = project_relation_batch(relation, X)
-    assert np.array_equal(project_relation_batch(relation, np.asfortranarray(X)), batch)
-    for i in range(0, len(X), 7):
-        assert np.array_equal(batch[i], project_relation_batch(relation, X[i:i + 1])[0])
+    for n in counts:
+        strided = np.zeros((2 * n, 2 * relation.m))[::2, ::2]
+        strided[:] = X[:n]
+        for layout in (X[:n], np.asfortranarray(X[:n]), strided):
+            assert project_relation_batch(relation, layout).tobytes() == batch[:n].tobytes()
+    for i, row in enumerate(batch):
+        assert row.tobytes() == project_relation_batch(relation, X[i:i + 1])[0].tobytes()
 
 
 def test_face_table_refuses_affinely_dependent_vertices():

@@ -32,7 +32,8 @@ from .composition import (
     residual_batch,
 )
 from .decision import AllocationRule, BetRecord, gate_sweep, murphy, regret
-from .jsonio import InputError, dump_lines, dumps, json_int, parse_lines
+from .jsonio import (InputError, dump_lines, dumps, json_float, json_floats, json_int,
+                     parse_lines)
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
 from .polytope import Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
@@ -113,7 +114,7 @@ def _parsed(text: str, parse) -> list:
 
 def _project_quote(record) -> tuple[Clique, np.ndarray]:
     clique = Clique.from_json(record)
-    quote = np.asarray(record["quote"], dtype=float)
+    quote = np.array(json_floats(record["quote"], "quote"))
     if quote.shape != (clique.relation.m,):
         raise ValueError(f"quote length {quote.size} != m={clique.relation.m}")
     return clique, quote
@@ -153,7 +154,7 @@ def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, 
     so that a file builds one ``CompositionSpec`` per shape.
     """
     owners = tuple(json_int(v, "owners") for v in record["owners"])
-    locals_ = [np.asarray(q, dtype=float) for q in record["locals"]]
+    locals_ = [np.array(json_floats(q, "locals")) for q in record["locals"]]
     component_ids = sorted(set(owners))
     if len(locals_) != len(component_ids):
         raise ValueError(
@@ -208,7 +209,7 @@ def cmd_monitor(args) -> Run:
 
     def step(record) -> dict:
         nonlocal state
-        state = update(state, StreamStep(eps_sq=float(record["eps_sq"]),
+        state = update(state, StreamStep(eps_sq=json_float(record["eps_sq"], "eps_sq"),
                                          m=json_int(record["m"], "m"),
                                          k_samples=json_int(record["K"], "K")))
         return {

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .jsonio import json_int
+from .jsonio import json_float, json_floats, json_int
 from .polytope import (
     LinearConstraint,
     PolytopeSpec,
@@ -30,8 +30,8 @@ from .polytope import (
 )
 from .projection import (
     RESIDUAL_FLOOR,
+    InfeasibleCouplingError,
     _coupled_halfspaces,
-    _cut_table,
     _hierarchical_cycle,
     _project_locals,
     _unconverged,
@@ -121,8 +121,8 @@ class CouplingConstraint:
         return cls(
             kind=str(record["kind"]),
             coords=tuple(json_int(c, "coords") for c in record["coords"]),
-            b=float(record.get("b", 1.0)),
-            a=tuple(record["a"]) if record.get("a") is not None else None,
+            b=json_float(record.get("b", 1.0), "b"),
+            a=tuple(json_floats(record["a"], "a")) if record.get("a") is not None else None,
         )
 
 
@@ -172,15 +172,13 @@ _CATALOG_KINDS = {
 class ConstraintSystem:
     """What the joint projection of a composition reads, built once per system key.
 
-    ``coupling`` holds the coupling cuts, ``joint`` the lifted local
-    constraints plus those cuts, and ``cuts`` the cycle's per-cut
-    constants of ``coupling``. Compares and hashes by identity: one
+    ``coupling`` holds the coupling cuts and ``joint`` the lifted local
+    constraints plus those cuts. Compares and hashes by identity: one
     object per cached system key.
     """
 
     coupling: PolytopeSpec
     joint: PolytopeSpec
-    cuts: tuple
 
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)
@@ -209,7 +207,7 @@ def constraint_system(joint_dim: int, constrained: tuple, cuts: tuple) -> Constr
         hss += [lift(c, component, f"m{a}:{c.name}") for c in local.halfspaces]
     joint = PolytopeSpec(dim=joint_dim, equalities=tuple(eqs) + coupling.equalities,
                          halfspaces=tuple(hss) + coupling.halfspaces)
-    return ConstraintSystem(coupling, joint, _cut_table(coupling))
+    return ConstraintSystem(coupling, joint)
 
 
 @dataclass
@@ -476,11 +474,12 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     back in input order, each bit for bit the item's own ``residual``,
     and name their binding constraints only when ``binding`` is read.
 
-    An item fails when it is malformed (``aggregate``, its coupling cuts)
-    or its row misses the cycle's iteration cap (``_unconverged``). The earliest
-    failing item's exception is raised, with its position in ``items`` as
-    its ``index`` attribute. A ``tol`` that is not a finite number >= 0 is
-    refused before any item is read.
+    An item fails when it is malformed (``aggregate``, its coupling cuts),
+    when its row misses the cycle's iteration cap (``_unconverged``), or,
+    as its system's earliest item, when a local set misses its own cap
+    (``project_local``). The earliest failing item's exception is raised,
+    with its position in ``items`` as its ``index`` attribute. A ``tol``
+    that is not a finite number >= 0 is refused before any item is read.
     """
     if not 0.0 <= tol < math.inf:  # also false for NaN
         raise ValueError(f"tol={tol!r} must be a finite number >= 0")
@@ -497,9 +496,14 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
         systems.setdefault(system, {})[i] = x
     certs: list[Certificate | None] = [None] * len(items)
     for rows in systems.values():
-        comp = items[next(iter(rows))][0]
-        X, coherent = _composed(comp, np.array(list(rows.values())), repair_locals, tol)
-        projected, converged = _joint_projection(comp, X)
+        first = next(iter(rows))
+        comp = items[first][0]
+        try:
+            X, coherent = _composed(comp, np.array(list(rows.values())), repair_locals, tol)
+            projected, converged = _joint_projection(comp, X)
+        except InfeasibleCouplingError as exc:  # from a local set's own cycle
+            failures[first] = exc
+            break  # every later system's items come after this one's first
         converged = converged.tolist()
         error = None if all(converged) else _unconverged(comp)
         for row, i in enumerate(rows):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import json_int
+from .jsonio import json_float, json_floats, json_int
 from .polytope import Relation, RelationKind
 from .projection import project_simplex
 
@@ -59,10 +59,10 @@ class BetRecord:
         return cls(
             clique_id=str(record["clique_id"]),
             seed=json_int(record["seed"], "seed"),
-            quote_naive=tuple(record["naive"]),
-            quote_repaired=tuple(record["repaired"]),
+            quote_naive=tuple(json_floats(record["naive"], "naive")),
+            quote_repaired=tuple(json_floats(record["repaired"], "repaired")),
             labels=tuple(json_int(v, "labels") for v in record["labels"]),
-            eps_star=float(record["eps_star"]),
+            eps_star=json_float(record["eps_star"], "eps_star"),
         )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 
 def _format_float(x: float) -> str:
@@ -60,6 +61,25 @@ def json_int(value, field: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{field} takes JSON integers, got {json.dumps(value, default=repr)}")
     return value
+
+
+def json_float(value, field: str) -> float:
+    """``value`` as a float when it is a JSON number, else ``ValueError`` naming ``field``.
+
+    Refuses ``true``, ``false``, strings such as ``"nan"`` and integers too
+    large for a float; the decoder has refused non-finite literals.
+    """
+    if type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"{field} takes JSON numbers, got {json.dumps(value, default=repr)}")
+
+
+def json_floats(values, field: str) -> list[float]:
+    """``json_float`` of every entry of ``values``, which must be a JSON array."""
+    if type(values) is not list:
+        raise ValueError(f"{field} takes a JSON array of numbers, got "
+                         f"{json.dumps(values, default=repr)}")
+    return [json_float(v, field) for v in values]
 
 
 class InputError(ValueError):

@@ -5,9 +5,9 @@ members coordinate by coordinate, so the per-coordinate panel variances D
 are the effective covariance. With a single binding constraint of normal
 ``a`` the expected squared residual is ``kappa * a'Da / |a|^2``: kappa is
 1 for equality cuts, 1/2 for an inequality whose boundary passes through
-the panel mean with a symmetric panel, and the value degrades to an upper
-bound when the panel mean sits strictly inside. ``tr(D)`` bounds the
-expectation with no geometry at all.
+the panel mean with a symmetric panel, and the value is only an estimate,
+neither exact nor a bound, when the panel mean sits strictly inside.
+``tr(D)`` bounds the expectation with no geometry at all.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def predict_magnitude(stats: PanelStats, relation: Relation,
     Equality relations use their full-support normal with kappa 1. The
     Frechet and ladder relations pick the defining halfspace with smallest
     slack at the panel mean (ties to the lowest constraint id) and kappa
-    1/2; a strictly interior panel mean downgrades the value to an upper
-    bound, flagged through the regime. ``empirical_kappa`` replaces 1/2 by
-    the positive-part second-moment ratio of the panel scalars.
+    1/2; with the panel mean strictly inside, the value is an estimate the
+    residual can exceed, flagged through the regime. ``empirical_kappa``
+    replaces 1/2 by the positive-part second-moment ratio of the panel scalars.
     """
     D = stats.diag_cov
     m = D.size

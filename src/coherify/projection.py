@@ -10,15 +10,9 @@ one row. ``project_oracle``, a min-norm-point search over vertex hulls,
 is the independent ground truth that tests hold every route to. A
 composition whose joint set is one catalog polytope takes the exact route
 too. Any other system goes through one batched Boyle-Dykstra engine, the
-only route with an iteration cap to miss: one exact local set plus the rows
-of one constraint system, each row stopping as its own one-row call would. Cuts
-whose rows are ``e_j +- e_k`` (equality chains, ladder steps, two-coordinate
-sums and Frechet bounds) are swept in blocks of cuts on disjoint columns,
-each block in one step on two strided column views: a chain over evenly
-spaced coordinates is two blocks, its even links and then its odd links
-(the multicolour order of Gauss-Seidel; Dykstra's limit is the same for
-any fixed cyclic order), and any other such cut is a block of one. Every
-other cut takes a full-width dot and axpy.
+only route with an iteration cap to miss: one exact local set, then the
+rows of one constraint system in order, each quote stopping as its own
+one-row call would.
 
 Plain alternating projection is not a substitute for Dykstra here: it
 finds *a* feasible point, not the nearest one. The correction vectors are
@@ -53,7 +47,6 @@ ORACLE_VERTEX_LIMIT = 4096
 # row path takes fewer than ``COLUMN_ROWS`` rows, so it splits them only for m > 32
 BLOCK_ENTRIES = 1 << 16
 COLUMN_ROWS = 64  # rows from which the isotonic kernel runs coordinate-major
-CUT_TABLE_CACHE_SIZE = 256  # cut tables kept per process
 
 CLOSED_FORM_KINDS = frozenset(
     {RelationKind.NEGATION, RelationKind.PARTITION, RelationKind.LADDER}
@@ -313,171 +306,69 @@ def _clip(y: np.ndarray) -> np.ndarray:
     return y.clip(0.0, 1.0)
 
 
-def _pair(a: np.ndarray) -> tuple[int, int, float] | None:
-    """``(j, k, sign)`` when the row ``a`` is ``e_j + sign * e_k`` with ``sign`` +-1, else None."""
-    support = np.flatnonzero(a).tolist()
-    if len(support) != 2:
-        return None
-    j, k = support if a[support[0]] == 1.0 else support[::-1]
-    sign = float(a[k])
-    return (j, k, sign) if a[j] == 1.0 and abs(sign) == 1.0 else None
-
-
-@lru_cache(maxsize=CUT_TABLE_CACHE_SIZE)
-def _cut_table(spec: PolytopeSpec) -> tuple:
-    """The cycle's sweep over ``spec``'s rows, one entry per step, built once per spec.
-
-    An entry is ``(a, b, a . a, max|a|, is_halfspace, block, columns)``.
-    Rows keep the order of ``spec.A`` (equalities first), except that the
-    pair rows ``e_j + sign * e_k`` (``_pair``) are swept in blocks. A run
-    of pair rows that share ``b``, ``a . a``, sign and kind and form a
-    chain -- row ``t`` reads columns ``j + t * d`` and ``k + t * d`` with
-    ``|d| = |k - j|``, as an equality or ladder chain over evenly spaced
-    coordinates does -- becomes two blocks in its place: its even links,
-    then its odd links. Every other pair row is a block of one. The cuts
-    of a block touch pairwise-disjoint columns; for a block, ``a`` stacks
-    its rows and ``block`` is ``(js, ks, sign)``, where the basic slices
-    ``js`` and ``ks`` pick the ``j`` and ``k`` columns of the rows of
-    ``a`` in order. ``block`` is None for a dense row (any other row),
-    whose ``a`` is the row itself. ``columns`` slices the step's cuts out
-    of ``_cyclic``'s array of correction changes: one column per cut, in
-    sweep order, after the ``spec.dim`` columns of the local set.
-    """
-    A = spec.A
-    rows = list(zip(A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
-                    np.abs(A).max(axis=1, initial=0.0).tolist(),
-                    [False] * len(spec.equalities) + [True] * len(spec.halfspaces)))
-    pairs = [_pair(a) for a in A]
-    table = []
-    col = spec.dim  # each step's column of the cycle's correction changes
-    i = 0
-    while i < len(rows):
-        if pairs[i] is None:
-            table.append(rows[i] + (None, slice(col, col + 1)))
-            col += 1
-            i += 1
-            continue
-        j, k, sign = pairs[i]
-        shared = (rows[i][1:], sign)
-        end = i + 1
-        for d in (k - j, j - k):  # the chain runs one way along its coordinates
-            while (end < len(rows) and pairs[end] is not None
-                   and (rows[end][1:], pairs[end][2]) == shared
-                   and pairs[end][:2] == (j + (end - i) * d, k + (end - i) * d)):
-                end += 1
-            if end > i + 1:
-                break
-        links = end - i
-        for p in range(min(links, 2)):  # the even links, then the odd ones
-            ts = range(p, links, 2)[::1 if d > 0 else -1]  # links in ascending column order
-            js, ks = (slice(c + ts[0] * d, c + ts[-1] * d + 1, 2 * abs(d)) for c in (j, k))
-            a = A[[i + t for t in ts]]
-            a.setflags(write=False)  # the table is cached, so every caller shares it
-            table.append((a,) + rows[i][1:] + ((js, ks, sign), slice(col, col + len(ts))))
-            col += len(ts)
-        i = end
-    return tuple(table)
-
-
-def _cyclic(X: np.ndarray, local, cuts: tuple, tol: float, max_iter: int):
-    """Batched Boyle-Dykstra cycle over one local set and a spec's linear rows.
-
-    Rows of ``X`` are independent problems, and no row's arithmetic depends
-    on the others: the row dots go through ``einsum``, where a BLAS
-    ``X @ a`` sums a row differently with the batch around it. So each row
-    comes out bit for bit as its own one-row call.
+def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int):
+    """Batched Boyle-Dykstra cycle over one local set and the linear rows of ``spec``.
 
     Each cycle projects onto the local set with ``local`` (an exact
-    row-wise projector that returns a new ``(n, d)`` array), then sweeps
-    the steps of ``cuts`` (a spec's ``_cut_table``) in order; the spec's
-    box is left to ``local``. The local set carries a correction array;
-    each cut carries its multiplier ``t``, its correction being ``t * a``.
-    A dense step costs one row dot and one full-width axpy. A block step
-    projects all its cuts ``e_j + sign * e_k`` at once, with one set of
-    ufunc calls on the column views ``x[:, js]`` and ``x[:, ks]``: the dot
-    of each cut is ``x_j + sign * x_k``, and its step goes into its two
-    columns. The cuts of a block touch disjoint columns, so this is the
-    one-cut-at-a-time dense sweep over them bit for bit: both terms of a
-    dot are exact, so any summation order rounds once, and ``x + step *
-    -1.0`` is ``x - step``. Off a cut's support only a ``-0.0`` entry
-    (which only a ``local`` can make; a dense axpy adds ``step * 0.0`` to
-    it) and a NaN (which a dense dot spreads to every cut) can differ. A
-    row stops once its largest correction change over a full cycle drops
-    below ``tol``; the other rows go on without it.
+    row-wise projector that returns a new ``(n, d)`` array), then onto the
+    hyperplane or halfspace of each row ``a`` of ``spec.A`` in order
+    (equalities first); the spec's box is left to ``local``. The local set
+    carries a correction array; each row carries its multiplier ``t``, its
+    correction being ``t * a``, so a row costs one dot and one axpy. A
+    quote stops once its largest correction change over a full cycle drops
+    below ``tol``; the other quotes go on without it. No quote's arithmetic
+    depends on the others: the row dots go through ``einsum``, where a BLAS
+    ``X @ a`` sums a row differently with the batch around it. So each
+    quote comes out bit for bit as its own one-row call.
 
-    Returns, per row: the iterate, the cycle count and whether it
-    converged. A row still cycling after ``max_iter`` cycles comes out as
+    Returns, per quote: the iterate, the cycle count and whether it
+    converged. A quote still cycling after ``max_iter`` cycles comes out as
     its last iterate with ``converged`` False; what that means (the cap
     was too low, or the intersection is empty) is left to the caller.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = np.ascontiguousarray(X)  # a strided row would be summed by another kernel
-    n, d = x.shape
-    if not n:  # an empty batch runs no cycle
-        return np.empty_like(x), np.empty(0, dtype=int), np.empty(0, dtype=bool)
-    # corrections and multipliers start at 0.0, which adds as a zero array would
-    P = 0.0
-    T = [0.0] * len(cuts)
-    # each cycle's correction changes: the local set's in the first d columns,
-    # then each cut's in its own column (the ``columns`` of its cut-table step)
-    D = np.empty((n, cuts[-1][-1].stop if cuts else d))
-    local_change, changes = D[:, :d], [D[:, col] for *_, col in cuts]
-    live = None  # every row of X while none has stopped; then the live rows' indices
+    n = len(x)
+    A = spec.A
+    cuts = list(zip(A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
+                    np.abs(A).max(axis=1, initial=0.0).tolist(),
+                    [False] * len(spec.equalities) + [True] * len(spec.halfspaces)))
+    out = np.empty_like(x)
+    iterations = np.full(n, max_iter)
+    converged = np.zeros(n, dtype=bool)
+    live = np.arange(n)  # quotes still cycling, as indices into X
+    P, T = 0.0, [0.0] * len(cuts)  # corrections and multipliers: 0.0 adds as zeros would
     for it in range(1, max_iter + 1):
+        if not live.size:
+            break
         y = x + P
         x = local(y)
         P_new = y - x
-        np.abs(np.subtract(P_new, P, out=local_change), out=local_change)
+        delta = np.maximum.reduce(np.abs(P_new - P), axis=1)
         P = P_new
-        for i, (a, b, aa, a_max, halfspace, block, _) in enumerate(cuts):
-            if block is None:
-                t = np.einsum("ij,j->i", x, a)
-            else:
-                js, ks, sign = block
-                xj, xk = x[:, js], x[:, ks]
-                t = xj + xk if sign > 0 else xj - xk
+        for i, (a, b, aa, a_max, halfspace) in enumerate(cuts):
+            t = np.einsum("ij,j->i", x, a)
             if b:
-                t = t - b
+                t -= b
             t = t / aa + T[i]
             if halfspace:
-                t = np.maximum(t, 0.0)
+                np.maximum(t, 0.0, out=t)
             step = T[i] - t
             T[i] = t
-            if block is None:
-                step = step[:, None]
-                x += step * a
-            else:  # x + step * -1.0 is x - step
-                xj += step
-                if sign > 0:
-                    xk += step
-                else:
-                    xk -= step
-            change = np.abs(step, out=changes[i])  # of the correction t * a: |step| * max|a|
+            x += step[:, None] * a
+            change = np.abs(step, out=step)  # of the correction t * a: |step| * max|a|
             if a_max != 1.0:
                 change *= a_max
-        done = np.maximum.reduce(D, axis=1) < tol
-        stopped = np.count_nonzero(done)
-        if not stopped:
-            continue
-        if live is None:
-            if stopped == n:  # every row in the same cycle: the iterate is the output
-                return x, np.full(n, it), done
-            live = np.arange(n)
-            out = np.empty_like(x)
-            iterations = np.full(n, max_iter)
-            converged = np.zeros(n, dtype=bool)
-        rows = live[done]
-        out[rows] = x[done]
-        iterations[rows] = it
-        converged[rows] = True
-        if stopped == len(live):
-            return out, iterations, converged
-        keep = ~done
-        live, x, P, D, T = live[keep], x[keep], P[keep], D[keep], [t[keep] for t in T]
-        local_change, changes = D[:, :d], [D[:, col] for *_, col in cuts]
-    if live is None:  # a copy: with max_iter < 1 no cycle ran, and x is still X
-        return x.copy(), np.full(n, max_iter), np.zeros(n, dtype=bool)
+            np.maximum(delta, change, out=delta)
+        done = delta < tol
+        if np.count_nonzero(done):
+            rows = live[done]
+            out[rows] = x[done]
+            iterations[rows] = it
+            converged[rows] = True
+            keep = ~done
+            live, x, P, T = live[keep], x[keep], P[keep], [t[keep] for t in T]
     out[live] = x
     return out, iterations, converged
 
@@ -493,7 +384,7 @@ def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
     _check_finite(q)
-    x, iterations, converged = _cyclic(q[None, :], _clip, _cut_table(spec), tol, max_iter)
+    x, iterations, converged = _cyclic(q[None, :], _clip, spec, tol, max_iter)
     return _result(spec, q, x[0], iterations=int(iterations[0]), converged=bool(converged[0]))
 
 
@@ -502,7 +393,7 @@ def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray, tol: float = DYKST
     """Dykstra on many quotes at once; each row equals its own ``project_dykstra`` projection."""
     X = np.asarray(X, dtype=float)
     _check_finite(X)
-    return _cyclic(X, _clip, _cut_table(spec), tol, max_iter)[0]
+    return _cyclic(X, _clip, spec, tol, max_iter)[0]
 
 
 def _min_norm_point(P: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, int]:
@@ -604,9 +495,10 @@ def project_relation(relation: Relation, q) -> ProjectionResult:
 def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
     """Exact local repair of one quote, or of each row of an ``(n, dim)`` array.
 
-    Clip for free boxes, the relation's own route otherwise. Unchecked for
-    finiteness, like ``project_relation_batch``: it runs inside every
-    engine cycle.
+    Clip for free boxes, a relation's own route, else the cycle at a tight
+    ``tol``, raising ``InfeasibleCouplingError`` past its cap (the set may
+    be empty). Unchecked for finiteness, like ``project_relation_batch``:
+    it runs inside every engine cycle.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != polytope.dim:
@@ -617,7 +509,10 @@ def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
     if polytope.relation is not None:
         out = project_relation_batch(polytope.relation, X)
     else:  # no closed route: tight generic Dykstra (approximate at tol)
-        out = _cyclic(X, _clip, _cut_table(polytope), 1e-12, DYKSTRA_MAX_ITER)[0]
+        out, _, converged = _cyclic(X, _clip, polytope, 1e-12, DYKSTRA_MAX_ITER)
+        if not converged.all():
+            raise InfeasibleCouplingError("local projection did not converge; "
+                                          "local set may be empty")
     return out if v.ndim == 2 else out[0]
 
 
@@ -638,7 +533,7 @@ def _hierarchical_cycle(comp: "CompositionSpec", X: np.ndarray, tol: float = DYK
                         max_iter: int = DYKSTRA_MAX_ITER):
     """``_cyclic`` over the product of the local polytopes and the coupling cuts."""
     local = (lambda Y: _project_locals(comp, Y)) if comp.constrained else _clip
-    return _cyclic(X, local, comp.system.cuts, tol, max_iter)
+    return _cyclic(X, local, comp.coupling_polytope, tol, max_iter)
 
 
 def _unconverged(comp: "CompositionSpec") -> Exception:

@@ -469,6 +469,44 @@ def test_integer_fields_take_only_json_integers(tmp_path, capsys, command, field
     assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 0
 
 
+FRECHET_CERTIFY = ('{{"owners": [0, 1], "coupling": [{{"kind": "frechet-halfspace", "coords": [0, 1], '
+                   '"b": 1, "a": {}}}], "locals": [[0.3], [0.6]]}}')
+
+
+@pytest.mark.parametrize("command, template, value, bad, error", [
+    pytest.param("project", '{{"id": "p", "relation": "partition", "m": 2, "quote": {}}}',
+                 "[0.5, 0.5]", '["nan", 0.5]', 'quote takes JSON numbers, got "nan"',
+                 id="project-quote"),
+    pytest.param("certify", '{{"owners": [0, 1], "coupling": [], "locals": [[0.3], {}]}}',
+                 "[1]", '["0.6"]', 'locals takes JSON numbers, got "0.6"', id="certify-locals"),
+    pytest.param("certify", '{{"owners": [0, 1], "coupling": [{{"kind": "partition-sum", '
+                 '"coords": [0, 1], "b": {}}}], "locals": [[0.3], [0.6]]}}',
+                 "1", '"nan"', 'b takes JSON numbers, got "nan"', id="certify-b"),
+    pytest.param("certify", FRECHET_CERTIFY, "[1, 1.0]", '["inf", 1]',
+                 'a takes JSON numbers, got "inf"', id="certify-a"),
+    pytest.param("regret", BET_TEMPLATE.replace("[0.4, 0.6]", "{}"), "[0.4, 0.6]", '"01"',
+                 'naive takes a JSON array of numbers, got "01"', id="regret-naive"),
+    pytest.param("regret", BET_TEMPLATE.replace("[0.5, 0.5]", "{}"), "[1, 0]", "[true, false]",
+                 "repaired takes JSON numbers, got true", id="regret-repaired"),
+    pytest.param("regret", BET_TEMPLATE.replace("0.1}}", "{}}}"), "0", '"inf"',
+                 'eps_star takes JSON numbers, got "inf"', id="regret-eps_star"),
+    pytest.param("monitor", '{{"t": 2, "eps_sq": {}, "m": 2, "K": 8}}', "0", "true",
+                 "eps_sq takes JSON numbers, got true", id="monitor-eps_sq"),
+])
+def test_number_fields_take_only_json_numbers(tmp_path, capsys, command, template, value, bad,
+                                              error):
+    # float() or numpy would read each of these as a number, or a string as a list of them
+    inp = tmp_path / "in.jsonl"
+    good = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
+            "monitor": '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}',
+            "regret": BET_TEMPLATE.format()}[command]
+    inp.write_text(good + "\n" + template.format(bad) + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {error}\n"
+    inp.write_text(good + "\n" + template.format(value) + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 0
+
+
 def test_float_serialization_17_digits_round_trip():
     value = 0.1234567890123456789
     text = dumps({"x": value})

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import time
 
@@ -16,6 +15,7 @@ from coherify.composition import (
     residual_batch,
 )
 from coherify.polytope import (
+    LinearConstraint,
     PolytopeSpec,
     RelationKind,
     build_polytope,
@@ -371,6 +371,23 @@ def test_hierarchical_detects_empty_intersection():
         project_hierarchical(comp, np.array([0.5, 0.5]), max_iter=2000)
 
 
+def test_an_empty_generic_local_set_raises_within_a_second():
+    # no point of the box meets x1 + x2 = 3, so the local cycle misses its cap:
+    # that must raise at once, not hand the outer cycle a point off the box
+    empty = PolytopeSpec(dim=2, equalities=(LinearConstraint((1.0, 1.0), 3.0, "x1+x2=3"),))
+    with pytest.raises(InfeasibleCouplingError):
+        project_local(empty, np.array([0.2, 0.3]))
+    comp = CompositionSpec((ComponentSpec(empty, (0, 1)), ComponentSpec(PolytopeSpec(dim=1), (2,))),
+                           (CouplingConstraint("equality", (1, 2)),), 3)
+    fine = [np.full(2, 0.4), np.full(3, 0.4), np.full(3, 0.4)]
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleCouplingError) as exc:
+        residual_batch([(paraphrase_split(), fine), (comp, [np.full(2, 0.5), np.full(1, 0.5)]),
+                        (comp, [np.full(2, 0.1), np.full(1, 0.9)])])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.index == 1  # the system's earliest item
+
+
 def paraphrase_split() -> CompositionSpec:
     return CompositionSpec(free_components([2, 3, 3]), relation_coupling(paraphrase(8), range(8)), 8)
 
@@ -393,6 +410,12 @@ def test_hierarchical_batch_rows_stop_on_their_own_bit_for_bit():
         else:
             with pytest.raises(RuntimeError):
                 project_hierarchical(comp, q, max_iter=max_iter)
+    signed = np.array([-0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    cert = residual_batch([(comp, [signed[:2], signed[2:5], signed[5:]])])[0]
+    assert np.signbit(cert.composed[0])  # the -0.0 entry survives the local repair ...
+    assert not np.signbit(cert.repaired).any()  # ... but not the joint projection
+    # nor the cycle, whose first y = x + P adds 0.0 to it
+    assert not np.signbit(_hierarchical_cycle(comp, signed[None, :])[0]).any()
 
 
 def test_hierarchical_batch_rows_that_stop_together_equal_their_one_row_calls_bit_for_bit():
@@ -457,206 +480,7 @@ def test_empty_batches_run_no_cycle(monkeypatch):
     assert cycles == [1]  # the counter sees the cycles there are
 
 
-# --- pair cuts and sweep blocks ----------------------------------------------
-
-
-def _blocks(*cuts: CouplingConstraint, dim: int = 5) -> list:
-    """Each sweep step of the coupling ``cuts``: None for a dense row, else the
-    block's ``(j columns, k columns, sign)``, after checking that its rows are
-    ``e_j + sign * e_k`` in that column order."""
-    comp = CompositionSpec(free_components([1] * dim), cuts, dim)
-    columns = np.arange(dim)
-    steps = []
-    for a, _, _, _, _, block, _ in comp.system.cuts:
-        if block is None:
-            steps.append(None)
-            continue
-        js, ks, sign = block
-        assert type(js) is slice and type(ks) is slice and type(sign) is float
-        rows = np.zeros((len(columns[js]), dim))
-        rows[np.arange(len(rows)), columns[js]] = 1.0
-        rows[np.arange(len(rows)), columns[ks]] = sign
-        assert a.tobytes() == rows.tobytes()
-        steps.append((columns[js].tolist(), columns[ks].tolist(), sign))
-    return steps
-
-
-def _dense(rows: list, dim: int) -> tuple:
-    """Dense sweep steps, one per ``(a, b, a . a, max|a|, is_halfspace)`` row, in order."""
-    return tuple(r + (None, slice(dim + i, dim + i + 1)) for i, r in enumerate(rows))
-
-
-def _one_cut_at_a_time(cuts: tuple, dim: int) -> tuple:
-    """The sweep ``cuts`` with every block unrolled into dense steps, in the block's order."""
-    return _dense([(row, b, aa, a_max, halfspace) for a, b, aa, a_max, halfspace, block, _ in cuts
-                   for row in (a if block is not None else [a])], dim)
-
-
-def _spec_order(spec) -> tuple:
-    """A dense sweep over ``spec``'s rows in the order of ``spec.A``, one cut at a time."""
-    halfspace = [False] * len(spec.equalities) + [True] * len(spec.halfspaces)
-    return _dense([(a, b, float(a @ a), float(np.abs(a).max()), h)
-                   for a, b, h in zip(spec.A, spec.b.tolist(), halfspace)], spec.dim)
-
-
-def test_cut_table_marks_two_coordinate_unit_rows_as_pairs():
-    # rows read e_j + sign * e_k, with j the coordinate whose coefficient is +1;
-    # a chain over evenly spaced coordinates is swept as its even links, then
-    # its odd links; every other pair row is a block of one
-    assert _blocks(CouplingConstraint("equality", (3, 0, 4))) == [([3], [0], -1.0),
-                                                                 ([0], [4], -1.0)]
-    assert _blocks(CouplingConstraint("ladder-chain", (2, 0, 3))) == [([0], [2], -1.0),
-                                                                     ([3], [0], -1.0)]
-    assert _blocks(CouplingConstraint("negation-sum", (4, 1))) == [([1], [4], 1.0)]
-    assert _blocks(CouplingConstraint("partition-sum", (2, 0))) == [([0], [2], 1.0)]
-    assert _blocks(*relation_coupling(conjunction(), (0, 1, 2))) == [([2], [0], -1.0),
-                                                                    ([2], [1], -1.0), None]
-    assert _blocks(*relation_coupling(disjunction(), (0, 1, 2))) == [([0], [2], -1.0),
-                                                                    ([1], [2], -1.0), None]
-    assert _blocks(*relation_coupling(paraphrase(3), (0, 1, 2))) == [([0], [1], -1.0),
-                                                                    ([1], [2], -1.0)]
-    assert _blocks(*relation_coupling(paraphrase(6), range(6)), dim=6) == [
-        ([0, 2, 4], [1, 3, 5], -1.0), ([1, 3], [2, 4], -1.0)]
-    assert _blocks(*relation_coupling(ladder(5), range(5))) == [([1, 3], [0, 2], -1.0),
-                                                               ([2, 4], [1, 3], -1.0)]
-    assert _blocks(CouplingConstraint("equality", (5, 4, 3, 2, 1, 0)), dim=6) == [
-        ([1, 3, 5], [0, 2, 4], -1.0), ([2, 4], [1, 3], -1.0)]
-    assert _blocks(CouplingConstraint("ladder-chain", (0, 2, 4, 6, 8)), dim=9) == [
-        ([2, 6], [0, 4], -1.0), ([4, 8], [2, 6], -1.0)]
-    # two chains back to back stay two chains; equal chains do not merge
-    first = CouplingConstraint("equality", (0, 1, 2))
-    second = CouplingConstraint("equality", (3, 4, 5))
-    assert _blocks(first, second, dim=6) == [([0], [1], -1.0), ([1], [2], -1.0),
-                                             ([3], [4], -1.0), ([4], [5], -1.0)]
-    twice = CouplingConstraint("equality", (0, 1))
-    assert _blocks(twice, twice) == [([0], [1], -1.0), ([0], [1], -1.0)]
-
-
-@pytest.mark.parametrize("cut", [
-    CouplingConstraint("partition-sum", (0, 1, 2)),
-    CouplingConstraint("partition-sum", (0, 1, 2, 3, 4)),
-    CouplingConstraint("frechet-halfspace", (0, 1, 2), 1.0, a=(1.0, 1.0, -1.0)),
-    CouplingConstraint("frechet-halfspace", (0, 1), 0.0, a=(2.0, -1.0)),
-    CouplingConstraint("frechet-halfspace", (0, 1), 0.5, a=(1.0, 0.5)),
-    CouplingConstraint("frechet-halfspace", (0, 1), 0.5, a=(-1.0, -2.0)),
-    CouplingConstraint("frechet-halfspace", (3, 1), 0.5, a=(-1.0, -1.0)),  # no +1 coefficient
-])
-def test_cut_table_keeps_other_rows_dense(cut):
-    assert _blocks(cut) == [None]
-
-
-def test_cut_table_is_built_once_per_spec_and_read_only():
-    spec = build_polytope(ladder(12))
-    table = projection._cut_table(spec)
-    assert projection._cut_table(spec) is table
-    assert projection._cut_table(dataclasses.replace(spec)) is table  # an equal spec
-    assert all(not step[0].flags.writeable for step in table)
-    assert projection._cut_table.cache_info().maxsize == projection.CUT_TABLE_CACHE_SIZE
-    # project_dykstra and project_local's generic branch read the cached table
-    generic = PolytopeSpec(dim=12, halfspaces=spec.halfspaces)
-    q = np.random.default_rng(3).uniform(size=12)
-    before = projection._cut_table.cache_info()
-    project_dykstra(spec, q)
-    project_local(generic, q)
-    project_local(generic, q)
-    after = projection._cut_table.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) in ((3, 0), (2, 1))
-
-
-def _cycle_both_ways(comp: CompositionSpec, X: np.ndarray, max_iter: int):
-    """The block sweep of ``comp``, and the dense sweep over the same cuts in the same order."""
-    local = lambda Y: projection._project_locals(comp, Y)  # noqa: E731
-    cuts = comp.system.cuts
-    return (projection._cyclic(X, local, cuts, projection.DYKSTRA_TOL, max_iter),
-            projection._cyclic(X, local, _one_cut_at_a_time(cuts, comp.joint_dim),
-                               projection.DYKSTRA_TOL, max_iter))
-
-
-def _same_bits(got, want) -> bool:
-    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-
-@st.composite
-def pair_and_dense_systems(draw):
-    """A composition over 2..8 coordinates with random pair and dense coupling cuts,
-    chains over evenly spaced coordinates among them, and 1..5 quotes, some
-    entries exactly 0, -0.0 or 1."""
-    dim = draw(st.integers(2, 8))
-    widths = []
-    while sum(widths) < dim:
-        widths.append(draw(st.integers(1, dim - sum(widths))))
-    components = list(free_components(widths))
-    if widths[0] == 2 and draw(st.booleans()):  # a relation's own local route too
-        components[0] = ComponentSpec(build_polytope(negation()), (0, 1))
-    cuts = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["equality", "negation-sum", "partition-sum",
-                                     "ladder-chain", "frechet-halfspace"]))
-        size = 2 if kind == "negation-sum" else draw(st.integers(2, min(dim, 6)))
-        if kind in ("equality", "ladder-chain") and draw(st.booleans()):  # evenly spaced
-            stride = draw(st.integers(1, (dim - 1) // (size - 1)))
-            start = draw(st.integers(0, dim - 1 - stride * (size - 1)))
-            coords = tuple(range(start, start + stride * size, stride))
-            coords = coords[::-1] if draw(st.booleans()) else coords
-        else:
-            coords = tuple(draw(st.permutations(range(dim)))[:size])
-        if kind == "frechet-halfspace":
-            a = [draw(st.sampled_from([1.0, -1.0])) for _ in coords]
-            if draw(st.booleans()):
-                a[draw(st.integers(0, size - 1))] = draw(st.sampled_from([0.5, 2.0, -2.0]))
-            b = draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0]))
-            cuts.append(CouplingConstraint(kind, coords, b, a=tuple(a)))
-        elif kind in ("negation-sum", "partition-sum"):
-            cuts.append(CouplingConstraint(kind, coords, draw(st.sampled_from([1.0, 0.5]))))
-        else:
-            cuts.append(CouplingConstraint(kind, coords))
-    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
-                      st.floats(-0.25, 1.25, allow_nan=False, allow_subnormal=False))
-    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=5))
-    return CompositionSpec(tuple(components), tuple(cuts), dim), np.array(rows)
-
-
-@settings(max_examples=80, deadline=None)
-@given(system=pair_and_dense_systems())
-def test_pair_kernel_matches_every_cut_dense_bit_for_bit(system):
-    comp, X = system
-    blocks, dense = _cycle_both_ways(comp, X, max_iter=300)
-    assert _same_bits(blocks, dense)
-
-
-def test_pair_kernel_matches_dense_on_rows_that_stop_apart():
-    rng = np.random.default_rng(8)
-    X = np.vstack([np.full(8, 0.4), rng.uniform(size=(3, 8)), [-0.0, 0.5, 1.0, 0, 0, 0, 0, 1]])
-    ladder_split = CompositionSpec(free_components([3, 5]), relation_coupling(ladder(8), range(8)))
-    and_split = CompositionSpec(free_components([2, 2]), relation_coupling(conjunction(), (0, 1, 3)))
-    for comp in (paraphrase_split(), ladder_split, and_split):
-        Y = X[:, :comp.joint_dim]
-        blocks, dense = _cycle_both_ways(comp, Y, max_iter=10_000)
-        assert _same_bits(blocks, dense)
-        assert len(set(blocks[1].tolist())) >= 2  # rows stopped at different cycles
-    assert [len(a) for a, *_ in ladder_split.system.cuts] == [4, 3]  # blocks of several cuts
-    cert = residual_batch([(paraphrase_split(), [X[4, :2], X[4, 2:5], X[4, 5:]])])[0]
-    assert np.signbit(cert.composed[0])  # the -0.0 entry reaches the cycle ...
-    assert not np.signbit(cert.repaired).any()  # ... and the first cycle's y = x + P drops its sign
-
-
-def test_pair_kernel_keeps_a_signed_zero_off_its_support():
-    # a local set that hands back -0.0 in a column no cut reads: the dense axpy
-    # adds step * 0.0 = +0.0 there when step >= 0, which clears the sign; a
-    # block step never touches the column
-    def local(Y):
-        x = Y.clip(0.0, 1.0)
-        x[:, 2] = -0.0
-        return x
-
-    comp = CompositionSpec(free_components([1, 1, 1]), relation_coupling(negation(), (0, 1)), 3)
-    cuts = comp.system.cuts
-    X = np.array([[0.1, 0.1, 0.0]])
-    blocks = projection._cyclic(X, local, cuts, projection.DYKSTRA_TOL, 100)
-    dense = projection._cyclic(X, local, _one_cut_at_a_time(cuts, 3), projection.DYKSTRA_TOL, 100)
-    assert blocks[0][:, :2].tobytes() == dense[0][:, :2].tobytes()
-    assert _same_bits(blocks[1:], dense[1:])
-    assert np.signbit(blocks[0][0, 2]) and not np.signbit(dense[0][0, 2])
+# --- chain certificates ------------------------------------------------------
 
 
 def _chain_compositions(relation) -> list[CompositionSpec]:
@@ -673,11 +497,8 @@ CHAINS = [make(m) for make in (paraphrase, ladder) for m in range(3, 13)]
 
 @pytest.mark.parametrize("relation", CHAINS, ids=lambda r: f"{r.kind.value}{r.m}")
 def test_chain_certificates_match_the_exact_route(relation):
-    # the block sweep reorders the cuts of a chain: its certificates stay
-    # within 1e-9 of the exact projection, and its mean cycle count over a
-    # fixed batch stays within 2 of the spec-order dense sweep's. One row's
-    # count moves by dozens of cycles either way (Dykstra's stop point), so
-    # the batch is large enough that its mean moves by well under one cycle
+    # certificates, and the cycle on the same locally repaired quotes, stay
+    # within 1e-9 of the exact projection
     rng = np.random.default_rng([17, relation.m])
     X = rng.uniform(-0.1, 1.1, size=(256, relation.m))
     for comp in _chain_compositions(relation):
@@ -687,12 +508,8 @@ def test_chain_certificates_match_the_exact_route(relation):
         assert np.abs(np.array([c.repaired for c in certs]) - exact).max() <= 1e-9
         assert max(abs(c.epsilon_star - float(np.linalg.norm(q - p)))
                    for c, q, p in zip(certs, composed, exact)) <= 1e-9
-        local = lambda Y: projection._project_locals(comp, Y)  # noqa: E731
-        _, blocks, _ = projection._cyclic(composed, local, comp.system.cuts,
-                                          projection.DYKSTRA_TOL, 10_000)
-        _, dense, _ = projection._cyclic(composed, local, _spec_order(comp.coupling_polytope),
-                                         projection.DYKSTRA_TOL, 10_000)
-        assert blocks.mean() <= dense.mean() + 2
+        cycled, _, converged = _hierarchical_cycle(comp, composed)
+        assert converged.all() and np.abs(cycled - exact).max() <= 1e-9
 
 
 # --- projection laws ---------------------------------------------------------

@@ -32,8 +32,7 @@ from .composition import (
     residual_batch,
 )
 from .decision import AllocationRule, BetRecord, gate_sweep, murphy, regret
-from .jsonio import (InputError, dump_lines, dumps, json_float, json_floats, json_int,
-                     parse_lines)
+from .jsonio import InputError, dump_lines, dumps, json_field, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
 from .polytope import Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
@@ -104,7 +103,7 @@ def _parsed(text: str, parse) -> list:
     for lineno, record in parse_lines(text):
         try:
             out.append(parse(record))
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
     return out
 
@@ -114,7 +113,7 @@ def _parsed(text: str, parse) -> list:
 
 def _project_quote(record) -> tuple[Clique, np.ndarray]:
     clique = Clique.from_json(record)
-    quote = np.array(json_floats(record["quote"], "quote"))
+    quote = np.array(json_field(record, "quote", [float]))
     if quote.shape != (clique.relation.m,):
         raise ValueError(f"quote length {quote.size} != m={clique.relation.m}")
     return clique, quote
@@ -153,14 +152,14 @@ def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, 
     ``shapes`` maps each (owners, coupling) shape seen before to its spec,
     so that a file builds one ``CompositionSpec`` per shape.
     """
-    owners = tuple(json_int(v, "owners") for v in record["owners"])
-    locals_ = [np.array(json_floats(q, "locals")) for q in record["locals"]]
+    owners = tuple(json_field(record, "owners", [int]))
+    locals_ = [np.array(q) for q in json_field(record, "locals", [[float]])]
     component_ids = sorted(set(owners))
     if len(locals_) != len(component_ids):
         raise ValueError(
             f"{len(component_ids)} owners referenced but {len(locals_)} local quotes given"
         )
-    coupling = tuple(CouplingConstraint.from_json(c) for c in record.get("coupling", []))
+    coupling = tuple(map(CouplingConstraint.from_json, json_field(record, "coupling", [dict], ())))
     if (owners, coupling) not in shapes:
         components = []
         for cid in component_ids:
@@ -183,7 +182,7 @@ def cmd_certify(args) -> Run:
     for lineno, record in parse_lines(text):
         try:
             items.append(composition_from_json(record, shapes))
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             malformed = (lineno, exc)
             break  # no later record can fail first
         linenos.append(lineno)
@@ -209,9 +208,9 @@ def cmd_monitor(args) -> Run:
 
     def step(record) -> dict:
         nonlocal state
-        state = update(state, StreamStep(eps_sq=json_float(record["eps_sq"], "eps_sq"),
-                                         m=json_int(record["m"], "m"),
-                                         k_samples=json_int(record["K"], "K")))
+        state = update(state, StreamStep(eps_sq=json_field(record, "eps_sq", float),
+                                         m=json_field(record, "m", int),
+                                         k_samples=json_field(record, "K", int)))
         return {
             "t": state.t,
             "log_e_mix": state.log_e_mix,

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .jsonio import json_float, json_floats, json_int
+from .jsonio import json_field
 from .polytope import (
     LinearConstraint,
     PolytopeSpec,
@@ -119,10 +119,10 @@ class CouplingConstraint:
     @classmethod
     def from_json(cls, record: dict) -> "CouplingConstraint":
         return cls(
-            kind=str(record["kind"]),
-            coords=tuple(json_int(c, "coords") for c in record["coords"]),
-            b=json_float(record.get("b", 1.0), "b"),
-            a=tuple(json_floats(record["a"], "a")) if record.get("a") is not None else None,
+            kind=json_field(record, "kind", str),
+            coords=json_field(record, "coords", [int]),
+            b=json_field(record, "b", float, 1.0),
+            a=json_field(record, "a", [float], None),
         )
 
 

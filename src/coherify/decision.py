@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import json_float, json_floats, json_int
+from .jsonio import json_field
 from .polytope import Relation, RelationKind
 from .projection import project_simplex
 
@@ -41,6 +41,8 @@ class BetRecord:
         object.__setattr__(self, "labels", labels)
         if len(self.quote_naive) != len(labels) or len(self.quote_repaired) != len(labels):
             raise ValueError("quotes and labels must share one dimension")
+        if any(v not in (0, 1) for v in labels):
+            raise ValueError("labels must be 0/1")
         yes = [i for i, v in enumerate(labels) if v == 1]
         object.__setattr__(self, "unique_yes", yes[0] if len(yes) == 1 else None)
 
@@ -57,12 +59,12 @@ class BetRecord:
     @classmethod
     def from_json(cls, record: dict) -> "BetRecord":
         return cls(
-            clique_id=str(record["clique_id"]),
-            seed=json_int(record["seed"], "seed"),
-            quote_naive=tuple(json_floats(record["naive"], "naive")),
-            quote_repaired=tuple(json_floats(record["repaired"], "repaired")),
-            labels=tuple(json_int(v, "labels") for v in record["labels"]),
-            eps_star=json_float(record["eps_star"], "eps_star"),
+            clique_id=json_field(record, "clique_id", str),
+            seed=json_field(record, "seed", int),
+            quote_naive=json_field(record, "naive", [float]),
+            quote_repaired=json_field(record, "repaired", [float]),
+            labels=json_field(record, "labels", [int]),
+            eps_star=json_field(record, "eps_star", float),
         )
 
 

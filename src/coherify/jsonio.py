@@ -1,4 +1,4 @@
-"""Deterministic JSON/JSONL emission: 17-significant-digit floats, fixed key order."""
+"""JSON/JSONL: deterministic emission (17-digit floats, fixed key order), typed reading."""
 
 from __future__ import annotations
 
@@ -51,35 +51,38 @@ def finite_float(token: str) -> float:
     return value
 
 
-def json_int(value, field: str) -> int:
-    """``value`` when it is a JSON integer, else ``ValueError`` naming ``field``.
-
-    The decoder makes an ``int`` only of an integer literal, so this
-    refuses ``true`` and ``false``, strings such as ``"0"`` and every
-    number with a fraction or exponent, ``1.9`` and ``2.0`` alike.
-    """
-    if type(value) is not int:
-        raise ValueError(f"{field} takes JSON integers, got {json.dumps(value, default=repr)}")
-    return value
+REQUIRED = object()  # json_field's default for a field that has none
+_NOUNS = {int: "integers", float: "numbers", str: "strings", dict: "objects"}
 
 
-def json_float(value, field: str) -> float:
-    """``value`` as a float when it is a JSON number, else ``ValueError`` naming ``field``.
-
-    Refuses ``true``, ``false``, strings such as ``"nan"`` and integers too
-    large for a float; the decoder has refused non-finite literals.
-    """
-    if type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max):
+def _checked(value, name: str, kind):
+    """``value`` when the decoder made a ``kind`` of it, else ``ValueError`` naming ``name``."""
+    if type(kind) is list and type(value) is list:
+        item = kind[0]  # [float] for [[float]], which no type is, so each row recurses
+        return [v if type(v) is item else _checked(v, name, item) for v in value]
+    if type(value) is kind:  # only an integer literal decodes to an int: not true, "0" or 2.0
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)
-    raise ValueError(f"{field} takes JSON numbers, got {json.dumps(value, default=repr)}")
+    noun = ("a JSON array of " + ("arrays" if type(kind[0]) is list else _NOUNS[kind[0]])
+            if type(kind) is list else "JSON " + _NOUNS[kind])
+    raise ValueError(f"{name} takes {noun}, got {json.dumps(value, default=repr)}")
 
 
-def json_floats(values, field: str) -> list[float]:
-    """``json_float`` of every entry of ``values``, which must be a JSON array."""
-    if type(values) is not list:
-        raise ValueError(f"{field} takes a JSON array of numbers, got "
-                         f"{json.dumps(values, default=repr)}")
-    return [json_float(v, field) for v in values]
+def json_field(record: dict, name: str, kind, default=REQUIRED):
+    """``record[name]`` as ``kind``, else ``ValueError`` naming ``name``.
+
+    ``kind`` is ``int``, ``float`` (an integer within float range comes back
+    as a float), ``str``, ``dict`` or ``[kind]``, a JSON array of that kind.
+    An absent field takes ``default`` and without one is missing; ``null`` is
+    absent only where the default is ``None``.
+    """
+    value = record.get(name)
+    if value is None and (default is None or name not in record):
+        if default is REQUIRED:
+            raise ValueError(f"{name} is missing")
+        return default
+    return _checked(value, name, kind)
 
 
 class InputError(ValueError):
@@ -90,15 +93,18 @@ _DECODER = json.JSONDecoder(parse_constant=finite_float, parse_float=finite_floa
 
 
 def parse_lines(text: str):
-    """(line number, parsed record) pairs; raises with the offending line number."""
+    """(line number, record) pairs, each record a JSON object; raises naming the line."""
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            out.append((lineno, _DECODER.decode(line)))
+            record = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
+        if type(record) is not dict:
+            raise InputError(f"line {lineno}: a record is a JSON object, got {json.dumps(record)}")
+        out.append((lineno, record))
     return out

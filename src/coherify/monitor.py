@@ -64,16 +64,8 @@ class EProcessState:
 
     @classmethod
     def from_json(cls, payload: str) -> "EProcessState":
-        d = json.loads(payload)
-        return cls(
-            lambdas=tuple(d["lambdas"]),
-            log_e=tuple(d["log_e"]),
-            t=int(d["t"]),
-            log_e_mix=float(d["log_e_mix"]),
-            log_e_mix_max=float(d["log_e_mix_max"]),
-            alphas=tuple(d["alphas"]),
-            crossed_at=tuple(v if v is None else int(v) for v in d["crossed_at"]),
-        )
+        fields = json.loads(payload)
+        return cls(**{k: tuple(v) if type(v) is list else v for k, v in fields.items()})
 
 
 def update(state: EProcessState, step: StreamStep) -> EProcessState:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .jsonio import json_int
+from .jsonio import json_field
 
 ENUMERATION_LIMIT = 12  # 2^m outcome scan beyond this is off the table
 MEMBERSHIP_TOL = 1e-8
@@ -102,13 +102,11 @@ class Clique:
 
     @classmethod
     def from_json(cls, record: dict) -> "Clique":
-        relation = Relation(RelationKind(record["relation"]), json_int(record["m"], "m"))
         return cls(
-            id=str(record["id"]),
-            relation=relation,
-            question_texts=tuple(record.get("questions", ())),
-            labels=(tuple(json_int(v, "labels") for v in record["labels"])
-                    if record.get("labels") is not None else None),
+            id=json_field(record, "id", str),
+            relation=Relation(json_field(record, "relation", str), json_field(record, "m", int)),
+            question_texts=tuple(json_field(record, "questions", [str], ())),
+            labels=json_field(record, "labels", [int], None),
         )
 
     def to_json(self) -> dict:

@@ -507,6 +507,88 @@ def test_number_fields_take_only_json_numbers(tmp_path, capsys, command, templat
     assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 0
 
 
+@pytest.mark.parametrize("command, line, error", [
+    pytest.param("project", '{"relation": "partition", "m": 2, "questions": ["a", "b"]}',
+                 "id is missing", id="project-id-missing"),
+    pytest.param("project", '{"id": "p", "relation": "partition", "m": 2}', "quote is missing",
+                 id="project-quote-missing"),
+    pytest.param("project", '{"id": ["x"], "relation": "partition", "m": 2, "quote": [0.5, 0.5]}',
+                 'id takes JSON strings, got ["x"]', id="project-id"),
+    pytest.param("project", '{"id": "p", "relation": 3, "m": 2, "quote": [0.5, 0.5]}',
+                 "relation takes JSON strings, got 3", id="project-relation"),
+    pytest.param("project", '{"id": "p", "relation": "partition", "m": 3, "questions": "abc", '
+                 '"quote": [0.2, 0.3, 0.5]}', 'questions takes a JSON array of strings, got "abc"',
+                 id="project-questions"),
+    pytest.param("certify", '{"owners": [0, 1], "coupling": {"kind": "equality", "coords": [0, 1]}, '
+                 '"locals": [[0.3], [0.6]]}', 'coupling takes a JSON array of objects, got '
+                 '{"kind": "equality", "coords": [0, 1]}', id="certify-coupling"),
+    pytest.param("certify", '{"owners": [0, 1], "coupling": [{"kind": ["negation-sum"], '
+                 '"coords": [0, 1]}], "locals": [[0.3], [0.6]]}',
+                 'kind takes JSON strings, got ["negation-sum"]', id="certify-kind"),
+    pytest.param("certify", '{"owners": [0, 1], "coupling": [{"kind": "negation-sum", '
+                 '"coords": [0, 1], "b": null}], "locals": [[0.3], [0.6]]}',
+                 "b takes JSON numbers, got null", id="certify-b-null"),
+    pytest.param("certify", '{"owners": [0, 1], "coupling": [], "locals": [0.3, 0.6]}',
+                 "locals takes a JSON array of numbers, got 0.3", id="certify-locals-row"),
+    pytest.param("monitor", '{"eps_sq": 0.0625, "K": 8}', "m is missing", id="monitor-m-missing"),
+    pytest.param("regret", BET_TEMPLATE.format().replace('"n"', "5"),
+                 "clique_id takes JSON strings, got 5", id="regret-clique_id"),
+])
+def test_string_array_and_object_fields_take_only_their_json_type(tmp_path, capsys, command, line,
+                                                                   error):
+    # str() and tuple() would read each of these as something, or name no field
+    inp = tmp_path / "in.jsonl"
+    good = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
+            "monitor": MONITOR_LINE, "regret": BET_TEMPLATE.format()}[command]
+    inp.write_text(good + "\n" + line + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["project", "certify", "monitor", "regret", "gate"])
+def test_a_line_that_is_no_json_object_exits_2(tmp_path, capsys, command):
+    inp = tmp_path / "in.jsonl"
+    inp.write_text("[1, 2]\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: line 1: a record is a JSON object, got [1, 2]\n"
+
+
+def _bets(n: int) -> list[str]:
+    return [json.dumps({"clique_id": f"n{i}", "seed": i, "naive": [p, 1.0 - p],
+                        "repaired": [0.5, 0.5], "labels": [1, 0] if i % 3 else [0, 1],
+                        "eps_star": abs(p - 0.5)})
+            for i, p in enumerate(0.05 + 0.9 * i / n for i in range(n))]
+
+
+@pytest.mark.parametrize("command", ["regret", "gate"])
+def test_bet_labels_other_than_0_or_1_exit_2_naming_the_line(tmp_path, capsys, command):
+    lines = _bets(60)
+    inp = tmp_path / "bets.jsonl"
+    inp.write_text("\n".join(lines) + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.json")]) == 0
+    lines[30] = json.dumps(dict(json.loads(lines[30]), labels=[2, 0]))
+    inp.write_text("\n".join(lines) + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == "error: line 31: labels must be 0/1\n"
+
+
+def test_monitor_takes_records_in_line_order_and_ignores_t(tmp_path):
+    steps = [{"eps_sq": e, "m": m, "K": k}
+             for e, m, k in [(0.0625, 2, 8), (1.5, 2, 8), (1.9, 2, 8), (0.2, 4, 6)]]
+
+    def output(ts) -> bytes:
+        records = [dict(step, **({} if t is None else {"t": t})) for step, t in zip(steps, ts)]
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        inp.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli(["monitor", str(inp), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    plain = output([None] * 4)
+    assert [json.loads(line)["t"] for line in plain.splitlines()] == [1, 2, 3, 4]
+    for ts in (["zz"] * 4, [4, 2, 3, 1], [1, None, 3.5, None]):
+        assert output(ts) == plain, ts
+
+
 def test_float_serialization_17_digits_round_trip():
     value = 0.1234567890123456789
     text = dumps({"x": value})

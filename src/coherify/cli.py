@@ -42,7 +42,7 @@ from .simharness import (
     SimConfig,
     clique_truth,
     composition_for,
-    generate_panel,
+    generate_panels,
     run_ensemble,
     to_bet_records,
 )
@@ -284,16 +284,16 @@ def cmd_gate(args) -> Run:
 def cmd_predict(args) -> Run:
     config, config_text = _load_config(args)
     model = config.build_model()
+    cliques, seed = config.build_cliques(), config.master_seed
+    panels = generate_panels(model, [(c, (seed, ci, 0), clique_truth(model, c, seed, ci)[0])
+                                     for ci, c in enumerate(cliques)])
     out = []
-    for ci, clique in enumerate(config.build_cliques()):
-        truth, _ = clique_truth(model, clique, config.master_seed, ci)
-        panel = generate_panel(model, clique, (config.master_seed, ci, 0), truth=truth)
+    for clique, panel in zip(cliques, panels):
         stats = panel_stats(list(panel.repaired))
         prediction = predict_magnitude(stats, clique.relation)
         owners = np.zeros(clique.relation.m, dtype=int)  # layout only; draws are uniform
         comp = composition_for(clique, owners).comp
-        observed = observe_magnitude(comp, list(panel.repaired), config.n_draws,
-                                     seed=config.master_seed)
+        observed = observe_magnitude(comp, list(panel.repaired), config.n_draws, seed=seed)
         ratio = observed / prediction.predicted_sq_residual \
             if prediction.predicted_sq_residual > 0 else None
         out.append(

@@ -428,6 +428,8 @@ def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> tuple[np.ndarray,
         projected, _, converged = _hierarchical_cycle(comp, X)
         return projected, converged
     relation, coords = comp.single_relation
+    if coords == tuple(range(comp.joint_dim)):  # no box coordinate: skip the clip and scatter
+        return project_relation_batch(relation, X), np.ones(len(X), dtype=bool)
     projected = X.clip(0.0, 1.0)
     projected[:, coords] = project_relation_batch(relation, X[:, coords])
     return projected, np.ones(len(X), dtype=bool)
@@ -484,16 +486,25 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     if not 0.0 <= tol < math.inf:  # also false for NaN
         raise ValueError(f"tol={tol!r} must be a finite number >= 0")
     items = list(items)
-    failures: dict[int, Exception] = {}
-    systems: dict[ConstraintSystem, dict[int, np.ndarray]] = {}  # {item index: assembled row}
+    assembled = []
     for i, (comp, locals_) in enumerate(items):
         try:
             x = aggregate(comp, locals_)
-            system = comp.system  # a malformed cut fails at the first item that carries it
+            _ = comp.system  # a malformed cut fails at the first item that carries it
         except (TypeError, ValueError) as exc:
-            failures[i] = exc
-            break  # no later item can fail first
-        systems.setdefault(system, {})[i] = x
+            _certify_rows(assembled, repair_locals, tol)  # an earlier item's failure comes first
+            exc.index = i
+            raise
+        assembled.append((comp, x))
+    return _certify_rows(assembled, repair_locals, tol)
+
+
+def _certify_rows(items: list, repair_locals: bool = True, tol: float = 1e-8) -> list[Certificate]:
+    """``residual_batch`` past assembly: each item is ``(comp, its assembled joint row)``."""
+    failures: dict[int, Exception] = {}
+    systems: dict[ConstraintSystem, dict[int, np.ndarray]] = {}  # {item index: assembled row}
+    for i, (comp, x) in enumerate(items):
+        systems.setdefault(comp.system, {})[i] = x
     certs: list[Certificate | None] = [None] * len(items)
     for rows in systems.values():
         first = next(iter(rows))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 LAMBDA_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -73,8 +74,9 @@ def update(state: EProcessState, step: StreamStep) -> EProcessState:
     m = int(step.m)
     K = int(step.k_samples)
     eps_sq = float(step.eps_sq)
-    if m < 1 or K < 1:
-        raise ValueError("m and K must be positive integers")
+    for name, n in (("m", m), ("K", K)):
+        if not 1 <= n <= sys.float_info.max:  # m / (4.0 * K) reads both as floats
+            raise ValueError(f"{name} must be a positive integer within float range")
     if not 0.0 <= eps_sq <= m:  # also false for NaN
         raise ValueError(f"eps_sq={eps_sq} outside the admissible range [0, {m}]")
     centered = eps_sq - m / (4.0 * K)

@@ -11,6 +11,7 @@ projection, D locally repaired plus joint projection.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -21,8 +22,8 @@ from .composition import (
     Certificate,
     ComponentSpec,
     CompositionSpec,
+    _certify_rows,
     _relation_coupling,
-    residual_batch,
 )
 from .decision import BetRecord
 from .jsonio import finite_float
@@ -77,6 +78,8 @@ class PanelModel:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k={self.k} must be >= 1")
+        if not np.isfinite(self.bias_scale if self.biases is None else self.biases).all():
+            raise ValueError("bias_scale and biases must be finite")
         if not self.sigma >= 0.0:  # also true for NaN
             raise ValueError(f"sigma={self.sigma} must be >= 0")
         if self.K is not None and self.K < 1:
@@ -168,9 +171,9 @@ class Panel:
 
 
 def population_quotes(model: PanelModel, clique: Clique, truth: TruthDraw,
-                      rng: np.random.Generator) -> np.ndarray:
+                      rng: np.random.Generator, biases: np.ndarray | None = None) -> np.ndarray:
     m = clique.relation.m
-    pop = truth.p_star[None, :] + model.bias_matrix(m)
+    pop = truth.p_star[None, :] + (model.bias_matrix(m) if biases is None else biases)
     if model.sigma > 0:
         pop = pop + rng.normal(0.0, model.sigma, size=(model.k, m))
     return np.clip(pop, 0.0, 1.0)
@@ -183,21 +186,34 @@ def sample_k_marginals(population: np.ndarray, K: int | None,
     return rng.binomial(K, population) / K
 
 
-def generate_panel(model: PanelModel, clique: Clique, seed,
-                   truth: TruthDraw | None = None) -> Panel:
-    """Population offsets, K-sample read-out, then per-specialist repair.
+def generate_panels(model: PanelModel, cells: list) -> list[Panel]:
+    """Population offsets, K-sample read-out, then repair, for ``(clique, seed, truth)`` cells.
 
-    The k specialist rows are repaired in one ``project_relation_batch``
+    Each cell draws from its own ``_rng(*seed)``: the truth when it is None,
+    the noise, the read-out. Biases are built once per arity, and the rows
+    of all cells of one relation are repaired in one ``project_relation_batch``
     call; each row equals its own ``project_relation`` projection.
     """
-    parts = seed if isinstance(seed, tuple) else (seed,)
-    rng = _rng(*parts)
-    if truth is None:
-        truth = sample_truth(clique.relation, rng, model.truth_mode)
-    population = population_quotes(model, clique, truth, rng)
-    raw = sample_k_marginals(population, model.K, rng)
-    repaired = project_relation_batch(clique.relation, raw)
-    return Panel(truth=truth, population=population, raw=raw, repaired=repaired)
+    biases = {m: model.bias_matrix(m) for m in dict.fromkeys(c.relation.m for c, _, _ in cells)}
+    drawn, by_relation = [], {}
+    for i, (clique, seed, truth) in enumerate(cells):
+        rng = _rng(*(seed if isinstance(seed, tuple) else (seed,)))
+        if truth is None:
+            truth = sample_truth(clique.relation, rng, model.truth_mode)
+        population = population_quotes(model, clique, truth, rng, biases[clique.relation.m])
+        drawn.append((truth, population, sample_k_marginals(population, model.K, rng)))
+        by_relation.setdefault(clique.relation, []).append(i)
+    repaired = {}
+    for relation, group in by_relation.items():
+        rows = project_relation_batch(relation, np.concatenate([drawn[i][2] for i in group]))
+        repaired.update(zip(group, rows.reshape(len(group), model.k, relation.m)))
+    return [Panel(*cell, repaired[i]) for i, cell in enumerate(drawn)]
+
+
+def generate_panel(model: PanelModel, clique: Clique, seed,
+                   truth: TruthDraw | None = None) -> Panel:
+    """``generate_panels`` on one cell: its k specialist rows repaired in one call."""
+    return generate_panels(model, [(clique, seed, truth)])[0]
 
 
 def route(policy: RoutingPolicy, k: int, relation: Relation,
@@ -262,42 +278,39 @@ class EnsembleRecord:
     certificate: Certificate
 
 
-def _restrict(panel_rows: np.ndarray, routed: RoutedComposition) -> list[np.ndarray]:
-    return [
-        panel_rows[s][list(component.coords)]
-        for s, component in zip(routed.specialists, routed.comp.components)
-    ]
-
-
 def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy,
                  n_seeds: int, master_seed: int = 0) -> list[EnsembleRecord]:
     """Route, aggregate, certify, and repair every (clique, seed) cell.
 
-    Every cell is built first. Then one ``residual_batch`` call certifies
-    the raw compositions (A), one the locally repaired ones (B), and one
-    re-projects the joint repairs of both (C, D), so each constraint
-    system gets one engine run per call, and C and D raise, as every
-    certificate does, when a re-projection misses the iteration cap.
-    Values equal the cell-by-cell ones bit for bit. A failure raised is
-    that of the earliest failing cell among all A, then B, then C and D.
+    Every cell is built first: one ``generate_panels`` call, then the rows
+    of each cell gathered by owner (``aggregate``'s assembly). The core of
+    ``residual_batch`` then certifies the raw rows (A), the locally repaired
+    ones (B), and re-projects the joint repairs of both (C, D), one engine
+    run per constraint system each; C and D raise, as every certificate
+    does, when a re-projection misses the iteration cap. Values equal the
+    cell-by-cell ones bit for bit. A failure raised is that of the earliest
+    failing cell among all A, then B, then C and D.
     """
-    cells, raw, repaired = [], [], []
+    cells = []
     for ci, clique in enumerate(cliques):
         truth, labels = clique_truth(model, clique, master_seed, ci)
-        for seed in range(n_seeds):
-            panel = generate_panel(model, clique, (master_seed, ci, seed), truth=truth)
-            routed = composition_for(clique, route(policy, model.k, clique.relation, ci, seed))
-            cells.append((ci, clique.id, seed, labels, routed.owners))
-            raw.append((routed.comp, _restrict(panel.raw, routed)))
-            repaired.append((routed.comp, _restrict(panel.repaired, routed)))
-    certs_raw = residual_batch(raw, repair_locals=False)
-    certs = residual_batch(repaired)
-    joint = [(comp, [cert.repaired[list(c.coords)] for c in comp.components])
-             for (comp, _), cert in zip(raw + raw, certs_raw + certs)]
-    certs_joint = residual_batch(joint, repair_locals=False)
+        cells += [(ci, clique, seed, truth, labels) for seed in range(n_seeds)]
+    panels = generate_panels(model, [(clique, (master_seed, ci, seed), truth)
+                                     for ci, clique, seed, truth, _ in cells])
+    owners, raw, repaired = [], [], []
+    for (ci, clique, seed, _, _), panel in zip(cells, panels):
+        routed = composition_for(clique, route(policy, model.k, clique.relation, ci, seed))
+        chosen = (routed.owners, range(clique.relation.m))  # row owners[j] of column j
+        owners.append(routed.owners)
+        raw.append((routed.comp, panel.raw[chosen]))
+        repaired.append((routed.comp, panel.repaired[chosen]))
+    certs_raw = _certify_rows(raw, repair_locals=False)
+    certs = _certify_rows(repaired)
+    joint = [(comp, cert.repaired) for (comp, _), cert in zip(raw + raw, certs_raw + certs)]
+    certs_joint = _certify_rows(joint, repair_locals=False)
     n = len(cells)
     records = []
-    for j, (ci, clique_id, seed, labels, owners) in enumerate(cells):
+    for j, (ci, clique, seed, _, labels) in enumerate(cells):
         cert_raw, cert = certs_raw[j], certs[j]
         quotes = {"A": cert_raw.composed, "B": cert.composed,
                   "C": cert_raw.repaired, "D": cert.repaired}
@@ -305,10 +318,10 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
                "C": certs_joint[j].epsilon_star, "D": certs_joint[n + j].epsilon_star}
         records.append(
             EnsembleRecord(
-                clique_id=clique_id,
+                clique_id=clique.id,
                 clique_index=ci,
                 seed=seed,
-                owners=owners,
+                owners=owners[j],
                 labels=tuple(int(v) for v in labels),
                 quotes={k: tuple(float(x) for x in v) for k, v in quotes.items()},
                 eps=eps,
@@ -420,7 +433,7 @@ class SimConfig:
     @classmethod
     def parse(cls, text: str) -> "SimConfig":
         problems: list[str] = []
-        values: dict = {}
+        values, seen = {}, {}
         keys = {f.name for f in fields(cls)}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -434,7 +447,10 @@ class SimConfig:
             if key not in keys:
                 problems.append(f"line {lineno}: unknown key {key!r}")
                 continue
-            values[key] = value
+            if key in values:
+                problems.append(f"line {lineno}: duplicate key {key!r} (first on line {seen[key]})")
+                continue
+            values[key], seen[key] = value, lineno
         config = cls()
         if "relations" in values:
             kinds = tuple(v.strip() for v in values.pop("relations").split(",") if v.strip())
@@ -445,9 +461,9 @@ class SimConfig:
                 config.relations = kinds
         for key in ("m", "n_cliques", "panel_k", "K", "n_seeds", "master_seed", "n_draws"):
             if key in values:
-                try:
-                    setattr(config, key, int(values.pop(key)))
-                except ValueError:
+                try:  # a token that is no plain decimal literal matches None: TypeError
+                    setattr(config, key, int(re.fullmatch(r"-?[0-9]+", values.pop(key))[0]))
+                except (TypeError, ValueError):
                     problems.append(f"{key}: expected an integer")
         for key in ("sigma", "bias_scale"):
             if key in values:

@@ -136,6 +136,17 @@ def test_monitor_rejects_bad_step(tmp_path, capsys):
     assert run_cli(["monitor", str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("field", ["m", "K"])
+def test_monitor_refuses_an_integer_beyond_float_range(tmp_path, capsys, field):
+    # m / (4.0 * K) would raise OverflowError on it, with no line named
+    record = {"eps_sq": "0.1", "m": "2", "K": "8", field: "9" * 401}
+    inp = tmp_path / "stream.jsonl"
+    inp.write_text('{"eps_sq": %(eps_sq)s, "m": %(m)s, "K": %(K)s}\n' % record)
+    assert run_cli(["monitor", str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: {field} must be a positive integer within float range\n")
+
+
 def test_simulate_deterministic_and_manifest(tmp_path, scenario):
     out1 = tmp_path / "bets1.jsonl"
     out2 = tmp_path / "bets2.jsonl"

@@ -37,11 +37,13 @@ from coherify.polytope import (
     partition,
 )
 from coherify.projection import (
+    COLUMN_ROWS,
     RESIDUAL_FLOOR,
     InfeasibleCouplingError,
     project_hierarchical,
     project_local,
     project_relation,
+    project_relation_batch,
 )
 from coherify.simharness import composition_for
 
@@ -819,6 +821,30 @@ def test_only_non_catalog_systems_reach_the_cycle(monkeypatch):
                  CompositionSpec(free_components([2, 2]), MIXED_CUTS, 4)):
         with pytest.raises(CycleReached):
             residual(comp, [np.full(len(c.coords), 0.5) for c in comp.components])
+
+
+@pytest.mark.parametrize("relation", ALL_RELATIONS, ids=lambda r: r.kind.value)
+def test_joint_projection_equals_clip_and_scatter_bit_for_bit(relation):
+    # coords that are every joint coordinate in order skip the clip and the
+    # scatter; permuted and scattered coords take them
+    from coherify.composition import _joint_projection
+
+    m = relation.m
+    reversed_coords = tuple(range(m - 1, -1, -1))
+    comps = catalog_layouts(relation) + [
+        CompositionSpec(free_components([1] * m), relation_coupling(relation, reversed_coords), m)]
+    layouts = [comp.single_relation[1] for comp in comps]
+    assert tuple(range(m)) in layouts and reversed_coords in layouts
+    rng = np.random.default_rng(23)
+    for comp in comps:
+        _, coords = comp.single_relation
+        for n in (3, COLUMN_ROWS + 5):  # both isotonic kernels for ladders
+            X = rng.uniform(-0.3, 1.3, size=(n, comp.joint_dim))
+            general = X.clip(0.0, 1.0)
+            general[:, coords] = project_relation_batch(relation, X[:, coords])
+            projected, converged = _joint_projection(comp, X)
+            assert projected.tobytes() == general.tobytes()
+            assert converged.all() and not np.shares_memory(projected, X)
 
 
 # --- single-relation recognition ---------------------------------------------------

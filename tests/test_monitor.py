@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ def test_update_rejects_non_finite_eps():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             update(EProcessState(), StreamStep(eps_sq=bad, m=2, k_samples=8))
+
+
+def test_update_refuses_counts_beyond_float_range():
+    huge = 10 ** 400
+    for m, K, field in ((huge, 8, "m"), (2, huge, "K"), (0, 8, "m"), (2, 0, "K")):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+            update(EProcessState(), StreamStep(eps_sq=0.1, m=m, k_samples=K))
+    largest = int(sys.float_info.max)  # still converts, so it is taken
+    assert update(EProcessState(), StreamStep(eps_sq=0.1, m=largest, k_samples=8)).t == 1
 
 
 def test_optimal_lambda_values():

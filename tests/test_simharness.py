@@ -19,7 +19,12 @@ from coherify.polytope import (
     partition,
 )
 from coherify.composition import ComponentSpec, relation_coupling, residual
-from coherify.projection import RESIDUAL_FLOOR, project_hierarchical, project_relation
+from coherify.projection import (
+    COLUMN_ROWS,
+    RESIDUAL_FLOOR,
+    project_hierarchical,
+    project_relation,
+)
 from coherify.simharness import (
     ConfigError,
     PanelModel,
@@ -29,6 +34,7 @@ from coherify.simharness import (
     clique_truth,
     composition_for,
     generate_panel,
+    generate_panels,
     hardness_experiment,
     population_quotes,
     route,
@@ -78,6 +84,16 @@ def test_negation_bias_panel_population_stats():
 ], ids=["K=0", "K=-1", "k=0", "sigma=-0.1", "sigma=nan"])
 def test_panel_model_refuses_settings_without_a_panel(settings, name):
     with pytest.raises(ValueError, match=f"^{name}="):
+        PanelModel(**settings)
+
+
+@pytest.mark.parametrize("settings", [
+    {"bias_scale": float("inf")}, {"bias_scale": float("nan")},
+    {"k": 2, "biases": np.array([[0.1, np.nan], [0.0, 0.0]])},
+], ids=["bias_scale=inf", "bias_scale=nan", "biases-nan"])
+def test_panel_model_refuses_non_finite_biases(settings):
+    # a NaN offset would reach the certificates, where a NaN distance reads as 0
+    with pytest.raises(ValueError, match="^bias_scale and biases must be finite"):
         PanelModel(**settings)
 
 
@@ -246,18 +262,14 @@ def test_ensemble_records_are_deterministic():
     assert [r.eps for r in a] == [r.eps for r in b]
 
 
-@pytest.mark.parametrize("policy", ["random-uniform", "single-owner"])
-def test_run_ensemble_equals_per_cell_reference(policy):
-    model = PanelModel(k=3, sigma=0.1, K=8)
-    relations = [negation(), conjunction(), disjunction(), partition(4), ladder(4), paraphrase(3)]
-    cliques = [Clique(id=f"{r.kind.value}-{i}", relation=r) for i, r in enumerate(relations)]
-    policy = RoutingPolicy(policy, seed=5)
-    records = run_ensemble(cliques, model, policy, n_seeds=3, master_seed=5)
-    assert [(r.clique_index, r.seed) for r in records] == [(i, s) for i in range(6) for s in range(3)]
+def assert_equals_per_cell_reference(records, cliques, model, policy, n_seeds, master_seed):
+    """Every record equals its cell run alone: ``generate_panel`` and one ``residual`` each."""
+    assert [(r.clique_index, r.seed) for r in records] == [
+        (i, s) for i in range(len(cliques)) for s in range(n_seeds)]
     for r in records:
         clique = cliques[r.clique_index]
-        truth, labels = clique_truth(model, clique, 5, r.clique_index)
-        panel = generate_panel(model, clique, (5, r.clique_index, r.seed), truth=truth)
+        truth, labels = clique_truth(model, clique, master_seed, r.clique_index)
+        panel = generate_panel(model, clique, (master_seed, r.clique_index, r.seed), truth=truth)
         routed = composition_for(clique, route(policy, model.k, clique.relation,
                                                r.clique_index, r.seed))
 
@@ -277,6 +289,69 @@ def test_run_ensemble_equals_per_cell_reference(policy):
                          "C": repair_eps(raw.repaired), "D": repair_eps(cert.repaired)}
         assert r.certificate.binding == cert.binding
         assert r.certificate.repaired.tobytes() == cert.repaired.tobytes()
+
+
+@pytest.mark.parametrize("policy", ["random-uniform", "single-owner"])
+def test_run_ensemble_equals_per_cell_reference(policy):
+    model = PanelModel(k=3, sigma=0.1, K=8)
+    relations = [negation(), conjunction(), disjunction(), partition(4), ladder(4), paraphrase(3)]
+    cliques = [Clique(id=f"{r.kind.value}-{i}", relation=r) for i, r in enumerate(relations)]
+    policy = RoutingPolicy(policy, seed=5)
+    records = run_ensemble(cliques, model, policy, n_seeds=3, master_seed=5)
+    assert_equals_per_cell_reference(records, cliques, model, policy, 3, 5)
+
+
+ALL_KINDS = [negation(), conjunction(), disjunction(), partition(4), ladder(4), paraphrase(3)]
+ARITY_3 = [conjunction(), disjunction(), partition(3), ladder(3), paraphrase(3)]
+BATCHED_PANEL_CASES = {
+    # 4 cliques x 4 seeds x k=4 rows = 64 ladder rows: the coordinate-major kernel
+    "ladder-16-cells": (PanelModel(k=4), "random-uniform", [ladder(5)] * 4, 4),
+    "population-limit": (PanelModel(k=3, K=None), "random-uniform", ALL_KINDS, 2),
+    "noiseless": (PanelModel(k=3, sigma=0.0), "random-uniform", ALL_KINDS, 2),
+    "explicit-biases": (PanelModel(k=2, biases=np.array([[0.2, -0.1, 0.05], [-0.15, 0.1, 0.0]])),
+                        "random-uniform", ARITY_3, 2),
+    "adversarial-truth": (PanelModel(k=3, truth_mode="adversarial"), "random-uniform",
+                          ALL_KINDS, 2),
+    "structured-by-relation": (PanelModel(k=4), "structured-by-relation", ALL_KINDS, 2),
+}
+
+
+@pytest.mark.parametrize("case", BATCHED_PANEL_CASES)
+def test_batched_panels_equal_the_one_cell_panel_bit_for_bit(case):
+    model, kind, relations, n_seeds = BATCHED_PANEL_CASES[case]
+    cliques = [Clique(id=f"{r.kind.value}-{i}", relation=r) for i, r in enumerate(relations)]
+    cells = [(clique, (3, ci, seed), clique_truth(model, clique, 3, ci)[0] if seed % 2 else None)
+             for ci, clique in enumerate(cliques) for seed in range(n_seeds)]
+    if case == "ladder-16-cells":
+        assert len(cells) * model.k >= COLUMN_ROWS
+    for (clique, seed, truth), panel in zip(cells, generate_panels(model, cells)):
+        alone = generate_panel(model, clique, seed, truth=truth)
+        for name in ("population", "raw", "repaired"):
+            assert getattr(panel, name).tobytes() == getattr(alone, name).tobytes()
+        assert panel.truth.p_star.tobytes() == alone.truth.p_star.tobytes()
+    policy = RoutingPolicy(kind, seed=3)
+    records = run_ensemble(cliques, model, policy, n_seeds, master_seed=3)
+    assert_equals_per_cell_reference(records, cliques, model, policy, n_seeds, 3)
+
+
+def test_run_ensemble_repairs_panels_in_one_call_per_relation(monkeypatch):
+    import coherify.simharness as simharness
+
+    calls = []
+    repair = simharness.project_relation_batch
+
+    def counted(relation, X):
+        calls.append((relation, len(X)))
+        return repair(relation, X)
+
+    monkeypatch.setattr(simharness, "project_relation_batch", counted)
+    model = PanelModel(k=3)
+    relations = [negation(), ladder(4), partition(4), ladder(4), negation(), paraphrase(3)]
+    cliques = [Clique(id=f"{r.kind.value}-{i}", relation=r) for i, r in enumerate(relations)]
+    run_ensemble(cliques, model, RoutingPolicy("random-uniform"), n_seeds=5)
+    # the panel repair only: joint projections call it from the composition module
+    assert calls == [(negation(), 2 * 5 * 3), (ladder(4), 2 * 5 * 3), (partition(4), 5 * 3),
+                     (paraphrase(3), 5 * 3)]
 
 
 class CycleReached(Exception):
@@ -546,3 +621,20 @@ def test_config_reports_unknown_keys_and_bad_values_in_order():
                                   "line 3: expected 'key = value'",
                                   "m: expected an integer",
                                   "biases: need one row per specialist (panel_k)"]
+
+
+def test_config_reports_a_repeated_key_at_its_line():
+    with pytest.raises(ConfigError) as err:
+        SimConfig.parse("m = 4\nbogus = 1\n# m = 5\nm = 6\nn_seeds = 2\nn_seeds = 2\n")
+    assert err.value.problems == ["line 2: unknown key 'bogus'",
+                                  "line 4: duplicate key 'm' (first on line 1)",
+                                  "line 6: duplicate key 'n_seeds' (first on line 5)"]
+
+
+@pytest.mark.parametrize("token", ["1_0", "+10", "١٠", "0x10", "1e1", "10.0"])
+def test_config_integers_take_only_plain_decimal_literals(token):
+    # int() reads the first three as 10
+    with pytest.raises(ConfigError) as err:
+        SimConfig.parse(f"n_cliques = {token}\n")
+    assert err.value.problems == ["n_cliques: expected an integer"]
+    assert SimConfig.parse("n_cliques = 10\nmaster_seed = -3\n").master_seed == -3

@@ -4,7 +4,13 @@
 import argparse
 import sys
 
-from coherify.decision import GATE_MIN_BETS, AllocationRule, gate_sweep, regret
+from coherify.decision import (
+    GATE_MIN_BETS,
+    AllocationRule,
+    check_capture_targets,
+    gate_sweep,
+    regret,
+)
 from coherify.polytope import Clique, partition
 from coherify.simharness import PanelModel, RoutingPolicy, run_ensemble, to_bet_records
 
@@ -24,11 +30,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--capture-targets", default="0.9,0.5")
     args = parser.parse_args(argv)
-    try:  # gate_sweep's rule and message, and PanelModel's, checked before anything is simulated
+    try:  # gate_sweep's target check and PanelModel's, run before anything is simulated
         targets = tuple(float(t) for t in args.capture_targets.split(","))
-        for target in targets:
-            if not 0.0 < target <= 1.0:  # also false for NaN
-                raise ValueError(f"capture target {target!r} is outside (0, 1]")
+        check_capture_targets(targets)
         model = PanelModel(k=4, sigma=args.sigma, bias_scale=0.1, K=args.K or None)
     except ValueError as exc:
         return error(str(exc))

@@ -31,12 +31,12 @@ from .composition import (
     CouplingConstraint,
     residual_batch,
 )
-from .decision import AllocationRule, BetRecord, gate_sweep, murphy, regret
+from .decision import ALLOCATION_KINDS, AllocationRule, BetRecord, gate_sweep, murphy, regret
 from .jsonio import InputError, dump_lines, dumps, json_field, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
-from .polytope import Clique, PolytopeSpec
+from .polytope import MEMBERSHIP_TOL, Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
-from .projection import project_relation_results
+from .projection import _polytope, _result, project_relation_batch
 from .simharness import (
     ConfigError,
     SimConfig,
@@ -125,21 +125,20 @@ def cmd_project(args) -> Run:
     by_relation: dict = {}
     for i, (clique, _) in enumerate(parsed):
         by_relation.setdefault(clique.relation, []).append(i)
-    results = {}
-    for relation, indices in by_relation.items():
+    out: list = [None] * len(parsed)
+    for relation, indices in by_relation.items():  # one batch call per relation
         quotes = np.stack([parsed[i][1] for i in indices])
-        results.update(zip(indices, project_relation_results(relation, quotes)))
-    out = [
-        {
-            "id": clique.id,
-            "projected": [float(v) for v in results[i].projected],
-            "residual": results[i].residual,
-            "iterations": results[i].iterations,
-            "converged": results[i].converged,
-            "active_constraint": results[i].active_constraint,
-        }
-        for i, (clique, _) in enumerate(parsed)
-    ]
+        spec, projected = _polytope(relation), project_relation_batch(relation, quotes)
+        for i, q, p in zip(indices, quotes, projected):  # each row as project_relation reports it
+            result = _result(spec, q, p, iterations=1, converged=True)
+            out[i] = {
+                "id": parsed[i][0].id,
+                "projected": [float(v) for v in result.projected],
+                "residual": result.residual,
+                "iterations": result.iterations,
+                "converged": result.converged,
+                "active_constraint": result.active_constraint,
+            }
     return dump_lines(out), "", args.seed, {"input": text}
 
 
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify, repair, and monitor coherence of composed probabilistic quotes.",
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--tol", type=_tolerance, default=1e-8,
+    parser.add_argument("--tol", type=_tolerance, default=MEMBERSHIP_TOL,
                         help="membership tolerance (finite, >= 0)")
     parser.add_argument("--manifest-out", default=None, help="run manifest path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,12 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ecdf-out", default=None,
                    help="also write per-relation residual ECDF points as CSV")
     p = command("regret", cmd_regret, "score naive vs repaired bets", "input", "bets JSONL")
-    p.add_argument("--rule", default="proportional",
-                   choices=["proportional", "truncated-kelly", "max-entropy"])
+    p.add_argument("--rule", default="proportional", choices=ALLOCATION_KINDS)
     p.add_argument("--bins", type=_bins, default=10, help="Murphy forecast bins (>= 2)")
     p = command("gate", cmd_gate, "calibrate certificate gating thresholds", "input", "bets JSONL")
-    p.add_argument("--rule", default="proportional",
-                   choices=["proportional", "truncated-kelly", "max-entropy"])
+    p.add_argument("--rule", default="proportional", choices=ALLOCATION_KINDS)
     p.add_argument("--capture-targets", type=_capture_targets, default="0.9,0.5",
                    help="comma-separated harm-capture targets, each in (0, 1]")
     command("predict", cmd_predict, "panel-covariance residual prediction vs observation",

@@ -20,6 +20,7 @@ import numpy as np
 
 from .jsonio import json_field
 from .polytope import (
+    MEMBERSHIP_TOL,
     LinearConstraint,
     PolytopeSpec,
     Relation,
@@ -363,16 +364,6 @@ class Certificate:
         }
 
 
-@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
-def _placement(layout: tuple) -> np.ndarray:
-    """The index that puts quotes concatenated in component order into joint order.
-
-    ``layout`` holds each component's coordinates; owners partition the
-    joint coordinates, so together they are a permutation of them.
-    """
-    return np.array([j for coords in layout for j in coords]).argsort()
-
-
 def _refuse_non_finite(quotes: list) -> None:
     for a, q in enumerate(quotes):
         if not np.isfinite(q).all():
@@ -401,7 +392,8 @@ def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
     flat = np.concatenate(quotes) if quotes else np.zeros(0)
     if not np.isfinite(flat).all():
         _refuse_non_finite(quotes)
-    return flat[_placement(tuple([c.coords for c in components]))]
+    # owners partition the joint coordinates: component order -> joint order
+    return flat[np.array([j for c in components for j in c.coords]).argsort()]
 
 
 def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: float):
@@ -439,7 +431,7 @@ def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
                  locally_coherent: bool, tol: float) -> Certificate:
     d = x - projected
     distance = math.sqrt(d.dot(d))  # np.linalg.norm's own sum for a 1-D float64 vector
-    eps = distance if distance >= RESIDUAL_FLOOR else 0.0
+    eps = 0.0 if distance < RESIDUAL_FLOOR else distance  # NaN stays NaN, never 0
     return Certificate(
         epsilon_star=eps,
         exposure_bound=math.sqrt(comp.joint_dim) * eps,
@@ -452,7 +444,7 @@ def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
 
 
 def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
-             tol: float = 1e-8) -> Certificate:
+             tol: float = MEMBERSHIP_TOL) -> Certificate:
     """Certify one composition: local repair, aggregate, joint projection.
 
     ``residual_batch`` on one item, errors included (``index`` 0).
@@ -463,7 +455,8 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
     return residual_batch([(comp, locals_)], repair_locals, tol)[0]
 
 
-def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list[Certificate]:
+def residual_batch(items, repair_locals: bool = True,
+                   tol: float = MEMBERSHIP_TOL) -> list[Certificate]:
     """Certify every ``(comp, locals_)`` item, one engine run per constraint system.
 
     A constraint system (``comp.system``) is everything the joint
@@ -499,7 +492,8 @@ def residual_batch(items, repair_locals: bool = True, tol: float = 1e-8) -> list
     return _certify_rows(assembled, repair_locals, tol)
 
 
-def _certify_rows(items: list, repair_locals: bool = True, tol: float = 1e-8) -> list[Certificate]:
+def _certify_rows(items: list, repair_locals: bool = True,
+                  tol: float = MEMBERSHIP_TOL) -> list[Certificate]:
     """``residual_batch`` past assembly: each item is ``(comp, its assembled joint row)``."""
     failures: dict[int, Exception] = {}
     systems: dict[ConstraintSystem, dict[int, np.ndarray]] = {}  # {item index: assembled row}
@@ -543,7 +537,7 @@ def _product_hull(comp: CompositionSpec) -> np.ndarray:
     return comp.product_vertices
 
 
-def is_product_structured(comp: CompositionSpec, tol: float = 1e-8) -> bool:
+def is_product_structured(comp: CompositionSpec, tol: float = MEMBERSHIP_TOL) -> bool:
     """Whether every coupling cut is redundant over the product of local hulls.
 
     Decided exactly at small joint dimension by maximizing each cut's
@@ -557,7 +551,7 @@ def is_product_structured(comp: CompositionSpec, tol: float = 1e-8) -> bool:
     return bool(np.max(comp.coupling_polytope.gaps(_product_hull(comp))) <= tol)
 
 
-def construct_witness(comp: CompositionSpec, tol: float = 1e-8):
+def construct_witness(comp: CompositionSpec, tol: float = MEMBERSHIP_TOL):
     """Locally coherent component quotes whose composition is incoherent.
 
     Searches the product vertex hull for the point that most violates the
@@ -590,7 +584,7 @@ def construct_witness(comp: CompositionSpec, tol: float = 1e-8):
 
 
 def disagreement_bound(comp: CompositionSpec, locals_: list, reference,
-                       tol: float = 1e-8) -> float:
+                       tol: float = MEMBERSHIP_TOL) -> float:
     """L2 disagreement between the repaired composition and a coherent reference.
 
     Upper-bounds the certificate value for any reference inside the joint

@@ -17,7 +17,8 @@ from .polytope import Relation, RelationKind
 from .projection import project_simplex
 
 BRIER_NORMALIZATION = "per-coordinate-mean"
-DEFAULT_LOG_FLOOR = 1e-6
+DEFAULT_LOG_FLOOR = 1e-6  # the weight a log payoff is floored at
+KELLY_CAP = 0.99  # largest weight truncated-kelly keeps before renormalizing
 GATE_MIN_BETS = 40  # fewest bets gate_sweep calibrates on
 GATE_FOLDS = 5  # gate_sweep's cross-validation folds
 REGRET_BOOTSTRAPS = 1000  # regret's paired-bootstrap resamples
@@ -68,17 +69,15 @@ class BetRecord:
         )
 
 
-_ALLOCATION_KINDS = ("proportional", "truncated-kelly", "max-entropy")
+ALLOCATION_KINDS = ("proportional", "truncated-kelly", "max-entropy")
 
 
 @dataclass(frozen=True)
 class AllocationRule:
     kind: str = "proportional"
-    w_min: float = DEFAULT_LOG_FLOOR
-    kelly_cap: float = 0.99
 
     def __post_init__(self):
-        if self.kind not in _ALLOCATION_KINDS:
+        if self.kind not in ALLOCATION_KINDS:
             raise ValueError(f"unknown allocation rule {self.kind!r}")
 
 
@@ -126,7 +125,7 @@ def allocate(rule: AllocationRule, q) -> np.ndarray:
         return pos / total
     w = project_simplex(q)
     if rule.kind == "truncated-kelly":
-        w = np.minimum(w, rule.kelly_cap)
+        w = np.minimum(w, KELLY_CAP)
         w = w / w.sum()
     return w
 
@@ -141,10 +140,10 @@ def log_payoff_delta(bet: BetRecord, rule: AllocationRule) -> float:
     """Repaired-minus-naive realized log payoff; zero without a unique YES."""
     if bet.unique_yes is None:
         return 0.0
-    w_naive = allocate(rule, bet.quote_naive)
-    w_rep = allocate(rule, bet.quote_repaired)
     i = bet.unique_yes
-    return math.log(max(w_rep[i], rule.w_min)) - math.log(max(w_naive[i], rule.w_min))
+    w_naive = max(allocate(rule, bet.quote_naive)[i], DEFAULT_LOG_FLOOR)
+    w_rep = max(allocate(rule, bet.quote_repaired)[i], DEFAULT_LOG_FLOOR)
+    return math.log(w_rep) - math.log(w_naive)
 
 
 def _bootstrap_ci(values: np.ndarray, seed: int) -> tuple[float, float]:
@@ -273,6 +272,13 @@ def _tau_for_capture(harm_eps: np.ndarray, target: float) -> float:
     return float(sorted_eps[k])
 
 
+def check_capture_targets(capture_targets) -> None:
+    """Refuse any harm-capture target outside (0, 1], NaN included."""
+    for target in capture_targets:
+        if not 0.0 < target <= 1.0:  # also false for NaN
+            raise ValueError(f"capture target {target!r} is outside (0, 1]")
+
+
 def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
                capture_targets=(0.9, 0.5), seed: int = 0) -> GateReport:
     """Threshold sweep of the certificate against realized log-payoff harm.
@@ -285,11 +291,9 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
     stratified ``GATE_FOLDS``-fold cross-validation stability check of
     those thresholds, whose figures are None when too few harm bets fall
     in the folds.
-    Each capture target must lie in (0, 1].
+    Each capture target must lie in (0, 1] (``check_capture_targets``).
     """
-    for target in capture_targets:
-        if not 0.0 < target <= 1.0:  # also false for NaN
-            raise ValueError(f"capture target {target!r} is outside (0, 1]")
+    check_capture_targets(capture_targets)
     if len(bets) < GATE_MIN_BETS:
         raise ValueError(f"gate calibration needs at least {GATE_MIN_BETS} bets")
     rule = rule or AllocationRule()

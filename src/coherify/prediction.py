@@ -34,7 +34,6 @@ class PanelStats:
     panel_mean: np.ndarray
     diag_cov: np.ndarray
     k: int
-    quotes: tuple = ()
 
     def __post_init__(self):
         self.panel_mean.setflags(write=False)
@@ -61,24 +60,17 @@ def panel_stats(panel) -> PanelStats:
     P = np.stack(quotes)
     mean = P.mean(axis=0)
     diag = np.mean((P - mean) ** 2, axis=0)
-    return PanelStats(mean, diag, k, tuple(tuple(q) for q in quotes))
+    return PanelStats(mean, diag, k)
 
 
-def _candidate_normals(relation: Relation) -> list[tuple[np.ndarray, float]]:
-    """Defining multi-coordinate halfspaces of an inequality relation, in id order."""
-    return [(np.asarray(c.a, dtype=float), c.b) for _, c in _coupled_halfspaces(relation)]
-
-
-def predict_magnitude(stats: PanelStats, relation: Relation,
-                      empirical_kappa: bool = False) -> MagnitudePrediction:
+def predict_magnitude(stats: PanelStats, relation: Relation) -> MagnitudePrediction:
     """Rayleigh-quotient magnitude prediction for one relation.
 
     Equality relations use their full-support normal with kappa 1. The
     Frechet and ladder relations pick the defining halfspace with smallest
     slack at the panel mean (ties to the lowest constraint id) and kappa
     1/2; with the panel mean strictly inside, the value is an estimate the
-    residual can exceed, flagged through the regime. ``empirical_kappa``
-    replaces 1/2 by the positive-part second-moment ratio of the panel scalars.
+    residual can exceed, flagged through the regime.
     """
     D = stats.diag_cov
     m = D.size
@@ -91,20 +83,14 @@ def predict_magnitude(stats: PanelStats, relation: Relation,
         return MagnitudePrediction(float(D.sum()) / m, 1.0, a, REGIME_EQUALITY)
     if kind is RelationKind.PARAPHRASE:
         return MagnitudePrediction(float(D.sum()), 1.0, None, REGIME_GENERIC)
-    candidates = _candidate_normals(relation)
+    candidates = [(np.asarray(c.a, dtype=float), c.b) for _, c in _coupled_halfspaces(relation)]
     slacks = [b - float(a @ stats.panel_mean) for a, b in candidates]
     pick = int(np.argmin(slacks))
     a, _ = candidates[pick]
     slack = slacks[pick]
-    kappa = 0.5
-    if empirical_kappa and stats.quotes:
-        scalars = np.array([float(a @ np.asarray(q)) for q in stats.quotes])
-        scalars = scalars - scalars.mean()
-        denom = float(np.sum(scalars**2))
-        kappa = float(np.sum(np.maximum(scalars, 0.0) ** 2) / denom) if denom > 0 else 0.5
     regime = REGIME_BOUNDARY if slack <= BOUNDARY_TOL else REGIME_INTERIOR
     rayleigh = float(a @ (D * a)) / float(a @ a)
-    return MagnitudePrediction(kappa * rayleigh, kappa, a, regime)
+    return MagnitudePrediction(0.5 * rayleigh, 0.5, a, regime)
 
 
 def _assignments_exhaustive(k: int, m: int) -> np.ndarray:

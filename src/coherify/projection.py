@@ -388,15 +388,14 @@ def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
     return _result(spec, q, x[0], iterations=int(iterations[0]), converged=bool(converged[0]))
 
 
-def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray, tol: float = DYKSTRA_TOL,
-                           max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
+def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray) -> np.ndarray:
     """Dykstra on many quotes at once; each row equals its own ``project_dykstra`` projection."""
     X = np.asarray(X, dtype=float)
     _check_finite(X)
-    return _cyclic(X, _clip, spec, tol, max_iter)[0]
+    return _cyclic(X, _clip, spec, DYKSTRA_TOL, DYKSTRA_MAX_ITER)[0]
 
 
-def _min_norm_point(P: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, int]:
+def _min_norm_point(P: np.ndarray) -> tuple[np.ndarray, int]:
     """Wolfe's min-norm-point algorithm over conv(rows of P). Exact up to float."""
     n = P.shape[0]
     norms2 = np.einsum("ij,ij->i", P, P)
@@ -409,7 +408,7 @@ def _min_norm_point(P: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, int]
         xx = float(x @ x)
         dots = P @ x
         j = int(np.argmin(dots))
-        if dots[j] >= xx - tol * scale or j in support:
+        if dots[j] >= xx - 1e-12 * scale or j in support:
             break
         support.append(j)
         w = np.append(w, 0.0)
@@ -469,14 +468,6 @@ def project_oracle(vertices, q) -> ProjectionResult:
     return _result(None, q, q + x, iterations=majors, converged=True)
 
 
-def project_relation_results(relation: Relation, X) -> list[ProjectionResult]:
-    """``project_relation`` for every row of ``X`` through one ``project_relation_batch`` call."""
-    X = np.asarray(X, dtype=float)
-    spec = _polytope(relation)
-    return [_result(spec, q, p, iterations=1, converged=True)
-            for q, p in zip(X, project_relation_batch(relation, X))]
-
-
 def project_relation(relation: Relation, q) -> ProjectionResult:
     """Exact projection onto a catalog relation's polytope.
 
@@ -489,7 +480,8 @@ def project_relation(relation: Relation, q) -> ProjectionResult:
     if q.shape != (relation.m,):
         raise ValueError(f"quote has shape {q.shape}, relation needs ({relation.m},)")
     _check_finite(q)
-    return project_relation_results(relation, q[None, :])[0]
+    projected = project_relation_batch(relation, q[None, :])[0]
+    return _result(_polytope(relation), q, projected, iterations=1, converged=True)
 
 
 def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:

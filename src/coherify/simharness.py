@@ -82,6 +82,8 @@ class PanelModel:
             raise ValueError("bias_scale and biases must be finite")
         if not self.sigma >= 0.0:  # also true for NaN
             raise ValueError(f"sigma={self.sigma} must be >= 0")
+        if self.sigma == np.inf:  # every population quote would clip to 0 or 1
+            raise ValueError(f"sigma={self.sigma} must be finite")
         if self.K is not None and self.K < 1:
             raise ValueError(f"K={self.K} must be >= 1, or None for the population limit")
 
@@ -171,11 +173,10 @@ class Panel:
 
 
 def population_quotes(model: PanelModel, clique: Clique, truth: TruthDraw,
-                      rng: np.random.Generator, biases: np.ndarray | None = None) -> np.ndarray:
-    m = clique.relation.m
-    pop = truth.p_star[None, :] + (model.bias_matrix(m) if biases is None else biases)
+                      rng: np.random.Generator, biases: np.ndarray) -> np.ndarray:
+    pop = truth.p_star[None, :] + biases
     if model.sigma > 0:
-        pop = pop + rng.normal(0.0, model.sigma, size=(model.k, m))
+        pop = pop + rng.normal(0.0, model.sigma, size=(model.k, clique.relation.m))
     return np.clip(pop, 0.0, 1.0)
 
 

@@ -637,6 +637,19 @@ def test_simulate_ecdf_csv(tmp_path, scenario):
     assert float(last[2]) == 1.0
 
 
+def test_rule_flags_take_exactly_the_library_allocation_rules(capsys):
+    from coherify.cli import build_parser
+    from coherify.decision import ALLOCATION_KINDS
+
+    parser = build_parser()
+    for command in ("regret", "gate"):
+        for rule in ALLOCATION_KINDS:
+            assert parser.parse_args([command, "bets.jsonl", "--rule", rule]).rule == rule
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "bets.jsonl", "--rule", "kelly"])
+    assert "invalid choice: 'kelly'" in capsys.readouterr().err
+
+
 MONITOR_LINE = '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}'
 
 

@@ -10,6 +10,7 @@ from coherify.composition import (
     CouplingConstraint,
     ProductStructuredError,
     _certificate,
+    _certify_rows,
     aggregate,
     attribute,
     construct_witness,
@@ -197,6 +198,15 @@ def test_residual_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
 def test_residual_rejects_non_finite_locals(bad):
     with pytest.raises(ValueError, match="component 1 quote has non-finite entries"):
         residual(negation_split(), [[0.84], [bad]])
+
+
+def test_a_nan_distance_is_never_certified_as_zero():
+    # _certify_rows is the core run_ensemble feeds gathered rows to, without aggregate's check
+    for repair_locals in (True, False):
+        [cert] = _certify_rows([(partition_split(), np.array([np.nan, 0.2, 0.3, 0.4]))],
+                               repair_locals=repair_locals)
+        assert np.isnan(cert.epsilon_star)
+        assert np.isnan(cert.exposure_bound)
 
 
 def test_repaired_quote_is_member_of_joint_set():

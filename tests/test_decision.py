@@ -6,6 +6,7 @@ import pytest
 
 from coherify.composition import CompositionSpec, free_components, relation_coupling, residual
 from coherify.decision import (
+    KELLY_CAP,
     AllocationRule,
     BetRecord,
     allocate,
@@ -111,10 +112,11 @@ def test_coherentising_rules_land_on_simplex():
 
 
 def test_truncated_kelly_softens_concentration():
-    # cap-then-renormalize: the top weight drops relative to the uncapped rule
-    rule = AllocationRule("truncated-kelly", kelly_cap=0.6)
-    w = allocate(rule, (0.99, 0.005, 0.005))
-    uncapped = allocate(AllocationRule("max-entropy"), (0.99, 0.005, 0.005))
+    # cap-then-renormalize: a top weight above KELLY_CAP drops relative to the uncapped rule
+    quote = (0.999, 0.0005, 0.0005)
+    assert max(quote) > KELLY_CAP
+    w = allocate(AllocationRule("truncated-kelly"), quote)
+    uncapped = allocate(AllocationRule("max-entropy"), quote)
     assert w.max() < uncapped.max()
     assert w.sum() == pytest.approx(1.0)
 
@@ -169,7 +171,7 @@ def test_unique_yes_derivation():
 
 def test_log_payoff_floor_keeps_delta_finite():
     bet = BetRecord("c", 0, (0.0, 1.0), (0.5, 0.5), (1, 0), 0.5)
-    delta = log_payoff_delta(bet, AllocationRule("proportional", w_min=1e-6))
+    delta = log_payoff_delta(bet, AllocationRule("proportional"))
     assert math.isfinite(delta)
 
 

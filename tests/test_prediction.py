@@ -172,12 +172,6 @@ def test_ladder_prediction_uses_tightest_chain_cut():
     assert np.allclose(pred.normal, [-1.0, 1.0, 0.0])
 
 
-def test_empirical_kappa_on_symmetric_panel():
-    stats = panel_stats(conjunction_boundary_panel())
-    pred = predict_magnitude(stats, conjunction(), empirical_kappa=True)
-    assert 0.0 <= pred.kappa <= 1.0
-
-
 def test_prediction_never_exceeds_trace_bound():
     rng = np.random.default_rng(5)
     for relation in (negation(), partition(4), conjunction()):

@@ -43,10 +43,13 @@ K_MESSAGE = "K=-1 must be >= 1, or None for the population limit"
 PANEL_FLAGS = [
     ("run_hardness", "--panel-k", "0", "k=0 must be >= 1"),
     ("run_hardness", "--sigma", "-1", "sigma=-1.0 must be >= 0"),
+    ("run_hardness", "--sigma", "inf", "sigma=inf must be finite"),
     ("run_hardness", "--K", "-1", K_MESSAGE),
     ("run_operator_ablation", "--sigma", "-1", "sigma=-1.0 must be >= 0"),
+    ("run_operator_ablation", "--sigma", "inf", "sigma=inf must be finite"),
     ("run_operator_ablation", "--K", "-1", K_MESSAGE),
     ("run_gate_calibration", "--sigma", "-1", "sigma=-1.0 must be >= 0"),
+    ("run_gate_calibration", "--sigma", "inf", "sigma=inf must be finite"),
     ("run_gate_calibration", "--K", "-1", K_MESSAGE),
 ]
 

@@ -80,8 +80,8 @@ def test_negation_bias_panel_population_stats():
 
 @pytest.mark.parametrize("settings, name", [
     ({"K": 0}, "K"), ({"K": -1}, "K"), ({"k": 0}, "k"), ({"sigma": -0.1}, "sigma"),
-    ({"sigma": float("nan")}, "sigma"),
-], ids=["K=0", "K=-1", "k=0", "sigma=-0.1", "sigma=nan"])
+    ({"sigma": float("nan")}, "sigma"), ({"sigma": float("inf")}, "sigma"),
+], ids=["K=0", "K=-1", "k=0", "sigma=-0.1", "sigma=nan", "sigma=inf"])
 def test_panel_model_refuses_settings_without_a_panel(settings, name):
     with pytest.raises(ValueError, match=f"^{name}="):
         PanelModel(**settings)
@@ -445,7 +445,7 @@ def test_k_sweep_flatness_with_fixed_population():
     model = PanelModel(k=4, sigma=0.45, K=None)
     rng = np.random.default_rng(0)
     truth = sample_truth(clique.relation, rng)
-    pop = population_quotes(model, clique, truth, rng)
+    pop = population_quotes(model, clique, truth, rng, model.bias_matrix(clique.relation.m))
     from coherify.projection import project_relation
     from coherify.composition import residual as comp_residual
 

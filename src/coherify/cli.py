@@ -31,12 +31,20 @@ from .composition import (
     CouplingConstraint,
     residual_batch,
 )
-from .decision import ALLOCATION_KINDS, AllocationRule, BetRecord, gate_sweep, murphy, regret
+from .decision import (
+    ALLOCATION_KINDS,
+    AllocationRule,
+    BetRecord,
+    check_capture_targets,
+    gate_sweep,
+    murphy,
+    regret,
+)
 from .jsonio import InputError, dump_lines, dumps, json_field, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
 from .polytope import MEMBERSHIP_TOL, Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
-from .projection import _polytope, _result, project_relation_batch
+from .projection import _polytope, _reported, project_relation_batch
 from .simharness import (
     ConfigError,
     SimConfig,
@@ -111,11 +119,11 @@ def _parsed(text: str, parse) -> list:
 # --- project ---------------------------------------------------------------
 
 
-def _project_quote(record) -> tuple[Clique, np.ndarray]:
+def _project_quote(record) -> tuple[Clique, list[float]]:
     clique = Clique.from_json(record)
-    quote = np.array(json_field(record, "quote", [float]))
-    if quote.shape != (clique.relation.m,):
-        raise ValueError(f"quote length {quote.size} != m={clique.relation.m}")
+    quote = json_field(record, "quote", [float])
+    if len(quote) != clique.relation.m:
+        raise ValueError(f"quote length {len(quote)} != m={clique.relation.m}")
     return clique, quote
 
 
@@ -127,17 +135,17 @@ def cmd_project(args) -> Run:
         by_relation.setdefault(clique.relation, []).append(i)
     out: list = [None] * len(parsed)
     for relation, indices in by_relation.items():  # one batch call per relation
-        quotes = np.stack([parsed[i][1] for i in indices])
-        spec, projected = _polytope(relation), project_relation_batch(relation, quotes)
-        for i, q, p in zip(indices, quotes, projected):  # each row as project_relation reports it
-            result = _result(spec, q, p, iterations=1, converged=True)
-            out[i] = {
+        quotes = np.array([parsed[i][1] for i in indices])
+        projected = project_relation_batch(relation, quotes)
+        reported = _reported(_polytope(relation), quotes, projected)
+        for i, p, (residual, active) in zip(indices, projected.tolist(), reported):
+            out[i] = {  # each row as project_relation reports it
                 "id": parsed[i][0].id,
-                "projected": [float(v) for v in result.projected],
-                "residual": result.residual,
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "active_constraint": result.active_constraint,
+                "projected": p,
+                "residual": residual,
+                "iterations": 1,
+                "converged": True,
+                "active_constraint": active,
             }
     return dump_lines(out), "", args.seed, {"input": text}
 
@@ -145,14 +153,14 @@ def cmd_project(args) -> Run:
 # --- certify ---------------------------------------------------------------
 
 
-def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, list[np.ndarray]]:
+def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, list[list[float]]]:
     """One certify record's composition and local quotes.
 
     ``shapes`` maps each (owners, coupling) shape seen before to its spec,
     so that a file builds one ``CompositionSpec`` per shape.
     """
     owners = tuple(json_field(record, "owners", [int]))
-    locals_ = [np.array(q) for q in json_field(record, "locals", [[float]])]
+    locals_ = json_field(record, "locals", [[float]])
     component_ids = sorted(set(owners))
     if len(locals_) != len(component_ids):
         raise ValueError(
@@ -327,9 +335,11 @@ def _alpha_list(text: str) -> str:
 
 def _capture_targets(text: str) -> str:
     """``--capture-targets``: comma-separated harm-capture targets, each in (0, 1]."""
-    for tok in filter(None, (tok.strip() for tok in text.split(","))):
-        if not 0.0 < float(tok) <= 1.0:  # also false for NaN
-            raise argparse.ArgumentTypeError(f"each target must be in (0, 1], got {tok!r}")
+    targets = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        check_capture_targets(targets)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return text
 
 

@@ -328,15 +328,33 @@ class CompositionSpec:
         return True if np.any(feasible) else None
 
 
+class _RunBinding:
+    """The rows ``X`` of one engine run, whose binding constraints are named together."""
+
+    __slots__ = ("joint", "X", "tol", "_names")
+
+    def __init__(self, joint: PolytopeSpec, X: np.ndarray, tol: float):
+        self.joint, self.X, self.tol, self._names = joint, X, tol, None
+
+    @property
+    def names(self) -> list[tuple[str, ...]]:
+        """``joint.violated_rows(X, tol)``, worked out on first read."""
+        if self._names is None:
+            self._names = self.joint.violated_rows(self.X, self.tol)
+        return self._names
+
+
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """Runtime coherence certificate for one composed quote.
 
-    ``binding`` names the constraints of the joint set ``joint`` (box
-    included) that ``composed`` violates by more than ``tol``; it is
-    worked out on first read, so a caller that never reads it never pays
-    for it. Certificates hold arrays, so ``==`` and ``hash`` go by
-    identity; ``to_json()`` gives the values to compare.
+    ``binding`` names the constraints of the joint set (box included) that
+    ``composed`` violates by more than the engine run's ``tol``. The first
+    read of ``binding`` on any certificate of a run (``run``, whose
+    ``row`` this certificate is) names them for every row of that run at
+    once, so a caller that never reads it never pays for it. Certificates
+    hold arrays, so ``==`` and ``hash`` go by identity; ``to_json()``
+    gives the values to compare.
     """
 
     epsilon_star: float
@@ -344,24 +362,72 @@ class Certificate:
     repaired: np.ndarray
     inputs_locally_coherent: bool
     composed: np.ndarray
-    joint: PolytopeSpec = field(repr=False)
-    tol: float = field(repr=False)
+    run: _RunBinding = field(repr=False)
+    row: int = field(repr=False)
 
     def __post_init__(self):
         self.repaired.setflags(write=False)
         self.composed.setflags(write=False)
 
-    @cached_property
+    @property
     def binding(self) -> tuple[str, ...]:
-        return self.joint.violated(self.composed, self.tol)
+        return self.run.names[self.row]
 
     def to_json(self) -> dict:
         return {
             "eps_star": self.epsilon_star,
             "exposure_bound": self.exposure_bound,
-            "repaired": [float(v) for v in self.repaired],
+            "repaired": self.repaired.tolist(),
             "binding": list(self.binding),
         }
+
+
+def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
+    """Owner-selected assembly: joint coordinate j takes its owner's value.
+
+    ``_assembled`` on one item. Refuses a wrong quote count, then,
+    component by component, a quote of the wrong shape or with a
+    non-finite entry.
+    """
+    return _assembled(comp, [locals_])[0]
+
+
+def _assembled(comp: CompositionSpec, quotes: list) -> np.ndarray:
+    """Row ``i`` is the assembly of item ``i``'s local quotes, for items sharing ``comp``.
+
+    Every local quote of every item goes into one array, then one column
+    gather puts each item's coordinates in joint order. When any item is
+    refused, the items go one by one (``_assembled_row``) so that the
+    first refused raises its own error, with its position in ``quotes`` as
+    ``index``.
+    """
+    components = comp.components
+    try:  # an item with the wrong quote count adds no quotes, so the lengths differ
+        parts = [q for locals_ in quotes if len(locals_) == len(components) for q in locals_]
+        if list(map(len, parts)) == [len(c.coords) for c in components] * len(quotes):
+            flat = np.concatenate(parts, dtype=float)
+            if flat.shape == (len(quotes) * comp.joint_dim,) and np.isfinite(flat).all():
+                X, order = flat.reshape(len(quotes), comp.joint_dim), _gather(comp)
+                return X if order is None else X.take(order, axis=1)
+    except (TypeError, ValueError):
+        pass  # raised again below, by the item that causes it
+    rows = []
+    for i, locals_ in enumerate(quotes):
+        try:
+            rows.append(_assembled_row(comp, locals_))
+        except (TypeError, ValueError) as exc:
+            exc.index = i
+            raise
+    return np.array(rows)
+
+
+def _gather(comp: CompositionSpec) -> np.ndarray | None:
+    """For each joint coordinate, its column among the components' quotes laid end to end.
+
+    None when that is the coordinate itself: the owners own ascending runs.
+    """
+    columns = [j for c in comp.components for j in c.coords]
+    return None if columns == list(range(len(columns))) else np.array(columns).argsort()
 
 
 def _refuse_non_finite(quotes: list) -> None:
@@ -370,13 +436,12 @@ def _refuse_non_finite(quotes: list) -> None:
             raise ValueError(f"component {a} quote has non-finite entries")
 
 
-def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
-    """Owner-selected assembly: joint coordinate j takes its owner's value.
+def _assembled_row(comp: CompositionSpec, locals_: list) -> np.ndarray:
+    """One item's assembly, checked in ``aggregate``'s order.
 
-    Refuses a wrong quote count, then, component by component, a quote of
-    the wrong shape or with a non-finite entry. Shapes are checked per
-    component and finiteness over all quotes at once; which component
-    holds a non-finite entry is looked up only when one does.
+    Shapes are checked per component and finiteness over all quotes at
+    once; which component holds a non-finite entry is looked up only when
+    one does.
     """
     components = comp.components
     if len(locals_) != len(components):
@@ -392,8 +457,8 @@ def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:
     flat = np.concatenate(quotes) if quotes else np.zeros(0)
     if not np.isfinite(flat).all():
         _refuse_non_finite(quotes)
-    # owners partition the joint coordinates: component order -> joint order
-    return flat[np.array([j for c in components for j in c.coords]).argsort()]
+    order = _gather(comp)
+    return flat if order is None else flat[order]
 
 
 def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: float):
@@ -428,7 +493,7 @@ def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> tuple[np.ndarray,
 
 
 def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
-                 locally_coherent: bool, tol: float) -> Certificate:
+                 locally_coherent: bool, run: _RunBinding, row: int) -> Certificate:
     d = x - projected
     distance = math.sqrt(d.dot(d))  # np.linalg.norm's own sum for a 1-D float64 vector
     eps = 0.0 if distance < RESIDUAL_FLOOR else distance  # NaN stays NaN, never 0
@@ -438,8 +503,8 @@ def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
         repaired=projected,
         inputs_locally_coherent=locally_coherent,
         composed=x,
-        joint=comp.joint_polytope,
-        tol=tol,
+        run=run,
+        row=row,
     )
 
 
@@ -459,15 +524,18 @@ def residual_batch(items, repair_locals: bool = True,
                    tol: float = MEMBERSHIP_TOL) -> list[Certificate]:
     """Certify every ``(comp, locals_)`` item, one engine run per constraint system.
 
-    A constraint system (``comp.system``) is everything the joint
-    projection reads: the joint dimension, the constrained components
-    (index, coordinates and polytope) and the coupling cuts, built once
-    per process by ``constraint_system``. So free-box compositions that
-    split the coordinates among owners differently share one projection
-    (``_joint_projection``: exact for one catalog polytope, else the
-    cycle), run in order of each system's first item. Certificates come
-    back in input order, each bit for bit the item's own ``residual``,
-    and name their binding constraints only when ``binding`` is read.
+    Items that carry the same ``CompositionSpec`` object are assembled
+    together (``_assembled``). A constraint system (``comp.system``) is
+    everything the joint projection reads: the joint dimension, the
+    constrained components (index, coordinates and polytope) and the
+    coupling cuts, built once per process by ``constraint_system``. So
+    free-box compositions that split the coordinates among owners
+    differently share one projection (``_joint_projection``: exact for one
+    catalog polytope, else the cycle), run in order of each system's first
+    item. Certificates come back in input order, each bit for bit the
+    item's own ``residual``. The first read of any certificate's
+    ``binding`` names the binding constraints of every certificate of its
+    engine run at once.
 
     An item fails when it is malformed (``aggregate``, its coupling cuts),
     when its row misses the cycle's iteration cap (``_unconverged``), or,
@@ -479,41 +547,75 @@ def residual_batch(items, repair_locals: bool = True,
     if not 0.0 <= tol < math.inf:  # also false for NaN
         raise ValueError(f"tol={tol!r} must be a finite number >= 0")
     items = list(items)
-    assembled = []
+    try:
+        blocks = _assembled_by_spec(items)
+    except (TypeError, ValueError) as exc:  # an earlier item's engine failure comes first
+        _certify_rows(_assembled_by_spec(items[:exc.index]), exc.index, repair_locals, tol)
+        raise
+    return _certify_rows(blocks, len(items), repair_locals, tol)
+
+
+def _assembled_by_spec(items: list) -> list[tuple[CompositionSpec, list[int], np.ndarray]]:
+    """``(comp, item indices, their assembled rows)`` per ``CompositionSpec`` object.
+
+    Groups come in order of their first item. Raises the error of the
+    earliest item whose quotes are refused, with its position in ``items``
+    as ``index``.
+    """
+    groups: dict[int, tuple[CompositionSpec, list[int], list]] = {}
     for i, (comp, locals_) in enumerate(items):
+        group = groups.get(id(comp))
+        if group is None:
+            groups[id(comp)] = (comp, [i], [locals_])
+        else:
+            group[1].append(i)
+            group[2].append(locals_)
+    blocks, failures = [], {}
+    for comp, indices, quotes in groups.values():
         try:
-            x = aggregate(comp, locals_)
-            _ = comp.system  # a malformed cut fails at the first item that carries it
+            blocks.append((comp, indices, _assembled(comp, quotes)))
         except (TypeError, ValueError) as exc:
-            _certify_rows(assembled, repair_locals, tol)  # an earlier item's failure comes first
-            exc.index = i
-            raise
-        assembled.append((comp, x))
-    return _certify_rows(assembled, repair_locals, tol)
+            failures[indices[exc.index]] = exc
+    if failures:
+        first = min(failures)
+        failures[first].index = first
+        raise failures[first]
+    return blocks
 
 
-def _certify_rows(items: list, repair_locals: bool = True,
+def _certify_rows(blocks: list, n: int, repair_locals: bool = True,
                   tol: float = MEMBERSHIP_TOL) -> list[Certificate]:
-    """``residual_batch`` past assembly: each item is ``(comp, its assembled joint row)``."""
+    """``residual_batch`` past assembly, for ``n`` items.
+
+    Each block is ``(comp, item indices, their assembled joint rows)``;
+    blocks come in order of their first item, and every item is in one.
+    """
+    systems: dict[ConstraintSystem, list] = {}
     failures: dict[int, Exception] = {}
-    systems: dict[ConstraintSystem, dict[int, np.ndarray]] = {}  # {item index: assembled row}
-    for i, (comp, x) in enumerate(items):
-        systems.setdefault(comp.system, {})[i] = x
-    certs: list[Certificate | None] = [None] * len(items)
-    for rows in systems.values():
-        first = next(iter(rows))
-        comp = items[first][0]
+    for block in blocks:
         try:
-            X, coherent = _composed(comp, np.array(list(rows.values())), repair_locals, tol)
+            systems.setdefault(block[0].system, []).append(block)
+        except (TypeError, ValueError) as exc:  # a malformed cut fails at its first item
+            failures[block[1][0]] = exc
+    certs: list[Certificate | None] = [None] * n
+    for run in systems.values():
+        comp, indices, X = run[0]
+        first = indices[0]  # the system's earliest item
+        if len(run) > 1:
+            indices = [i for _, block_indices, _ in run for i in block_indices]
+            X = np.concatenate([X for _, _, X in run])
+        try:
+            X, coherent = _composed(comp, X, repair_locals, tol)
             projected, converged = _joint_projection(comp, X)
         except InfeasibleCouplingError as exc:  # from a local set's own cycle
             failures[first] = exc
             break  # every later system's items come after this one's first
+        binding = _RunBinding(comp.joint_polytope, X, tol)
         converged = converged.tolist()
         error = None if all(converged) else _unconverged(comp)
-        for row, i in enumerate(rows):
+        for row, i in enumerate(indices):
             if converged[row]:
-                certs[i] = _certificate(comp, X[row], projected[row], coherent[row], tol)
+                certs[i] = _certificate(comp, X[row], projected[row], coherent[row], binding, row)
             else:
                 failures[i] = error
     if failures:
@@ -593,7 +695,7 @@ def disagreement_bound(comp: CompositionSpec, locals_: list, reference,
     reference = np.asarray(reference, dtype=float)
     if not is_member(comp.joint_polytope, reference, tol):
         raise ValueError("reference quote is not in the joint coherent set")
-    X, _ = _composed(comp, aggregate(comp, locals_)[None, :], True, tol)
+    X, _ = _composed(comp, _assembled(comp, [locals_]), True, tol)
     return float(np.linalg.norm(X[0] - reference))
 
 

@@ -8,15 +8,21 @@ import sys
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("refusing to serialize non-finite float")
-    if x == int(x) and abs(x) < 1e16:
+    if abs(x) < 1e16 and x.is_integer():
         return f"{x:.1f}"
     return format(x, ".17g")
 
 
+_string = json.encoder.encode_basestring_ascii  # what json.dumps writes a str with
+
+
 def dumps(obj) -> str:
-    """Compact JSON with floats at 17 significant digits; dict order preserved."""
+    """Compact JSON with floats at 17 significant digits; dict order preserved.
+
+    A list or tuple of Python floats goes out in one join over its entries.
+    """
     if obj is None:
         return "null"
     if obj is True:
@@ -28,12 +34,13 @@ def dumps(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _string(obj)
     if isinstance(obj, dict):
-        parts = (f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join([f"{_string(str(k))}: {dumps(v)}" for k, v in obj.items()]) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map(_format_float, obj)) + "]"
+        return "[" + ", ".join(map(dumps, obj)) + "]"
     if hasattr(obj, "item"):  # numpy scalars
         return dumps(obj.item())
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -176,40 +177,56 @@ class PolytopeSpec:
             np.maximum(g[..., k:], 0.0, out=g[..., k:])
         return g
 
-    def _excesses(self, q) -> np.ndarray:
-        """Every constraint's violation at one point, box included, as one array.
+    def _excesses(self, X) -> np.ndarray:
+        """Every constraint's violation at each row of ``X``, box included, as one array.
 
-        Order: the ``gaps`` entries, then ``r_i >= 0`` and ``r_i <= 1`` for
-        each coordinate in turn; ``_name`` names each entry. A NaN
-        coordinate violates nothing.
+        Columns: the ``gaps`` entries, then ``r_i >= 0`` and ``r_i <= 1`` for
+        each coordinate in turn, named by ``_names``. A NaN coordinate
+        violates nothing.
         """
-        q = np.asarray(q, dtype=float)
-        box = np.empty(2 * q.size)
-        np.negative(q, out=box[0::2])
-        np.subtract(q, 1.0, out=box[1::2])
-        return np.fmax(np.concatenate((self.gaps(q), box)), 0.0)
+        X = np.asarray(X, dtype=float)
+        box = np.empty((len(X), 2 * self.dim))
+        np.negative(X, out=box[:, 0::2])
+        np.subtract(X, 1.0, out=box[:, 1::2])
+        return np.fmax(np.concatenate((self.gaps(X), box), axis=1), 0.0)
 
-    def _name(self, k: int) -> str:
-        n_eq = len(self.equalities)
-        if k < n_eq:
-            return self.equalities[k].name
-        if k < len(self.A):
-            return self.halfspaces[k - n_eq].name
-        i, upper = divmod(k - len(self.A), 2)
-        return f"box:r{i + 1}<=1" if upper else f"box:r{i + 1}>=0"
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self.equalities + self.halfspaces) + tuple(
+            f"box:r{i}{side}" for i in range(1, self.dim + 1) for side in (">=0", "<=1"))
 
-    def most_violated(self, q) -> str | None:
-        """Name of the constraint (box included) ``q`` violates most, if by more than 1e-12.
+    def violated_rows(self, X, tol: float) -> list[tuple[str, ...]]:
+        """For each row of ``X``, the names of every constraint (box included) it
+        violates by more than ``tol``."""
+        hits = (self._excesses(X) > tol).tolist()
+        return [tuple(itertools.compress(self._names, row)) for row in hits]
+
+    def most_violated_rows(self, X) -> list[str | None]:
+        """For each row of ``X``, the name of the constraint (box included) it
+        violates most, if by more than 1e-12.
 
         Ties go to the first constraint in ``_excesses`` order.
         """
-        e = self._excesses(q)
-        k = int(np.argmax(e))
-        return self._name(k) if e[k] > 1e-12 else None
+        E = self._excesses(X)
+        top = E.argmax(axis=1)
+        return [self._names[k] if e > 1e-12 else None
+                for k, e in zip(top.tolist(), E[np.arange(len(E)), top].tolist())]
+
+    def most_violated(self, q) -> str | None:
+        """``most_violated_rows`` of the one point ``q``."""
+        return self.most_violated_rows(np.asarray(q, dtype=float)[None, :])[0]
 
     def violated(self, q, tol: float) -> tuple[str, ...]:
-        """Names of every constraint (box included) ``q`` violates by more than ``tol``."""
-        return tuple(self._name(k) for k in (self._excesses(q) > tol).nonzero()[0].tolist())
+        """``violated_rows`` of the one point ``q``."""
+        return self.violated_rows(np.asarray(q, dtype=float)[None, :], tol)[0]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the compared fields, worked out once per spec."""
+        return hash((self.dim, self.equalities, self.halfspaces, self.relation))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ what make the cycle converge to the exact L2 projection.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -134,13 +135,16 @@ def _check_finite(q: np.ndarray) -> None:
         raise ValueError("quotes have non-finite entries")
 
 
-def _result(spec: PolytopeSpec | None, q, projected, iterations: int,
-            converged: bool) -> ProjectionResult:
-    q = np.asarray(q, dtype=float)
-    projected = np.asarray(projected, dtype=float)
-    residual = float(np.linalg.norm(q - projected))
-    active = spec.most_violated(q) if spec is not None else None
-    return ProjectionResult(projected, residual, iterations, converged, active)
+def _reported(spec: PolytopeSpec | None, Q: np.ndarray, P: np.ndarray) -> list:
+    """``(residual, active constraint)`` for each quote row of ``Q`` projected to ``P``.
+
+    The residual is ``|q - p|`` (``np.linalg.norm``'s own sum for a 1-D
+    float64 vector); the active constraint is the one (box included) ``q``
+    violates most (``most_violated_rows``, all rows at once), or None
+    without a ``spec``.
+    """
+    active = spec.most_violated_rows(Q) if spec is not None else [None] * len(Q)
+    return [(math.sqrt(d.dot(d)), name) for d, name in zip(Q - P, active)]
 
 
 def _simplex_rows(X: np.ndarray) -> np.ndarray:
@@ -385,7 +389,8 @@ def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
     _check_finite(q)
     x, iterations, converged = _cyclic(q[None, :], _clip, spec, tol, max_iter)
-    return _result(spec, q, x[0], iterations=int(iterations[0]), converged=bool(converged[0]))
+    [(residual, active)] = _reported(spec, q[None, :], x)
+    return ProjectionResult(x[0], residual, int(iterations[0]), bool(converged[0]), active)
 
 
 def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray) -> np.ndarray:
@@ -465,7 +470,9 @@ def project_oracle(vertices, q) -> ProjectionResult:
         raise ValueError(f"quote has shape {q.shape}, vertices have dimension {V.shape[1]}")
     _check_finite(q)
     x, majors = _min_norm_point(V - q)
-    return _result(None, q, q + x, iterations=majors, converged=True)
+    projected = q + x
+    [(residual, _)] = _reported(None, q[None, :], projected[None, :])
+    return ProjectionResult(projected, residual, majors, True)
 
 
 def project_relation(relation: Relation, q) -> ProjectionResult:
@@ -480,8 +487,9 @@ def project_relation(relation: Relation, q) -> ProjectionResult:
     if q.shape != (relation.m,):
         raise ValueError(f"quote has shape {q.shape}, relation needs ({relation.m},)")
     _check_finite(q)
-    projected = project_relation_batch(relation, q[None, :])[0]
-    return _result(_polytope(relation), q, projected, iterations=1, converged=True)
+    projected = project_relation_batch(relation, q[None, :])
+    [(residual, active)] = _reported(_polytope(relation), q[None, :], projected)
+    return ProjectionResult(projected[0], residual, 1, True, active)
 
 
 def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
@@ -555,4 +563,5 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
     x, iterations, converged = _hierarchical_cycle(comp, q[None, :], tol, max_iter)
     if not converged[0]:
         raise _unconverged(comp)
-    return _result(comp.joint_polytope, q, x[0], iterations=int(iterations[0]), converged=True)
+    [(residual, active)] = _reported(comp.joint_polytope, q[None, :], x)
+    return ProjectionResult(x[0], residual, int(iterations[0]), True, active)

@@ -299,17 +299,18 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
     panels = generate_panels(model, [(clique, (master_seed, ci, seed), truth)
                                      for ci, clique, seed, truth, _ in cells])
     owners, raw, repaired = [], [], []
-    for (ci, clique, seed, _, _), panel in zip(cells, panels):
+    for cell, ((ci, clique, seed, _, _), panel) in enumerate(zip(cells, panels)):
         routed = composition_for(clique, route(policy, model.k, clique.relation, ci, seed))
         chosen = (routed.owners, range(clique.relation.m))  # row owners[j] of column j
         owners.append(routed.owners)
-        raw.append((routed.comp, panel.raw[chosen]))
-        repaired.append((routed.comp, panel.repaired[chosen]))
-    certs_raw = _certify_rows(raw, repair_locals=False)
-    certs = _certify_rows(repaired)
-    joint = [(comp, cert.repaired) for (comp, _), cert in zip(raw + raw, certs_raw + certs)]
-    certs_joint = _certify_rows(joint, repair_locals=False)
+        raw.append((routed.comp, (cell,), panel.raw[chosen][None]))
+        repaired.append((routed.comp, (cell,), panel.repaired[chosen][None]))
     n = len(cells)
+    certs_raw = _certify_rows(raw, n, repair_locals=False)
+    certs = _certify_rows(repaired, n)
+    joint = [(comp, (j,), cert.repaired[None])
+             for j, ((comp, _, _), cert) in enumerate(zip(raw + raw, certs_raw + certs))]
+    certs_joint = _certify_rows(joint, 2 * n, repair_locals=False)
     records = []
     for j, (ci, clique, seed, _, labels) in enumerate(cells):
         cert_raw, cert = certs_raw[j], certs[j]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -334,6 +335,8 @@ ZERO_NORMAL_LINE = (
     '"a": [0, 0], "b": 1.0}], "locals": [[0.5], [0.5]]}'
 )
 ZERO_NORMAL_MESSAGE = "constraint c0:frechet-halfspace:hs has zero normal"
+PARTITION_MISCOUNTED_LINE = PARTITION_CERTIFY_LINE.replace(", [0.71]]", "]")
+PARTITION_TOO_LONG_LINE = PARTITION_CERTIFY_LINE.replace("[0.73]", "[0.73, 0.1]")
 EMPTY_MESSAGE = "joint projection did not converge; coupling may be empty"
 
 
@@ -348,6 +351,16 @@ EMPTY_MESSAGE = "joint projection did not converge; coupling may be empty"
         ([ZERO_NORMAL_LINE, EMPTY_COUPLING_LINE], f"line 2: {ZERO_NORMAL_MESSAGE}"),
         ([EMPTY_COUPLING_LINE, ZERO_NORMAL_LINE], f"line 2: {EMPTY_MESSAGE}"),
         ([ZERO_NORMAL_LINE, MISCOUNTED_LINE], f"line 2: {ZERO_NORMAL_MESSAGE}"),
+        # the failing record between good records of its own shape, assembled together
+        ([PARTITION_CERTIFY_LINE, PARTITION_MISCOUNTED_LINE, PARTITION_CERTIFY_LINE],
+         "line 3: 4 owners referenced but 3 local quotes given"),
+        ([PARTITION_CERTIFY_LINE, PARTITION_TOO_LONG_LINE, PARTITION_CERTIFY_LINE],
+         "line 3: component 1 quote has shape (2,), needs (1,)"),
+        ([PARTITION_TOO_LONG_LINE, EMPTY_COUPLING_LINE],
+         "line 2: component 1 quote has shape (2,), needs (1,)"),
+        ([EMPTY_COUPLING_LINE, PARTITION_TOO_LONG_LINE], f"line 2: {EMPTY_MESSAGE}"),
+        ([ZERO_NORMAL_LINE, PARTITION_CERTIFY_LINE, ZERO_NORMAL_LINE],
+         f"line 2: {ZERO_NORMAL_MESSAGE}"),
     ],
 )
 def test_certify_reports_the_earliest_failing_record(tmp_path, capsys, lines, expected):
@@ -624,6 +637,64 @@ def test_dumps_round_trips_arbitrary_json(value):
     assert json.loads(dumps(value)) == value
 
 
+def reference_dumps(obj) -> str:
+    """``dumps`` as it wrote every value one recursive call at a time."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            raise ValueError("refusing to serialize non-finite float")
+        if obj == int(obj) and abs(obj) < 1e16:
+            return f"{obj:.1f}"
+        return format(obj, ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        parts = (f"{json.dumps(str(k))}: {reference_dumps(v)}" for k, v in obj.items())
+        return "{" + ", ".join(parts) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_dumps(v) for v in obj) + "]"
+    if hasattr(obj, "item"):  # numpy scalars
+        return reference_dumps(obj.item())
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1.0, 9999999999999998.0, 1e16, 1e17, 5e-324, -5e-324, 2.5, 1e300]
+_floats = (st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-(2**60), 2**60).map(float))
+_strings = (st.sampled_from(["", "é", "日本", "\x00\n\t\"\\", "\ud83d\ude00", "\u2028", "plain"])
+            | st.text(max_size=8))
+_float_lists = st.lists(_floats | _floats.map(np.float64) | st.integers(-5, 5).map(np.int64),
+                        max_size=6)
+_emitted = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _floats | _strings
+    | st.lists(_floats, max_size=6) | _float_lists,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_strings, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_emitted)
+def test_dumps_writes_the_bytes_of_the_recursive_emitter(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize("value", [[], (), [[]], {"": []}, list(_EDGE_FLOATS), tuple(_EDGE_FLOATS),
+                                   [np.float64(0.1), 0.2, np.int64(3)], {"é\n": ["日本", -0.0]}])
+def test_dumps_writes_the_edge_cases_of_the_recursive_emitter(value):
+    assert dumps(value) == reference_dumps(value)
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps([0.5, float("nan")])
+
+
 def test_simulate_ecdf_csv(tmp_path, scenario):
     bets = tmp_path / "bets.jsonl"
     csv = tmp_path / "ecdf.csv"
@@ -654,25 +725,30 @@ MONITOR_LINE = '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}'
 
 
 @pytest.mark.parametrize(
-    "flags, flag",
+    "flags, flag, message",
     [
-        (["monitor", "--alpha-list", "1.5"], "--alpha-list"),
-        (["monitor", "--alpha-list", "0"], "--alpha-list"),
-        (["monitor", "--alpha-list", "0.05,nan"], "--alpha-list"),
-        (["--tol", "-1", "certify"], "--tol"),
-        (["--tol", "nan", "certify"], "--tol"),
-        (["gate", "--capture-targets", "1.5"], "--capture-targets"),
-        (["gate", "--capture-targets", "0"], "--capture-targets"),
-        (["gate", "--capture-targets", "0.9,nan"], "--capture-targets"),
-        (["regret", "--bins", "0"], "--bins"),
-        (["regret", "--bins", "1"], "--bins"),
-        (["regret", "--bins", "2.5"], "--bins"),
+        (["monitor", "--alpha-list", "1.5"], "--alpha-list",
+         "each level must be in (0, 1), got '1.5'"),
+        (["monitor", "--alpha-list", "0"], "--alpha-list", "each level must be in (0, 1), got '0'"),
+        (["monitor", "--alpha-list", "0.05,nan"], "--alpha-list",
+         "each level must be in (0, 1), got 'nan'"),
+        (["--tol", "-1", "certify"], "--tol", "must be a finite number >= 0, got '-1'"),
+        (["--tol", "nan", "certify"], "--tol", "must be a finite number >= 0, got 'nan'"),
+        (["gate", "--capture-targets", "1.5"], "--capture-targets",
+         "capture target 1.5 is outside (0, 1]"),
+        (["gate", "--capture-targets", "0"], "--capture-targets",
+         "capture target 0.0 is outside (0, 1]"),
+        (["gate", "--capture-targets", "0.9,nan"], "--capture-targets",
+         "capture target nan is outside (0, 1]"),
+        (["regret", "--bins", "0"], "--bins", "must be an integer >= 2, got '0'"),
+        (["regret", "--bins", "1"], "--bins", "must be an integer >= 2, got '1'"),
+        (["regret", "--bins", "2.5"], "--bins", "invalid _bins value: '2.5'"),
     ],
     ids=["alpha-above-1", "alpha-0", "alpha-nan", "tol-negative", "tol-nan",
          "target-above-1", "target-0", "target-nan", "bins-0", "bins-1", "bins-fraction"],
 )
 def test_out_of_range_flags_are_usage_errors_before_any_input(tmp_path, capsys, monkeypatch,
-                                                              flags, flag):
+                                                              flags, flag, message):
     import coherify.cli as cli
 
     inp = tmp_path / "in.jsonl"
@@ -683,7 +759,7 @@ def test_out_of_range_flags_are_usage_errors_before_any_input(tmp_path, capsys, 
     with pytest.raises(SystemExit) as exit_info:
         run_cli(flags + [str(inp), "--out", str(out)])
     assert exit_info.value.code == 2
-    assert f"argument {flag}:" in capsys.readouterr().err
+    assert f"argument {flag}: {message}\n" in capsys.readouterr().err
     assert read == [] and not out.exists()
 
 

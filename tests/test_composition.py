@@ -9,6 +9,8 @@ from coherify.composition import (
     CompositionSpec,
     CouplingConstraint,
     ProductStructuredError,
+    _assembled,
+    _assembled_row,
     _certificate,
     _certify_rows,
     aggregate,
@@ -112,6 +114,21 @@ def test_aggregate_refuses_the_first_bad_component(locals_, message):
         aggregate(comp, locals_)
 
 
+def test_items_sharing_a_spec_assemble_to_their_own_rows_bit_for_bit():
+    comp = CompositionSpec((ComponentSpec(PolytopeSpec(dim=2), (3, 0)),
+                            ComponentSpec(build_polytope(negation()), (1, 4)),
+                            ComponentSpec(PolytopeSpec(dim=1), (2,))), (), 5)
+    quotes = [[[0.1, 0.2], np.array([0.3, 0.4]), [-0.0]],
+              [(1, 0), [True, False], np.array([0.5], dtype=np.float32)],
+              [["0.25", "0.5"], [0.3, 0.4], [0.1]],  # strings convert only item by item
+              [np.array([1e300, 5e-324]), [0.3, 0.4], [2.5]]]
+    rows = np.array([aggregate(comp, q) for q in quotes])
+    assert _assembled(comp, quotes).tobytes() == rows.tobytes()
+    assert rows.tobytes() == np.array([_assembled_row(comp, q) for q in quotes]).tobytes()
+    in_order = CompositionSpec(free_components([2, 1]), (), 3)  # no gather needed
+    assert _assembled(in_order, [[[0.1, 0.2], [0.3]]] * 2).tolist() == [[0.1, 0.2, 0.3]] * 2
+
+
 def test_ownership_map_total():
     comp = CompositionSpec((ComponentSpec(PolytopeSpec(dim=2), (2, 0)),
                             ComponentSpec(PolytopeSpec(dim=1), (3,)),
@@ -203,8 +220,8 @@ def test_residual_rejects_non_finite_locals(bad):
 def test_a_nan_distance_is_never_certified_as_zero():
     # _certify_rows is the core run_ensemble feeds gathered rows to, without aggregate's check
     for repair_locals in (True, False):
-        [cert] = _certify_rows([(partition_split(), np.array([np.nan, 0.2, 0.3, 0.4]))],
-                               repair_locals=repair_locals)
+        [cert] = _certify_rows([(partition_split(), [0], np.array([[np.nan, 0.2, 0.3, 0.4]]))],
+                               1, repair_locals=repair_locals)
         assert np.isnan(cert.epsilon_star)
         assert np.isnan(cert.exposure_bound)
 
@@ -533,7 +550,7 @@ def test_certificate_distance_is_the_norm_bit_for_bit(data, dim):
                     for _ in range(2))
     comp = CompositionSpec(free_components([dim]), (), dim)
     norm = float(np.linalg.norm(x - projected))
-    cert = _certificate(comp, x, projected, True, 1e-8)
+    cert = _certificate(comp, x, projected, True, None, 0)
     assert cert.epsilon_star.hex() == (norm if norm >= RESIDUAL_FLOOR else 0.0).hex()
 
 
@@ -698,12 +715,28 @@ def test_residual_batch_raises_the_earliest_failure_with_its_index():
                                    (CouplingConstraint("frechet-halfspace", (0, 1), 1.0,
                                                        (0.0, 0.0)),), 2),
                    [[0.5], [0.5]])
+    # items that share one CompositionSpec object are assembled together
+    shared = partition_split()
+    sibling = (shared, [[0.39], [0.73], [0.67], [0.71]])
+    miscounted = (shared, [[0.39], [0.73], [0.67]])
+    too_long = (shared, [[0.39], [0.73, 0.1], [0.67], [0.71]])
+    non_finite = (shared, [[0.39], [0.73], [np.inf], [0.71]])
+    zero_shared = zero_normal[0]
+    zero_short = (zero_shared, [[0.5]])  # its quotes are refused before its cut
     for items, error, index in (([good, empty, misshapen], InfeasibleCouplingError, 1),
                                 ([good, misshapen, empty], ValueError, 1),
                                 ([misshapen, good, empty], ValueError, 0),
                                 ([good, zero_normal, good], ValueError, 1),
                                 ([good, zero_normal, empty], ValueError, 1),
-                                ([good, empty, zero_normal], InfeasibleCouplingError, 1)):
+                                ([good, empty, zero_normal], InfeasibleCouplingError, 1),
+                                ([sibling, miscounted, sibling], ValueError, 1),
+                                ([sibling, too_long, sibling], ValueError, 1),
+                                ([sibling, sibling, non_finite, too_long], ValueError, 2),
+                                ([sibling, empty, too_long, sibling], InfeasibleCouplingError, 1),
+                                ([sibling, too_long, empty, sibling], ValueError, 1),
+                                ([sibling, zero_normal, sibling, zero_normal], ValueError, 1),
+                                ([sibling, zero_short, zero_normal], ValueError, 1),
+                                ([sibling, zero_normal, zero_short], ValueError, 1)):
         with pytest.raises(error) as batch_exc:
             residual_batch(items)
         assert batch_exc.value.index == index
@@ -806,7 +839,7 @@ def test_catalog_certificates_are_project_relation_bit_for_bit(relation, repair_
                                              else 0.0)
             else:
                 assert cert.epsilon_star == _certificate(comp, composed, repaired, True,
-                                                         1e-8).epsilon_star
+                                                         None, 0).epsilon_star
     for (comp, locals_), got in zip(items, residual_batch(items, repair_locals=repair_locals)):
         assert_same_certificate(got, residual(comp, locals_, repair_locals=repair_locals))
 

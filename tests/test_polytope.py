@@ -204,3 +204,79 @@ def test_clique_validation():
         Clique(id="bad", relation=negation(), question_texts=("only one",))
     with pytest.raises(ValueError):
         Clique(id="bad", relation=negation(), labels=(1, 2))
+
+
+def reference_excesses(spec: PolytopeSpec, q) -> np.ndarray:
+    """One point's constraint and box excesses, as the per-point namers computed them."""
+    q = np.asarray(q, dtype=float)
+    box = np.empty(2 * q.size)
+    np.negative(q, out=box[0::2])
+    np.subtract(q, 1.0, out=box[1::2])
+    return np.fmax(np.concatenate((spec.gaps(q), box)), 0.0)
+
+
+def reference_name(spec: PolytopeSpec, k: int) -> str:
+    n_eq = len(spec.equalities)
+    if k < n_eq:
+        return spec.equalities[k].name
+    if k < len(spec.A):
+        return spec.halfspaces[k - n_eq].name
+    i, upper = divmod(k - len(spec.A), 2)
+    return f"box:r{i + 1}<=1" if upper else f"box:r{i + 1}>=0"
+
+
+def reference_violated(spec: PolytopeSpec, q, tol: float) -> tuple[str, ...]:
+    return tuple(reference_name(spec, k)
+                 for k in (reference_excesses(spec, q) > tol).nonzero()[0].tolist())
+
+
+def reference_most_violated(spec: PolytopeSpec, q) -> str | None:
+    e = reference_excesses(spec, q)
+    k = int(np.argmax(e))
+    return reference_name(spec, k) if e[k] > 1e-12 else None
+
+
+CATALOG = [negation(), conjunction(), disjunction()] + [
+    Relation(kind, m) for kind in (RelationKind.PARTITION, RelationKind.LADDER,
+                                   RelationKind.PARAPHRASE) for m in range(2, 13)]
+
+
+def exact_ties(m: int) -> np.ndarray:
+    """Dyadic points whose excesses tie exactly: box faces with each other and with cuts."""
+    return np.array([
+        [-0.25] * m,                 # every lower face at once
+        [1.25] * m,                  # every upper face at once
+        [-0.25] + [0.0] * (m - 1),   # a lower face and a chain or sum cut
+        [0.0] * (m - 1) + [1.25],    # an upper face and a chain cut
+        [1.5] + [0.0] * (m - 1),     # an upper face and a unit-sum cut
+        [0.5] * m,
+        [0.0] * m,
+        [1.0] * m,
+    ])
+
+
+@pytest.mark.parametrize("relation", CATALOG, ids=lambda r: f"{r.kind.value}{r.m}")
+def test_row_wise_names_equal_the_per_point_names(relation):
+    spec = build_polytope(relation)
+    rng = np.random.default_rng(relation.m)
+    X = np.vstack([rng.uniform(-0.5, 1.5, size=(40, relation.m)), exact_ties(relation.m),
+                   [[np.nan] + [0.5] * (relation.m - 1)]])
+    for tol in (0.0, 1e-8, 0.3):
+        want = [reference_violated(spec, q, tol) for q in X]
+        assert spec.violated_rows(X, tol) == want
+        assert [spec.violated(q, tol) for q in X] == want
+    want = [reference_most_violated(spec, q) for q in X]
+    assert spec.most_violated_rows(X) == want
+    assert [spec.most_violated(q) for q in X] == want
+
+
+def test_a_spec_hashes_its_fields_once_and_equal_specs_hash_alike(monkeypatch):
+    a, b = build_polytope(ladder(12)), build_polytope(ladder(12))
+    assert a is not b and a == b and hash(a) == hash(b)
+    hashed = []
+    monkeypatch.setattr(LinearConstraint, "__hash__",
+                        lambda self: hashed.append(self) or hash((self.a, self.b, self.name)))
+    c = build_polytope(ladder(12))
+    assert hash(c) == hash(c) == hash(a)
+    assert len(hashed) == len(c.halfspaces)  # the constraints were hashed for the first call only
+    assert c != build_polytope(ladder(11)) and PolytopeSpec(dim=2) == PolytopeSpec(dim=2)

@@ -1,14 +1,16 @@
 """Constraint systems built once per process, and binding cuts named only on read."""
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coherify.cli import main
+from coherify.cli import composition_from_json, main
 from coherify.composition import (
     SYSTEM_CACHE_SIZE,
+    ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
     constraint_system,
@@ -17,17 +19,20 @@ from coherify.composition import (
     residual,
     residual_batch,
 )
-from coherify.jsonio import dump_lines
+from coherify.jsonio import dump_lines, parse_lines
 from coherify.polytope import (
     Clique,
     PolytopeSpec,
     Relation,
     RelationKind,
+    build_polytope,
     conjunction,
     disjunction,
+    ladder,
     negation,
     partition,
 )
+from coherify.projection import project_relation
 from coherify.simharness import PanelModel, RoutingPolicy, composition_for, run_ensemble
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -118,6 +123,12 @@ def test_layouts_sharing_a_system_key_share_one_constraint_system():
     assert sole.system is not split_a.system
     assert sole.coupling_polytope == split_a.coupling_polytope
     assert len(sole.joint_polytope.A) == len(split_a.joint_polytope.A) + 1  # the local sum
+    # sole owners whose polytopes were built apart: equal specs, one key, one system
+    coupling = relation_coupling(ladder(12), range(12))
+    ladders = [CompositionSpec((ComponentSpec(build_polytope(ladder(12)), tuple(range(12))),),
+                               coupling, 12) for _ in range(2)]
+    assert ladders[0].components[0].polytope is not ladders[1].components[0].polytope
+    assert ladders[0].system is ladders[1].system
 
 
 def test_system_cache_never_holds_more_than_its_bound():
@@ -145,33 +156,60 @@ def test_malformed_cut_raises_every_time_and_is_not_cached():
 
 
 @pytest.fixture
-def violated_calls(monkeypatch):
+def evaluations(monkeypatch):
+    """The row count of every row-wise excess evaluation (``PolytopeSpec._excesses``)."""
     calls = []
-    violated = PolytopeSpec.violated
+    excesses = PolytopeSpec._excesses
 
-    def counting(self, q, tol):
-        calls.append(tol)
-        return violated(self, q, tol)
+    def counting(self, X):
+        calls.append(len(X))
+        return excesses(self, X)
 
-    monkeypatch.setattr(PolytopeSpec, "violated", counting)
+    monkeypatch.setattr(PolytopeSpec, "_excesses", counting)
     return calls
 
 
-def test_binding_is_named_only_when_read(violated_calls):
+def test_binding_is_named_only_when_read(evaluations):
     cliques = [Clique(id=f"p{i}", relation=partition(4)) for i in range(3)]
     records = run_ensemble(cliques, PanelModel(), RoutingPolicy("random-uniform"), 2)
     comp = CompositionSpec(free_components([1, 1, 1, 1]),
                            relation_coupling(partition(4), range(4)), 4)
     cert = residual(comp, [[0.39], [0.73], [0.67], [0.71]])
     other = residual(comp, [[0.5], [0.2], [0.3], [0.4]], tol=1e-6)
-    assert violated_calls == []
+    assert evaluations == []
     assert cert.binding == ("c0:partition-sum:sum",)
     assert cert.binding == ("c0:partition-sum:sum",)  # read twice, named once
-    assert violated_calls == [TOL]
+    assert evaluations == [1]
     assert other.to_json()["binding"] == ["c0:partition-sum:sum"]
-    assert violated_calls == [TOL, 1e-6]
+    assert evaluations == [1, 1]
     records[0].certificate.binding
-    assert len(violated_calls) == 3
+    assert len(evaluations) == 3
+
+
+def test_a_batch_names_each_system_run_once_and_only_when_read(evaluations):
+    rng = np.random.default_rng(23)
+    items = []
+    for relation in (partition(4), ladder(5), conjunction()):
+        for owners in ([0, 1] * 3)[:relation.m], [0] * relation.m:
+            comp = composition_for(Clique(id="c", relation=relation), owners).comp
+            items += [(comp, [rng.uniform(-0.2, 1.2, size=len(c.coords)) for c in comp.components])
+                      for _ in range(3)]
+    runs = {id(comp.system) for comp, _ in items}
+    certs = residual_batch(items)
+    assert evaluations == []  # never read, never named
+    names = [cert.binding for cert in certs]
+    assert evaluations == [3] * len(runs) and len(runs) == 6  # one per run, of its 3 rows
+    assert names == [comp.joint_polytope.violated(cert.composed, TOL)
+                     for (comp, _), cert in zip(items, certs)]
+
+
+def test_calls_with_different_tolerances_never_share_names():
+    comp = CompositionSpec(free_components([1, 1]), relation_coupling(partition(2), range(2)), 2)
+    locals_ = [[0.5], [0.5 + 1e-7]]  # off the unit sum by 1e-7
+    loose = residual_batch([(comp, locals_)] * 2, tol=1e-6)
+    tight = residual_batch([(comp, locals_)])
+    assert loose[0].run is loose[1].run and loose[0].run is not tight[0].run
+    assert [cert.binding for cert in loose + tight] == [(), (), ("c0:partition-sum:sum",)]
 
 
 GOLDEN_CERTIFY = [  # input line, then its certificate line as certify wrote it before binding was lazy
@@ -187,14 +225,34 @@ GOLDEN_CERTIFY = [  # input line, then its certificate line as certify wrote it 
 ]
 
 
-def test_certify_names_binding_once_per_record_with_unchanged_output(tmp_path, violated_calls):
+def test_certify_names_binding_once_per_system_run_with_unchanged_output(tmp_path, evaluations):
     source = tmp_path / "compositions.jsonl"
     source.write_text("".join(line + "\n" for line, _ in GOLDEN_CERTIFY) + certify_file_text())
     out = tmp_path / "certificates.jsonl"
     assert main(["certify", str(source), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[:len(GOLDEN_CERTIFY)] == [want for _, want in GOLDEN_CERTIFY]
-    assert len(violated_calls) == len(lines)  # once per record, when to_json reads it
+    shapes: dict = {}
+    specs = [composition_from_json(record, shapes)[0]
+             for _, record in parse_lines(source.read_text())]
+    runs = {id(comp.system) for comp in specs}
+    assert len(runs) == len(all_relations()) < len(lines)  # the golden lines join two runs
+    assert len(evaluations) == len(runs) and sum(evaluations) == len(lines)
+
+
+def test_project_names_active_constraints_once_per_relation(tmp_path, evaluations):
+    rng = np.random.default_rng(24)
+    relations = [negation(), partition(4), ladder(3), conjunction()]
+    records = [{"id": f"q{i}", "relation": r.kind.value, "m": r.m,
+                "quote": rng.uniform(-0.2, 1.2, size=r.m).tolist()}
+               for i, r in enumerate(relations * 5)]
+    source, out = tmp_path / "quotes.jsonl", tmp_path / "projected.jsonl"
+    source.write_text(dump_lines(records))
+    assert main(["project", str(source), "--out", str(out)]) == 0
+    assert evaluations == [5] * len(relations)
+    got = [json.loads(line)["active_constraint"] for line in out.read_text().splitlines()]
+    assert got == [project_relation(r, q["quote"]).active_constraint
+                   for r, q in zip(relations * 5, records)]
 
 
 def test_batch_past_the_cache_bound_certifies_as_one_residual_per_item():

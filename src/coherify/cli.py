@@ -156,8 +156,13 @@ def cmd_project(args) -> Run:
 def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, list[list[float]]]:
     """One certify record's composition and local quotes.
 
-    ``shapes`` maps each (owners, coupling) shape seen before to its spec,
-    so that a file builds one ``CompositionSpec`` per shape.
+    ``shapes`` maps each (owners, raw coupling) shape seen before to its
+    spec, so that a file reads and checks the cuts and builds one
+    ``CompositionSpec`` per shape. The raw coupling is keyed by its
+    ``repr``, which keeps apart the JSON values that Python finds equal
+    (``1``, ``1.0`` and ``true``), so a record rides on a shape only when
+    its cuts would be read as that shape's were. An absent coupling reads
+    as ``()``, which no JSON value gives.
     """
     owners = tuple(json_field(record, "owners", [int]))
     locals_ = json_field(record, "locals", [[float]])
@@ -166,14 +171,16 @@ def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, 
         raise ValueError(
             f"{len(component_ids)} owners referenced but {len(locals_)} local quotes given"
         )
-    coupling = tuple(map(CouplingConstraint.from_json, json_field(record, "coupling", [dict], ())))
-    if (owners, coupling) not in shapes:
+    key = owners, repr(record.get("coupling", ()))
+    if key not in shapes:
+        coupling = tuple(map(CouplingConstraint.from_json,
+                             json_field(record, "coupling", [dict], ())))
         components = []
         for cid in component_ids:
             coords = tuple(j for j, o in enumerate(owners) if o == cid)
             components.append(ComponentSpec(PolytopeSpec(dim=len(coords)), coords))
-        shapes[owners, coupling] = CompositionSpec(tuple(components), coupling, len(owners))
-    return shapes[owners, coupling], locals_
+        shapes[key] = CompositionSpec(tuple(components), coupling, len(owners))
+    return shapes[key], locals_
 
 
 def cmd_certify(args) -> Run:

@@ -87,12 +87,19 @@ class CouplingConstraint:
         object.__setattr__(self, "coords", coords)
         if len(set(coords)) < 2:
             raise ValueError("a coupling constraint must reference >= 2 distinct coordinates")
+        if min(coords) < 0:
+            raise ValueError(f"coords={list(coords)} must be >= 0")
+        if not math.isfinite(self.b):
+            raise ValueError(f"b={self.b!r} must be finite")
         if self.kind == "negation-sum" and len(coords) != 2:
             raise ValueError("negation-sum couples exactly 2 coordinates")
         if self.kind == "frechet-halfspace":
             if self.a is None or len(self.a) != len(coords):
                 raise ValueError("frechet-halfspace needs an explicit normal over its coordinates")
-            object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+            a = tuple(float(v) for v in self.a)
+            if not all(map(math.isfinite, a)):
+                raise ValueError(f"a={list(a)} must be finite")
+            object.__setattr__(self, "a", a)
         elif self.a is not None:
             raise ValueError(f"{self.kind} does not take an explicit normal")
 
@@ -169,17 +176,95 @@ _CATALOG_KINDS = {
 }
 
 
+Block = tuple[Relation, tuple[int, ...]]  # a catalog relation and the joint coordinates it holds
+
+
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """What the joint projection of a composition reads, built once per system key.
 
-    ``coupling`` holds the coupling cuts and ``joint`` the lifted local
-    constraints plus those cuts. Compares and hashes by identity: one
-    object per cached system key.
+    ``dim`` is the joint dimension, ``constrained`` the ``(index,
+    component)`` pairs that are not free boxes, ``columns`` the joint
+    coordinates of each as an index array, and ``cuts`` the coupling cuts.
+    ``coupling`` holds the cuts and ``joint`` the lifted local constraints
+    plus those cuts, each as one constraint system over the joint space.
+    Compares and hashes by identity: one object per cached system key.
     """
 
+    dim: int
+    constrained: tuple[tuple[int, ComponentSpec], ...]
+    cuts: tuple[CouplingConstraint, ...]
+    columns: tuple[np.ndarray, ...]
     coupling: PolytopeSpec
     joint: PolytopeSpec
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...] | None:
+        """``(relation, coords)`` per catalog block, or None when a block is generic.
+
+        Decided once per system (``_blocks``); see there for the kinds.
+        """
+        return _blocks(self.dim, self.constrained, self.cuts)
+
+
+def _blocks(dim: int, constrained: tuple, cuts: tuple) -> tuple[Block, ...] | None:
+    """The route of a constraint system: its catalog blocks, or None for the whole cycle.
+
+    Two joint coordinates are linked when a constrained component or a cut
+    holds both; each linked set is a block, and the joint set is the
+    product of the blocks' sets. A coordinate that nothing holds is free:
+    the box, which the clip projects onto. A block is catalog when its cuts,
+    in order, are ``relation_coupling(relation, coords)`` and each of its
+    constrained components is that relation's polytope on ``coords``, or
+    when it is one component of a catalog relation and no cut; the block's
+    set is then the relation's polytope on ``coords``. Any other block is
+    generic, and the system then runs the cycle as a whole.
+    """
+    root = list(range(dim))
+
+    def find(j: int) -> int:
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    for coords in [c.coords for c in cuts] + [component.coords for _, component in constrained]:
+        first = find(coords[0])
+        for j in coords[1:]:
+            root[find(j)] = first
+    block_cuts: dict[int, list] = {}
+    block_parts: dict[int, list] = {}
+    for c in cuts:
+        block_cuts.setdefault(find(c.coords[0]), []).append(c)
+    for _, component in constrained:
+        block_parts.setdefault(find(component.coords[0]), []).append(component)
+    blocks = []
+    for key in dict.fromkeys([*block_cuts, *block_parts]):
+        block = _catalog_block(tuple(block_cuts.get(key, ())), block_parts.get(key, []))
+        if block is None:
+            return None
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def _catalog_block(cuts: tuple, components: list) -> Block | None:
+    """``(relation, coords)`` when one block's cuts and components are one catalog polytope."""
+    if not cuts:  # owners are disjoint, so a block without cuts is one component
+        [component] = components
+        relation = component.polytope.relation
+        return None if relation is None else (relation, component.coords)
+    coords = cuts[-1].coords  # every catalog coupling ends with a cut over all its coordinates
+    if len(set(coords)) != len(coords):
+        return None
+    for kind in _CATALOG_KINDS[cuts[-1].kind]:
+        try:
+            relation = Relation(kind, len(coords))
+        except ValueError:
+            continue
+        if _relation_coupling(relation, coords) == cuts and all(
+                c.polytope.relation == relation and c.coords == coords for c in components):
+            return relation, coords
+    return None
 
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)
@@ -208,17 +293,18 @@ def constraint_system(joint_dim: int, constrained: tuple, cuts: tuple) -> Constr
         hss += [lift(c, component, f"m{a}:{c.name}") for c in local.halfspaces]
     joint = PolytopeSpec(dim=joint_dim, equalities=tuple(eqs) + coupling.equalities,
                          halfspaces=tuple(hss) + coupling.halfspaces)
-    return ConstraintSystem(coupling, joint)
+    columns = tuple(np.array(component.coords) for _, component in constrained)
+    return ConstraintSystem(joint_dim, constrained, cuts, columns, coupling, joint)
 
 
 @dataclass
 class CompositionSpec:
     """Components, ownership, and coupling over ``joint_dim`` coordinates.
 
-    Treated as immutable after construction. The coupling and joint
-    constraint systems come from the per-process ``constraint_system``
-    cache; the other derived artifacts (product vertices, the single
-    catalog relation) are cached properties.
+    Treated as immutable after construction. The constraint system,
+    coupling and joint polytopes and projection route included, comes from
+    the per-process ``constraint_system`` cache; the product vertices are
+    a cached property.
     """
 
     components: tuple[ComponentSpec, ...]
@@ -231,17 +317,13 @@ class CompositionSpec:
             self.coupling = CouplingSet(tuple(self.coupling))
         if self.joint_dim == 0:
             self.joint_dim = sum(len(c.coords) for c in self.components)
-        unowned = set(range(self.joint_dim))
-        for component in self.components:
-            for j in component.coords:
-                if j not in unowned:
-                    raise ValueError(f"joint coordinate {j} owned twice" if 0 <= j < self.joint_dim
-                                     else f"coordinate {j} outside the joint space")
-                unowned.remove(j)
-        if unowned:
-            raise ValueError(f"joint coordinates {sorted(unowned)} have no owner")
+        dim = self.joint_dim
+        # _gather: for each joint coordinate, its column among the components' quotes laid
+        # end to end; None when that is the coordinate itself (owners own ascending runs)
+        columns = [j for component in self.components for j in component.coords]
+        self._gather = None if columns == list(range(dim)) else _gather_order(columns, dim)
         for c in self.coupling.constraints:
-            if max(c.coords) >= self.joint_dim:
+            if max(c.coords) >= dim:
                 raise ValueError("coupling constraint references coordinates outside the joint space")
 
     @cached_property
@@ -265,35 +347,12 @@ class CompositionSpec:
         return tuple((a, c) for a, c in enumerate(self.components)
                      if c.polytope.equalities or c.polytope.halfspaces)
 
-    @cached_property
-    def single_relation(self) -> tuple[Relation, tuple[int, ...]] | None:
-        """``(relation, coords)`` when the joint set is one catalog polytope on ``coords``.
-
-        That holds when the coupling is exactly ``relation_coupling(relation,
-        coords)`` over distinct coordinates and every component is a free box
-        or that relation's own polytope on ``coords``; the joint set is then
-        the relation's polytope on ``coords`` times the box elsewhere.
-        None otherwise.
-        """
-        cuts = self.coupling.constraints
-        if not cuts:
-            return None
-        coords = cuts[-1].coords  # every catalog coupling ends with a cut over all its coordinates
-        if len(set(coords)) != len(coords):
-            return None
-        for kind in _CATALOG_KINDS[cuts[-1].kind]:
-            try:
-                relation = Relation(kind, len(coords))
-            except ValueError:
-                continue
-            if _relation_coupling(relation, coords) != cuts:
-                continue
-            if all((c.polytope.relation == relation and c.coords == coords)
-                   or not (c.polytope.equalities or c.polytope.halfspaces)
-                   for c in self.components):
-                return relation, coords
-            return None
-        return None
+    @property
+    def single_relation(self) -> Block | None:
+        """``(relation, coords)`` when the joint set is one catalog polytope on ``coords``
+        times the box elsewhere: the system's one catalog block (``blocks``). None otherwise."""
+        blocks = self.system.blocks
+        return blocks[0] if blocks is not None and len(blocks) == 1 else None
 
     @cached_property
     def product_vertices(self) -> np.ndarray:
@@ -407,7 +466,7 @@ def _assembled(comp: CompositionSpec, quotes: list) -> np.ndarray:
         if list(map(len, parts)) == [len(c.coords) for c in components] * len(quotes):
             flat = np.concatenate(parts, dtype=float)
             if flat.shape == (len(quotes) * comp.joint_dim,) and np.isfinite(flat).all():
-                X, order = flat.reshape(len(quotes), comp.joint_dim), _gather(comp)
+                X, order = flat.reshape(len(quotes), comp.joint_dim), comp._gather
                 return X if order is None else X.take(order, axis=1)
     except (TypeError, ValueError):
         pass  # raised again below, by the item that causes it
@@ -421,13 +480,20 @@ def _assembled(comp: CompositionSpec, quotes: list) -> np.ndarray:
     return np.array(rows)
 
 
-def _gather(comp: CompositionSpec) -> np.ndarray | None:
-    """For each joint coordinate, its column among the components' quotes laid end to end.
-
-    None when that is the coordinate itself: the owners own ascending runs.
-    """
-    columns = [j for c in comp.components for j in c.coords]
-    return None if columns == list(range(len(columns))) else np.array(columns).argsort()
+def _gather_order(columns: list[int], dim: int) -> list[int]:
+    """The inverse of ``columns``, refusing a coordinate outside ``range(dim)``, owned
+    twice or by none."""
+    order = [-1] * dim
+    for i, j in enumerate(columns):
+        if not 0 <= j < dim:
+            raise ValueError(f"coordinate {j} outside the joint space")
+        if order[j] >= 0:
+            raise ValueError(f"joint coordinate {j} owned twice")
+        order[j] = i
+    if -1 in order:
+        raise ValueError(f"joint coordinates {[j for j in range(dim) if order[j] < 0]} "
+                         "have no owner")
+    return order
 
 
 def _refuse_non_finite(quotes: list) -> None:
@@ -457,19 +523,21 @@ def _assembled_row(comp: CompositionSpec, locals_: list) -> np.ndarray:
     flat = np.concatenate(quotes) if quotes else np.zeros(0)
     if not np.isfinite(flat).all():
         _refuse_non_finite(quotes)
-    order = _gather(comp)
+    order = comp._gather
     return flat if order is None else flat[order]
 
 
-def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: float):
+def _composed(comp: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: float):
     """Assembled rows ``X``, locally repaired when ``repair_locals``, and whether each was coherent.
 
     A row's locals are coherent when the row is in the box and meets every
-    constraint of ``system``'s constrained components within ``tol``.
+    constraint of the constrained components of ``comp``'s system within
+    ``tol``.
     """
+    system = comp.system
     coherent = np.logical_and.reduce((X >= -tol) & (X <= 1.0 + tol), axis=1)
-    for _, component in system.constrained:
-        coherent &= component.polytope.gaps(X[:, list(component.coords)]).max(axis=1) <= tol
+    for (_, component), columns in zip(system.constrained, system.columns):
+        coherent &= component.polytope.gaps(X[:, columns]).max(axis=1) <= tol
     if repair_locals:
         X = _project_locals(system, X)
     return X, coherent.tolist()
@@ -478,18 +546,22 @@ def _composed(system: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: 
 def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``X`` projected onto the joint set of ``comp``, and whether each converged.
 
-    One catalog polytope times the box (``single_relation``) is exact: the
-    clip, then ``project_relation_batch`` on its coordinates. Else the cycle.
+    The route is the system's ``blocks``. With catalog and free blocks only
+    it is exact: the clip, then one ``project_relation_batch`` call per
+    catalog block on its coordinates. With a generic block, the cycle over
+    the whole system.
     """
-    if comp.single_relation is None:
+    blocks = comp.system.blocks
+    if blocks is None:
         projected, _, converged = _hierarchical_cycle(comp, X)
         return projected, converged
-    relation, coords = comp.single_relation
-    if coords == tuple(range(comp.joint_dim)):  # no box coordinate: skip the clip and scatter
-        return project_relation_batch(relation, X), np.ones(len(X), dtype=bool)
+    converged = np.ones(len(X), dtype=bool)
+    if len(blocks) == 1 and blocks[0][1] == tuple(range(comp.joint_dim)):
+        return project_relation_batch(blocks[0][0], X), converged  # no clip or scatter
     projected = X.clip(0.0, 1.0)
-    projected[:, coords] = project_relation_batch(relation, X[:, coords])
-    return projected, np.ones(len(X), dtype=bool)
+    for relation, coords in blocks:
+        projected[:, coords] = project_relation_batch(relation, X[:, coords])
+    return projected, converged
 
 
 def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
@@ -512,12 +584,19 @@ def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
              tol: float = MEMBERSHIP_TOL) -> Certificate:
     """Certify one composition: local repair, aggregate, joint projection.
 
-    ``residual_batch`` on one item, errors included (``index`` 0).
+    ``residual_batch`` on one item, errors included (``index`` 0), without
+    its grouping: one ``_assembled`` row and ``_certify_rows``.
     ``repair_locals=False`` skips the per-component repair (the raw-composed
     evaluation paths need this); the certificate still reports whether the
     inputs were locally coherent.
     """
-    return residual_batch([(comp, locals_)], repair_locals, tol)[0]
+    _check_tol(tol)
+    return _certify_rows([(comp, (0,), _assembled(comp, [locals_]))], 1, repair_locals, tol)[0]
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # also false for NaN
+        raise ValueError(f"tol={tol!r} must be a finite number >= 0")
 
 
 def residual_batch(items, repair_locals: bool = True,
@@ -530,12 +609,12 @@ def residual_batch(items, repair_locals: bool = True,
     constrained components (index, coordinates and polytope) and the
     coupling cuts, built once per process by ``constraint_system``. So
     free-box compositions that split the coordinates among owners
-    differently share one projection (``_joint_projection``: exact for one
-    catalog polytope, else the cycle), run in order of each system's first
-    item. Certificates come back in input order, each bit for bit the
-    item's own ``residual``. The first read of any certificate's
-    ``binding`` names the binding constraints of every certificate of its
-    engine run at once.
+    differently share one projection (``_joint_projection``: exact block
+    by block when no block is generic, else the cycle), run in order of
+    each system's first item. Certificates come back in input order, each
+    bit for bit the item's own ``residual``. The first read of any
+    certificate's ``binding`` names the binding constraints of every
+    certificate of its engine run at once.
 
     An item fails when it is malformed (``aggregate``, its coupling cuts),
     when its row misses the cycle's iteration cap (``_unconverged``), or,
@@ -544,8 +623,7 @@ def residual_batch(items, repair_locals: bool = True,
     with its position in ``items`` as its ``index`` attribute. A ``tol``
     that is not a finite number >= 0 is refused before any item is read.
     """
-    if not 0.0 <= tol < math.inf:  # also false for NaN
-        raise ValueError(f"tol={tol!r} must be a finite number >= 0")
+    _check_tol(tol)
     items = list(items)
     try:
         blocks = _assembled_by_spec(items)

@@ -21,6 +21,9 @@ from .polytope import Relation, RelationKind
 from .projection import _coupled_halfspaces, _unconverged
 
 EXHAUSTIVE_LIMIT = 65_536
+# entries per block of projected draws: 64 KiB of float64 per temporary, under glibc's
+# default 128 KiB mmap threshold, so the blocks reuse heap memory instead of fresh pages
+DRAW_BLOCK_ENTRIES = 8192
 BOUNDARY_TOL = 1e-9
 
 REGIME_EQUALITY = "equality"
@@ -93,9 +96,9 @@ def predict_magnitude(stats: PanelStats, relation: Relation) -> MagnitudePredict
     return MagnitudePrediction(0.5 * rayleigh, 0.5, a, regime)
 
 
-def _assignments_exhaustive(k: int, m: int) -> np.ndarray:
-    """All k^m owner assignments, one per row, in ``itertools.product`` order."""
-    return np.indices((k,) * m).reshape(m, -1).T
+def _assignments(k: int, m: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` to ``stop`` of all k^m owner assignments in ``itertools.product`` order."""
+    return np.arange(start, stop)[:, None] // k ** np.arange(m - 1, -1, -1) % k
 
 
 def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_000,
@@ -105,24 +108,32 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     Exhausts all k^m assignments when that is cheaper than sampling;
     otherwise draws ``n_draws`` assignment vectors from ``seed``. Draws are
     projected as certificates are (``composition._joint_projection``):
-    exactly when the joint set is one catalog polytope, otherwise through
-    the engine's cycle, which raises, as a certificate does, when a draw
-    misses the iteration cap.
+    exactly when the joint set is a product of catalog blocks, otherwise
+    through the engine's cycle, which raises, as a certificate does, when a
+    draw misses the iteration cap. Draws go ``DRAW_BLOCK_ENTRIES // m``
+    rows at a time, so that each temporary stays small; every row is
+    projected and summed on its own, so the blocks do not change a bit.
     """
     P = np.stack([np.asarray(q, dtype=float) for q in panel])
     k, m = P.shape
     if m != comp.joint_dim:
         raise ValueError("panel quotes must live on the joint coordinates")
-    if k**m <= EXHAUSTIVE_LIMIT:
-        sigma = _assignments_exhaustive(k, m)
-    else:
+    sigma = None  # exhaustive: each block's assignments are made as it is projected
+    if k**m > EXHAUSTIVE_LIMIT:
         rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
         sigma = rng.integers(0, k, size=(n_draws, m))
-    X = P[sigma, np.arange(m)]
-    projected, converged = _joint_projection(comp, X)
-    if not converged.all():
-        raise _unconverged(comp)
-    return np.sum((X - projected) ** 2, axis=1)
+    n = k**m if sigma is None else n_draws
+    out = np.empty(n)
+    step = max(1, DRAW_BLOCK_ENTRIES // m)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        X = P[_assignments(k, m, start, stop) if sigma is None else sigma[start:stop], range(m)]
+        projected, converged = _joint_projection(comp, X)
+        if not converged.all():
+            raise _unconverged(comp)
+        np.subtract(X, projected, out=X)
+        np.sum(np.square(X, out=X), axis=1, out=out[start:stop])
+    return out
 
 
 def observe_magnitude(comp: CompositionSpec, panel, n_draws: int = 10_000,

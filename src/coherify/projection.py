@@ -8,11 +8,11 @@ for the two Frechet relations (conjunction, disjunction).
 ``project_relation`` answers one quote through the same batched route on
 one row. ``project_oracle``, a min-norm-point search over vertex hulls,
 is the independent ground truth that tests hold every route to. A
-composition whose joint set is one catalog polytope takes the exact route
-too. Any other system goes through one batched Boyle-Dykstra engine, the
-only route with an iteration cap to miss: one exact local set, then the
-rows of one constraint system in order, each quote stopping as its own
-one-row call would.
+composition whose joint set is a product of catalog polytopes and the box
+takes the exact route too, block by block. Any other system goes through
+one batched Boyle-Dykstra engine, the only route with an iteration cap to
+miss: one exact local set, then the rows of one constraint system in
+order, each quote stopping as its own one-row call would.
 
 Plain alternating projection is not a substitute for Dykstra here: it
 finds *a* feasible point, not the nearest one. The correction vectors are
@@ -38,7 +38,7 @@ from .polytope import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .composition import CompositionSpec
+    from .composition import CompositionSpec, ConstraintSystem
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
@@ -289,7 +289,8 @@ def project_relation_batch(relation: Relation, X) -> np.ndarray:
         level = np.clip(np.mean(X, axis=1), 0.0, 1.0)
         return np.repeat(level[:, None], relation.m, axis=1)
     if kind is RelationKind.LADDER:
-        return np.clip(_nonincreasing_rows(X), 0.0, 1.0)
+        fit = _nonincreasing_rows(X)
+        return np.clip(fit, 0.0, 1.0, out=fit)
     return _nearest_face_rows(_face_table(relation), X)
 
 
@@ -516,24 +517,24 @@ def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
     return out if v.ndim == 2 else out[0]
 
 
-def _project_locals(comp: "CompositionSpec", Y: np.ndarray) -> np.ndarray:
-    """Each row of ``Y`` onto the product of the lifted local polytopes.
+def _project_locals(system: "ConstraintSystem", Y: np.ndarray) -> np.ndarray:
+    """Each row of ``Y`` onto the product of the lifted local polytopes of ``system``.
 
     The box clip, then each constrained component's own route on its
     coordinates; row by row this is ``project_local`` on every component.
     """
     x = _clip(Y)
-    for _, component in comp.constrained:
-        coords = list(component.coords)
-        x[:, coords] = project_local(component.polytope, Y[:, coords])
+    for (_, component), columns in zip(system.constrained, system.columns):
+        x[:, columns] = project_local(component.polytope, Y[:, columns])
     return x
 
 
 def _hierarchical_cycle(comp: "CompositionSpec", X: np.ndarray, tol: float = DYKSTRA_TOL,
                         max_iter: int = DYKSTRA_MAX_ITER):
-    """``_cyclic`` over the product of the local polytopes and the coupling cuts."""
-    local = (lambda Y: _project_locals(comp, Y)) if comp.constrained else _clip
-    return _cyclic(X, local, comp.coupling_polytope, tol, max_iter)
+    """``_cyclic`` over the product of the local polytopes and the coupling cuts of ``comp``."""
+    system = comp.system
+    local = (lambda Y: _project_locals(system, Y)) if system.constrained else _clip
+    return _cyclic(X, local, system.coupling, tol, max_iter)
 
 
 def _unconverged(comp: "CompositionSpec") -> Exception:
@@ -552,9 +553,10 @@ def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
                          max_iter: int = DYKSTRA_MAX_ITER) -> ProjectionResult:
     """Project one quote onto the joint coherent set of ``comp``.
 
-    One row of the cycle, which ``residual_batch`` skips for one catalog
-    polytope. A quote still cycling after ``max_iter`` cycles raises
-    ``_unconverged(comp)``, as a certificate does.
+    One row of the cycle, which ``residual_batch`` skips when every block
+    of the system is free or catalog. A quote still cycling after
+    ``max_iter`` cycles raises ``_unconverged(comp)``, as a certificate
+    does.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (comp.joint_dim,):

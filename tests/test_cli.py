@@ -115,6 +115,43 @@ def test_certify_round_trips_own_output(tmp_path):
     assert json.loads(dumps(reparsed[0][1])) == reparsed[0][1]
 
 
+
+def test_certify_refuses_a_negative_cut_coordinate(tmp_path, capsys):
+    # -1 would index the last of the 3 coordinates if it were taken
+    inp = tmp_path / "in.jsonl"
+    inp.write_text('{"owners": [0, 1, 2], "coupling": [{"kind": "partition-sum", '
+                   '"coords": [-1, 0], "b": 1.0}], "locals": [[0.3], [0.4], [0.9]]}\n')
+    assert run_cli(["certify", str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: line 1: coords=[-1, 0] must be >= 0\n"
+
+
+VALID_CUT = '{"kind": "negation-sum", "coords": [0, 1], "b": 1.0}'
+
+
+@pytest.mark.parametrize("cut, message", [
+    (VALID_CUT.replace("[0, 1]", "[0, 1.0]"), "coords takes JSON integers, got 1.0"),
+    (VALID_CUT.replace("[0, 1]", "[0, true]"), "coords takes JSON integers, got true"),
+    (VALID_CUT.replace("1.0}", "true}"), "b takes JSON numbers, got true"),
+    (VALID_CUT.replace("negation-sum", "negation"), "unknown coupling kind 'negation'"),
+    (VALID_CUT.replace("[0, 1]", "[0, 2]"),
+     "coupling constraint references coordinates outside the joint space"),
+])
+def test_certify_reads_each_new_cut_shape_with_its_own_types(tmp_path, capsys, cut, message):
+    """A record whose cuts Python finds equal to an earlier shape's (1 == 1.0 == True) is
+    still read on its own, and the earliest malformed one is named with its message."""
+    line = '{{"owners": [0, 1], "coupling": [{}], "locals": [[0.3], [0.4]]}}'
+    valid, bad = line.format(VALID_CUT), line.format(cut)
+    inp = tmp_path / "in.jsonl"
+    out = tmp_path / "o.jsonl"
+    inp.write_text("\n".join([valid, valid, bad, valid, bad]) + "\n")
+    assert run_cli(["certify", str(inp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"
+    inp.write_text("\n".join([valid, valid.replace("1.0}", "1}"), valid]) + "\n")
+    assert run_cli(["certify", str(inp), "--out", str(out)]) == 0
+    first, *rest = out.read_text().splitlines()
+    assert rest == [first, first]  # b 1 and b 1.0 read as one number
+
+
 def test_monitor_stream(tmp_path):
     inp = tmp_path / "stream.jsonl"
     lines = [

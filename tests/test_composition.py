@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from coherify.composition import (
     Certificate,
+    _hierarchical_cycle,
     ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
@@ -43,8 +46,11 @@ from coherify.projection import (
     COLUMN_ROWS,
     RESIDUAL_FLOOR,
     InfeasibleCouplingError,
+    _vertex_array,
+    project_dykstra,
     project_hierarchical,
     project_local,
+    project_oracle,
     project_relation,
     project_relation_batch,
 )
@@ -989,3 +995,118 @@ def test_single_relation_allows_relation_on_a_subset_of_coords():
         3,
     )
     assert comp.single_relation == (negation(), (1, 2))
+
+
+# --- the exact route per block ------------------------------------------------------
+
+
+PARTITION_THEN_LADDER = (relation_coupling(partition(3), (0, 1, 2))
+                         + relation_coupling(ladder(3), (3, 4, 5)))
+
+
+def multi_block_systems():
+    """Joint sets that are products of catalog polytopes (and the box), each block
+    declared by cuts over split owners, by cuts and the relation's own sole owner, or by
+    a lone catalog component with no cut, on ordered and scattered coordinates."""
+    return [
+        owned_by([0, 1, 0, 1, 2, 2], PARTITION_THEN_LADDER),
+        CompositionSpec((ComponentSpec(build_polytope(partition(3)), (0, 1, 2)),
+                         ComponentSpec(PolytopeSpec(dim=2), (3, 5)),
+                         ComponentSpec(PolytopeSpec(dim=1), (4,))), PARTITION_THEN_LADDER, 6),
+        CompositionSpec((ComponentSpec(build_polytope(conjunction()), (4, 0, 2)),
+                         ComponentSpec(PolytopeSpec(dim=1), (1,)),
+                         ComponentSpec(PolytopeSpec(dim=2), (3, 5))),
+                        relation_coupling(negation(), (5, 3)), 6),
+        CompositionSpec((ComponentSpec(build_polytope(ladder(4)), (3, 1, 0, 2)),
+                         ComponentSpec(PolytopeSpec(dim=1), (4,))), (), 5),
+        CompositionSpec(free_components([2, 1, 2, 2]),
+                        relation_coupling(paraphrase(2), (6, 1))
+                        + relation_coupling(disjunction(), (0, 2, 4)), 7),
+    ]
+
+
+def block_vertices(comp) -> np.ndarray:
+    """Vertices of the product of the blocks' relation polytopes and the box elsewhere."""
+    factors, covered = [], set()
+    for relation, coords in comp.system.blocks:
+        factors.append([dict(zip(coords, v)) for v in _vertex_array(relation)])
+        covered.update(coords)
+    factors += [[{j: 0.0}, {j: 1.0}] for j in range(comp.joint_dim) if j not in covered]
+    vertices = []
+    for combo in itertools.product(*factors):
+        v = np.zeros(comp.joint_dim)
+        for part in combo:
+            v[list(part)] = list(part.values())
+        vertices.append(v)
+    return np.array(vertices)
+
+
+def test_blocks_split_a_system_into_catalog_polytopes():
+    systems = multi_block_systems()
+    assert [len(comp.system.blocks) for comp in systems] == [2, 2, 2, 1, 2]
+    assert systems[0].system.blocks == ((partition(3), (0, 1, 2)), (ladder(3), (3, 4, 5)))
+    assert systems[2].system.blocks == ((negation(), (5, 3)), (conjunction(), (4, 0, 2)))
+    assert systems[3].single_relation == (ladder(4), (3, 1, 0, 2))  # one block, no cut
+    assert all(comp.single_relation is None for comp in systems if len(comp.system.blocks) > 1)
+    assert CompositionSpec(free_components([2, 1]), (), 3).system.blocks == ()  # all free
+    generic = [
+        owned_by([0, 1, 0, 1, 2, 2], relation_coupling(partition(3), (0, 1, 2))
+                 + (CouplingConstraint("partition-sum", (3, 4, 5), 2.0),)),
+        CompositionSpec((ComponentSpec(CAPPED, (0, 1)), ComponentSpec(PolytopeSpec(dim=2), (2, 3))),
+                        relation_coupling(negation(), (2, 3)), 4),
+        CompositionSpec((ComponentSpec(build_polytope(partition(3)), (0, 1, 2)),
+                         ComponentSpec(PolytopeSpec(dim=1), (3,))),
+                        relation_coupling(ladder(2), (2, 3)), 4),  # the cut ties two blocks
+    ]
+    assert all(comp.system.blocks is None for comp in generic)
+
+
+@pytest.mark.parametrize("repair_locals", [True, False])
+def test_multi_block_systems_are_projected_exactly(repair_locals):
+    rng = np.random.default_rng(40)
+    items = []
+    for comp in multi_block_systems():
+        vertices = block_vertices(comp)
+        for _ in range(15):
+            locals_ = [rng.uniform(-0.3, 1.3, size=len(c.coords)) for c in comp.components]
+            items.append((comp, locals_))
+            cert = residual(comp, locals_, repair_locals=repair_locals)
+            cycled = project_dykstra(comp.joint_polytope, cert.composed, tol=1e-15)
+            assert cycled.converged
+            assert np.max(np.abs(cert.repaired - cycled.projected)) <= 1e-12
+            oracle = project_oracle(vertices, cert.composed).projected
+            assert np.max(np.abs(cert.repaired - oracle)) <= 1e-12
+            for relation, coords in comp.system.blocks:  # each block is its own projection
+                assert (cert.repaired[list(coords)].tobytes()
+                        == project_relation_batch(relation, cert.composed[None, list(coords)])
+                        .tobytes())
+    for (comp, locals_), got in zip(items, residual_batch(items, repair_locals=repair_locals)):
+        assert_same_certificate(got, residual(comp, locals_, repair_locals=repair_locals))
+
+
+def test_a_generic_block_keeps_the_whole_system_cycle():
+    comp = owned_by([0, 1, 0, 1, 2, 2], relation_coupling(partition(3), (0, 1, 2))
+                    + (CouplingConstraint("partition-sum", (3, 4, 5), 2.0),))
+    assert comp.system.blocks is None
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        locals_ = [rng.uniform(-0.3, 1.3, size=2) for _ in range(3)]
+        cert = residual(comp, locals_)
+        cycled, _, converged = _hierarchical_cycle(comp, cert.composed[None, :])
+        assert converged[0] and cert.repaired.tobytes() == cycled[0].tobytes()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="partition-sum", coords=(-1, 0)), r"coords=\[-1, 0\] must be >= 0"),
+    (dict(kind="ladder-chain", coords=(2, -3, 0)), r"coords=\[2, -3, 0\] must be >= 0"),
+    (dict(kind="partition-sum", coords=(0, 1), b=float("nan")), "b=nan must be finite"),
+    (dict(kind="negation-sum", coords=(0, 1), b=float("inf")), "b=inf must be finite"),
+    (dict(kind="frechet-halfspace", coords=(0, 1), b=1.0, a=(1.0, float("nan"))),
+     r"a=\[1.0, nan\] must be finite"),
+    (dict(kind="frechet-halfspace", coords=(0, 1), b=1.0, a=(-float("inf"), 1.0)),
+     r"a=\[-inf, 1.0\] must be finite"),
+])
+def test_coupling_refuses_a_negative_coordinate_and_non_finite_numbers(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        CouplingConstraint(**kwargs)
+

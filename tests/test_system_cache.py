@@ -273,3 +273,26 @@ def test_batch_past_the_cache_bound_certifies_as_one_residual_per_item():
         assert cert.to_json() == alone.to_json()
         assert cert.repaired.tobytes() == alone.repaired.tobytes()
         assert cert.epsilon_star == alone.epsilon_star
+
+
+def test_layouts_sharing_a_system_decide_its_blocks_once(monkeypatch):
+    import coherify.composition as composition
+
+    decided = []
+    blocks = composition._blocks
+    monkeypatch.setattr(composition, "_blocks",
+                        lambda *key: decided.append(key) or blocks(*key))
+    clear_coherify_caches()
+    rng = np.random.default_rng(25)
+    clique = Clique(id="p", relation=partition(5))
+    layouts = [rng.integers(0, 4, size=5) for _ in range(60)] + [np.zeros(5, dtype=int)] * 5
+    splits = {len(set(owners.tolist())) > 1 for owners in layouts}
+    for owners in layouts:
+        comp = composition_for(clique, owners).comp
+        cert = residual(comp, [rng.uniform(size=len(c.coords)) for c in comp.components])
+        assert comp.single_relation == (partition(5), tuple(range(5)))
+        assert cert.repaired.tobytes() == project_relation(partition(5),
+                                                           cert.composed).projected.tobytes()
+    assert splits == {True, False}
+    # every split layout shares one system of free boxes; the sole owners share another
+    assert len(decided) == 2

@@ -358,7 +358,11 @@ def _bins(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("project", "certify", "monitor", "simulate", "regret", "gate", "predict")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or one that knows command ``only`` alone and parses it alike."""
     parser = argparse.ArgumentParser(
         prog="coherify",
         description="Certify, repair, and monitor coherence of composed probabilistic quotes.",
@@ -367,43 +371,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=_tolerance, default=MEMBERSHIP_TOL,
                         help="membership tolerance (finite, >= 0)")
     parser.add_argument("--manifest-out", default=None, help="run manifest path")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if only is None else "{%s}" % ",".join(COMMANDS))
 
-    def command(name: str, fn, about: str, source: str, source_help: str):
-        """A subcommand that reads ``source`` and whose output ``main`` writes to ``--out``."""
+    def command(name: str, fn, about: str, source: str, source_help: str, options=None):
+        """A subcommand that reads ``source``, writes to ``--out`` and takes ``options``."""
+        if only not in (None, name):
+            return
         p = sub.add_parser(name, help=about)
         p.add_argument(source, help=source_help)
         p.add_argument("--out", default="-")
+        for flag, kwargs in (options or {}).items():
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-        return p
 
+    rule = {"default": "proportional", "choices": ALLOCATION_KINDS}
     command("project", cmd_project, "project quotes onto their clique polytopes",
             "input", "clique+quote JSONL ('-' for stdin)")
     command("certify", cmd_certify, "certify composed quotes", "input", "composition JSONL")
-    p = command("monitor", cmd_monitor, "run the sequential coherence test on a residual stream",
-                "input", "residual stream JSONL")
-    p.add_argument("--alpha-list", type=_alpha_list,
-                   default=",".join(str(a) for a in DEFAULT_ALPHAS),
-                   help="comma-separated test levels, each in (0, 1)")
-    p = command("simulate", cmd_simulate, "run a synthetic specialist-panel ensemble",
-                "config", "scenario config file (key = value lines)")
-    p.add_argument("--ecdf-out", default=None,
-                   help="also write per-relation residual ECDF points as CSV")
-    p = command("regret", cmd_regret, "score naive vs repaired bets", "input", "bets JSONL")
-    p.add_argument("--rule", default="proportional", choices=ALLOCATION_KINDS)
-    p.add_argument("--bins", type=_bins, default=10, help="Murphy forecast bins (>= 2)")
-    p = command("gate", cmd_gate, "calibrate certificate gating thresholds", "input", "bets JSONL")
-    p.add_argument("--rule", default="proportional", choices=ALLOCATION_KINDS)
-    p.add_argument("--capture-targets", type=_capture_targets, default="0.9,0.5",
-                   help="comma-separated harm-capture targets, each in (0, 1]")
+    command("monitor", cmd_monitor, "run the sequential coherence test on a residual stream",
+            "input", "residual stream JSONL",
+            {"--alpha-list": {"type": _alpha_list,
+                              "default": ",".join(str(a) for a in DEFAULT_ALPHAS),
+                              "help": "comma-separated test levels, each in (0, 1)"}})
+    command("simulate", cmd_simulate, "run a synthetic specialist-panel ensemble",
+            "config", "scenario config file (key = value lines)",
+            {"--ecdf-out": {"default": None,
+                            "help": "also write per-relation residual ECDF points as CSV"}})
+    command("regret", cmd_regret, "score naive vs repaired bets", "input", "bets JSONL",
+            {"--rule": rule,
+             "--bins": {"type": _bins, "default": 10, "help": "Murphy forecast bins (>= 2)"}})
+    command("gate", cmd_gate, "calibrate certificate gating thresholds", "input", "bets JSONL",
+            {"--rule": rule,
+             "--capture-targets": {"type": _capture_targets, "default": "0.9,0.5",
+                                   "help": "comma-separated harm-capture targets, each in (0, 1]"}})
     command("predict", cmd_predict, "panel-covariance residual prediction vs observation",
             "config", "scenario config file")
     return parser
 
 
+def _command_of(argv: list[str]) -> str | None:
+    """The command ``argv`` names, or None when a token before it is no global flag
+    (matched by a unique prefix, as argparse does) or the value of one."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token in COMMANDS:
+            return token
+        flag, eq, _ = token.partition("=")
+        if len(flag) < 3 or not any(name.startswith(flag)
+                                    for name in ("--seed", "--tol", "--manifest-out")):
+            return None
+        if not eq:
+            next(tokens, None)
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(only=_command_of(argv)).parse_args(argv)
     try:
         _write_run(args, *args.fn(args))
     except ConfigError as exc:

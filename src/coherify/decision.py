@@ -14,7 +14,7 @@ import numpy as np
 
 from .jsonio import json_field
 from .polytope import Relation, RelationKind
-from .projection import project_simplex
+from .projection import _simplex_rows
 
 BRIER_NORMALIZATION = "per-coordinate-mean"
 DEFAULT_LOG_FLOOR = 1e-6  # the weight a log payoff is floored at
@@ -36,12 +36,14 @@ class BetRecord:
     unique_yes: int | None = field(default=None, init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "quote_naive", tuple(float(v) for v in self.quote_naive))
-        object.__setattr__(self, "quote_repaired", tuple(float(v) for v in self.quote_repaired))
-        labels = tuple(int(v) for v in self.labels)
+        object.__setattr__(self, "quote_naive", tuple(map(float, self.quote_naive)))
+        object.__setattr__(self, "quote_repaired", tuple(map(float, self.quote_repaired)))
+        labels = tuple(map(int, self.labels))
         object.__setattr__(self, "labels", labels)
         if len(self.quote_naive) != len(labels) or len(self.quote_repaired) != len(labels):
             raise ValueError("quotes and labels must share one dimension")
+        if not labels:
+            raise ValueError("a bet needs at least one coordinate")
         if any(v not in (0, 1) for v in labels):
             raise ValueError("labels must be 0/1")
         yes = [i for i, v in enumerate(labels) if v == 1]
@@ -107,6 +109,22 @@ def exposure(relation: Relation, q) -> float:
     raise ValueError(f"no exposure statistic for relation {kind.value}")
 
 
+def _allocate_rows(rule: AllocationRule, Q: np.ndarray) -> np.ndarray:
+    """``allocate``'s weights for every row of ``Q``; no row's bits depend on another."""
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("quote must be finite")
+    if rule.kind == "proportional":  # uniform where nothing is positive
+        W = np.maximum(Q, 0.0)
+        total = W.sum(axis=1, keepdims=True)
+        W[total[:, 0] <= 0.0] = 1.0 / Q.shape[1]
+        return np.divide(W, total, out=W, where=total > 0.0)
+    W = _simplex_rows(Q)
+    if rule.kind == "truncated-kelly":
+        np.minimum(W, KELLY_CAP, out=W)
+        W /= W.sum(axis=1)[:, None]
+    return W
+
+
 def allocate(rule: AllocationRule, q) -> np.ndarray:
     """Bet weights from a quote; nonnegative, sum to one.
 
@@ -114,20 +132,7 @@ def allocate(rule: AllocationRule, q) -> np.ndarray:
     positive); truncated-kelly and max-entropy first coherentise the quote
     by simplex projection, the former then capping and renormalizing.
     """
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("quote must be finite")
-    if rule.kind == "proportional":
-        pos = np.maximum(q, 0.0)
-        total = pos.sum()
-        if total <= 0.0:
-            return np.full(q.size, 1.0 / q.size)
-        return pos / total
-    w = project_simplex(q)
-    if rule.kind == "truncated-kelly":
-        w = np.minimum(w, KELLY_CAP)
-        w = w / w.sum()
-    return w
+    return _allocate_rows(rule, np.asarray(q, dtype=float)[None, :])[0]
 
 
 def brier(quote, labels) -> float:
@@ -136,14 +141,32 @@ def brier(quote, labels) -> float:
     return float(np.mean((quote - labels) ** 2))
 
 
+def _scores(bets: list[BetRecord], rule: AllocationRule) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bet (naive, repaired) Brier scores and repaired-minus-naive log payoffs, a
+    group of bets per dimension, bit for bit ``brier``'s and ``allocate``'s. Only
+    unique-YES bets are allocated, so only their quotes must be finite."""
+    scores, dlog = np.empty((len(bets), 2)), np.zeros(len(bets))
+    groups: dict[int, list[int]] = {}
+    for i, bet in enumerate(bets):
+        groups.setdefault(len(bet.labels), []).append(i)
+    for rows in groups.values():
+        group = [bets[i] for i in rows]
+        Q = np.array([(b.quote_naive, b.quote_repaired) for b in group])  # (bets, 2, m)
+        scores[rows] = np.mean((Q - np.array([b.labels for b in group], dtype=float)[:, None]) ** 2,
+                               axis=2)
+        unique = [r for r, b in enumerate(group) if b.unique_yes is not None]
+        if unique:
+            yes = np.repeat([group[r].unique_yes for r in unique], 2)
+            w = _allocate_rows(rule, Q[unique].reshape(yes.size, -1))[np.arange(yes.size), yes]
+            dlog[[rows[r] for r in unique]] = [
+                math.log(max(wr, DEFAULT_LOG_FLOOR)) - math.log(max(wn, DEFAULT_LOG_FLOOR))
+                for wn, wr in zip(w[::2].tolist(), w[1::2].tolist())]
+    return scores, dlog
+
+
 def log_payoff_delta(bet: BetRecord, rule: AllocationRule) -> float:
     """Repaired-minus-naive realized log payoff; zero without a unique YES."""
-    if bet.unique_yes is None:
-        return 0.0
-    i = bet.unique_yes
-    w_naive = max(allocate(rule, bet.quote_naive)[i], DEFAULT_LOG_FLOOR)
-    w_rep = max(allocate(rule, bet.quote_repaired)[i], DEFAULT_LOG_FLOOR)
-    return math.log(w_rep) - math.log(w_naive)
+    return float(_scores([bet], rule)[1][0])
 
 
 def _bootstrap_ci(values: np.ndarray, seed: int) -> tuple[float, float]:
@@ -183,10 +206,9 @@ def regret(bets: list[BetRecord], rule: AllocationRule | None = None,
     if not bets:
         raise ValueError("no bets to score")
     rule = rule or AllocationRule()
-    b_naive = np.array([brier(b.quote_naive, b.labels) for b in bets])
-    b_rep = np.array([brier(b.quote_repaired, b.labels) for b in bets])
+    scores, dlog_all = _scores(bets, rule)
+    b_naive, b_rep = scores.T
     delta_brier = b_rep - b_naive
-    dlog_all = np.array([log_payoff_delta(b, rule) for b in bets])
     unique_mask = np.array([b.unique_yes is not None for b in bets])
     summary_dlog: float | None = None
     ci_dlog: tuple[float, float] | None = None
@@ -297,7 +319,7 @@ def gate_sweep(bets: list[BetRecord], rule: AllocationRule | None = None,
     if len(bets) < GATE_MIN_BETS:
         raise ValueError(f"gate calibration needs at least {GATE_MIN_BETS} bets")
     rule = rule or AllocationRule()
-    regrets = np.array([log_payoff_delta(b, rule) for b in bets])
+    regrets = _scores(bets, rule)[1]
     eps = np.array([b.eps_star for b in bets])
     harm_threshold = float(np.quantile(regrets, 0.75))
     harm = regrets > harm_threshold + HARM_TOL

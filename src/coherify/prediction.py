@@ -96,9 +96,25 @@ def predict_magnitude(stats: PanelStats, relation: Relation) -> MagnitudePredict
     return MagnitudePrediction(0.5 * rayleigh, 0.5, a, regime)
 
 
-def _assignments(k: int, m: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``start`` to ``stop`` of all k^m owner assignments in ``itertools.product`` order."""
-    return np.arange(start, stop)[:, None] // k ** np.arange(m - 1, -1, -1) % k
+def _draw_blocks(k: int, m: int, n_draws: int, seed: int):
+    """``(start, index)`` per block of draws, ``index`` holding entry ``owner * m + j``
+    of the flattened panel for each draw of the block and coordinate ``j``.
+
+    An exhaustive block is every assignment of the trailing r owners under
+    one of the rest, r the largest with ``k**r * m <= DRAW_BLOCK_ENTRIES``.
+    """
+    if k**m > EXHAUSTIVE_LIMIT:
+        rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
+        index = rng.integers(0, k, size=(n_draws, m)) * m + np.arange(m)
+        step = max(1, DRAW_BLOCK_ENTRIES // m)
+        yield from ((start, index[start:start + step]) for start in range(0, n_draws, step))
+        return
+    r = max((r for r in range(m + 1) if k**r * m <= DRAW_BLOCK_ENTRIES), default=0)
+    owners = np.indices((1,) * (m - r) + (k,) * r).reshape(m, k**r).T  # leading owners 0
+    table = np.ascontiguousarray(owners) * m + np.arange(m)
+    powers = k ** np.arange(m - 1, -1, -1)
+    for start in range(0, k**m, k**r):  # the owners of draw ``start`` lead the block
+        yield start, table + start // powers % k * m
 
 
 def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_000,
@@ -106,33 +122,29 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     """Per-draw squared residuals under uniform i.i.d. owner selection.
 
     Exhausts all k^m assignments when that is cheaper than sampling;
-    otherwise draws ``n_draws`` assignment vectors from ``seed``. Draws are
-    projected as certificates are (``composition._joint_projection``):
+    otherwise draws ``n_draws`` (>= 1) assignment vectors from ``seed``.
+    Draws are projected as certificates are (``composition._joint_projection``):
     exactly when the joint set is a product of catalog blocks, otherwise
     through the engine's cycle, which raises, as a certificate does, when a
-    draw misses the iteration cap. Draws go ``DRAW_BLOCK_ENTRIES // m``
-    rows at a time, so that each temporary stays small; every row is
-    projected and summed on its own, so the blocks do not change a bit.
+    draw misses the iteration cap. Each block of at most ``DRAW_BLOCK_ENTRIES``
+    entries is one ``take`` from the flattened panel; every row is projected
+    and summed on its own, so the blocks do not change a bit.
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     P = np.stack([np.asarray(q, dtype=float) for q in panel])
     k, m = P.shape
     if m != comp.joint_dim:
         raise ValueError("panel quotes must live on the joint coordinates")
-    sigma = None  # exhaustive: each block's assignments are made as it is projected
-    if k**m > EXHAUSTIVE_LIMIT:
-        rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
-        sigma = rng.integers(0, k, size=(n_draws, m))
-    n = k**m if sigma is None else n_draws
-    out = np.empty(n)
-    step = max(1, DRAW_BLOCK_ENTRIES // m)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        X = P[_assignments(k, m, start, stop) if sigma is None else sigma[start:stop], range(m)]
+    flat = P.ravel()
+    out = np.empty(n_draws if k**m > EXHAUSTIVE_LIMIT else k**m)
+    for start, index in _draw_blocks(k, m, n_draws, seed):
+        X = flat.take(index)
         projected, converged = _joint_projection(comp, X)
         if not converged.all():
             raise _unconverged(comp)
         np.subtract(X, projected, out=X)
-        np.sum(np.square(X, out=X), axis=1, out=out[start:stop])
+        np.sum(np.square(X, out=X), axis=1, out=out[start:start + len(X)])
     return out
 
 

@@ -324,8 +324,8 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
                 clique_index=ci,
                 seed=seed,
                 owners=owners[j],
-                labels=tuple(int(v) for v in labels),
-                quotes={k: tuple(float(x) for x in v) for k, v in quotes.items()},
+                labels=tuple(labels.tolist()),
+                quotes={k: tuple(v.tolist()) for k, v in quotes.items()},
                 eps=eps,
                 certificate=cert,
             )

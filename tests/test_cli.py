@@ -633,6 +633,16 @@ def test_bet_labels_other_than_0_or_1_exit_2_naming_the_line(tmp_path, capsys, c
     assert capsys.readouterr().err == "error: line 31: labels must be 0/1\n"
 
 
+@pytest.mark.parametrize("command", ["regret", "gate"])
+def test_a_bet_with_no_coordinates_exits_2_naming_the_line(tmp_path, capsys, command):
+    lines = _bets(60)
+    lines[41] = json.dumps(dict(json.loads(lines[41]), naive=[], repaired=[], labels=[]))
+    inp = tmp_path / "bets.jsonl"
+    inp.write_text("\n".join(lines) + "\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == "error: line 42: a bet needs at least one coordinate\n"
+
+
 def test_monitor_takes_records_in_line_order_and_ignores_t(tmp_path):
     steps = [{"eps_sq": e, "m": m, "K": k}
              for e, m, k in [(0.0625, 2, 8), (1.5, 2, 8), (1.9, 2, 8), (0.2, 4, 6)]]
@@ -756,6 +766,59 @@ def test_rule_flags_take_exactly_the_library_allocation_rules(capsys):
         with pytest.raises(SystemExit):
             parser.parse_args([command, "bets.jsonl", "--rule", "kelly"])
     assert "invalid choice: 'kelly'" in capsys.readouterr().err
+
+
+PARSE_CASES = [  # (argv, the command the lean path builds alone, or None for the full parser)
+    (["project", "in.jsonl", "--out", "o.jsonl"], "project"),
+    (["certify", "-", "--out", "o.jsonl"], "certify"),
+    (["monitor", "in.jsonl", "--alpha-list", "0.05,0.01", "--out", "o.jsonl"], "monitor"),
+    (["simulate", "s.cfg", "--ecdf-out", "e.csv", "--out", "b.jsonl"], "simulate"),
+    (["regret", "b.jsonl", "--rule", "max-entropy", "--bins", "5", "--out", "r.json"], "regret"),
+    (["gate", "b.jsonl", "--rule", "truncated-kelly", "--capture-targets", "0.8",
+      "--out", "g.json"], "gate"),
+    (["predict", "s.cfg", "--out", "p.jsonl"], "predict"),
+    (["--seed", "3", "--tol", "1e-6", "--manifest-out", "m.json", "regret", "b.jsonl"], "regret"),
+    (["--tol=1e-9", "certify", "in.jsonl"], "certify"),
+    (["--se", "3", "predict", "s.cfg"], "predict"),
+    (["--seed=4", "--m", "m.json", "simulate", "s.cfg"], "simulate"),
+    (["--manifest-out", "regret", "certify", "in.jsonl"], "certify"),
+    (["regret", "b.jsonl", "--seed", "3"], "regret"),  # a global flag after the command
+    (["regret", "-h"], "regret"),
+    (["--seed", "3", "gate", "--help"], "gate"),
+    (["-h"], None),
+    (["-h", "regret", "b.jsonl"], None),
+    (["frobnicate", "in.jsonl"], None),
+    ([], None),
+    (["--seed", "3"], None),
+    (["--unknown", "project", "in.jsonl"], None),
+    (["--", "project", "in.jsonl"], None),
+    (["in.jsonl", "project"], None),
+    (["regret"], "regret"),
+    (["regret", "b.jsonl", "--rule", "kelly"], "regret"),
+    (["gate", "b.jsonl", "--capture-targets", "2"], "gate"),
+    (["--tol", "-1", "certify", "in.jsonl"], "certify"),
+    (["--seed", "x", "gate", "b.jsonl"], "gate"),
+    (["--seed", "-h", "gate", "b.jsonl"], "gate"),
+    (["--seed", "-1", "gate", "b.jsonl"], "gate"),
+    (["--seed", "--tol", "1", "monitor", "in.jsonl"], None),
+    (["project", "in.jsonl", "--bins", "3"], "project"),
+]
+
+
+@pytest.mark.parametrize("argv, command", PARSE_CASES, ids=lambda v: " ".join(v)
+                         if isinstance(v, list) else None)
+def test_the_lean_parser_parses_as_the_full_one(capsys, argv, command):
+    from coherify.cli import _command_of, build_parser
+
+    def parse(parser):
+        try:
+            result = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            result = None, exc.code
+        return result, capsys.readouterr()
+
+    assert _command_of(argv) == command
+    assert parse(build_parser(only=command)) == parse(build_parser())
 
 
 MONITOR_LINE = '{"t": 1, "eps_sq": 0.0625, "m": 2, "K": 8}'

@@ -8,7 +8,10 @@ from coherify.composition import CompositionSpec, free_components, relation_coup
 from coherify.decision import (
     KELLY_CAP,
     AllocationRule,
+    DEFAULT_LOG_FLOOR,
     BetRecord,
+    _allocate_rows,
+    _scores,
     allocate,
     brier,
     diebold_mariano,
@@ -27,7 +30,7 @@ from coherify.polytope import (
     negation,
     partition,
 )
-from coherify.projection import project_relation
+from coherify.projection import project_relation, project_simplex
 
 OVERALLOCATED_QUOTE = (0.39, 0.73, 0.67, 0.71)
 NORMALIZED_QUOTE = (0.015, 0.355, 0.295, 0.335)
@@ -173,6 +176,93 @@ def test_log_payoff_floor_keeps_delta_finite():
     bet = BetRecord("c", 0, (0.0, 1.0), (0.5, 0.5), (1, 0), 0.5)
     delta = log_payoff_delta(bet, AllocationRule("proportional"))
     assert math.isfinite(delta)
+
+
+def test_a_bet_needs_at_least_one_coordinate():
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        BetRecord("c", 0, (), (), (), 0.0)
+
+
+RULES = [AllocationRule(kind) for kind in ("proportional", "truncated-kelly", "max-entropy")]
+
+
+def _allocate_one(rule, q):
+    """Reference: one quote's weights, written out as a single-quote allocation."""
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("quote must be finite")
+    if rule.kind == "proportional":
+        pos = np.maximum(q, 0.0)
+        total = pos.sum()
+        return np.full(q.size, 1.0 / q.size) if total <= 0.0 else pos / total
+    w = project_simplex(q)
+    if rule.kind == "truncated-kelly":
+        w = np.minimum(w, KELLY_CAP)
+        w = w / w.sum()
+    return w
+
+
+def _delta_one(bet, rule):
+    """Reference: one bet's repaired-minus-naive log payoff."""
+    if bet.unique_yes is None:
+        return 0.0
+    i = bet.unique_yes
+    w_naive = max(_allocate_one(rule, bet.quote_naive)[i], DEFAULT_LOG_FLOOR)
+    w_rep = max(_allocate_one(rule, bet.quote_repaired)[i], DEFAULT_LOG_FLOOR)
+    return math.log(w_rep) - math.log(w_naive)
+
+
+def _random_bets(seed, n=300):
+    """Bets of dimension 2-12 in mixed order: zeros, negative entries, all-nonpositive
+    quotes, near-vertex quotes where the Kelly cap binds, and labels with 0, 1 or 2 YES."""
+    rng = np.random.default_rng(seed)
+    bets = []
+    for i in range(n):
+        m = int(rng.integers(2, 13))
+        quotes = rng.uniform(-0.5, 1.5, size=(2, m))
+        quotes[rng.uniform(size=(2, m)) < 0.2] = 0.0
+        if i % 7 == 0:
+            quotes[0] = -np.abs(quotes[0])
+        if i % 5 == 0:
+            quotes[1] = 0.0
+            quotes[1, rng.integers(m)] = 1.0 + rng.uniform(0, 0.01)
+        labels = np.zeros(m, dtype=int)
+        labels[rng.choice(m, size=int(rng.integers(0, 3)), replace=False)] = 1
+        bets.append(BetRecord(f"b{i}", i, tuple(quotes[0]), tuple(quotes[1]),
+                              tuple(labels), 0.0))
+    return bets
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+def test_scoring_equals_the_per_bet_scores_bit_for_bit(rule):
+    bets = _random_bets(17)
+    assert {b.unique_yes is None for b in bets} == {True, False}
+    scores, dlog = _scores(bets, rule)
+    assert scores.tolist() == [[brier(b.quote_naive, b.labels), brier(b.quote_repaired, b.labels)]
+                               for b in bets]
+    assert dlog.tolist() == [_delta_one(b, rule) for b in bets]
+    assert [log_payoff_delta(b, rule) for b in bets] == dlog.tolist()
+    for m in range(2, 13):
+        Q = np.array([b.quote_naive + b.quote_repaired for b in bets
+                      if len(b.labels) == m]).reshape(-1, m)
+        W = _allocate_rows(rule, Q)
+        assert all(np.array_equal(w, _allocate_one(rule, q)) for w, q in zip(W, Q))
+        assert all(np.array_equal(allocate(rule, q), _allocate_one(rule, q)) for q in Q)
+    if rule.kind == "truncated-kelly":  # the cap binds somewhere
+        assert any(project_simplex(b.quote_repaired).max() > KELLY_CAP for b in bets)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scoring_refuses_a_non_finite_quote_only_where_a_bet_is_allocated(rule, bad):
+    yes = BetRecord("y", 0, (0.2, bad, 0.5), (0.3, 0.3, 0.4), (0, 1, 0), 0.0)
+    no_yes = BetRecord("n", 0, (0.2, bad, 0.5), (0.3, bad, 0.4), (1, 1, 0), 0.0)
+    with pytest.raises(ValueError, match="quote must be finite"):
+        _delta_one(yes, rule)
+    for bets in ([yes], [no_yes, yes]):
+        with pytest.raises(ValueError, match="quote must be finite"):
+            _scores(bets, rule)
+    assert _scores([no_yes], rule)[1].tolist() == [_delta_one(no_yes, rule)] == [0.0]
 
 
 def test_expected_brier_identity_under_coherent_truth():

@@ -300,6 +300,63 @@ def test_exact_route_samples_match_joint_dykstra(relation):
         assert np.max(np.abs(samples - _samples_by_joint_dykstra(comp, panel))) <= 1e-8
 
 
+def _samples_by_product(comp, panel):
+    """Reference: every assignment in ``itertools.product`` order, each projected alone."""
+    from coherify.composition import _joint_projection
+
+    P = np.stack(panel)
+    k, m = P.shape
+    out = []
+    for owners in itertools.product(range(k), repeat=m):
+        x = np.array([[P[o, j] for j, o in enumerate(owners)]])
+        out.append(float(np.sum(np.square(x - _joint_projection(comp, x)[0]))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "relation, k, entries",
+    [(partition(4), 3, 5),          # k * m > entries: blocks of one draw (r = 0)
+     (ladder(5), 3, 50),            # r = 2: 27 blocks of 9, 3^5 no multiple of 50 // 5
+     (conjunction(), 4, 8192),      # r = m: one block
+     (paraphrase(3), 5, 40)],       # r = 1: 25 blocks of 5, 5^3 no multiple of 40 // 3
+    ids=["r0", "r2", "one-block", "r1"],
+)
+def test_exhaustive_blocks_equal_the_product_order_bit_for_bit(monkeypatch, relation, k,
+                                                               entries):
+    import coherify.prediction as prediction
+
+    monkeypatch.setattr(prediction, "DRAW_BLOCK_ENTRIES", entries)
+    project = prediction._joint_projection
+    sizes = []
+    monkeypatch.setattr(prediction, "_joint_projection",
+                        lambda comp, X: sizes.append(X.size) or project(comp, X))
+    rng = np.random.default_rng(23)
+    m = relation.m
+    panel = [rng.uniform(-0.1, 1.1, size=m) for _ in range(k)]
+    comp = split_composition(relation)
+    assert observe_magnitude_samples(comp, panel).tolist() == _samples_by_product(comp, panel)
+    assert sum(sizes) == k**m * m and max(sizes) <= entries
+
+
+def test_sampled_draws_take_each_owner_entry():
+    comp = split_composition(partition(9))
+    rng = np.random.default_rng(4)
+    panel = [rng.uniform(size=9) for _ in range(4)]
+    samples = observe_magnitude_samples(comp, panel, n_draws=700, seed=9)
+    rng = np.random.default_rng(np.random.SeedSequence((9, 0x0B5E)))
+    X = np.stack(panel)[rng.integers(0, 4, size=(700, 9)), np.arange(9)]
+    assert samples.tolist() == [float(np.sum(np.square(x - project_relation(partition(9), x)
+                                                        .projected))) for x in X]
+
+
+@pytest.mark.parametrize("n_draws", [0, -1])
+def test_a_draw_count_below_one_is_refused(n_draws):
+    comp = split_composition(partition(9))  # 4^9 assignments: past the exhaustive limit
+    panel = [np.full(9, 0.1 + 0.01 * s) for s in range(4)]
+    with pytest.raises(ValueError, match=f"n_draws must be >= 1, got {n_draws}"):
+        observe_magnitude_samples(comp, panel, n_draws=n_draws)
+
+
 def two_negations():
     """Two negation cliques whose first coordinates must agree: no single relation."""
     return CompositionSpec(

@@ -1,8 +1,9 @@
-"""Byte-exact golden outputs of the study commands (``tests/golden/study``).
+"""Byte-exact golden outputs of the study commands (``tests/golden/study``) and
+of the engine commands (``tests/golden/engine``).
 
 A mismatch reports the largest numeric move per field, so that a change
 that moves these bytes on purpose is measured before the corpus is
-regenerated with ``tests/golden/study/regenerate.py``.
+regenerated with its ``regenerate.py``.
 """
 
 import csv
@@ -11,10 +12,17 @@ import io
 import json
 from pathlib import Path
 
-GOLDEN = Path(__file__).parent / "golden" / "study"
-_spec = importlib.util.spec_from_file_location("golden_study", GOLDEN / "regenerate.py")
-study = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(study)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _corpus(name: str):
+    spec = importlib.util.spec_from_file_location(f"golden_{name}", GOLDEN / name / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+study, engine = _corpus("study"), _corpus("engine")
 
 
 def _fields(name: str, text: str) -> list[tuple[str, object]]:
@@ -64,12 +72,21 @@ def _moves(name: str, want: str, got: str) -> str:
     return f"{name}: largest move per field {moves}"
 
 
-def test_study_commands_write_the_golden_bytes(tmp_path):
-    study.run_study(tmp_path)
+def _compare(corpus: str, outputs, out_dir: Path) -> None:
     problems = []
-    for name in study.OUTPUTS:
-        want = (GOLDEN / name).read_text()
-        got = (tmp_path / name).read_text()
+    for name in outputs:
+        want = (GOLDEN / corpus / name).read_text()
+        got = (out_dir / name).read_text()
         if got != want:
             problems.append(_moves(name, want, got))
     assert not problems, "\n".join(problems)
+
+
+def test_study_commands_write_the_golden_bytes(tmp_path):
+    study.run_study(tmp_path)
+    _compare("study", study.OUTPUTS, tmp_path)
+
+
+def test_engine_commands_write_the_golden_bytes(tmp_path):
+    engine.run_engine(tmp_path)
+    _compare("engine", engine.OUTPUTS, tmp_path)

@@ -1,14 +1,15 @@
 """Command-line surface: project, certify, monitor, simulate, regret, gate, predict.
 
 All record streams are JSONL; CLI input order equals output order. Exit
-codes: 0 success, 1 operational failure (such as a well-formed certify
-record whose joint projection misses the iteration cap), 2 malformed
-input; a record error names its line on stderr. A flag out of its range
-is a usage error (exit 2) before any input is read. Each command returns
-its output text with the manifest fields that depend on it (config text,
-seed, named inputs), and ``main`` writes every output and every run
-manifest: to ``--manifest-out``, or by default to ``<out>.manifest.json``
-whenever ``--out`` is a file. A command that fails writes neither.
+codes: 0 success, 1 operational failure (such as a scenario config
+problem), 2 malformed input, a certify record whose constraint set is
+empty included; a record error names its line (and an empty set the rows
+at fault) on stderr, and a flag out of its range is a usage error before
+any input is read. Each command returns its output text with the
+manifest fields that depend on it (config text, seed, named inputs), and
+``main`` writes every output and every run manifest: to
+``--manifest-out``, or by default to ``<out>.manifest.json`` whenever
+``--out`` is a file. A command that fails writes neither.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -29,6 +29,7 @@ from .composition import (
     ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
+    _check_tol,
     residual_batch,
 )
 from .decision import (
@@ -202,8 +203,6 @@ def cmd_certify(args) -> Run:
         linenos.append(lineno)
     try:
         certs = residual_batch(items, tol=args.tol)
-    except RuntimeError as exc:  # a well-formed record the engine could not certify
-        raise RuntimeError(f"line {linenos[exc.index]}: {exc}") from exc
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"line {linenos[exc.index]}: {exc}") from exc
     if malformed is not None:
@@ -325,10 +324,12 @@ def cmd_predict(args) -> Run:
 
 
 def _tolerance(text: str) -> float:
-    """``--tol``: a finite number >= 0."""
+    """``--tol``: a finite number >= 0, as ``residual`` takes it."""
     value = float(text)
-    if not 0.0 <= value < math.inf:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    try:
+        _check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
 
 

@@ -33,9 +33,8 @@ from .projection import (
     RESIDUAL_FLOOR,
     InfeasibleCouplingError,
     _coupled_halfspaces,
-    _hierarchical_cycle,
     _project_locals,
-    _unconverged,
+    project_active_set,
     project_relation_batch,
 )
 
@@ -176,7 +175,16 @@ _CATALOG_KINDS = {
 }
 
 
-Block = tuple[Relation, tuple[int, ...]]  # a catalog relation and the joint coordinates it holds
+@dataclass(frozen=True)
+class Block:
+    """A block's kind and joint coordinates: ``free`` (the clip), ``catalog``
+    (``relation``'s polytope on ``coords``) or ``generic`` (``spec``, its rows of
+    the joint system on ``coords``, for ``project_active_set``)."""
+
+    kind: str
+    coords: tuple[int, ...]
+    relation: Relation | None = None
+    spec: PolytopeSpec | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,28 +207,24 @@ class ConstraintSystem:
     joint: PolytopeSpec
 
     @cached_property
-    def blocks(self) -> tuple[Block, ...] | None:
-        """``(relation, coords)`` per catalog block, or None when a block is generic.
-
-        Decided once per system (``_blocks``); see there for the kinds.
-        """
-        return _blocks(self.dim, self.constrained, self.cuts)
+    def blocks(self) -> tuple[Block, ...]:
+        """Every block of the system with its kind, decided once per system (``_blocks``)."""
+        return _blocks(self)
 
 
-def _blocks(dim: int, constrained: tuple, cuts: tuple) -> tuple[Block, ...] | None:
-    """The route of a constraint system: its catalog blocks, or None for the whole cycle.
+def _blocks(system: ConstraintSystem) -> tuple[Block, ...]:
+    """The blocks of a constraint system, in order of their first cut or component.
 
     Two joint coordinates are linked when a constrained component or a cut
     holds both; each linked set is a block, and the joint set is the
-    product of the blocks' sets. A coordinate that nothing holds is free:
-    the box, which the clip projects onto. A block is catalog when its cuts,
-    in order, are ``relation_coupling(relation, coords)`` and each of its
-    constrained components is that relation's polytope on ``coords``, or
-    when it is one component of a catalog relation and no cut; the block's
-    set is then the relation's polytope on ``coords``. Any other block is
-    generic, and the system then runs the cycle as a whole.
+    product of the blocks' sets. A block is catalog when its cuts, in order,
+    are ``relation_coupling(relation, coords)`` and each of its components
+    is that relation's polytope on ``coords``, or when it is one catalog
+    component and no cut. Any other block is generic: its rows of ``joint``
+    on its coordinates, ascending. The coordinates nothing holds come last,
+    as the free block.
     """
-    root = list(range(dim))
+    root = list(range(system.dim))
 
     def find(j: int) -> int:
         while root[j] != j:
@@ -228,31 +232,40 @@ def _blocks(dim: int, constrained: tuple, cuts: tuple) -> tuple[Block, ...] | No
             j = root[j]
         return j
 
-    for coords in [c.coords for c in cuts] + [component.coords for _, component in constrained]:
+    components = [c for _, c in system.constrained]
+    for coords in [c.coords for c in system.cuts] + [c.coords for c in components]:
         first = find(coords[0])
         for j in coords[1:]:
             root[find(j)] = first
-    block_cuts: dict[int, list] = {}
-    block_parts: dict[int, list] = {}
-    for c in cuts:
-        block_cuts.setdefault(find(c.coords[0]), []).append(c)
-    for _, component in constrained:
-        block_parts.setdefault(find(component.coords[0]), []).append(component)
+    held: dict[int, tuple[list, list]] = {}  # per block: its cuts and its components
+    for c in system.cuts:
+        held.setdefault(find(c.coords[0]), ([], []))[0].append(c)
+    for c in components:
+        held.setdefault(find(c.coords[0]), ([], []))[1].append(c)
     blocks = []
-    for key in dict.fromkeys([*block_cuts, *block_parts]):
-        block = _catalog_block(tuple(block_cuts.get(key, ())), block_parts.get(key, []))
-        if block is None:
-            return None
-        blocks.append(block)
-    return tuple(blocks)
+    for key, (cuts, parts) in held.items():
+        coords = tuple(j for j in range(system.dim) if find(j) == key)
+        blocks.append(_catalog_block(tuple(cuts), parts)
+                      or Block("generic", coords, spec=_restricted(system.joint, coords)))
+    free = tuple(j for j in range(system.dim) if find(j) not in held)
+    return tuple(blocks) + ((Block("free", free),) if free else ())
+
+
+def _restricted(joint: PolytopeSpec, coords: tuple[int, ...]) -> PolytopeSpec:
+    """The rows of ``joint`` whose support lies in ``coords``, on those coordinates."""
+    def rows(constraints):
+        return tuple(LinearConstraint(tuple(c.a[j] for j in coords), c.b, c.name)
+                     for c in constraints if set(coords).issuperset(np.flatnonzero(c.a)))
+
+    return PolytopeSpec(len(coords), rows(joint.equalities), rows(joint.halfspaces))
 
 
 def _catalog_block(cuts: tuple, components: list) -> Block | None:
-    """``(relation, coords)`` when one block's cuts and components are one catalog polytope."""
+    """The catalog block that one block's cuts and components are, if they are one."""
     if not cuts:  # owners are disjoint, so a block without cuts is one component
         [component] = components
         relation = component.polytope.relation
-        return None if relation is None else (relation, component.coords)
+        return None if relation is None else Block("catalog", component.coords, relation)
     coords = cuts[-1].coords  # every catalog coupling ends with a cut over all its coordinates
     if len(set(coords)) != len(coords):
         return None
@@ -263,7 +276,7 @@ def _catalog_block(cuts: tuple, components: list) -> Block | None:
             continue
         if _relation_coupling(relation, coords) == cuts and all(
                 c.polytope.relation == relation and c.coords == coords for c in components):
-            return relation, coords
+            return Block("catalog", coords, relation)
     return None
 
 
@@ -346,13 +359,6 @@ class CompositionSpec:
         """``(index, component)`` for every component that is not a free box."""
         return tuple((a, c) for a, c in enumerate(self.components)
                      if c.polytope.equalities or c.polytope.halfspaces)
-
-    @property
-    def single_relation(self) -> Block | None:
-        """``(relation, coords)`` when the joint set is one catalog polytope on ``coords``
-        times the box elsewhere: the system's one catalog block (``blocks``). None otherwise."""
-        blocks = self.system.blocks
-        return blocks[0] if blocks is not None and len(blocks) == 1 else None
 
     @cached_property
     def product_vertices(self) -> np.ndarray:
@@ -543,25 +549,22 @@ def _composed(comp: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: fl
     return X, coherent.tolist()
 
 
-def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``X`` projected onto the joint set of ``comp``, and whether each converged.
-
-    The route is the system's ``blocks``. With catalog and free blocks only
-    it is exact: the clip, then one ``project_relation_batch`` call per
-    catalog block on its coordinates. With a generic block, the cycle over
-    the whole system.
-    """
+def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> np.ndarray:
+    """Rows of ``X`` projected onto the joint set of ``comp``, block by block
+    (``system.blocks``): the clip, then one ``project_relation_batch`` call per catalog
+    block and ``project_active_set`` per generic block, on the block's coordinates."""
     blocks = comp.system.blocks
-    if blocks is None:
-        projected, _, converged = _hierarchical_cycle(comp, X)
-        return projected, converged
-    converged = np.ones(len(X), dtype=bool)
-    if len(blocks) == 1 and blocks[0][1] == tuple(range(comp.joint_dim)):
-        return project_relation_batch(blocks[0][0], X), converged  # no clip or scatter
+    if len(blocks) == 1 and blocks[0].relation is not None \
+            and blocks[0].coords == tuple(range(comp.joint_dim)):
+        return project_relation_batch(blocks[0].relation, X)  # no clip or scatter
     projected = X.clip(0.0, 1.0)
-    for relation, coords in blocks:
-        projected[:, coords] = project_relation_batch(relation, X[:, coords])
-    return projected, converged
+    for block in blocks:
+        coords = block.coords
+        if block.relation is not None:
+            projected[:, coords] = project_relation_batch(block.relation, X[:, coords])
+        elif block.spec is not None:
+            projected[:, coords] = project_active_set(block.spec, X[:, coords], coords)
+    return projected
 
 
 def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
@@ -609,19 +612,18 @@ def residual_batch(items, repair_locals: bool = True,
     constrained components (index, coordinates and polytope) and the
     coupling cuts, built once per process by ``constraint_system``. So
     free-box compositions that split the coordinates among owners
-    differently share one projection (``_joint_projection``: exact block
-    by block when no block is generic, else the cycle), run in order of
-    each system's first item. Certificates come back in input order, each
-    bit for bit the item's own ``residual``. The first read of any
-    certificate's ``binding`` names the binding constraints of every
-    certificate of its engine run at once.
+    differently share one projection (``_joint_projection``, exact block
+    by block), run in order of each system's first item. Certificates
+    come back in input order, each bit for bit the item's own
+    ``residual``. The first read of any certificate's ``binding`` names
+    the binding constraints of every certificate of its engine run at once.
 
-    An item fails when it is malformed (``aggregate``, its coupling cuts),
-    when its row misses the cycle's iteration cap (``_unconverged``), or,
-    as its system's earliest item, when a local set misses its own cap
-    (``project_local``). The earliest failing item's exception is raised,
-    with its position in ``items`` as its ``index`` attribute. A ``tol``
-    that is not a finite number >= 0 is refused before any item is read.
+    An item fails when it is malformed (``aggregate``, its coupling cuts)
+    or, as its system's earliest item, when a local or the joint set of its
+    system is empty (``InfeasibleCouplingError``). The earliest failing
+    item's exception is raised, with its position in ``items`` as its
+    ``index`` attribute. A ``tol`` that is not a finite number >= 0 is
+    refused before any item is read.
     """
     _check_tol(tol)
     items = list(items)
@@ -684,18 +686,13 @@ def _certify_rows(blocks: list, n: int, repair_locals: bool = True,
             X = np.concatenate([X for _, _, X in run])
         try:
             X, coherent = _composed(comp, X, repair_locals, tol)
-            projected, converged = _joint_projection(comp, X)
-        except InfeasibleCouplingError as exc:  # from a local set's own cycle
+            projected = _joint_projection(comp, X)
+        except InfeasibleCouplingError as exc:  # an empty set fails the system's first row
             failures[first] = exc
             break  # every later system's items come after this one's first
         binding = _RunBinding(comp.joint_polytope, X, tol)
-        converged = converged.tolist()
-        error = None if all(converged) else _unconverged(comp)
         for row, i in enumerate(indices):
-            if converged[row]:
-                certs[i] = _certificate(comp, X[row], projected[row], coherent[row], binding, row)
-            else:
-                failures[i] = error
+            certs[i] = _certificate(comp, X[row], projected[row], coherent[row], binding, row)
     if failures:
         first = min(failures)
         failures[first].index = first

@@ -18,7 +18,7 @@ import numpy as np
 
 from .composition import CompositionSpec, _joint_projection
 from .polytope import Relation, RelationKind
-from .projection import _coupled_halfspaces, _unconverged
+from .projection import _coupled_halfspaces
 
 EXHAUSTIVE_LIMIT = 65_536
 # entries per block of projected draws: 64 KiB of float64 per temporary, under glibc's
@@ -123,12 +123,12 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
 
     Exhausts all k^m assignments when that is cheaper than sampling;
     otherwise draws ``n_draws`` (>= 1) assignment vectors from ``seed``.
-    Draws are projected as certificates are (``composition._joint_projection``):
-    exactly when the joint set is a product of catalog blocks, otherwise
-    through the engine's cycle, which raises, as a certificate does, when a
-    draw misses the iteration cap. Each block of at most ``DRAW_BLOCK_ENTRIES``
-    entries is one ``take`` from the flattened panel; every row is projected
-    and summed on its own, so the blocks do not change a bit.
+    Draws are projected exactly, as certificates are
+    (``composition._joint_projection``), which raises
+    ``InfeasibleCouplingError`` when the joint set is empty. Each block of
+    at most ``DRAW_BLOCK_ENTRIES`` entries is one ``take`` from the
+    flattened panel; every row is projected and summed on its own, so the
+    blocks do not change a bit.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -140,9 +140,7 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     out = np.empty(n_draws if k**m > EXHAUSTIVE_LIMIT else k**m)
     for start, index in _draw_blocks(k, m, n_draws, seed):
         X = flat.take(index)
-        projected, converged = _joint_projection(comp, X)
-        if not converged.all():
-            raise _unconverged(comp)
+        projected = _joint_projection(comp, X)
         np.subtract(X, projected, out=X)
         np.sum(np.square(X, out=X), axis=1, out=out[start:start + len(X)])
     return out

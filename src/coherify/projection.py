@@ -4,19 +4,15 @@ One route per question: for a catalog relation, ``project_relation_batch``
 projects many quotes exactly at once -- closed forms for a single affine
 cut or a chain (negation, partition, ladder), the clipped mean for
 paraphrase, and the nearest of the 15 face projections of a tetrahedron
-for the two Frechet relations (conjunction, disjunction).
-``project_relation`` answers one quote through the same batched route on
-one row. ``project_oracle``, a min-norm-point search over vertex hulls,
-is the independent ground truth that tests hold every route to. A
-composition whose joint set is a product of catalog polytopes and the box
-takes the exact route too, block by block. Any other system goes through
-one batched Boyle-Dykstra engine, the only route with an iteration cap to
-miss: one exact local set, then the rows of one constraint system in
-order, each quote stopping as its own one-row call would.
-
-Plain alternating projection is not a substitute for Dykstra here: it
-finds *a* feasible point, not the nearest one. The correction vectors are
-what make the cycle converge to the exact L2 projection.
+for the two Frechet relations (conjunction, disjunction);
+``project_relation`` is that route on one quote. Any other set (a generic
+block of a joint system, or a local set that is neither a catalog relation
+nor a free box) goes row by row through one exact solver,
+``project_active_set``, which ends at the projection or at a Farkas proof
+that the set is empty: no certificate path has an iteration cap.
+``project_oracle``, a min-norm-point search over vertex hulls, is the
+ground truth that tests hold every route to, and ``project_dykstra`` the
+Boyle-Dykstra reference cycle (``project_polytope_batch`` row by row).
 """
 
 from __future__ import annotations
@@ -43,6 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
 RESIDUAL_FLOOR = 1e-9  # certificate-level report threshold, not a projection tolerance
+# active-set solver: a row violated past this distance is added; a shorter step is none
+ACTIVE_SET_TOL = 1e-12
 ORACLE_VERTEX_LIMIT = 4096
 # entries per temporary of the face route and of the isotonic row path; the
 # row path takes fewer than ``COLUMN_ROWS`` rows, so it splits them only for m > 32
@@ -55,7 +53,16 @@ CLOSED_FORM_KINDS = frozenset(
 
 
 class InfeasibleCouplingError(ValueError):
-    """The joint constraint system has empty intersection."""
+    """A constraint set (box included) is empty.
+
+    ``multipliers`` maps each row at fault to its Farkas multiplier ``y``, box
+    rows read as ``-r_i <= 0`` and ``r_i <= 1``: ``y`` is positive on halfspace
+    and box rows, ``sum(y * a) = 0`` and ``sum(y * b) < 0``, which no point meets.
+    """
+
+    def __init__(self, message: str, multipliers: dict[str, float] | None = None):
+        super().__init__(message)
+        self.multipliers = multipliers or {}
 
 
 @dataclass(frozen=True, eq=False)  # holds an array: compares and hashes by identity
@@ -273,7 +280,7 @@ def project_relation_batch(relation: Relation, X) -> np.ndarray:
     nonnegative-weight projection onto one of the 15 faces, all faces of
     all rows at once. Each row's result does not depend on the other rows
     (nor on the memory layout of ``X``, which is made C-contiguous). Rows
-    are not checked for finiteness: this runs inside every engine cycle,
+    are not checked for finiteness: this runs in every joint projection,
     on rows that ``aggregate`` or a public route has already checked.
     """
     X = np.ascontiguousarray(X, dtype=float)
@@ -311,94 +318,125 @@ def _clip(y: np.ndarray) -> np.ndarray:
     return y.clip(0.0, 1.0)
 
 
-def _cyclic(X: np.ndarray, local, spec: PolytopeSpec, tol: float, max_iter: int):
-    """Batched Boyle-Dykstra cycle over one local set and the linear rows of ``spec``.
+def _cyclic(q: np.ndarray, spec: PolytopeSpec, tol: float, max_iter: int):
+    """Boyle-Dykstra cycle of one quote over the box and the linear rows of ``spec``.
 
-    Each cycle projects onto the local set with ``local`` (an exact
-    row-wise projector that returns a new ``(n, d)`` array), then onto the
-    hyperplane or halfspace of each row ``a`` of ``spec.A`` in order
-    (equalities first); the spec's box is left to ``local``. The local set
-    carries a correction array; each row carries its multiplier ``t``, its
-    correction being ``t * a``, so a row costs one dot and one axpy. A
-    quote stops once its largest correction change over a full cycle drops
-    below ``tol``; the other quotes go on without it. No quote's arithmetic
-    depends on the others: the row dots go through ``einsum``, where a BLAS
-    ``X @ a`` sums a row differently with the batch around it. So each
-    quote comes out bit for bit as its own one-row call.
-
-    Returns, per quote: the iterate, the cycle count and whether it
-    converged. A quote still cycling after ``max_iter`` cycles comes out as
-    its last iterate with ``converged`` False; what that means (the cap
-    was too low, or the intersection is empty) is left to the caller.
+    Each cycle clips to the box, then projects onto the hyperplane or
+    halfspace of each row ``a`` of ``spec.A`` in order, the box carrying a
+    correction vector and each row a multiplier ``t`` (correction
+    ``t * a``), until the largest correction change over a cycle is below
+    ``tol``. Returns the iterate, the cycle count and whether it converged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.ascontiguousarray(X)  # a strided row would be summed by another kernel
-    n = len(x)
-    A = spec.A
-    cuts = list(zip(A, spec.b.tolist(), np.einsum("ij,ij->i", A, A).tolist(),
-                    np.abs(A).max(axis=1, initial=0.0).tolist(),
+    cuts = list(zip(spec.A, spec.b.tolist(), np.einsum("ij,ij->i", spec.A, spec.A).tolist(),
+                    np.abs(spec.A).max(axis=1, initial=0.0).tolist(),
                     [False] * len(spec.equalities) + [True] * len(spec.halfspaces)))
-    out = np.empty_like(x)
-    iterations = np.full(n, max_iter)
-    converged = np.zeros(n, dtype=bool)
-    live = np.arange(n)  # quotes still cycling, as indices into X
-    P, T = 0.0, [0.0] * len(cuts)  # corrections and multipliers: 0.0 adds as zeros would
+    x, P, T = q, 0.0, [0.0] * len(cuts)  # 0.0 adds as zeros would
     for it in range(1, max_iter + 1):
-        if not live.size:
-            break
         y = x + P
-        x = local(y)
+        x = _clip(y)
         P_new = y - x
-        delta = np.maximum.reduce(np.abs(P_new - P), axis=1)
+        delta = float(np.max(np.abs(P_new - P), initial=0.0))
         P = P_new
         for i, (a, b, aa, a_max, halfspace) in enumerate(cuts):
-            t = np.einsum("ij,j->i", x, a)
-            if b:
-                t -= b
-            t = t / aa + T[i]
+            t = (float(a @ x) - b) / aa + T[i]
             if halfspace:
-                np.maximum(t, 0.0, out=t)
+                t = max(t, 0.0)
             step = T[i] - t
             T[i] = t
-            x += step[:, None] * a
-            change = np.abs(step, out=step)  # of the correction t * a: |step| * max|a|
-            if a_max != 1.0:
-                change *= a_max
-            np.maximum(delta, change, out=delta)
-        done = delta < tol
-        if np.count_nonzero(done):
-            rows = live[done]
-            out[rows] = x[done]
-            iterations[rows] = it
-            converged[rows] = True
-            keep = ~done
-            live, x, P, T = live[keep], x[keep], P[keep], [t[keep] for t in T]
-    out[live] = x
-    return out, iterations, converged
+            x += step * a
+            delta = max(delta, abs(step) * a_max)
+        if delta < tol:
+            return x, it, True
+    return x, max_iter, False
 
 
 def project_dykstra(spec: PolytopeSpec, q, tol: float = DYKSTRA_TOL,
                     max_iter: int = DYKSTRA_MAX_ITER) -> ProjectionResult:
     """Boyle-Dykstra cyclic projection onto an equality/halfspace system.
 
-    One quote through the shared cycle, with the box as a single clip set.
+    The reference cycle on one quote, with the box as a single clip set.
     Non-convergence is reported through ``converged=False``, never silently.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (spec.dim,):
         raise ValueError(f"quote has shape {q.shape}, polytope needs ({spec.dim},)")
     _check_finite(q)
-    x, iterations, converged = _cyclic(q[None, :], _clip, spec, tol, max_iter)
-    [(residual, active)] = _reported(spec, q[None, :], x)
-    return ProjectionResult(x[0], residual, int(iterations[0]), bool(converged[0]), active)
+    x, iterations, converged = _cyclic(q, spec, tol, max_iter)
+    [(residual, active)] = _reported(spec, q[None, :], x[None, :])
+    return ProjectionResult(x, residual, iterations, converged, active)
 
 
 def project_polytope_batch(spec: PolytopeSpec, X: np.ndarray) -> np.ndarray:
-    """Dykstra on many quotes at once; each row equals its own ``project_dykstra`` projection."""
+    """Dykstra on many quotes; each row is its own ``project_dykstra`` projection."""
     X = np.asarray(X, dtype=float)
     _check_finite(X)
-    return _cyclic(X, _clip, spec, DYKSTRA_TOL, DYKSTRA_MAX_ITER)[0]
+    rows = [_cyclic(q, spec, DYKSTRA_TOL, DYKSTRA_MAX_ITER)[0] for q in X]
+    return np.array(rows).reshape(X.shape)
+
+
+def _active_set(A: np.ndarray, b: np.ndarray, n_eq: int, names: tuple, x: np.ndarray):
+    """The projection of ``x`` onto ``{z : A[:n_eq] z = b[:n_eq], A[n_eq:] z <= b[n_eq:]}``.
+
+    The dual active-set method of Goldfarb & Idnani (Math. Prog. 27, 1983),
+    identity Hessian: from ``z = x``, add the row most violated (an equality
+    oriented toward ``z``), dropping each active inequality whose multiplier
+    reaches zero first. Active rows stay independent and equalities stay, so
+    it ends: at the projection, solved once more from its active rows, or at
+    a row no inequality makes room for, whose multipliers prove the set
+    empty (``InfeasibleCouplingError``).
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    z, active, signs, u = x.copy(), [], [], np.zeros(0)
+    while True:
+        s = A @ z - b
+        excess = np.concatenate((np.abs(s[:n_eq]), s[n_eq:])) / norms
+        excess[active] = -np.inf
+        p = int(np.argmax(excess))
+        if not excess[p] > ACTIVE_SET_TOL:
+            N = A[active]
+            return x - N.T @ np.linalg.solve(N @ N.T, N @ x - b[active])
+        sign, u_p = np.sign(s[p]), 0.0
+        n = sign * A[p]
+        while True:
+            N = A[active] * np.array(signs)[:, None]
+            r = np.linalg.lstsq(N.T, n, rcond=None)[0]
+            d = n - N.T @ r
+            dd = float(d @ d)
+            full = sign * (A[p] @ z - b[p]) / dd if dd > (ACTIVE_SET_TOL * norms[p]) ** 2 \
+                else np.inf
+            partial, drop = min(((max(u[i], 0.0) / r[i], i) for i, k in enumerate(active)
+                                 if k >= n_eq and r[i] > ACTIVE_SET_TOL), default=(np.inf, -1))
+            if full == partial == np.inf:  # n = sum(r * N): y = (1, -r) over (p, active)
+                y = {names[k]: float(o * v) for k, o, v in sorted(zip(
+                    [p, *active], [sign, *signs], [1.0, *-r]))
+                     if v > ACTIVE_SET_TOL or (k < n_eq and v < -ACTIVE_SET_TOL)}
+                raise InfeasibleCouplingError(
+                    f"empty constraint set: no point meets {', '.join(y)}", y)
+            t = min(full, partial)
+            z, u, u_p = z - t * d, u - t * r, u_p + t
+            if full <= partial:
+                active, signs, u = active + [p], signs + [sign], np.append(u, u_p)
+                break
+            del active[drop], signs[drop]
+            u = np.delete(u, drop)
+
+
+def project_active_set(spec: PolytopeSpec, X: np.ndarray, coords=None) -> np.ndarray:
+    """Each row of ``X`` projected exactly onto ``spec``'s set (box included) by
+    ``_active_set``; an empty set raises ``InfeasibleCouplingError``. The box rows,
+    ``-r_i <= 0`` then ``r_i <= 1`` per coordinate, are named by the joint coordinates
+    ``coords`` (``range(spec.dim)`` by default). Rows are not checked for finiteness."""
+    d = spec.dim
+    A = np.concatenate((spec.A, np.kron(np.eye(d), [[-1.0], [1.0]])))
+    b = np.concatenate((spec.b, np.tile([0.0, 1.0], d)))
+    names = tuple(c.name for c in spec.equalities + spec.halfspaces) + tuple(
+        f"box:r{j + 1}{side}" for j in (range(d) if coords is None else coords)
+        for side in (">=0", "<=1"))
+    rows = np.ascontiguousarray(X)  # a strided row would be summed by another kernel
+    return np.array([_active_set(A, b, len(spec.equalities), names, x)
+                     for x in rows]).reshape(X.shape)
 
 
 def _min_norm_point(P: np.ndarray) -> tuple[np.ndarray, int]:
@@ -496,10 +534,9 @@ def project_relation(relation: Relation, q) -> ProjectionResult:
 def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
     """Exact local repair of one quote, or of each row of an ``(n, dim)`` array.
 
-    Clip for free boxes, a relation's own route, else the cycle at a tight
-    ``tol``, raising ``InfeasibleCouplingError`` past its cap (the set may
-    be empty). Unchecked for finiteness, like ``project_relation_batch``:
-    it runs inside every engine cycle.
+    Clip for free boxes, a relation's own route, else ``project_active_set``
+    (``InfeasibleCouplingError`` when the local set is empty). Unchecked for
+    finiteness, like ``project_relation_batch``.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != polytope.dim:
@@ -507,63 +544,30 @@ def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
     if not polytope.equalities and not polytope.halfspaces:
         return _clip(v)
     X = np.atleast_2d(v)
-    if polytope.relation is not None:
-        out = project_relation_batch(polytope.relation, X)
-    else:  # no closed route: tight generic Dykstra (approximate at tol)
-        out, _, converged = _cyclic(X, _clip, polytope, 1e-12, DYKSTRA_MAX_ITER)
-        if not converged.all():
-            raise InfeasibleCouplingError("local projection did not converge; "
-                                          "local set may be empty")
+    out = project_active_set(polytope, X) if polytope.relation is None \
+        else project_relation_batch(polytope.relation, X)
     return out if v.ndim == 2 else out[0]
 
 
 def _project_locals(system: "ConstraintSystem", Y: np.ndarray) -> np.ndarray:
-    """Each row of ``Y`` onto the product of the lifted local polytopes of ``system``.
-
-    The box clip, then each constrained component's own route on its
-    coordinates; row by row this is ``project_local`` on every component.
-    """
+    """Each row of ``Y`` onto the product of the lifted local polytopes of ``system``:
+    the box clip, then ``project_local`` on each constrained component's coordinates."""
     x = _clip(Y)
     for (_, component), columns in zip(system.constrained, system.columns):
         x[:, columns] = project_local(component.polytope, Y[:, columns])
     return x
 
 
-def _hierarchical_cycle(comp: "CompositionSpec", X: np.ndarray, tol: float = DYKSTRA_TOL,
-                        max_iter: int = DYKSTRA_MAX_ITER):
-    """``_cyclic`` over the product of the local polytopes and the coupling cuts of ``comp``."""
-    system = comp.system
-    local = (lambda Y: _project_locals(system, Y)) if system.constrained else _clip
-    return _cyclic(X, local, system.coupling, tol, max_iter)
+def project_hierarchical(comp: "CompositionSpec", q) -> ProjectionResult:
+    """Project one quote onto the joint coherent set of ``comp``: the certificates'
+    route (``composition._joint_projection``) on one row, reported as
+    ``project_relation`` reports (one iteration, converged)."""
+    from .composition import _joint_projection
 
-
-def _unconverged(comp: "CompositionSpec") -> Exception:
-    """The error for a joint projection of ``comp`` that did not converge.
-
-    The one place that reads ``has_feasible_point``: with a feasible point
-    known the iteration cap was too low; without one the coupling may be
-    empty, which is all that was checked.
-    """
-    if comp.has_feasible_point() is True:
-        return RuntimeError("joint projection did not converge within the iteration cap")
-    return InfeasibleCouplingError("joint projection did not converge; coupling may be empty")
-
-
-def project_hierarchical(comp: "CompositionSpec", q, tol: float = DYKSTRA_TOL,
-                         max_iter: int = DYKSTRA_MAX_ITER) -> ProjectionResult:
-    """Project one quote onto the joint coherent set of ``comp``.
-
-    One row of the cycle, which ``residual_batch`` skips when every block
-    of the system is free or catalog. A quote still cycling after
-    ``max_iter`` cycles raises ``_unconverged(comp)``, as a certificate
-    does.
-    """
     q = np.asarray(q, dtype=float)
     if q.shape != (comp.joint_dim,):
         raise ValueError(f"quote has shape {q.shape}, composition needs ({comp.joint_dim},)")
     _check_finite(q)
-    x, iterations, converged = _hierarchical_cycle(comp, q[None, :], tol, max_iter)
-    if not converged[0]:
-        raise _unconverged(comp)
+    x = _joint_projection(comp, q[None, :])
     [(residual, active)] = _reported(comp.joint_polytope, q[None, :], x)
-    return ProjectionResult(x[0], residual, int(iterations[0]), True, active)
+    return ProjectionResult(x[0], residual, 1, True, active)

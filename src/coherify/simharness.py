@@ -287,10 +287,9 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
     of each cell gathered by owner (``aggregate``'s assembly). The core of
     ``residual_batch`` then certifies the raw rows (A), the locally repaired
     ones (B), and re-projects the joint repairs of both (C, D), one engine
-    run per constraint system each; C and D raise, as every certificate
-    does, when a re-projection misses the iteration cap. Values equal the
-    cell-by-cell ones bit for bit. A failure raised is that of the earliest
-    failing cell among all A, then B, then C and D.
+    run per constraint system each. Values equal the cell-by-cell ones bit
+    for bit. A failure raised is that of the earliest failing cell among
+    all A, then B, then C and D.
     """
     cells = []
     for ci, clique in enumerate(cliques):

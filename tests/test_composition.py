@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coherify.composition import (
     Certificate,
-    _hierarchical_cycle,
+    Block,
     ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
@@ -43,6 +43,7 @@ from coherify.polytope import (
     partition,
 )
 from coherify.projection import (
+    project_active_set,
     COLUMN_ROWS,
     RESIDUAL_FLOOR,
     InfeasibleCouplingError,
@@ -696,19 +697,20 @@ SUM_TWO = (CouplingConstraint("partition-sum", (0, 1, 2, 3), 2.0),)
 
 
 def test_residual_batch_runs_one_cycle_per_constraint_system(monkeypatch):
+    # one engine run (``_joint_projection``) per constraint system
     import coherify.composition as composition
 
     runs = []
-    cycle = composition._hierarchical_cycle
-    monkeypatch.setattr(composition, "_hierarchical_cycle",
-                        lambda comp, X: runs.append(len(X)) or cycle(comp, X))
+    project = composition._joint_projection
+    monkeypatch.setattr(composition, "_joint_projection",
+                        lambda comp, X: runs.append(len(X)) or project(comp, X))
     rng = np.random.default_rng(2)
     splits = [[0, 1, 0, 1], [0, 0, 1, 2], [2, 1, 0, 0], [0, 1, 2, 3], [3, 3, 3, 3]]
     comps = [owned_by(owners, SUM_TWO, build_polytope(ladder(4))) for owners in splits]
-    assert all(comp.single_relation is None for comp in comps)
+    assert all(single_relation(comp) is None for comp in comps)
     items = [(comp, [rng.uniform(size=len(c.coords)) for c in comp.components]) for comp in comps]
     residual_batch(items)
-    assert runs == [4, 1]  # free-box splits share one cycle; the sole owner has its own
+    assert runs == [4, 1]  # free-box splits share one run; the sole owner has its own
 
 
 def test_residual_batch_raises_the_earliest_failure_with_its_index():
@@ -752,52 +754,25 @@ def test_residual_batch_raises_the_earliest_failure_with_its_index():
     assert residual_batch([]) == []
 
 
-def test_residual_batch_failure_in_a_later_group_can_come_first(monkeypatch):
-    import coherify.composition as composition
-
-    cycle = composition._hierarchical_cycle
-
-    def capped(comp, X):  # the partition group's last row misses the iteration cap
-        projected, iterations, converged = cycle(comp, X)
-        if len(X) == 2:
-            converged[-1] = False
-        return projected, iterations, converged
-
-    monkeypatch.setattr(composition, "_hierarchical_cycle", capped)
+def test_residual_batch_failure_in_a_later_group_can_come_first():
     good = (owned_by([0, 1, 2, 3], SUM_TWO), [[0.39], [0.73], [0.67], [0.71]])
     empty = (CompositionSpec(free_components([1, 1]),
                              (CouplingConstraint("partition-sum", (0, 1), 3.0),), 2),
              [[0.5], [0.5]])
-    with pytest.raises(RuntimeError, match="iteration cap") as exc:
-        residual_batch([good, good])  # the capped group fails on its own, at item 1
-    assert exc.value.index == 1
     with pytest.raises(InfeasibleCouplingError) as exc:
         residual_batch([good, empty, good])  # groups: items 0 and 2, then item 1
     assert exc.value.index == 1
 
 
-def test_unconverged_row_without_a_feasible_point_raises_one_error_everywhere(monkeypatch):
-    import coherify.composition as composition
-
-    # nonempty, but no 0/1 point meets the cut; one cycle stops no row and
-    # is too short for the corrections to grow
-    comp = CompositionSpec(free_components([1, 1]),
-                           (CouplingConstraint("partition-sum", (0, 1), 0.5),), 2)
-    assert comp.has_feasible_point() is None
-    assert project_hierarchical(comp, [0.5, 0.5]).converged
-    with pytest.raises(InfeasibleCouplingError) as library:
-        project_hierarchical(comp, [0.5, 0.5], max_iter=1)
-    cycle = composition._hierarchical_cycle
-    monkeypatch.setattr(composition, "_hierarchical_cycle",
-                        lambda comp, X: cycle(comp, X, max_iter=1))
-    with pytest.raises(InfeasibleCouplingError) as one:
-        residual(comp, [[0.5], [0.5]])
-    with pytest.raises(InfeasibleCouplingError) as batch:
-        residual_batch([(comp, [[0.5], [0.5]])])
-    assert str(library.value) == str(one.value) == str(batch.value)
-
-
 # --- the exact route for one catalog polytope ------------------------------------------
+
+
+def single_relation(comp):
+    """``(relation, coords)`` when the one block of ``comp`` that is not free is catalog."""
+    held = [block for block in comp.system.blocks if block.kind != "free"]
+    if len(held) == 1 and held[0].kind == "catalog":
+        return held[0].relation, held[0].coords
+    return None
 
 
 def catalog_layouts(relation):
@@ -815,7 +790,7 @@ def catalog_layouts(relation):
                                   ComponentSpec(PolytopeSpec(dim=len(rest)), rest)), cuts, m + 2))
     comps.append(CompositionSpec(free_components([1] * (m + 2)), cuts, m + 2))
     for comp in comps:
-        assert comp.single_relation[0] == relation
+        assert single_relation(comp)[0] == relation
     return comps
 
 
@@ -825,7 +800,7 @@ def test_catalog_certificates_are_project_relation_bit_for_bit(relation, repair_
     rng = np.random.default_rng(31)
     items = []
     for comp in catalog_layouts(relation):
-        _, coords = comp.single_relation
+        _, coords = single_relation(comp)
         for _ in range(12):
             locals_ = [rng.uniform(-0.3, 1.3, size=len(c.coords)) for c in comp.components]
             items.append((comp, locals_))
@@ -850,25 +825,25 @@ def test_catalog_certificates_are_project_relation_bit_for_bit(relation, repair_
         assert_same_certificate(got, residual(comp, locals_, repair_locals=repair_locals))
 
 
-class CycleReached(Exception):
+class SolverReached(Exception):
     pass
 
 
-def test_only_non_catalog_systems_reach_the_cycle(monkeypatch):
+def test_only_generic_blocks_reach_the_solver(monkeypatch):
     import coherify.composition as composition
 
-    def unreachable(comp, X, *args, **kwargs):
-        raise CycleReached(comp)
+    def unreachable(spec, X, *args):
+        raise SolverReached(spec)
 
-    monkeypatch.setattr(composition, "_hierarchical_cycle", unreachable)
+    monkeypatch.setattr(composition, "project_active_set", unreachable)
     items = [item for item in batch_items(np.random.default_rng(4))
-             if item[0].single_relation is not None]
+             if single_relation(item[0]) is not None]
     assert len(items) >= 60
     for repair_locals in (True, False):
         residual_batch(items, repair_locals=repair_locals)
     for comp in (owned_by([0, 1, 2, 3], SUM_TWO), owned_by([0, 0, 0, 0], SUM_TWO),
                  CompositionSpec(free_components([2, 2]), MIXED_CUTS, 4)):
-        with pytest.raises(CycleReached):
+        with pytest.raises(SolverReached):
             residual(comp, [np.full(len(c.coords), 0.5) for c in comp.components])
 
 
@@ -882,18 +857,18 @@ def test_joint_projection_equals_clip_and_scatter_bit_for_bit(relation):
     reversed_coords = tuple(range(m - 1, -1, -1))
     comps = catalog_layouts(relation) + [
         CompositionSpec(free_components([1] * m), relation_coupling(relation, reversed_coords), m)]
-    layouts = [comp.single_relation[1] for comp in comps]
+    layouts = [single_relation(comp)[1] for comp in comps]
     assert tuple(range(m)) in layouts and reversed_coords in layouts
     rng = np.random.default_rng(23)
     for comp in comps:
-        _, coords = comp.single_relation
+        _, coords = single_relation(comp)
         for n in (3, COLUMN_ROWS + 5):  # both isotonic kernels for ladders
             X = rng.uniform(-0.3, 1.3, size=(n, comp.joint_dim))
             general = X.clip(0.0, 1.0)
             general[:, coords] = project_relation_batch(relation, X[:, coords])
-            projected, converged = _joint_projection(comp, X)
+            projected = _joint_projection(comp, X)
             assert projected.tobytes() == general.tobytes()
-            assert converged.all() and not np.shares_memory(projected, X)
+            assert not np.shares_memory(projected, X)
 
 
 # --- single-relation recognition ---------------------------------------------------
@@ -903,19 +878,19 @@ def test_joint_projection_equals_clip_and_scatter_bit_for_bit(relation):
 def test_single_relation_recognizes_split_and_owner_layouts(relation):
     m = relation.m
     split = CompositionSpec(free_components([1] * m), relation_coupling(relation, range(m)), m)
-    assert split.single_relation == (relation, tuple(range(m)))
+    assert single_relation(split) == (relation, tuple(range(m)))
     clique = Clique(id="c", relation=relation)
     sole_owner = composition_for(clique, np.zeros(m, dtype=int)).comp
-    assert sole_owner.single_relation == (relation, tuple(range(m)))
+    assert single_relation(sole_owner) == (relation, tuple(range(m)))
     mixed = composition_for(clique, np.arange(m) % 2).comp
-    assert mixed.single_relation == (relation, tuple(range(m)))
+    assert single_relation(mixed) == (relation, tuple(range(m)))
 
 
 def test_single_relation_keeps_permuted_ladder_coords():
     coords = (2, 0, 3, 1)
     comp = CompositionSpec(free_components([1] * 4), relation_coupling(ladder(4), coords), 4)
-    assert comp.single_relation == (ladder(4), coords)
-    assert comp.single_relation is comp.single_relation  # cached
+    assert single_relation(comp) == (ladder(4), coords)
+    assert comp.system.blocks is comp.system.blocks  # cached
 
 
 def test_single_relation_none_for_other_joint_sets():
@@ -940,11 +915,11 @@ def test_single_relation_none_for_other_joint_sets():
     uncoupled = CompositionSpec(free3, (), 3)
     for comp in (infeasible, two_relations, foreign_component, component_on_other_coords,
                  repeated, uncoupled):
-        assert comp.single_relation is None
+        assert single_relation(comp) is None
 
 
 def _single_relation_by_search(comp):
-    """``single_relation`` by trying every relation kind in turn: the reference."""
+    """``single_relation(comp)`` by trying every relation kind in turn: the reference."""
     cuts = comp.coupling.constraints
     if not cuts:
         return None
@@ -983,8 +958,8 @@ def test_single_relation_takes_its_candidate_from_the_last_cut():
     ]
     # catalog_layouts: sole-owner, split and mixed owners, and scattered coordinates
     for comp in [comp for relation in catalog for comp in catalog_layouts(relation)] + others:
-        assert comp.single_relation == _single_relation_by_search(comp)
-    assert all(comp.single_relation is None for comp in others)
+        assert single_relation(comp) == _single_relation_by_search(comp)
+    assert all(single_relation(comp) is None for comp in others)
 
 
 def test_single_relation_allows_relation_on_a_subset_of_coords():
@@ -994,7 +969,7 @@ def test_single_relation_allows_relation_on_a_subset_of_coords():
         relation_coupling(negation(), (1, 2)),
         3,
     )
-    assert comp.single_relation == (negation(), (1, 2))
+    assert single_relation(comp) == (negation(), (1, 2))
 
 
 # --- the exact route per block ------------------------------------------------------
@@ -1025,10 +1000,15 @@ def multi_block_systems():
     ]
 
 
+def catalog_blocks(comp) -> list:
+    """``(relation, coords)`` for each catalog block of ``comp``."""
+    return [(b.relation, b.coords) for b in comp.system.blocks if b.kind == "catalog"]
+
+
 def block_vertices(comp) -> np.ndarray:
     """Vertices of the product of the blocks' relation polytopes and the box elsewhere."""
     factors, covered = [], set()
-    for relation, coords in comp.system.blocks:
+    for relation, coords in catalog_blocks(comp):
         factors.append([dict(zip(coords, v)) for v in _vertex_array(relation)])
         covered.update(coords)
     factors += [[{j: 0.0}, {j: 1.0}] for j in range(comp.joint_dim) if j not in covered]
@@ -1041,24 +1021,45 @@ def block_vertices(comp) -> np.ndarray:
     return np.array(vertices)
 
 
-def test_blocks_split_a_system_into_catalog_polytopes():
-    systems = multi_block_systems()
-    assert [len(comp.system.blocks) for comp in systems] == [2, 2, 2, 1, 2]
-    assert systems[0].system.blocks == ((partition(3), (0, 1, 2)), (ladder(3), (3, 4, 5)))
-    assert systems[2].system.blocks == ((negation(), (5, 3)), (conjunction(), (4, 0, 2)))
-    assert systems[3].single_relation == (ladder(4), (3, 1, 0, 2))  # one block, no cut
-    assert all(comp.single_relation is None for comp in systems if len(comp.system.blocks) > 1)
-    assert CompositionSpec(free_components([2, 1]), (), 3).system.blocks == ()  # all free
-    generic = [
+def generic_systems():
+    """Systems with a generic block: a sum of 2 beside a partition, a capped component
+    beside a negation, and a cut that ties a partition component to a free coordinate."""
+    return [
         owned_by([0, 1, 0, 1, 2, 2], relation_coupling(partition(3), (0, 1, 2))
                  + (CouplingConstraint("partition-sum", (3, 4, 5), 2.0),)),
         CompositionSpec((ComponentSpec(CAPPED, (0, 1)), ComponentSpec(PolytopeSpec(dim=2), (2, 3))),
                         relation_coupling(negation(), (2, 3)), 4),
         CompositionSpec((ComponentSpec(build_polytope(partition(3)), (0, 1, 2)),
                          ComponentSpec(PolytopeSpec(dim=1), (3,))),
-                        relation_coupling(ladder(2), (2, 3)), 4),  # the cut ties two blocks
+                        relation_coupling(ladder(2), (2, 3)), 4),
     ]
-    assert all(comp.system.blocks is None for comp in generic)
+
+
+def test_blocks_split_a_system_into_catalog_polytopes():
+    systems = multi_block_systems()
+    assert [[b.kind for b in comp.system.blocks] for comp in systems] == [
+        ["catalog", "catalog"], ["catalog", "catalog"], ["catalog", "catalog", "free"],
+        ["catalog", "free"], ["catalog", "catalog", "free"]]
+    assert systems[0].system.blocks == (Block("catalog", (0, 1, 2), partition(3)),
+                                        Block("catalog", (3, 4, 5), ladder(3)))
+    assert systems[2].system.blocks == (Block("catalog", (5, 3), negation()),
+                                        Block("catalog", (4, 0, 2), conjunction()),
+                                        Block("free", (1,)))
+    assert single_relation(systems[3]) == (ladder(4), (3, 1, 0, 2))  # one block, no cut
+    assert all(single_relation(comp) is None for comp in systems if len(catalog_blocks(comp)) > 1)
+    assert CompositionSpec(free_components([2, 1]), (), 3).system.blocks == (
+        Block("free", (0, 1, 2)),)
+    sum_two, capped, tied = (comp.system.blocks for comp in generic_systems())
+    assert [(b.kind, b.coords) for b in sum_two] == [("catalog", (0, 1, 2)),
+                                                     ("generic", (3, 4, 5))]
+    assert sum_two[1].spec == PolytopeSpec(
+        dim=3, equalities=(LinearConstraint((1.0, 1.0, 1.0), 2.0, "c1:partition-sum:sum"),))
+    assert [(b.kind, b.coords) for b in capped] == [("catalog", (2, 3)), ("generic", (0, 1))]
+    assert capped[1].spec == PolytopeSpec(
+        dim=2, halfspaces=(LinearConstraint((1.0, 1.0), 1.5, "m0:cap"),))
+    assert [(b.kind, b.coords) for b in tied] == [("generic", (0, 1, 2, 3))]  # the cut ties two
+    assert [c.name for c in tied[0].spec.equalities + tied[0].spec.halfspaces] == [
+        "m0:partition:sum=1", "c0:ladder-chain:step0"]
 
 
 @pytest.mark.parametrize("repair_locals", [True, False])
@@ -1076,7 +1077,7 @@ def test_multi_block_systems_are_projected_exactly(repair_locals):
             assert np.max(np.abs(cert.repaired - cycled.projected)) <= 1e-12
             oracle = project_oracle(vertices, cert.composed).projected
             assert np.max(np.abs(cert.repaired - oracle)) <= 1e-12
-            for relation, coords in comp.system.blocks:  # each block is its own projection
+            for relation, coords in catalog_blocks(comp):  # each block is its own projection
                 assert (cert.repaired[list(coords)].tobytes()
                         == project_relation_batch(relation, cert.composed[None, list(coords)])
                         .tobytes())
@@ -1084,16 +1085,27 @@ def test_multi_block_systems_are_projected_exactly(repair_locals):
         assert_same_certificate(got, residual(comp, locals_, repair_locals=repair_locals))
 
 
-def test_a_generic_block_keeps_the_whole_system_cycle():
-    comp = owned_by([0, 1, 0, 1, 2, 2], relation_coupling(partition(3), (0, 1, 2))
-                    + (CouplingConstraint("partition-sum", (3, 4, 5), 2.0),))
-    assert comp.system.blocks is None
+@pytest.mark.parametrize("repair_locals", [True, False])
+def test_each_block_beside_a_generic_block_is_its_own_projection(repair_locals):
     rng = np.random.default_rng(41)
-    for _ in range(10):
-        locals_ = [rng.uniform(-0.3, 1.3, size=2) for _ in range(3)]
-        cert = residual(comp, locals_)
-        cycled, _, converged = _hierarchical_cycle(comp, cert.composed[None, :])
-        assert converged[0] and cert.repaired.tobytes() == cycled[0].tobytes()
+    items = []
+    for comp in generic_systems():
+        for _ in range(10):
+            locals_ = [rng.uniform(-0.3, 1.3, size=len(c.coords)) for c in comp.components]
+            items.append((comp, locals_))
+            cert = residual(comp, locals_, repair_locals=repair_locals)
+            cycled = project_dykstra(comp.joint_polytope, cert.composed, tol=1e-15)
+            assert cycled.converged
+            assert np.max(np.abs(cert.repaired - cycled.projected)) <= 1e-12
+            for block in comp.system.blocks:
+                coords = list(block.coords)
+                if block.kind == "catalog":  # bit for bit, as without the generic block
+                    own = project_relation_batch(block.relation, cert.composed[None, coords])
+                else:
+                    own = project_active_set(block.spec, cert.composed[None, coords], block.coords)
+                assert cert.repaired[coords].tobytes() == own.tobytes()
+    for (comp, locals_), got in zip(items, residual_batch(items, repair_locals=repair_locals)):
+        assert_same_certificate(got, residual(comp, locals_, repair_locals=repair_locals))
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -295,7 +295,7 @@ def test_exact_route_samples_match_joint_dykstra(relation):
     )
     for comp in (split_composition(relation), reversed_split,
                  composition_for(Clique(id="c", relation=relation), np.zeros(m, dtype=int)).comp):
-        assert comp.single_relation is not None
+        assert [block.kind for block in comp.system.blocks] == ["catalog"]
         samples = observe_magnitude_samples(comp, panel)
         assert np.max(np.abs(samples - _samples_by_joint_dykstra(comp, panel))) <= 1e-8
 
@@ -369,7 +369,7 @@ def two_negations():
 
 def test_fallback_samples_match_joint_dykstra():
     comp = two_negations()
-    assert comp.single_relation is None
+    assert "generic" in [block.kind for block in comp.system.blocks]
     rng = np.random.default_rng(5)
     panel = [rng.uniform(size=4) for _ in range(3)]
     samples = observe_magnitude_samples(comp, panel)
@@ -384,18 +384,18 @@ def test_fallback_raises_on_an_empty_coupling():
          CouplingConstraint("frechet-halfspace", (0, 1), 0.3, a=(1.0, 1.0))),
         2,
     )
-    assert comp.single_relation is None
+    assert "generic" in [block.kind for block in comp.system.blocks]
     with pytest.raises(InfeasibleCouplingError):
         observe_magnitude_samples(comp, [np.array([0.2, 0.9]), np.array([0.6, 0.1])])
 
 
-def test_only_non_catalog_draws_reach_the_cycle(monkeypatch):
+def test_only_non_catalog_draws_reach_the_solver(monkeypatch):
     import coherify.composition as composition
 
-    def unreachable(comp, X, *args, **kwargs):
-        raise AssertionError("the cycle ran")
+    def unreachable(spec, X, *args):
+        raise AssertionError("the solver ran")
 
-    monkeypatch.setattr(composition, "_hierarchical_cycle", unreachable)
+    monkeypatch.setattr(composition, "project_active_set", unreachable)
     rng = np.random.default_rng(8)
     for relation in (negation(), conjunction(), partition(4), ladder(4), paraphrase(4)):
         m = relation.m
@@ -403,23 +403,5 @@ def test_only_non_catalog_draws_reach_the_cycle(monkeypatch):
         for comp in (split_composition(relation), composition_for(
                 Clique(id="c", relation=relation), np.zeros(m, dtype=int)).comp):
             assert observe_magnitude_samples(comp, panel).shape == (3**m,)
-    with pytest.raises(AssertionError, match="the cycle ran"):
+    with pytest.raises(AssertionError, match="the solver ran"):
         observe_magnitude_samples(two_negations(), [rng.uniform(size=4) for _ in range(3)])
-
-
-def test_fallback_raises_when_a_draw_does_not_converge(monkeypatch):
-    import coherify.composition as composition
-
-    cycle = composition._hierarchical_cycle
-
-    def one_row_stuck(comp, X):
-        x, iterations, converged = cycle(comp, X)
-        assert converged.all()
-        converged[len(X) // 2] = False
-        return x, iterations, converged
-
-    monkeypatch.setattr(composition, "_hierarchical_cycle", one_row_stuck)
-    rng = np.random.default_rng(5)
-    panel = [rng.uniform(size=4) for _ in range(3)]
-    with pytest.raises(RuntimeError, match="iteration cap"):
-        observe_magnitude_samples(two_negations(), panel)

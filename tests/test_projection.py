@@ -15,6 +15,7 @@ from coherify.composition import (
     residual_batch,
 )
 from coherify.polytope import (
+    Clique,
     LinearConstraint,
     PolytopeSpec,
     RelationKind,
@@ -31,9 +32,8 @@ from coherify.polytope import (
 from coherify import projection
 from coherify.projection import (
     InfeasibleCouplingError,
-    _hierarchical_cycle,
     _simplex_faces,
-    _unconverged,
+    project_active_set,
     project_closed_form,
     project_dykstra,
     project_hierarchical,
@@ -44,6 +44,7 @@ from coherify.projection import (
     project_relation_batch,
     project_simplex,
 )
+from coherify.simharness import composition_for
 
 ALL_RELATIONS = [
     negation(),
@@ -281,7 +282,7 @@ def test_hierarchical_equals_direct_joint_projection(relation):
     rng = np.random.default_rng(13)
     for _ in range(25):
         q = rng.uniform(size=m)
-        hier = project_hierarchical(comp, q, tol=1e-10)
+        hier = project_hierarchical(comp, q)
         direct = project_dykstra(joint, q, tol=1e-10)
         exact = project_relation(relation, q)
         assert np.max(np.abs(hier.projected - direct.projected)) <= 10 * 1e-10 + 1e-8
@@ -349,7 +350,7 @@ def test_hierarchical_soak_on_random_mixed_compositions():
         ]
         for _ in range(5):
             q = rng.uniform(size=dim)
-            hier = project_hierarchical(comp, q, tol=1e-11)
+            hier = project_hierarchical(comp, q)
             direct = project_dykstra(joint, q, tol=1e-11)
             assert hier.converged and direct.converged
             assert np.max(np.abs(hier.projected - direct.projected)) <= 1e-7
@@ -368,12 +369,12 @@ def test_hierarchical_detects_empty_intersection():
     )
     comp = CompositionSpec(free_components([1, 1]), coupling, 2)
     with pytest.raises(InfeasibleCouplingError):
-        project_hierarchical(comp, np.array([0.5, 0.5]), max_iter=2000)
+        project_hierarchical(comp, np.array([0.5, 0.5]))
 
 
 def test_an_empty_generic_local_set_raises_within_a_second():
-    # no point of the box meets x1 + x2 = 3, so the local cycle misses its cap:
-    # that must raise at once, not hand the outer cycle a point off the box
+    # no point of the box meets x1 + x2 = 3: that must raise at once, not hand the
+    # joint projection a point off the box
     empty = PolytopeSpec(dim=2, equalities=(LinearConstraint((1.0, 1.0), 3.0, "x1+x2=3"),))
     with pytest.raises(InfeasibleCouplingError):
         project_local(empty, np.array([0.2, 0.3]))
@@ -392,58 +393,22 @@ def paraphrase_split() -> CompositionSpec:
     return CompositionSpec(free_components([2, 3, 3]), relation_coupling(paraphrase(8), range(8)), 8)
 
 
-def test_hierarchical_batch_rows_stop_on_their_own_bit_for_bit():
+def test_polytope_batch_rows_stop_on_their_own_bit_for_bit():
     comp = paraphrase_split()
+    spec = comp.joint_polytope
     rng = np.random.default_rng(3)
     X = np.vstack([np.full(8, 0.4), rng.uniform(size=(3, 8))])  # a member, then far rows
-    cycles = [project_hierarchical(comp, q).iterations for q in X]
-    assert cycles[0] == 1 and min(cycles[1:]) >= 100
-    max_iter = max(cycles) - 1  # the slowest row no longer converges
-    x, iterations, converged = _hierarchical_cycle(comp, X, max_iter=max_iter)
-    assert converged.tolist().count(False) == 1
-    for q, p, k, c in zip(X, x, iterations.tolist(), converged.tolist()):
-        one, one_k, one_c = _hierarchical_cycle(comp, q[None, :], max_iter=max_iter)
-        assert (one[0].tobytes(), int(one_k[0]), bool(one_c[0])) == (p.tobytes(), k, c)
-        if c:
-            got = project_hierarchical(comp, q, max_iter=max_iter)
-            assert (got.projected.tobytes(), got.iterations) == (p.tobytes(), k)
-        else:
-            with pytest.raises(RuntimeError):
-                project_hierarchical(comp, q, max_iter=max_iter)
+    ones = [project_dykstra(spec, q) for q in X]
+    assert ones[0].iterations == 1 and min(one.iterations for one in ones[1:]) >= 100
+    batch = project_polytope_batch(spec, X)
+    for p, one in zip(batch, ones):
+        assert one.converged and p.tobytes() == one.projected.tobytes()
     signed = np.array([-0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
     cert = residual_batch([(comp, [signed[:2], signed[2:5], signed[5:]])])[0]
     assert np.signbit(cert.composed[0])  # the -0.0 entry survives the local repair ...
     assert not np.signbit(cert.repaired).any()  # ... but not the joint projection
     # nor the cycle, whose first y = x + P adds 0.0 to it
-    assert not np.signbit(_hierarchical_cycle(comp, signed[None, :])[0]).any()
-
-
-def test_hierarchical_batch_rows_that_stop_together_equal_their_one_row_calls_bit_for_bit():
-    rng = np.random.default_rng(5)
-    box_split = CompositionSpec(free_components([2, 3]), relation_coupling(partition(5), range(5)))
-    sole_owner = CompositionSpec((ComponentSpec(build_polytope(ladder(3)), (0, 1, 2)),
-                                  ComponentSpec(build_polytope(negation()), (3, 4))),
-                                 relation_coupling(ladder(3), range(3)), 5)
-    for comp, X in [(box_split, 0.2 + rng.uniform(-0.05, 0.05, size=(6, 5))),  # clip locally
-                    (sole_owner, rng.uniform(-0.2, 1.2, size=(6, 5)))]:  # components' own routes
-        x, iterations, converged = _hierarchical_cycle(comp, X)
-        assert set(iterations.tolist()) == {2} and converged.all()  # every row in one cycle
-        for q, p in zip(X, x):
-            one, one_k, one_c = _hierarchical_cycle(comp, q[None, :])
-            assert (one[0].tobytes(), int(one_k[0]), bool(one_c[0])) == (p.tobytes(), 2, True)
-
-
-def test_hierarchical_raises_past_the_cap_when_a_feasible_point_is_known():
-    comp = paraphrase_split()
-    X = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.4] * 8])
-    _, _, converged = _hierarchical_cycle(comp, X, max_iter=4)
-    assert comp.has_feasible_point() is True
-    assert converged.tolist() == [False, True]
-    with pytest.raises(RuntimeError) as exc:
-        project_hierarchical(comp, X[0], max_iter=4)
-    expected = _unconverged(comp)
-    assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
-    assert project_hierarchical(comp, X[1], max_iter=4).converged
+    assert not np.signbit(project_polytope_batch(spec, signed[None, :])).any()
 
 
 def test_hierarchical_batch_raises_on_empty_intersection():
@@ -457,7 +422,7 @@ def test_hierarchical_batch_raises_on_empty_intersection():
         residual_batch([(comp, q[:, None]) for q in X])
     for q in X:
         with pytest.raises(InfeasibleCouplingError):
-            project_hierarchical(comp, q, max_iter=2000)
+            project_hierarchical(comp, q)
 
 
 def test_hierarchical_rejects_wrong_shapes():
@@ -468,16 +433,158 @@ def test_hierarchical_rejects_wrong_shapes():
 
 
 def test_empty_batches_run_no_cycle(monkeypatch):
-    comp = paraphrase_split()
+    spec = paraphrase_split().joint_polytope
     cycles = []
-    clip = projection._clip  # every cycle's local projector starts with it
-    monkeypatch.setattr(projection, "_clip", lambda Y: cycles.append(len(Y)) or clip(Y))
-    x, iterations, converged = _hierarchical_cycle(comp, np.empty((0, 8)))
-    assert x.shape == (0, 8) and iterations.shape == converged.shape == (0,)
-    assert project_polytope_batch(comp.joint_polytope, np.empty((0, 8))).shape == (0, 8)
+    clip = projection._clip  # every cycle starts with it
+    monkeypatch.setattr(projection, "_clip", lambda y: cycles.append(y.shape) or clip(y))
+    assert project_polytope_batch(spec, np.empty((0, 8))).shape == (0, 8)
+    assert project_active_set(spec, np.empty((0, 8))).shape == (0, 8)
     assert cycles == []
-    assert _hierarchical_cycle(comp, np.full((1, 8), 0.4))[0].shape == (1, 8)
-    assert cycles == [1]  # the counter sees the cycles there are
+    assert project_polytope_batch(spec, np.full((1, 8), 0.4)).shape == (1, 8)
+    assert cycles == [(8,)]  # the counter sees the cycles there are: one, of one quote
+
+
+# --- active-set solver ---------------------------------------------------------
+
+
+CUT_KINDS = ("equality", "negation-sum", "ladder-chain", "partition-sum", "frechet-halfspace")
+
+
+def random_system(rng) -> CompositionSpec:
+    """Negation, partition, ladder, capped and free components on 2-8 coordinates, tied
+    by 1-3 random cuts: sums to any level, equalities, chains and halfspaces."""
+    capped = PolytopeSpec(dim=2, halfspaces=(LinearConstraint((1.0, 1.0), 1.2, "cap"),))
+    dim = int(rng.integers(2, 9))
+    components, start = [], 0
+    while start < dim:
+        choice = int(rng.integers(0, 5))
+        width = min(dim - start, 2 if choice in (0, 3) else int(rng.integers(1, 4)))
+        local = PolytopeSpec(dim=width)
+        if width == 2 and choice == 0:
+            local = build_polytope(negation())
+        elif width == 2 and choice == 3:
+            local = capped
+        elif width >= 2 and choice in (1, 2):
+            local = build_polytope((partition, ladder)[choice - 1](width))
+        components.append(ComponentSpec(local, tuple(range(start, start + width))))
+        start += width
+    cuts = []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = CUT_KINDS[int(rng.integers(0, len(CUT_KINDS)))]
+        size = 2 if kind == "negation-sum" else int(rng.integers(2, min(dim, 4) + 1))
+        coords = tuple(int(j) for j in rng.choice(dim, size=size, replace=False))
+        if kind == "partition-sum":
+            cuts.append(CouplingConstraint(kind, coords, float(rng.uniform(0.3, 2.5))))
+        elif kind == "frechet-halfspace":
+            cuts.append(CouplingConstraint(kind, coords, float(rng.uniform(-0.5, 1.5)),
+                                           a=tuple(rng.uniform(-2.0, 2.0, size=size).round(2))))
+        else:
+            cuts.append(CouplingConstraint(kind, coords, 1.0 if kind == "negation-sum" else 0.0))
+    return CompositionSpec(tuple(components), tuple(cuts), dim)
+
+
+@pytest.mark.parametrize("relation", ALL_RELATIONS, ids=lambda r: r.kind.value)
+def test_active_set_matches_the_oracle_on_random_catalog_layouts(relation):
+    # the joint rows of split and sole-owner layouts, redundant rows included
+    rng = np.random.default_rng([61, relation.m])
+    vertices = enumerate_vertices(relation)
+    for _ in range(6):
+        comp = composition_for(Clique(id="c", relation=relation),
+                               rng.integers(0, 3, size=relation.m)).comp
+        X = rng.uniform(-0.3, 1.3, size=(8, relation.m))
+        for q, z in zip(X, project_active_set(comp.joint_polytope, X)):
+            assert np.max(np.abs(z - project_oracle(vertices, q).projected)) <= 1e-12
+
+
+def test_active_set_matches_a_tight_cycle_on_random_generic_blocks():
+    rng = np.random.default_rng(62)
+    checked = 0
+    for _ in range(80):
+        comp = random_system(rng)
+        for block in comp.system.blocks:
+            if block.kind != "generic":
+                continue
+            X = rng.uniform(-0.3, 1.3, size=(3, len(block.coords)))
+            try:
+                solved = project_active_set(block.spec, X, block.coords)
+            except InfeasibleCouplingError as exc:
+                assert_proves_empty(exc, comp.joint_polytope)
+                continue
+            for q, z in zip(X, solved):
+                cycled = project_dykstra(block.spec, q, tol=1e-15)
+                assert cycled.converged
+                assert np.max(np.abs(z - cycled.projected)) <= 1e-12
+                checked += 1
+    assert checked >= 100
+
+
+def named_rows(spec: PolytopeSpec) -> dict:
+    """``name -> (a, b, is_halfspace)`` for each row of ``spec`` and of its box, the box
+    rows read as ``-r_i <= 0`` and ``r_i <= 1``."""
+    rows = {c.name: (np.array(c.a), c.b, False) for c in spec.equalities}
+    rows.update({c.name: (np.array(c.a), c.b, True) for c in spec.halfspaces})
+    for i, e in enumerate(np.eye(spec.dim)):
+        rows[f"box:r{i + 1}>=0"] = (-e, 0.0, True)
+        rows[f"box:r{i + 1}<=1"] = (e, 1.0, True)
+    return rows
+
+
+def assert_proves_empty(exc: InfeasibleCouplingError, spec: PolytopeSpec) -> None:
+    """The multipliers on ``exc``, checked against the rows of ``spec`` they name: no
+    point meets ``y . (a r) <= y . b`` when ``sum(y a)`` vanishes and ``y . b < 0``."""
+    rows = named_rows(spec)
+    names = list(exc.multipliers)
+    assert names and str(exc) == f"empty constraint set: no point meets {', '.join(names)}"
+    y = np.array([exc.multipliers[name] for name in names])
+    A = np.array([rows[name][0] for name in names])
+    b = np.array([rows[name][1] for name in names])
+    halfspace = np.array([rows[name][2] for name in names])
+    assert (y[halfspace] > 0).all()
+    assert np.max(np.abs(y @ A)) <= 1e-12
+    assert y @ b < 0
+
+
+INFEASIBLE_CUTS = [  # each over free boxes of one coordinate
+    (("partition-sum", (0, 1), 3.0),),
+    (("negation-sum", (0, 1), 2.5),),
+    (("partition-sum", (0, 1, 2), 4.0),),
+    (("partition-sum", (0, 1, 2), 1.0), ("partition-sum", (0, 1, 2), 2.0)),
+    (("partition-sum", (0, 1, 2, 3), 1.0), ("partition-sum", (0, 1, 2, 3), 2.5)),
+    (("partition-sum", (0, 1, 2, 3), 5.0),),
+    (("partition-sum", (0, 1), 1.0), ("equality", (0, 1), 0.0), ("ladder-chain", (2, 0), 0.0),
+     ("partition-sum", (1, 2), 1.9)),
+]
+
+
+@pytest.mark.parametrize("cuts", INFEASIBLE_CUTS, ids=range(len(INFEASIBLE_CUTS)))
+def test_every_farkas_vector_proves_its_set_empty(cuts):
+    dim = 1 + max(j for _, coords, _ in cuts for j in coords)
+    comp = CompositionSpec(free_components([1] * dim),
+                           tuple(CouplingConstraint(kind, coords, b) for kind, coords, b in cuts),
+                           dim)
+    rng = np.random.default_rng(63)
+    for q in rng.uniform(-0.3, 1.3, size=(5, dim)):
+        with pytest.raises(InfeasibleCouplingError) as exc:
+            project_hierarchical(comp, q)
+        assert_proves_empty(exc.value, comp.joint_polytope)
+    empty = PolytopeSpec(dim=2, equalities=(LinearConstraint((1.0, 1.0), 3.0, "x1+x2=3"),))
+    with pytest.raises(InfeasibleCouplingError) as exc:
+        project_local(empty, np.array([0.2, 0.3]))
+    assert_proves_empty(exc.value, empty)
+
+
+def test_random_empty_systems_carry_checked_farkas_vectors():
+    rng = np.random.default_rng(64)
+    rejected = 0
+    for _ in range(150):
+        comp = random_system(rng)
+        q = rng.uniform(-0.3, 1.3, size=comp.joint_dim)
+        try:
+            project_hierarchical(comp, q)
+        except InfeasibleCouplingError as exc:
+            assert_proves_empty(exc, comp.joint_polytope)
+            rejected += 1
+    assert rejected >= 10
 
 
 # --- chain certificates ------------------------------------------------------
@@ -497,8 +604,8 @@ CHAINS = [make(m) for make in (paraphrase, ladder) for m in range(3, 13)]
 
 @pytest.mark.parametrize("relation", CHAINS, ids=lambda r: f"{r.kind.value}{r.m}")
 def test_chain_certificates_match_the_exact_route(relation):
-    # certificates, and the cycle on the same locally repaired quotes, stay
-    # within 1e-9 of the exact projection
+    # certificates, and the active-set solver on the same locally repaired quotes,
+    # stay within 1e-9 of the exact projection
     rng = np.random.default_rng([17, relation.m])
     X = rng.uniform(-0.1, 1.1, size=(256, relation.m))
     for comp in _chain_compositions(relation):
@@ -508,8 +615,8 @@ def test_chain_certificates_match_the_exact_route(relation):
         assert np.abs(np.array([c.repaired for c in certs]) - exact).max() <= 1e-9
         assert max(abs(c.epsilon_star - float(np.linalg.norm(q - p)))
                    for c, q, p in zip(certs, composed, exact)) <= 1e-9
-        cycled, _, converged = _hierarchical_cycle(comp, composed)
-        assert converged.all() and np.abs(cycled - exact).max() <= 1e-9
+        solved = project_active_set(comp.joint_polytope, composed[:32])
+        assert np.abs(solved - exact[:32]).max() <= 1e-12
 
 
 # --- projection laws ---------------------------------------------------------
@@ -668,4 +775,4 @@ def test_public_routes_refuse_non_finite_quotes_before_any_arithmetic(route, bad
     start = time.perf_counter()
     with pytest.raises(ValueError, match="^quotes have non-finite entries$"):
         project(q)
-    assert time.perf_counter() - start < 0.010  # no cycle ran to the iteration cap
+    assert time.perf_counter() - start < 0.010  # refused before any route ran

@@ -354,12 +354,8 @@ def test_run_ensemble_repairs_panels_in_one_call_per_relation(monkeypatch):
                      (paraphrase(3), 5 * 3)]
 
 
-class CycleReached(Exception):
-    pass
-
-
-def never_cycle(comp, X, *args, **kwargs):
-    raise CycleReached(comp)
+def never_solve(spec, X, *args):
+    raise AssertionError("the active-set solver ran")
 
 
 def test_run_ensemble_runs_three_cycles_per_constraint_system(monkeypatch):
@@ -374,8 +370,8 @@ def test_run_ensemble_runs_three_cycles_per_constraint_system(monkeypatch):
         return project(comp, X)
 
     monkeypatch.setattr(composition, "_joint_projection", counted)
-    # every cell is one catalog polytope, projected exactly: none runs the cycle
-    monkeypatch.setattr(composition, "_hierarchical_cycle", never_cycle)
+    # every cell is one catalog polytope, projected by its own route: none reaches the solver
+    monkeypatch.setattr(composition, "project_active_set", never_solve)
     model = PanelModel(k=3, sigma=0.1, K=8)
     cliques = [neg_clique(0), part_clique(1), Clique(id="and-2", relation=conjunction())]
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform", seed=2), n_seeds=6)
@@ -384,28 +380,6 @@ def test_run_ensemble_runs_three_cycles_per_constraint_system(monkeypatch):
         # A, B, then the C and D re-projections of the same cells together
         assert len(rows) == 3 and rows[2] == 2 * rows[0] == 2 * rows[1]
     assert sum(rows[0] for rows in runs.values()) == len(records)
-
-
-def test_run_ensemble_raises_when_a_joint_re_projection_misses_the_cap(monkeypatch):
-    import coherify.composition as composition
-
-    runs = []
-    project = composition._joint_projection
-
-    def third_run_stuck(comp, X):
-        x, converged = project(comp, X)
-        runs.append(len(X))
-        if len(runs) == 3:  # the C and D re-projections
-            converged[-1] = False
-        return x, converged
-
-    monkeypatch.setattr(composition, "_joint_projection", third_run_stuck)
-    monkeypatch.setattr(composition, "_hierarchical_cycle", never_cycle)
-    model = PanelModel(k=3, sigma=0.1, K=8)
-    # one sole-owner system, whose coupling has a feasible point
-    with pytest.raises(RuntimeError, match="iteration cap"):
-        run_ensemble([part_clique()], model, RoutingPolicy("single-owner"), n_seeds=2)
-    assert runs == [2, 2, 4]
 
 
 def test_to_bet_records_carries_naive_eps():

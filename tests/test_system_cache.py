@@ -10,6 +10,7 @@ import pytest
 from coherify.cli import composition_from_json, main
 from coherify.composition import (
     SYSTEM_CACHE_SIZE,
+    Block,
     ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
@@ -290,7 +291,7 @@ def test_layouts_sharing_a_system_decide_its_blocks_once(monkeypatch):
     for owners in layouts:
         comp = composition_for(clique, owners).comp
         cert = residual(comp, [rng.uniform(size=len(c.coords)) for c in comp.components])
-        assert comp.single_relation == (partition(5), tuple(range(5)))
+        assert comp.system.blocks == (Block("catalog", tuple(range(5)), partition(5)),)
         assert cert.repaired.tobytes() == project_relation(partition(5),
                                                            cert.composed).projected.tobytes()
     assert splits == {True, False}

@@ -411,6 +411,66 @@ def test_polytope_batch_rows_stop_on_their_own_bit_for_bit():
     assert not np.signbit(project_polytope_batch(spec, signed[None, :])).any()
 
 
+def tight_rows(spec: PolytopeSpec, p: np.ndarray) -> int:
+    """How many of ``spec``'s constraints and box faces ``p`` meets with equality."""
+    return int((np.abs(spec.A @ p - spec.b) <= 1e-9).sum() + (p <= 1e-12).sum()
+               + (p >= 1.0 - 1e-12).sum())
+
+
+def split_row(comp: CompositionSpec, q: np.ndarray) -> list:
+    """The local quotes of ``comp``'s components that assemble to the joint row ``q``."""
+    return [q[list(c.coords)] for c in comp.components]
+
+
+def tied_split() -> CompositionSpec:
+    """A partition component on 0..2 tied to a free coordinate 3 by a ladder cut: one
+    generic block, solved by ``project_active_set``."""
+    return CompositionSpec((ComponentSpec(build_polytope(partition(3)), (0, 1, 2)),
+                            ComponentSpec(PolytopeSpec(dim=1), (3,))),
+                           relation_coupling(ladder(2), (2, 3)), 4)
+
+
+def test_hierarchical_batch_rows_stop_on_their_own_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for comp, X in [(paraphrase_split(), np.vstack([np.full(8, 0.4), rng.uniform(size=(3, 8))])),
+                    (tied_split(), np.vstack([[0.2, 0.3, 0.5, 0.1], rng.uniform(-0.3, 1.3, (7, 4))]))]:
+        spec = comp.joint_polytope
+        batch = residual_batch([(comp, split_row(comp, q)) for q in X], repair_locals=False)
+        ones = [project_hierarchical(comp, q) for q in X]
+        assert ones[0].residual == 0.0  # a member, then far rows
+        if comp.system.blocks[0].kind == "generic":  # each row's solve ends on its own active set
+            assert len({tight_rows(spec, one.projected) for one in ones}) > 1
+        for q, cert, one in zip(X, batch, ones):
+            assert is_member(spec, one.projected, tol=1e-9)
+            assert cert.repaired.tobytes() == one.projected.tobytes()
+            assert (one.iterations, one.converged) == (1, True)
+    comp = paraphrase_split()
+    signed = np.array([-0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    cert = residual_batch([(comp, [signed[:2], signed[2:5], signed[5:]])])[0]
+    assert np.signbit(cert.composed[0])  # the -0.0 entry survives the local repair ...
+    assert not np.signbit(cert.repaired).any()  # ... but not the joint projection
+    assert not np.signbit(project_hierarchical(comp, signed).projected).any()
+
+
+def test_hierarchical_batch_rows_that_stop_together_equal_their_one_row_calls_bit_for_bit():
+    rng = np.random.default_rng(5)
+    box_split = CompositionSpec(free_components([2, 3]), relation_coupling(partition(5), range(5)))
+    sole_owner = CompositionSpec((ComponentSpec(build_polytope(ladder(3)), (0, 1, 2)),
+                                  ComponentSpec(build_polytope(negation()), (3, 4))),
+                                 relation_coupling(ladder(3), range(3)), 5)
+    for comp, X in [(box_split, 0.2 + rng.uniform(-0.05, 0.05, size=(6, 5))),  # clip locally
+                    (sole_owner, rng.uniform(-0.2, 1.2, size=(6, 5))),  # components' own routes
+                    (tied_split(), [0.3, 0.3, 0.2, 0.6] + rng.uniform(-0.05, 0.05, size=(6, 4)))]:
+        spec = comp.joint_polytope
+        batch = residual_batch([(comp, split_row(comp, q)) for q in X], repair_locals=False)
+        if comp is not sole_owner:  # the rows stop on one active set
+            assert len({tight_rows(spec, cert.repaired) for cert in batch}) == 1
+        for q, cert in zip(X, batch):
+            one = project_hierarchical(comp, q)
+            alone = residual_batch([(comp, split_row(comp, q))], repair_locals=False)[0]
+            assert cert.repaired.tobytes() == one.projected.tobytes() == alone.repaired.tobytes()
+
+
 def test_hierarchical_batch_raises_on_empty_intersection():
     coupling = (
         CouplingConstraint("partition-sum", (0, 1), 1.0),

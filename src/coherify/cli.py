@@ -49,7 +49,7 @@ from .projection import _polytope, _reported, project_relation_batch
 from .simharness import (
     ConfigError,
     SimConfig,
-    clique_truth,
+    _clique_truths,
     composition_for,
     generate_panels,
     run_ensemble,
@@ -298,8 +298,9 @@ def cmd_predict(args) -> Run:
     config, config_text = _load_config(args)
     model = config.build_model()
     cliques, seed = config.build_cliques(), config.master_seed
-    panels = generate_panels(model, [(c, (seed, ci, 0), clique_truth(model, c, seed, ci)[0])
-                                     for ci, c in enumerate(cliques)])
+    truths = _clique_truths(model, [(c, ci) for ci, c in enumerate(cliques)], seed)
+    panels = generate_panels(model, [(c, (seed, ci, 0), truth)
+                                     for ci, (c, (truth, _)) in enumerate(zip(cliques, truths))])
     out = []
     for clique, panel in zip(cliques, panels):
         stats = panel_stats(list(panel.repaired))

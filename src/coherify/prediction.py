@@ -12,6 +12,8 @@ neither exact nor a bound, when the panel mean sits strictly inside.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +53,28 @@ class MagnitudePrediction:
     regime: str
 
 
-def panel_stats(panel) -> PanelStats:
-    """Panel mean and per-coordinate variance with 1/k normalization."""
+def _panel_matrix(panel) -> np.ndarray:
+    """The panel's quotes as the rows of one matrix, refused unless they share one
+    dimension and every entry is finite."""
     quotes = [np.asarray(q, dtype=float) for q in panel]
-    k = len(quotes)
-    if k < 2:
-        raise ValueError("panel statistics need at least 2 quotes")
-    dims = {q.shape for q in quotes}
-    if len(dims) != 1:
+    if len({q.shape for q in quotes}) > 1:
         raise ValueError("panel quotes must share one dimension")
     P = np.stack(quotes)
+    finite = np.isfinite(P)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"panel quote {i} holds {P[i, j]} at coordinate {j}: "
+                         "entries must be finite")
+    return P
+
+
+def panel_stats(panel) -> PanelStats:
+    """Panel mean and per-coordinate variance with 1/k normalization."""
+    panel = list(panel)
+    if len(panel) < 2:
+        raise ValueError("panel statistics need at least 2 quotes")
+    P = _panel_matrix(panel)
+    k = len(P)
     mean = P.mean(axis=0)
     diag = np.mean((P - mean) ** 2, axis=0)
     return PanelStats(mean, diag, k)
@@ -96,25 +110,60 @@ def predict_magnitude(stats: PanelStats, relation: Relation) -> MagnitudePredict
     return MagnitudePrediction(0.5 * rayleigh, 0.5, a, regime)
 
 
-def _draw_blocks(k: int, m: int, n_draws: int, seed: int):
-    """``(start, index)`` per block of draws, ``index`` holding entry ``owner * m + j``
-    of the flattened panel for each draw of the block and coordinate ``j``.
+def _distinct_choices(P: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
+    """Per coordinate ``j``, one row per distinct quote, first owners first, holding
+    its flat panel entry ``owner * m + j`` in column ``j`` and 0 elsewhere, and
+    each owner's position among those quotes.
 
-    An exhaustive block is every assignment of the trailing r owners under
-    one of the rest, r the largest with ``k**r * m <= DRAW_BLOCK_ENTRIES``.
+    Owners whose quotes share one bit pattern count as one choice, so 0.0
+    and -0.0 stay apart and every distinct row projects exactly as before.
     """
-    if k**m > EXHAUSTIVE_LIMIT:
-        rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
-        index = rng.integers(0, k, size=(n_draws, m)) * m + np.arange(m)
-        step = max(1, DRAW_BLOCK_ENTRIES // m)
-        yield from ((start, index[start:start + step]) for start in range(0, n_draws, step))
-        return
-    r = max((r for r in range(m + 1) if k**r * m <= DRAW_BLOCK_ENTRIES), default=0)
-    owners = np.indices((1,) * (m - r) + (k,) * r).reshape(m, k**r).T  # leading owners 0
-    table = np.ascontiguousarray(owners) * m + np.arange(m)
-    powers = k ** np.arange(m - 1, -1, -1)
-    for start in range(0, k**m, k**r):  # the owners of draw ``start`` lead the block
-        yield start, table + start // powers % k * m
+    m = P.shape[1]
+    entries, columns, codes, ends = [], [], [], []
+    for j, quotes in enumerate(P.view(np.uint64).T.tolist()):
+        seen, code = {}, []
+        for owner, bits in enumerate(quotes):
+            if bits not in seen:
+                seen[bits] = len(seen)
+                entries.append(owner * m + j)
+                columns.append(j)
+            code.append(seen[bits])
+        codes.append(code)
+        ends.append(len(entries))
+    rows = np.zeros((len(entries), m), dtype=np.intp)
+    rows[np.arange(len(entries)), columns] = entries
+    return [rows[a:b] for a, b in zip([0] + ends, ends)], codes
+
+
+def _product_blocks(choices: list[np.ndarray]):
+    """``(start, block)`` per block of the product of the per-coordinate ``choices``,
+    the first coordinate slowest: product row ``(d_0, ..., d_{m-1})`` is
+    ``choices[0][d_0] + ... + choices[m-1][d_{m-1}]``.
+
+    A block is every combination of the trailing r coordinates under one of
+    the rest, r the largest with at most ``DRAW_BLOCK_ENTRIES`` entries. The
+    blocks come last first, each in product order.
+    """
+    m, size = len(choices), choices[0][0].size
+    counts = [len(c) for c in choices]
+    r = max((r for r in range(m + 1)
+             if math.prod(counts[m - r:]) * size <= DRAW_BLOCK_ENTRIES), default=0)
+    table = np.zeros_like(choices[0][:1])
+    for c in choices[m - r:]:
+        table = (table[:, None] + c).reshape(len(table) * len(c), *c.shape[1:])
+    start = math.prod(counts)
+    for lead in itertools.product(*(c[::-1] for c in choices[:m - r])):
+        start -= len(table)
+        yield start, table + sum(lead)
+
+
+def _squared_residuals(comp: CompositionSpec, flat: np.ndarray, blocks, out: np.ndarray):
+    """Squared distance of each drawn row to its exact joint projection, into ``out``."""
+    for start, index in blocks:
+        X = flat.take(index)
+        projected = _joint_projection(comp, X)
+        np.subtract(X, projected, out=X)
+        np.sum(np.square(X, out=X), axis=1, out=out[start:start + len(X)])
 
 
 def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_000,
@@ -125,24 +174,43 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     otherwise draws ``n_draws`` (>= 1) assignment vectors from ``seed``.
     Draws are projected exactly, as certificates are
     (``composition._joint_projection``), which raises
-    ``InfeasibleCouplingError`` when the joint set is empty. Each block of
-    at most ``DRAW_BLOCK_ENTRIES`` entries is one ``take`` from the
-    flattened panel; every row is projected and summed on its own, so the
-    blocks do not change a bit.
+    ``InfeasibleCouplingError`` when the joint set is empty. A panel entry
+    that is NaN or infinite is refused before any projection.
+
+    The exhaustive branch projects each distinct row once: owners whose
+    quotes at a coordinate share one bit pattern count as one choice there,
+    and every assignment's value is gathered from its distinct row in the
+    product order. Each block of at most ``DRAW_BLOCK_ENTRIES`` entries is
+    one ``take`` from the flattened panel; every row is projected and summed
+    on its own, so neither the blocks nor the repeated rows change a bit.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    P = np.stack([np.asarray(q, dtype=float) for q in panel])
+    P = _panel_matrix(panel)
     k, m = P.shape
     if m != comp.joint_dim:
         raise ValueError("panel quotes must live on the joint coordinates")
     flat = P.ravel()
-    out = np.empty(n_draws if k**m > EXHAUSTIVE_LIMIT else k**m)
-    for start, index in _draw_blocks(k, m, n_draws, seed):
-        X = flat.take(index)
-        projected = _joint_projection(comp, X)
-        np.subtract(X, projected, out=X)
-        np.sum(np.square(X, out=X), axis=1, out=out[start:start + len(X)])
+    if k**m > EXHAUSTIVE_LIMIT:
+        rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
+        index = rng.integers(0, k, size=(n_draws, m)) * m + np.arange(m)
+        step = max(1, DRAW_BLOCK_ENTRIES // m)
+        out = np.empty(n_draws)
+        _squared_residuals(comp, flat, ((s, index[s:s + step]) for s in range(0, n_draws, step)),
+                           out)
+        return out
+    choices, codes = _distinct_choices(P)
+    radices = [len(c) for c in choices]
+    distinct = math.prod(radices)
+    out = np.empty(k**m)
+    _squared_residuals(comp, flat, _product_blocks(choices), out[:distinct])
+    if distinct < k**m:
+        # Assignment a reads distinct row idx(a) <= a, since no owner's position among the
+        # distinct quotes exceeds the owner, so filling the blocks last first in place
+        # overwrites no row still to be read.
+        strides = [math.prod(radices[j + 1:]) for j in range(m)]
+        for start, index in _product_blocks([np.multiply(c, s) for c, s in zip(codes, strides)]):
+            out[start:start + len(index)] = out.take(index)
     return out
 
 

@@ -51,8 +51,105 @@ _RELATION_OFFSET = {
 }
 
 
-def _rng(*parts) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(tuple(abs(int(p)) for p in parts)))
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose
+# output NEP 19's stream-compatibility policy fixes. They stay Python ints masked to 32
+# bits and meet only uint32 arrays, which wrap silently where a uint32 scalar would warn.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """``init * mult**t`` mod 2**32 for t = 0 .. ``calls``: hash call t xors in
+    constant t and multiplies by constant t + 1."""
+    return np.array([init * pow(mult, t, 1 << 32) & _MASK32 for t in range(calls + 1)],
+                    dtype=np.uint32)
+
+
+def _hashed(words: np.ndarray, consts: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SeedSequence's hash calls ``first`` to ``first + count - 1``, call ``first + i``
+    on column i of ``words`` (broadcast to ``count`` columns)."""
+    words = (words ^ consts[first:first + count]) * consts[first + 1:first + count + 1]
+    return words ^ (words >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _pcg64_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` for each row of 32-bit key words.
+
+    SeedSequence mixes its pool one hash call at a time, but the calls that
+    mix one pool word into each of the others all read that same word, so
+    each such run is one array operation over all keys and the words it feeds.
+    """
+    n, length = entropy.shape
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(_POOL_SIZE, length))
+    pool = np.zeros((n, _POOL_SIZE), dtype=np.uint32)
+    pool[:, :length] = entropy[:, :_POOL_SIZE]
+    pool = _hashed(pool, consts, 0, _POOL_SIZE)
+    calls = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashed(pool[:, src, None], consts, calls, len(dst)))
+        calls += len(dst)
+    for src in range(_POOL_SIZE, length):
+        pool = _mix(pool, _hashed(entropy[:, src, None], consts, calls, _POOL_SIZE))
+        calls += _POOL_SIZE
+    state = _hashed(np.concatenate([pool, pool], axis=1),
+                    _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE), 0, 2 * _POOL_SIZE)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _seeded_type() -> type:
+    """A seed sequence that hands PCG64 precomputed words; defined on first use, so
+    that importing coherify does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only PCG64's four uint64 seed words are precomputed")
+            return self.words
+
+    return Seeded
+
+
+def _rngs(keys) -> list[np.random.Generator]:
+    """One generator per key of ints, each the stream of
+    ``np.random.default_rng(np.random.SeedSequence(tuple(abs(int(p)) for p in key)))``.
+
+    Each part is split into its little-endian 32-bit words, as SeedSequence
+    assembles them, and the keys with one word count are hashed together.
+    """
+    from numpy.random import PCG64, Generator
+
+    words = []
+    for key in keys:
+        words.append([])
+        for part in key:
+            part = abs(int(part))
+            words[-1].append(part & _MASK32)
+            while part := part >> 32:
+                words[-1].append(part & _MASK32)
+    by_length = {}
+    for i, key_words in enumerate(words):
+        by_length.setdefault(len(key_words), []).append(i)
+    seeded, rngs = _seeded_type(), [None] * len(words)
+    for length, group in by_length.items():
+        entropy = np.array([words[i] for i in group], dtype=np.uint32).reshape(len(group), length)
+        for i, state in zip(group, _pcg64_words(entropy)):
+            rngs[i] = Generator(PCG64(seeded(state)))
+    return rngs
 
 
 @dataclass(frozen=True)
@@ -157,11 +254,20 @@ def clique_truth(model: PanelModel, clique: Clique, master_seed: int,
     Both come from one stream per ``(master_seed, clique_index)``, the
     truth first; labels the clique already carries are kept as they are.
     """
-    rng = _rng(master_seed, clique_index, 0x72)
-    truth = sample_truth(clique.relation, rng, model.truth_mode)
-    if clique.labels is not None:
-        return truth, np.asarray(clique.labels, dtype=int)
-    return truth, sample_labels(truth, rng)
+    return _clique_truths(model, [(clique, clique_index)], master_seed)[0]
+
+
+def _clique_truths(model: PanelModel, cliques: list,
+                   master_seed: int) -> list[tuple[TruthDraw, np.ndarray]]:
+    """``clique_truth`` for ``(clique, clique_index)`` pairs, their streams seeded in one pass."""
+    out = []
+    for rng, (clique, _) in zip(_rngs([(master_seed, ci, 0x72) for _, ci in cliques]), cliques):
+        truth = sample_truth(clique.relation, rng, model.truth_mode)
+        if clique.labels is not None:
+            out.append((truth, np.asarray(clique.labels, dtype=int)))
+        else:
+            out.append((truth, sample_labels(truth, rng)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,15 +296,18 @@ def sample_k_marginals(population: np.ndarray, K: int | None,
 def generate_panels(model: PanelModel, cells: list) -> list[Panel]:
     """Population offsets, K-sample read-out, then repair, for ``(clique, seed, truth)`` cells.
 
-    Each cell draws from its own ``_rng(*seed)``: the truth when it is None,
-    the noise, the read-out. Biases are built once per arity, and the rows
-    of all cells of one relation are repaired in one ``project_relation_batch``
+    Each cell draws from its own stream, the one of
+    ``np.random.default_rng(np.random.SeedSequence(seed))`` with each part of
+    ``seed`` (an int or a tuple of ints) taken by ``abs``: the truth when it
+    is None, the noise, the read-out. The streams of all cells are seeded in
+    one pass (``_rngs``). Biases are built once per arity, and the rows of
+    all cells of one relation are repaired in one ``project_relation_batch``
     call; each row equals its own ``project_relation`` projection.
     """
     biases = {m: model.bias_matrix(m) for m in dict.fromkeys(c.relation.m for c, _, _ in cells)}
+    rngs = _rngs([seed if isinstance(seed, tuple) else (seed,) for _, seed, _ in cells])
     drawn, by_relation = [], {}
-    for i, (clique, seed, truth) in enumerate(cells):
-        rng = _rng(*(seed if isinstance(seed, tuple) else (seed,)))
+    for i, ((clique, _, truth), rng) in enumerate(zip(cells, rngs)):
         if truth is None:
             truth = sample_truth(clique.relation, rng, model.truth_mode)
         population = population_quotes(model, clique, truth, rng, biases[clique.relation.m])
@@ -220,14 +329,19 @@ def generate_panel(model: PanelModel, clique: Clique, seed,
 def route(policy: RoutingPolicy, k: int, relation: Relation,
           clique_index: int, seed: int) -> np.ndarray:
     """Owner per joint coordinate under the policy."""
-    m = relation.m
+    return _routes(policy, k, [(relation, clique_index, seed)])[0]
+
+
+def _routes(policy: RoutingPolicy, k: int, cells: list) -> list[np.ndarray]:
+    """``route`` for ``(relation, clique_index, seed)`` cells, random-uniform streams
+    seeded in one pass."""
     if policy.kind == "random-uniform":
-        rng = _rng(policy.seed, clique_index, seed, 0x707E)
-        return rng.integers(0, k, size=m)
+        rngs = _rngs([(policy.seed, ci, seed, 0x707E) for _, ci, seed in cells])
+        return [rng.integers(0, k, size=relation.m) for rng, (relation, _, _) in zip(rngs, cells)]
     if policy.kind == "structured-by-relation":
-        offset = _RELATION_OFFSET[relation.kind]
-        return (offset + np.arange(m)) % k
-    return np.full(m, seed % k, dtype=int)
+        return [(_RELATION_OFFSET[relation.kind] + np.arange(relation.m)) % k
+                for relation, _, _ in cells]
+    return [np.full(relation.m, seed % k, dtype=int) for relation, _, seed in cells]
 
 
 @dataclass(frozen=True)
@@ -283,23 +397,27 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
                  n_seeds: int, master_seed: int = 0) -> list[EnsembleRecord]:
     """Route, aggregate, certify, and repair every (clique, seed) cell.
 
-    Every cell is built first: one ``generate_panels`` call, then the rows
-    of each cell gathered by owner (``aggregate``'s assembly). The core of
-    ``residual_batch`` then certifies the raw rows (A), the locally repaired
-    ones (B), and re-projects the joint repairs of both (C, D), one engine
-    run per constraint system each. Values equal the cell-by-cell ones bit
-    for bit. A failure raised is that of the earliest failing cell among
-    all A, then B, then C and D.
+    Every cell is built first: the truths, the panels (one
+    ``generate_panels`` call) and the routes each seed their streams in one
+    pass, then the rows of each cell are gathered by owner (``aggregate``'s
+    assembly). The core of ``residual_batch`` then certifies the raw rows
+    (A), the locally repaired ones (B), and re-projects the joint repairs of
+    both (C, D), one engine run per constraint system each. Values equal the
+    cell-by-cell ones bit for bit. A failure raised is that of the earliest
+    failing cell among all A, then B, then C and D.
     """
     cells = []
-    for ci, clique in enumerate(cliques):
-        truth, labels = clique_truth(model, clique, master_seed, ci)
+    truths = _clique_truths(model, [(clique, ci) for ci, clique in enumerate(cliques)],
+                            master_seed)
+    for ci, (clique, (truth, labels)) in enumerate(zip(cliques, truths)):
         cells += [(ci, clique, seed, truth, labels) for seed in range(n_seeds)]
     panels = generate_panels(model, [(clique, (master_seed, ci, seed), truth)
                                      for ci, clique, seed, truth, _ in cells])
+    routes = _routes(policy, model.k, [(clique.relation, ci, seed)
+                                       for ci, clique, seed, _, _ in cells])
     owners, raw, repaired = [], [], []
-    for cell, ((ci, clique, seed, _, _), panel) in enumerate(zip(cells, panels)):
-        routed = composition_for(clique, route(policy, model.k, clique.relation, ci, seed))
+    for cell, ((_, clique, _, _, _), panel, layout) in enumerate(zip(cells, panels, routes)):
+        routed = composition_for(clique, layout)
         chosen = (routed.owners, range(clique.relation.m))  # row owners[j] of column j
         owners.append(routed.owners)
         raw.append((routed.comp, (cell,), panel.raw[chosen][None]))

@@ -1,7 +1,8 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-
-import itertools
 
 from coherify.composition import (
     ComponentSpec,
@@ -75,6 +76,25 @@ def test_panel_stats_against_elementwise_variance_oracle():
 def test_panel_stats_needs_two_quotes():
     with pytest.raises(ValueError):
         panel_stats([np.array([0.5, 0.5])])
+
+
+@pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+@pytest.mark.parametrize("m", [4, 9], ids=["exhaustive", "sampled"])  # 4^9 > EXHAUSTIVE_LIMIT
+def test_a_non_finite_panel_entry_is_refused_before_any_projection(monkeypatch, bad, shown, m):
+    import coherify.prediction as prediction
+
+    def unreachable(comp, X):
+        raise AssertionError("a draw was projected")
+
+    monkeypatch.setattr(prediction, "_joint_projection", unreachable)
+    panel = [np.full(m, 0.1 + 0.01 * s) for s in range(4)]
+    panel[1][2] = bad
+    comp = split_composition(partition(m))
+    message = f"panel quote 1 holds {shown} at coordinate 2: entries must be finite"
+    for call in (lambda: observe_magnitude_samples(comp, panel),
+                 lambda: observe_magnitude(comp, panel), lambda: panel_stats(panel)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_panel_mean_of_coherent_quotes_is_coherent():
@@ -313,16 +333,44 @@ def _samples_by_product(comp, panel):
     return out
 
 
+def _tied(P, ties):
+    """The panel matrix with owners made to agree bit for bit at some coordinates."""
+    P = P.copy()
+    k, m = P.shape
+    if ties == "partial":  # at coordinate j one more owner copies owner 0
+        for j in range(m):
+            P[1 + j % (k - 1), j] = P[0, j]
+    elif ties == "agree":  # every owner quotes one value at coordinate 0
+        P[:, 0] = P[0, 0]
+    elif ties == "signed-zero":  # 0.0 and -0.0 are two quotes, never one
+        P[0::2, m - 1] = 0.0
+        P[1::2, m - 1] = -0.0
+    return P
+
+
 @pytest.mark.parametrize(
-    "relation, k, entries",
-    [(partition(4), 3, 5),          # k * m > entries: blocks of one draw (r = 0)
-     (ladder(5), 3, 50),            # r = 2: 27 blocks of 9, 3^5 no multiple of 50 // 5
-     (conjunction(), 4, 8192),      # r = m: one block
-     (paraphrase(3), 5, 40)],       # r = 1: 25 blocks of 5, 5^3 no multiple of 40 // 3
-    ids=["r0", "r2", "one-block", "r1"],
+    "relation, k, entries, ties",
+    [(partition(4), 3, 5, None),          # k * m > entries: blocks of one draw (r = 0)
+     (ladder(5), 3, 50, None),            # r = 2: 27 blocks of 9, 3^5 no multiple of 50 // 5
+     (conjunction(), 4, 8192, None),      # r = m: one block
+     (paraphrase(3), 5, 40, None),        # r = 1: 25 blocks of 5, 5^3 no multiple of 40 // 3
+     (partition(4), 3, 5, "partial"),
+     (ladder(5), 3, 50, "partial"),
+     (conjunction(), 4, 8192, "partial"),
+     (paraphrase(3), 5, 40, "partial"),
+     (partition(4), 3, 5, "agree"),
+     (ladder(5), 3, 50, "agree"),
+     (paraphrase(3), 5, 40, "agree"),
+     (partition(4), 3, 5, "signed-zero"),
+     (ladder(5), 3, 50, "signed-zero"),
+     (conjunction(), 4, 8192, "signed-zero")],
+    ids=["r0", "r2", "one-block", "r1", "r0-partial-ties", "r2-partial-ties",
+         "one-block-partial-ties", "r1-partial-ties", "r0-one-agreeing-coordinate",
+         "r2-one-agreeing-coordinate", "r1-one-agreeing-coordinate", "r0-signed-zeros",
+         "r2-signed-zeros", "one-block-signed-zeros"],
 )
 def test_exhaustive_blocks_equal_the_product_order_bit_for_bit(monkeypatch, relation, k,
-                                                               entries):
+                                                               entries, ties):
     import coherify.prediction as prediction
 
     monkeypatch.setattr(prediction, "DRAW_BLOCK_ENTRIES", entries)
@@ -332,10 +380,15 @@ def test_exhaustive_blocks_equal_the_product_order_bit_for_bit(monkeypatch, rela
                         lambda comp, X: sizes.append(X.size) or project(comp, X))
     rng = np.random.default_rng(23)
     m = relation.m
-    panel = [rng.uniform(-0.1, 1.1, size=m) for _ in range(k)]
+    P = _tied(np.stack([rng.uniform(-0.1, 1.1, size=m) for _ in range(k)]), ties)
+    panel = list(P)
     comp = split_composition(relation)
     assert observe_magnitude_samples(comp, panel).tolist() == _samples_by_product(comp, panel)
-    assert sum(sizes) == k**m * m and max(sizes) <= entries
+    # each distinct row is projected once: u_j distinct quotes (by bits) at coordinate j
+    distinct = [len({float(v).hex() for v in P[:, j]}) for j in range(m)]
+    assert sum(sizes) == math.prod(distinct) * m and max(sizes) <= entries
+    if ties is None:
+        assert math.prod(distinct) == k**m
 
 
 def test_sampled_draws_take_each_owner_entry():

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +148,44 @@ def test_sample_truth_modes():
     assert is_member(build_polytope(partition(4)), coherent.p_star, 1e-9)
     adversarial = sample_truth(partition(4), rng, "adversarial")
     assert not is_member(build_polytope(partition(4)), adversarial.p_star, 1e-3)
+
+
+# --- random streams ------------------------------------------------------------
+
+
+# parts 0, 2**32 - 1, 2**32 and 2**64 + 5 span one to three 32-bit words and negative
+# parts are taken by abs, so these keys hold 1 to 9 words: short of SeedSequence's
+# pool of 4, filling it, and running past it, with several word counts in one call
+SEED_KEYS = [(0,), (2**32 - 1,), (2**32,), (2**64 + 5,), (3, -5), (2**32, 2**64 + 5),
+             (7, 0, 2**32 - 1), (1, 2, 3, 4), (-1, 2**32, 3, 4), (1, 2, 3, 4, 5),
+             (2**64 + 5, 0, 2**32 - 1, 9, -1), (1, 2**32, 2**64 + 5, 4, 5, 2**32 - 1),
+             (6, 5, 4, 3, 2, 1), (0, 7, 0x72)]
+
+
+def test_streams_seeded_in_one_pass_are_the_seed_sequence_streams():
+    from coherify.simharness import _rngs
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a uint32 scalar overflow would warn
+        rngs = _rngs(SEED_KEYS)
+        ones = [_rngs([key])[0] for key in SEED_KEYS]
+    for key, rng, one in zip(SEED_KEYS, rngs, ones):
+        for got in (rng, one):
+            ref = np.random.default_rng(np.random.SeedSequence(tuple(abs(p) for p in key)))
+            assert got.normal(size=5).tolist() == ref.normal(size=5).tolist(), key
+            assert got.integers(0, 4, size=7).tolist() == ref.integers(0, 4, size=7).tolist()
+            assert (got.binomial(8, [0.1, 0.5, 0.9]).tolist()
+                    == ref.binomial(8, [0.1, 0.5, 0.9]).tolist())
+
+
+def test_importing_coherify_leaves_numpy_random_unimported():
+    code = "import sys, coherify, coherify.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- routing -------------------------------------------------------------------

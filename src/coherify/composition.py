@@ -11,7 +11,6 @@ and, named on first read, the constraints that were binding.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -26,7 +25,6 @@ from .polytope import (
     Relation,
     RelationKind,
     _unit,
-    enumerate_vertices,
     is_member,
 )
 from .projection import (
@@ -34,11 +32,11 @@ from .projection import (
     InfeasibleCouplingError,
     _coupled_halfspaces,
     _project_locals,
+    _vertex_array,
     project_active_set,
     project_relation_batch,
 )
 
-PRODUCT_VERTEX_LIMIT = 4096
 SYSTEM_CACHE_SIZE = 256  # constraint systems kept per process
 
 
@@ -316,8 +314,7 @@ class CompositionSpec:
 
     Treated as immutable after construction. The constraint system,
     coupling and joint polytopes and projection route included, comes from
-    the per-process ``constraint_system`` cache; the product vertices are
-    a cached property.
+    the per-process ``constraint_system`` cache.
     """
 
     components: tuple[ComponentSpec, ...]
@@ -360,37 +357,14 @@ class CompositionSpec:
         return tuple((a, c) for a, c in enumerate(self.components)
                      if c.polytope.equalities or c.polytope.halfspaces)
 
-    @cached_property
-    def product_vertices(self) -> np.ndarray:
-        """Vertices of the coupling-free product of lifted local polytopes."""
-        per_component: list[np.ndarray] = []
-        total = 1
-        for component in self.components:
-            if component.polytope.relation is not None:
-                V = enumerate_vertices(component.polytope.relation).as_array()
-            else:
-                grid = np.array(list(itertools.product((0.0, 1.0), repeat=component.polytope.dim)))
-                V = grid[np.all(component.polytope.gaps(grid) <= 1e-9, axis=1)]
-            per_component.append(V)
-            total *= len(V)
-            if total > PRODUCT_VERTEX_LIMIT:
-                raise ValueError(
-                    f"product vertex count exceeds the enumeration bound {PRODUCT_VERTEX_LIMIT}"
-                )
-        out = np.zeros((total, self.joint_dim))
-        for row, combo in enumerate(itertools.product(*per_component)):
-            for component, v in zip(self.components, combo):
-                out[row, list(component.coords)] = v
-        return out
-
-    def has_feasible_point(self) -> bool | None:
-        """True when an integral consistent point certifies nonemptiness; None = unknown."""
+    def has_feasible_point(self) -> bool:
+        """Whether the joint set is nonempty, decided exactly: ``_joint_projection`` of
+        the box centre raises ``InfeasibleCouplingError`` exactly when it is empty."""
         try:
-            vertices = self.product_vertices
-        except ValueError:
-            return None
-        feasible = np.all(self.coupling_polytope.gaps(vertices) <= 1e-9, axis=1)
-        return True if np.any(feasible) else None
+            _joint_projection(self, np.full((1, self.joint_dim), 0.5))
+        except InfeasibleCouplingError:
+            return False
+        return True
 
 
 class _RunBinding:
@@ -700,57 +674,74 @@ def _certify_rows(blocks: list, n: int, repair_locals: bool = True,
     return certs
 
 
-def _product_hull(comp: CompositionSpec) -> np.ndarray:
-    """``comp.product_vertices``, refusing a component whose hull they do not span.
-
-    Only a catalog relation's vertices and a free box's corners are known
-    to be the vertices of the component's hull; any other component keeps
-    just its 0/1 points, which can miss the hull or be empty.
-    """
-    for a, component in comp.constrained:
-        if component.polytope.relation is None:
+def _peaks(comp: CompositionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each coupling row's largest gap over the product of the local hulls, and a
+    vertex of the product where it is reached, built factor by factor: a linear
+    maximum over a product is the sum of the factors' maxima. A catalog component
+    is one factor (its relation's vertices), each free-box coordinate another (0
+    and 1); any other component is refused. An equality gap ``|a . z - b|`` peaks
+    along ``a`` or ``-a``, so each is a row. Each factor takes the first peak of
+    largest sum."""
+    coupling = comp.coupling_polytope
+    k = len(coupling.equalities)
+    A = np.vstack([coupling.A, -coupling.A[:k]])
+    gaps = -np.concatenate([coupling.b, -coupling.b[:k]])
+    vertices = np.zeros((len(A), comp.joint_dim))
+    for a, component in enumerate(comp.components):
+        coords, local = list(component.coords), component.polytope
+        if local.relation is not None:
+            V = _vertex_array(local.relation)
+            scores = V @ A[:, coords].T
+            peak = scores.max(axis=0)
+            vertices[:, coords] = V[np.where(scores == peak, V.sum(axis=1)[:, None], -1.0)
+                                    .argmax(axis=0)]
+        elif not (local.equalities or local.halfspaces):
+            peak = np.maximum(A[:, coords], 0.0).sum(axis=1)
+            vertices[:, coords] = A[:, coords] >= 0.0  # a zero tie takes 1, the larger sum
+        else:
             raise ValueError(f"component {a} is neither a catalog relation nor a free box; "
                              "the vertices of its hull are unknown")
-    return comp.product_vertices
+        gaps += peak
+    return gaps, vertices
 
 
 def is_product_structured(comp: CompositionSpec, tol: float = MEMBERSHIP_TOL) -> bool:
     """Whether every coupling cut is redundant over the product of local hulls.
 
-    Decided exactly at small joint dimension by maximizing each cut's
-    violation over the product vertex hull; linear violations peak at
-    vertices. An empty coupling set is product-structured by definition.
+    Decided exactly by each cut's largest violation over that product
+    (``_peaks``). An empty coupling set is product-structured by definition.
     Otherwise every component must be a catalog relation or a free box
     (``ValueError`` names the first that is not).
     """
+    _check_tol(tol)
     if len(comp.coupling) == 0:
         return True
-    return bool(np.max(comp.coupling_polytope.gaps(_product_hull(comp))) <= tol)
+    return bool(_peaks(comp)[0].max() <= tol)
 
 
 def construct_witness(comp: CompositionSpec, tol: float = MEMBERSHIP_TOL):
     """Locally coherent component quotes whose composition is incoherent.
 
-    Searches the product vertex hull for the point that most violates the
-    worst coupling cut, then restricts it to each component. Fails if the
+    Takes a product hull vertex at which a cut within 1e-12 of the worst
+    peaks (``_peaks``): the largest sum, then the first in product order, so
+    witnesses read naturally. Restricts it to each component. Fails if the
     composition was product-structured after all, and with ``ValueError``,
     as ``is_product_structured`` does, on a component that is neither a
     catalog relation nor a free box.
     """
+    _check_tol(tol)
     if len(comp.coupling) == 0:
         raise ProductStructuredError("no coupling cuts; the composition is product-structured")
-    vertices = _product_hull(comp)
-    per_point = comp.coupling_polytope.gaps(vertices).max(axis=1)
-    best = float(per_point.max())
+    gaps, vertices = _peaks(comp)
+    best = float(gaps.max())
     if best <= tol:
         raise ProductStructuredError(
             "every coupling cut is redundant over the product hull; no witness exists"
         )
-    # prefer the over-mass side on ties so witnesses read naturally
-    candidates = np.nonzero(per_point >= best - 1e-12)[0]
-    sums = vertices[candidates].sum(axis=1)
-    pick = int(candidates[int(np.argmax(sums))])
-    r = vertices[pick]
+    candidates = vertices[gaps >= best - 1e-12]
+    # product order: lexicographic in ownership order, as each factor lists its vertices
+    order = [j for component in comp.components for j in component.coords]
+    r = candidates[np.lexsort([*candidates[:, order[::-1]].T, -candidates.sum(axis=1)])[0]]
     locals_ = [r[list(component.coords)].copy() for component in comp.components]
     cert = residual(comp, locals_)
     if cert.epsilon_star <= 0.0:
@@ -767,6 +758,7 @@ def disagreement_bound(comp: CompositionSpec, locals_: list, reference,
     Upper-bounds the certificate value for any reference inside the joint
     coherent set, with equality when the reference is the repaired quote.
     """
+    _check_tol(tol)
     reference = np.asarray(reference, dtype=float)
     if not is_member(comp.joint_polytope, reference, tol):
         raise ValueError("reference quote is not in the joint coherent set")

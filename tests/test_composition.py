@@ -375,12 +375,112 @@ def test_inputs_locally_coherent_is_membership_of_every_local_quote(batched):
     assert [cert.inputs_locally_coherent for cert in certs] == reference
 
 
-def test_product_test_respects_enumeration_bound():
-    comp = CompositionSpec(
-        free_components([13]), relation_coupling(partition(13), range(13)), 13
-    )
-    with pytest.raises(ValueError):
-        is_product_structured(comp)
+def test_product_test_decides_beyond_the_old_vertex_bound():
+    # 2^13 and 2^20 product vertices, past the 4,096 that enumerating the whole product allowed
+    comp = partition_split(13)
+    assert not is_product_structured(comp)
+    locals_, cert = construct_witness(comp)
+    assert all(list(v) == [1.0] for v in locals_)
+    assert cert.epsilon_star == pytest.approx(12 / np.sqrt(13), abs=1e-9)
+    assert not is_product_structured(
+        CompositionSpec(free_components([1] * 20), relation_coupling(ladder(20), range(20)), 20))
+    # a catalog component's own vertices are still enumerated
+    sole = CompositionSpec((ComponentSpec(build_polytope(partition(13)), tuple(range(13))),),
+                           (CouplingConstraint("equality", (0, 1)),), 13)
+    with pytest.raises(ValueError, match="exceeds the enumeration bound"):
+        is_product_structured(sole)
+
+
+def reference_dichotomy(comp: CompositionSpec, tol: float = 1e-8):
+    """The dichotomy decided on the whole product of the component hulls' vertices.
+
+    Returns whether ``comp`` is product-structured and, when it is not, the
+    witness vertex: among the vertices within 1e-12 of the worst coupling
+    gap, the one with the largest sum, the first in product order on ties.
+    """
+    per_component = [enumerate_vertices(c.polytope.relation).as_array()
+                     if c.polytope.relation is not None
+                     else np.array(list(itertools.product((0.0, 1.0), repeat=c.polytope.dim)))
+                     for c in comp.components]
+    vertices = np.array([np.concatenate(combo) for combo in itertools.product(*per_component)])
+    vertices[:, [j for c in comp.components for j in c.coords]] = vertices.copy()
+    per_point = comp.coupling_polytope.gaps(vertices).max(axis=1)
+    best = per_point.max()
+    if best <= tol:
+        return True, None
+    candidates = np.nonzero(per_point >= best - 1e-12)[0]
+    return False, vertices[candidates[np.argmax(vertices[candidates].sum(axis=1))]]
+
+
+def random_dichotomy_layout(rng) -> CompositionSpec:
+    """Catalog and free components on scattered coordinates, under 1-2 random cuts."""
+    catalog = [negation(), conjunction(), disjunction(), partition(3), ladder(3), paraphrase(2)]
+    components, widths = [], []
+    while sum(widths) < 3 or (len(widths) < 4 and rng.random() < 0.5):
+        relation = catalog[rng.integers(len(catalog))] if rng.random() < 0.5 else None
+        components.append(relation)
+        widths.append(relation.m if relation is not None else int(rng.integers(1, 4)))
+    dim = sum(widths)
+    owned = np.split(rng.permutation(dim), np.cumsum(widths)[:-1])
+    specs = tuple(ComponentSpec(build_polytope(r) if r is not None else PolytopeSpec(dim=len(c)),
+                                tuple(c))
+                  for r, c in zip(components, owned))
+    cuts = []
+    for _ in range(int(rng.integers(1, 3))):
+        coords = tuple(int(j) for j in rng.choice(dim, size=int(rng.integers(2, 4)),
+                                                  replace=False))
+        kind = rng.choice(["equality", "partition-sum", "ladder-chain", "frechet-halfspace"])
+        if kind == "equality" or kind == "ladder-chain":
+            cuts.append(CouplingConstraint(str(kind), coords))
+        elif kind == "partition-sum":  # b = 3.5 is out of reach of 2-3 coordinates
+            cuts.append(CouplingConstraint("partition-sum", coords,
+                                           float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.5]))))
+        else:  # mixed signs, on a grid (exact ties) or drawn (none)
+            a = (rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=len(coords)) if rng.random() < 0.5
+                 else rng.normal(size=len(coords)))
+            a[0] = a[0] or 1.0  # a zero normal is refused
+            b = float(rng.choice([-0.5, 0.0, 0.5, 1.0, 1.5, 2.5])) if rng.random() < 0.5 \
+                else float(rng.normal(1.0))
+            cuts.append(CouplingConstraint("frechet-halfspace", coords, b, a=tuple(a)))
+    return CompositionSpec(specs, tuple(cuts), dim)
+
+
+def test_dichotomy_agrees_with_the_whole_product_enumeration():
+    rng = np.random.default_rng(2900)
+    outcomes = {"product": 0, "witness": 0, "infeasible": 0}
+    for _ in range(400):
+        comp = random_dichotomy_layout(rng)
+        structured, vertex = reference_dichotomy(comp)
+        assert is_product_structured(comp) == structured
+        if structured:
+            outcomes["product"] += 1
+            assert comp.has_feasible_point()
+        elif comp.has_feasible_point():
+            outcomes["witness"] += 1
+            locals_, _ = construct_witness(comp)
+            assert [list(q) for q in locals_] == [list(vertex[list(c.coords)])
+                                                  for c in comp.components]
+        else:
+            outcomes["infeasible"] += 1
+            with pytest.raises(InfeasibleCouplingError):
+                construct_witness(comp)
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+REDUNDANT = CompositionSpec(
+    free_components([1, 1, 1]),
+    (CouplingConstraint("frechet-halfspace", (0, 1, 2), 3.0, a=(1.0, 1.0, 1.0)),), 3)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0])
+@pytest.mark.parametrize("call", [
+    lambda tol: is_product_structured(REDUNDANT, tol=tol),
+    lambda tol: construct_witness(partition_split(), tol=tol),
+    lambda tol: disagreement_bound(negation_split(), [[0.84], [0.89]], (0.5, 0.5), tol=tol),
+], ids=["is_product_structured", "construct_witness", "disagreement_bound"])
+def test_dichotomy_and_bound_refuse_a_tolerance_that_is_not_finite_and_nonnegative(call, tol):
+    with pytest.raises(ValueError, match="must be a finite number >= 0"):
+        call(tol)
 
 
 @pytest.mark.parametrize(
@@ -613,16 +713,21 @@ def test_coupling_polytope_holds_every_cut_equalities_first():
     assert joint.halfspaces == coupling.halfspaces
 
 
-def test_has_feasible_point_true_or_unknown():
+def test_has_feasible_point_is_exact():
     assert partition_split().has_feasible_point() is True
     over_full = CompositionSpec(
         free_components([1, 1]), (CouplingConstraint("partition-sum", (0, 1), 3.0),), 2
     )
-    assert over_full.has_feasible_point() is None
-    too_many_vertices = CompositionSpec(
-        free_components([1] * 13), relation_coupling(partition(13), range(13)), 13
+    assert over_full.has_feasible_point() is False
+    assert partition_split(13).has_feasible_point() is True
+    # feasible, yet no 0/1 point sums to 1.5
+    half = CompositionSpec(
+        free_components([1, 1, 1]), (CouplingConstraint("partition-sum", (0, 1, 2), 1.5),), 3
     )
-    assert too_many_vertices.has_feasible_point() is None
+    assert half.has_feasible_point() is True
+    empty = PolytopeSpec(dim=2, equalities=(LinearConstraint((1.0, 1.0), 3.0, "x1+x2=3"),))
+    empty_local = CompositionSpec((ComponentSpec(empty, (0, 1)),), (), 2)
+    assert empty_local.has_feasible_point() is False
 
 
 def test_certificate_does_not_depend_on_cut_order():

@@ -340,14 +340,14 @@ def test_hierarchical_soak_on_random_mixed_compositions():
             kind = ["equality", "negation-sum", "ladder-chain"][int(rng.integers(0, 3))]
             cuts.append(CouplingConstraint(kind, pair))
         comp = CompositionSpec(tuple(blocks), tuple(cuts), dim)
-        if comp.has_feasible_point() is not True:
-            continue  # keep only visibly feasible systems
-        accepted += 1
         joint = comp.joint_polytope
         feasible_points = [
-            v for v in comp.product_vertices
+            v for v in np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
             if is_member(joint, v, 1e-9)
         ]
+        if not feasible_points:
+            continue  # keep only visibly feasible systems
+        accepted += 1
         for _ in range(5):
             q = rng.uniform(size=dim)
             hier = project_hierarchical(comp, q)

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .composition import (
+    Certificate,
     ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
@@ -41,7 +42,7 @@ from .decision import (
     murphy,
     regret,
 )
-from .jsonio import InputError, dump_lines, dumps, json_field, parse_lines
+from .jsonio import InputError, dump_columns, dump_lines, dumps, json_field, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
 from .polytope import MEMBERSHIP_TOL, Clique, PolytopeSpec
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
@@ -134,21 +135,23 @@ def cmd_project(args) -> Run:
     by_relation: dict = {}
     for i, (clique, _) in enumerate(parsed):
         by_relation.setdefault(clique.relation, []).append(i)
-    out: list = [None] * len(parsed)
+    n = len(parsed)
+    projected, residual, active = [None] * n, [None] * n, [None] * n
     for relation, indices in by_relation.items():  # one batch call per relation
         quotes = np.array([parsed[i][1] for i in indices])
-        projected = project_relation_batch(relation, quotes)
-        reported = _reported(_polytope(relation), quotes, projected)
-        for i, p, (residual, active) in zip(indices, projected.tolist(), reported):
-            out[i] = {  # each row as project_relation reports it
-                "id": parsed[i][0].id,
-                "projected": p,
-                "residual": residual,
-                "iterations": 1,
-                "converged": True,
-                "active_constraint": active,
-            }
-    return dump_lines(out), "", args.seed, {"input": text}
+        rows = project_relation_batch(relation, quotes)
+        reported = _reported(_polytope(relation), quotes, rows)
+        for i, p, (r, a) in zip(indices, rows.tolist(), reported):
+            projected[i], residual[i], active[i] = p, r, a
+    columns = {  # each row as project_relation reports it
+        "id": [clique.id for clique, _ in parsed],
+        "projected": projected,
+        "residual": residual,
+        "iterations": [1] * n,
+        "converged": [True] * n,
+        "active_constraint": active,
+    }
+    return dump_columns(columns), "", args.seed, {"input": text}
 
 
 # --- certify ---------------------------------------------------------------
@@ -208,7 +211,7 @@ def cmd_certify(args) -> Run:
     if malformed is not None:
         lineno, exc = malformed
         raise InputError(f"line {lineno}: {exc}") from exc
-    return dump_lines(cert.to_json() for cert in certs), "", args.seed, {"input": text}
+    return dump_columns(Certificate.columns(certs)), "", args.seed, {"input": text}
 
 
 # --- monitor ---------------------------------------------------------------
@@ -254,7 +257,7 @@ def cmd_simulate(args) -> Run:
     bets = to_bet_records(records, config.naive_operator, config.repaired_operator)
     if args.ecdf_out:
         _write_text(args.ecdf_out, _eps_ecdf_csv(records))
-    return dump_lines(b.to_json() for b in bets), config_text, config.master_seed, {}
+    return dump_columns(BetRecord.columns(bets)), config_text, config.master_seed, {}
 
 
 def _eps_ecdf_csv(records) -> str:

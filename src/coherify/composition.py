@@ -412,13 +412,18 @@ class Certificate:
     def binding(self) -> tuple[str, ...]:
         return self.run.names[self.row]
 
-    def to_json(self) -> dict:
+    @staticmethod
+    def columns(certs) -> dict:
+        """The ``to_json`` records of ``certs`` as columns, one list per field."""
         return {
-            "eps_star": self.epsilon_star,
-            "exposure_bound": self.exposure_bound,
-            "repaired": self.repaired.tolist(),
-            "binding": list(self.binding),
+            "eps_star": [c.epsilon_star for c in certs],
+            "exposure_bound": [c.exposure_bound for c in certs],
+            "repaired": [c.repaired.tolist() for c in certs],
+            "binding": [list(c.binding) for c in certs],
         }
+
+    def to_json(self) -> dict:
+        return {key: column[0] for key, column in self.columns([self]).items()}
 
 
 def aggregate(comp: CompositionSpec, locals_: list) -> np.ndarray:

@@ -49,15 +49,20 @@ class BetRecord:
         yes = [i for i, v in enumerate(labels) if v == 1]
         object.__setattr__(self, "unique_yes", yes[0] if len(yes) == 1 else None)
 
-    def to_json(self) -> dict:
+    @staticmethod
+    def columns(bets) -> dict:
+        """The ``to_json`` records of ``bets`` as columns, one list per field."""
         return {
-            "clique_id": self.clique_id,
-            "seed": self.seed,
-            "naive": list(self.quote_naive),
-            "repaired": list(self.quote_repaired),
-            "labels": list(self.labels),
-            "eps_star": self.eps_star,
+            "clique_id": [b.clique_id for b in bets],
+            "seed": [b.seed for b in bets],
+            "naive": [list(b.quote_naive) for b in bets],
+            "repaired": [list(b.quote_repaired) for b in bets],
+            "labels": [list(b.labels) for b in bets],
+            "eps_star": [b.eps_star for b in bets],
         }
+
+    def to_json(self) -> dict:
+        return {key: column[0] for key, column in self.columns([self]).items()}
 
     @classmethod
     def from_json(cls, record: dict) -> "BetRecord":

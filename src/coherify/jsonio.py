@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -19,10 +20,7 @@ _string = json.encoder.encode_basestring_ascii  # what json.dumps writes a str w
 
 
 def dumps(obj) -> str:
-    """Compact JSON with floats at 17 significant digits; dict order preserved.
-
-    A list or tuple of Python floats goes out in one join over its entries.
-    """
+    """Compact JSON with floats at 17 significant digits; dict order preserved."""
     if obj is None:
         return "null"
     if obj is True:
@@ -38,12 +36,43 @@ def dumps(obj) -> str:
     if isinstance(obj, dict):
         return "{" + ", ".join([f"{_string(str(k))}: {dumps(v)}" for k, v in obj.items()]) + "}"
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):
-            return "[" + ", ".join(map(_format_float, obj)) + "]"
-        return "[" + ", ".join(map(dumps, obj)) + "]"
+        return "[" + ", ".join(_column(obj)) + "]"
     if hasattr(obj, "item"):  # numpy scalars
         return dumps(obj.item())
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _floats(values) -> list[str]:
+    """``_format_float`` of each Python float, in one ``%.17g`` pass; the values that
+    ``%.17g`` writes without a point (integral or non-finite) are redone."""
+    out = list(map("%.17g".__mod__, values))
+    if "".join(out).count(".") != len(out):
+        out = [s if "." in s else _format_float(x) for s, x in zip(out, values)]
+    return out
+
+
+def _column(values) -> list[str]:
+    """``dumps`` of each value; floats, strings, and the entries of lists and tuples, in
+    one pass."""
+    types = set(map(type, values))
+    if types == {float}:
+        return _floats(values)
+    if types <= {str}:
+        return list(map(_string, values))
+    if not types <= {list, tuple}:
+        return list(map(dumps, values))
+    entries = iter(_column(list(itertools.chain.from_iterable(values))))
+    return ["[" + ", ".join(itertools.islice(entries, n)) + "]" for n in map(len, values)]
+
+
+def dump_columns(columns: dict) -> str:
+    """``dump_lines`` of the records ``{key: columns[key][i]}``, written column by column
+    into one line template."""
+    template = "{" + ", ".join(_string(str(k)).replace("%", "%%") + ": %s" for k in columns) + "}\n"
+    try:
+        return "".join(map(template.__mod__, zip(*map(_column, columns.values()))))
+    except (TypeError, ValueError):  # the first record at fault raises, as it would alone
+        return "".join(dumps(dict(zip(columns, row))) + "\n" for row in zip(*columns.values()))
 
 
 def dump_lines(records) -> str:

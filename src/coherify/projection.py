@@ -112,20 +112,23 @@ def _simplex_faces(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram = edges @ edges.T
     if not np.linalg.det(gram) > 1e-12 * np.prod(np.diag(gram)):
         raise ValueError(f"the {k} vertices are not affinely independent")
-    faces = [list(S) for r in range(1, k + 1) for S in itertools.combinations(range(k), r)]
-    G = np.zeros((len(faces), k + d, d))
-    h = np.zeros((len(faces), k + d))
-    for f, S in enumerate(faces):
-        base = V[S[0]]
-        E = V[S[1:]] - base  # edge vectors from the face's first vertex
-        L = np.linalg.solve(E @ E.T, E)  # x - base -> coefficients of the edges
-        M = np.vstack([-L.sum(axis=0), L])  # weights = M @ (x - base) + e_0
-        P = np.eye(d) if len(S) == d + 1 else E.T @ L
-        G[f, S] = M
-        h[f, S] = -M @ base
-        h[f, S[0]] += 1.0
+    G = np.zeros((2 ** k - 1, k + d, d))
+    h = np.zeros((2 ** k - 1, k + d))
+    first = 0
+    for r in range(1, k + 1):  # every face of r vertices at once, faces in combinations order
+        S = np.array(list(itertools.combinations(range(k), r)))
+        f = np.arange(first, first + len(S))
+        first += len(S)
+        base = V[S[:, 0]]
+        E = V[S[:, 1:]] - base[:, None]  # edge vectors from each face's first vertex
+        L = np.linalg.solve(E @ E.transpose(0, 2, 1), E)  # x - base -> coefficients of the edges
+        M = np.concatenate([-L.sum(axis=1, keepdims=True), L], axis=1)  # M @ (x - base) + e_0
+        P = np.broadcast_to(np.eye(d), (len(S), d, d)) if r == d + 1 else E.transpose(0, 2, 1) @ L
+        G[f[:, None], S] = M
+        h[f[:, None], S] = (-M @ base[:, :, None])[..., 0]
+        h[f, S[:, 0]] += 1.0
         G[f, k:] = P
-        h[f, k:] = base - P @ base
+        h[f, k:] = base - (P @ base[:, :, None])[..., 0]
     G.setflags(write=False)
     h.setflags(write=False)
     return G, h

@@ -1,11 +1,13 @@
 """Write the golden study outputs beside this file.
 
 Runs ``coherify simulate`` (bets and residual ECDF), ``regret`` under each
-allocation rule, ``gate`` and ``predict`` on ``scenario.cfg``, and
+allocation rule, ``gate`` and ``predict`` on ``scenario.cfg``,
 ``predict`` on ``scenario-sampled.cfg``, whose draws are sampled rather
-than exhausted. ``tests/test_golden.py`` runs the same commands and
-compares bytes. Regenerate only for a change that moves these bytes on
-purpose, and declare the move:
+than exhausted, and ``regret --rule truncated-kelly`` on the hand-written
+``bets-kelly-cap.jsonl``, whose repaired quotes put more than
+``KELLY_CAP`` on the unique YES. ``tests/test_golden.py`` runs the same
+commands and compares bytes. Regenerate only for a change that moves
+these bytes on purpose, and declare the move:
 
     PYTHONPATH=src python tests/golden/study/regenerate.py
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 RULES = ("proportional", "truncated-kelly", "max-entropy")
 OUTPUTS = ("bets.jsonl", "ecdf.csv", *(f"regret-{rule}.json" for rule in RULES),
-           "gate.json", "predict.jsonl", "predict-sampled.jsonl")
+           "gate.json", "predict.jsonl", "predict-sampled.jsonl", "regret-kelly-cap.json")
 
 
 def run_study(out_dir: Path) -> None:
@@ -34,7 +36,9 @@ def run_study(out_dir: Path) -> None:
               for rule in RULES]
     argvs += [["gate", bets, "--out", str(out_dir / "gate.json")],
               ["predict", scenario, "--out", str(out_dir / "predict.jsonl")],
-              ["predict", sampled, "--out", str(out_dir / "predict-sampled.jsonl")]]
+              ["predict", sampled, "--out", str(out_dir / "predict-sampled.jsonl")],
+              ["regret", str(HERE / "bets-kelly-cap.jsonl"), "--rule", "truncated-kelly",
+               "--out", str(out_dir / "regret-kelly-cap.json")]]
     for argv in argvs:
         if main(argv) != 0:
             raise RuntimeError(f"coherify {' '.join(argv)} failed")

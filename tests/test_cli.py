@@ -1,15 +1,19 @@
 import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coherify.cli import main
-from coherify.jsonio import dumps, parse_lines
-from coherify.polytope import Relation
+from coherify.cli import composition_from_json, main
+from coherify.composition import residual_batch
+from coherify.jsonio import dump_columns, dump_lines, dumps, parse_lines
+from coherify.polytope import Clique, Relation
 from coherify.projection import project_relation
+from coherify.simharness import SimConfig, run_ensemble, to_bet_records
 
 
 def run_cli(args):
@@ -694,6 +698,69 @@ def test_dumps_writes_the_edge_cases_of_the_recursive_emitter(value):
     assert dumps(value) == reference_dumps(value)
     with pytest.raises(ValueError, match="non-finite"):
         dumps([0.5, float("nan")])
+
+
+def _written(write, records):
+    """``write(records)``, or the type and message of the error it raised."""
+    try:
+        return write(records)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_keys = st.sampled_from(["a", "%s", "100%", "é", ""])
+_values = (_floats | _strings | st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+           | st.sampled_from([1e16, 1e17, 5e-324, float("nan"), float("inf"), -float("inf"),
+                              np.float64(1.0), np.float64("nan"), np.int64(7), np.bool_(True),
+                              {"b": -0.0, "%d": [1.0]}, object()])
+           | st.lists(_floats, max_size=4) | st.lists(_floats, max_size=4).map(tuple)
+           | st.lists(st.sampled_from([0.5, 1.0, float("nan"), np.float64(0.25)]), max_size=3)
+           | st.lists(_strings, max_size=3))
+_columns = st.lists(_keys, min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.integers(0, 8).flatmap(lambda n: st.fixed_dictionaries(
+        {k: st.lists(_values, min_size=n, max_size=n) for k in keys})))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(columns=_columns)
+@example(columns={"a": [0.5, 1.0, float("nan")], "b": [object(), 1.0, 1.0]})
+@example(columns={"a": [0.5, -0.0, 1e16], "%s": [[1.0], 2, ("x", 0.25)]})
+def test_dump_columns_writes_the_records_one_by_one(columns):
+    """Bytes, or the type and message of the first record's error, as ``dumps`` per record."""
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    assert _written(dump_columns, columns) == _written(dump_lines, records)
+
+
+def test_commands_write_the_library_records(tmp_path):
+    """The columns ``project``, ``certify`` and ``simulate`` write are the library's
+    records: ``project_relation``'s result, ``Certificate.to_json`` and
+    ``BetRecord.to_json``, byte for byte (a project field renamed in the CLI fails)."""
+    engine = Path(__file__).parent / "golden" / "engine"
+    out = tmp_path / "out.jsonl"
+    source = engine / "project.jsonl"
+    assert run_cli(["project", str(source), "--out", str(out)]) == 0
+    want = []
+    for _, record in parse_lines(source.read_text()):
+        clique = Clique.from_json(record)
+        result = project_relation(clique.relation, record["quote"])
+        want.append({"id": clique.id, **asdict(result), "projected": result.projected.tolist()})
+    assert out.read_text() == dump_lines(want)
+    assert "[0.0, 1.0]" in out.read_text()
+    for name in ("catalog", "disjoint", "generic"):  # catalog, multi-block and generic blocks
+        source = engine / f"certify-{name}.jsonl"
+        assert run_cli(["certify", str(source), "--out", str(out)]) == 0
+        shapes: dict = {}
+        items = [composition_from_json(r, shapes) for _, r in parse_lines(source.read_text())]
+        assert out.read_text() == dump_lines(c.to_json() for c in residual_batch(items))
+    scenario = Path(__file__).parent / "golden" / "study" / "scenario.cfg"
+    assert run_cli(["simulate", str(scenario), "--out", str(out)]) == 0
+    config = SimConfig.parse(scenario.read_text())
+    records = run_ensemble(config.build_cliques(), config.build_model(), config.build_policy(),
+                           config.n_seeds, config.master_seed)
+    bets = to_bet_records(records, config.naive_operator, config.repaired_operator)
+    text = out.read_text()
+    assert text == dump_lines(b.to_json() for b in bets)
+    assert "0.0" in text and "1.0" in text
 
 
 def test_simulate_ecdf_csv(tmp_path, scenario):

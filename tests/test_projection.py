@@ -785,6 +785,45 @@ def test_face_table_refuses_affinely_dependent_vertices():
     assert G.shape == (15, 4 + 3, 3) and h.shape == (15, 4 + 3)
 
 
+def _face_maps_one_by_one(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_simplex_faces``'s table built by one solve per face, in combinations order."""
+    k, d = V.shape
+    faces = [list(S) for r in range(1, k + 1) for S in itertools.combinations(range(k), r)]
+    G = np.zeros((len(faces), k + d, d))
+    h = np.zeros((len(faces), k + d))
+    for f, S in enumerate(faces):
+        base = V[S[0]]
+        E = V[S[1:]] - base
+        L = np.linalg.solve(E @ E.T, E)
+        M = np.vstack([-L.sum(axis=0), L])
+        P = np.eye(d) if len(S) == d + 1 else E.T @ L
+        G[f, S] = M
+        h[f, S] = -M @ base
+        h[f, S[0]] += 1.0
+        G[f, k:] = P
+        h[f, k:] = base - P @ base
+    return G, h
+
+
+def test_face_table_is_the_per_face_solves_bit_for_bit():
+    simplices = [enumerate_vertices(conjunction()).as_array(),
+                 enumerate_vertices(disjunction()).as_array()]
+    rng = np.random.default_rng(47)
+    while len(simplices) < 200:
+        d = int(rng.integers(1, 5))
+        V = rng.normal(size=(int(rng.integers(1, d + 2)), d)) * rng.choice([0.1, 1.0, 10.0])
+        if len(V) == 1 or abs(np.linalg.det((V[1:] - V[0]) @ (V[1:] - V[0]).T)) > 1e-6:
+            simplices.append(V)
+    for V in simplices:
+        G, h = _simplex_faces(V)
+        want_G, want_h = _face_maps_one_by_one(V)
+        assert G.tobytes() == want_G.tobytes() and h.tobytes() == want_h.tobytes()
+        assert not G.flags.writeable and not h.flags.writeable
+    dependent = rng.normal(size=(3, 2)) @ np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+    with pytest.raises(ValueError, match="affinely independent"):
+        _simplex_faces(np.vstack([np.zeros(3), dependent]))
+
+
 @pytest.mark.parametrize("relation", ALL_RELATIONS, ids=lambda r: r.kind.value)
 def test_project_relation_is_the_batched_route_on_one_row(relation):
     rng = np.random.default_rng(31)

@@ -411,6 +411,8 @@ def murphy(quotes, labels, n_bins: int = 10) -> MurphyDecomposition:
     y = np.asarray(labels, dtype=float).ravel()
     if p.shape != y.shape:
         raise ValueError("quotes and labels must align")
+    if p.size == 0:
+        raise ValueError("no forecasts to decompose")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be binary")
     bins = np.minimum((p * n_bins).astype(int), n_bins - 1)

@@ -12,7 +12,6 @@ neither exact nor a bound, when the panel mean sits strictly inside.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,9 +53,11 @@ class MagnitudePrediction:
 
 
 def _panel_matrix(panel) -> np.ndarray:
-    """The panel's quotes as the rows of one matrix, refused unless they share one
-    dimension and every entry is finite."""
+    """The panel's quotes as the rows of one matrix, refused unless there is at least
+    one, they share one dimension and every entry is finite."""
     quotes = [np.asarray(q, dtype=float) for q in panel]
+    if not quotes:
+        raise ValueError("panel holds no quotes")
     if len({q.shape for q in quotes}) > 1:
         raise ValueError("panel quotes must share one dimension")
     P = np.stack(quotes)
@@ -110,60 +111,28 @@ def predict_magnitude(stats: PanelStats, relation: Relation) -> MagnitudePredict
     return MagnitudePrediction(0.5 * rayleigh, 0.5, a, regime)
 
 
-def _distinct_choices(P: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
-    """Per coordinate ``j``, one row per distinct quote, first owners first, holding
-    its flat panel entry ``owner * m + j`` in column ``j`` and 0 elsewhere, and
-    each owner's position among those quotes.
-
-    Owners whose quotes share one bit pattern count as one choice, so 0.0
-    and -0.0 stay apart and every distinct row projects exactly as before.
-    """
-    m = P.shape[1]
-    entries, columns, codes, ends = [], [], [], []
-    for j, quotes in enumerate(P.view(np.uint64).T.tolist()):
-        seen, code = {}, []
-        for owner, bits in enumerate(quotes):
-            if bits not in seen:
-                seen[bits] = len(seen)
-                entries.append(owner * m + j)
-                columns.append(j)
-            code.append(seen[bits])
-        codes.append(code)
-        ends.append(len(entries))
-    rows = np.zeros((len(entries), m), dtype=np.intp)
-    rows[np.arange(len(entries)), columns] = entries
-    return [rows[a:b] for a, b in zip([0] + ends, ends)], codes
+def _distinct_quotes(P: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
+    """Per coordinate, its distinct quotes and each owner's position among them.
+    Quotes count as one only when their bit patterns match, so 0.0 and -0.0 stay apart."""
+    values, codes = [], []
+    for quotes in P.view(np.uint64).T.tolist():
+        seen = {}
+        codes.append([seen.setdefault(bits, len(seen)) for bits in quotes])
+        values.append(np.array(list(seen), dtype=np.uint64).view(np.float64))
+    return values, codes
 
 
-def _product_blocks(choices: list[np.ndarray]):
-    """``(start, block)`` per block of the product of the per-coordinate ``choices``,
-    the first coordinate slowest: product row ``(d_0, ..., d_{m-1})`` is
-    ``choices[0][d_0] + ... + choices[m-1][d_{m-1}]``.
-
-    A block is every combination of the trailing r coordinates under one of
-    the rest, r the largest with at most ``DRAW_BLOCK_ENTRIES`` entries. The
-    blocks come last first, each in product order.
-    """
-    m, size = len(choices), choices[0][0].size
-    counts = [len(c) for c in choices]
-    r = max((r for r in range(m + 1)
-             if math.prod(counts[m - r:]) * size <= DRAW_BLOCK_ENTRIES), default=0)
-    table = np.zeros_like(choices[0][:1])
-    for c in choices[m - r:]:
-        table = (table[:, None] + c).reshape(len(table) * len(c), *c.shape[1:])
-    start = math.prod(counts)
-    for lead in itertools.product(*(c[::-1] for c in choices[:m - r])):
-        start -= len(table)
-        yield start, table + sum(lead)
-
-
-def _squared_residuals(comp: CompositionSpec, flat: np.ndarray, blocks, out: np.ndarray):
-    """Squared distance of each drawn row to its exact joint projection, into ``out``."""
-    for start, index in blocks:
-        X = flat.take(index)
+def _squared_residuals(comp: CompositionSpec, n: int, rows) -> np.ndarray:
+    """Squared distance of rows ``rows(s, e)``, for ``s < e <= n``, to their exact
+    joint projection, projected in blocks of at most ``DRAW_BLOCK_ENTRIES`` entries."""
+    out = np.empty(n)
+    step = max(1, DRAW_BLOCK_ENTRIES // comp.joint_dim)
+    for s in range(0, n, step):
+        X = rows(s, min(s + step, n))
         projected = _joint_projection(comp, X)
         np.subtract(X, projected, out=X)
-        np.sum(np.square(X, out=X), axis=1, out=out[start:start + len(X)])
+        np.sum(np.square(X, out=X), axis=1, out=out[s:s + len(X)])
+    return out
 
 
 def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_000,
@@ -177,12 +146,12 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     ``InfeasibleCouplingError`` when the joint set is empty. A panel entry
     that is NaN or infinite is refused before any projection.
 
-    The exhaustive branch projects each distinct row once: owners whose
-    quotes at a coordinate share one bit pattern count as one choice there,
-    and every assignment's value is gathered from its distinct row in the
-    product order. Each block of at most ``DRAW_BLOCK_ENTRIES`` entries is
-    one ``take`` from the flattened panel; every row is projected and summed
-    on its own, so neither the blocks nor the repeated rows change a bit.
+    The exhaustive branch projects each row of the mixed-radix product of
+    every coordinate's distinct quotes (by bit pattern, so 0.0 and -0.0 stay
+    apart) once, and every assignment, in ``itertools.product`` order, gathers
+    its value from its row. Rows are projected and summed on their own in
+    blocks of at most ``DRAW_BLOCK_ENTRIES`` entries, so neither the blocks
+    nor the repeated rows change a bit.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -190,28 +159,18 @@ def observe_magnitude_samples(comp: CompositionSpec, panel, n_draws: int = 10_00
     k, m = P.shape
     if m != comp.joint_dim:
         raise ValueError("panel quotes must live on the joint coordinates")
-    flat = P.ravel()
     if k**m > EXHAUSTIVE_LIMIT:
         rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0x0B5E)))
-        index = rng.integers(0, k, size=(n_draws, m)) * m + np.arange(m)
-        step = max(1, DRAW_BLOCK_ENTRIES // m)
-        out = np.empty(n_draws)
-        _squared_residuals(comp, flat, ((s, index[s:s + step]) for s in range(0, n_draws, step)),
-                           out)
-        return out
-    choices, codes = _distinct_choices(P)
-    radices = [len(c) for c in choices]
-    distinct = math.prod(radices)
-    out = np.empty(k**m)
-    _squared_residuals(comp, flat, _product_blocks(choices), out[:distinct])
-    if distinct < k**m:
-        # Assignment a reads distinct row idx(a) <= a, since no owner's position among the
-        # distinct quotes exceeds the owner, so filling the blocks last first in place
-        # overwrites no row still to be read.
-        strides = [math.prod(radices[j + 1:]) for j in range(m)]
-        for start, index in _product_blocks([np.multiply(c, s) for c, s in zip(codes, strides)]):
-            out[start:start + len(index)] = out.take(index)
-    return out
+        owners = rng.integers(0, k, size=(n_draws, m))
+        return _squared_residuals(comp, n_draws, lambda s, e: P[owners[s:e], np.arange(m)])
+    values, codes = _distinct_quotes(P)
+    radices = [len(v) for v in values]
+    distinct = _squared_residuals(comp, math.prod(radices), lambda s, e: np.stack(
+        [v[d] for v, d in zip(values, np.unravel_index(np.arange(s, e), radices))], axis=1))
+    index = np.zeros(1, dtype=np.intp)
+    for radix, code in zip(radices, codes):
+        index = (index[:, None] * radix + code).ravel()
+    return distinct[index]
 
 
 def observe_magnitude(comp: CompositionSpec, panel, n_draws: int = 10_000,

@@ -457,6 +457,11 @@ def test_murphy_validations():
         murphy([0.5], [2], n_bins=5)
 
 
+def test_murphy_refuses_an_empty_forecast_list():
+    with pytest.raises(ValueError, match="no forecasts to decompose"):
+        murphy([], [])
+
+
 # --- Diebold-Mariano --------------------------------------------------------------
 
 

@@ -97,6 +97,14 @@ def test_a_non_finite_panel_entry_is_refused_before_any_projection(monkeypatch, 
             call()
 
 
+def test_an_empty_panel_is_refused():
+    comp = split_composition(partition(4))
+    for call in (lambda: observe_magnitude_samples(comp, []),
+                 lambda: observe_magnitude(comp, [])):
+        with pytest.raises(ValueError, match="panel holds no quotes"):
+            call()
+
+
 def test_panel_mean_of_coherent_quotes_is_coherent():
     # convexity: the mean of polytope members is a member
     rng = np.random.default_rng(21)
@@ -342,6 +350,8 @@ def _tied(P, ties):
             P[1 + j % (k - 1), j] = P[0, j]
     elif ties == "agree":  # every owner quotes one value at coordinate 0
         P[:, 0] = P[0, 0]
+    elif ties == "all-agree":  # every owner quotes owner 0's row: one distinct row
+        P[:] = P[0]
     elif ties == "signed-zero":  # 0.0 and -0.0 are two quotes, never one
         P[0::2, m - 1] = 0.0
         P[1::2, m - 1] = -0.0
@@ -350,10 +360,10 @@ def _tied(P, ties):
 
 @pytest.mark.parametrize(
     "relation, k, entries, ties",
-    [(partition(4), 3, 5, None),          # k * m > entries: blocks of one draw (r = 0)
-     (ladder(5), 3, 50, None),            # r = 2: 27 blocks of 9, 3^5 no multiple of 50 // 5
-     (conjunction(), 4, 8192, None),      # r = m: one block
-     (paraphrase(3), 5, 40, None),        # r = 1: 25 blocks of 5, 5^3 no multiple of 40 // 3
+    [(partition(4), 3, 5, None),          # entries // m = 1: blocks of one row
+     (ladder(5), 3, 50, None),            # blocks of 10 rows, 3^5 no multiple of 10
+     (conjunction(), 4, 8192, None),      # every row in one block
+     (paraphrase(3), 5, 40, None),        # blocks of 13 rows, 5^3 no multiple of 13
      (partition(4), 3, 5, "partial"),
      (ladder(5), 3, 50, "partial"),
      (conjunction(), 4, 8192, "partial"),
@@ -363,11 +373,13 @@ def _tied(P, ties):
      (paraphrase(3), 5, 40, "agree"),
      (partition(4), 3, 5, "signed-zero"),
      (ladder(5), 3, 50, "signed-zero"),
-     (conjunction(), 4, 8192, "signed-zero")],
-    ids=["r0", "r2", "one-block", "r1", "r0-partial-ties", "r2-partial-ties",
-         "one-block-partial-ties", "r1-partial-ties", "r0-one-agreeing-coordinate",
-         "r2-one-agreeing-coordinate", "r1-one-agreeing-coordinate", "r0-signed-zeros",
-         "r2-signed-zeros", "one-block-signed-zeros"],
+     (conjunction(), 4, 8192, "signed-zero"),
+     (ladder(5), 3, 50, "all-agree")],
+    ids=["rows-1", "rows-10", "one-block", "rows-13", "rows-1-partial-ties",
+         "rows-10-partial-ties", "one-block-partial-ties", "rows-13-partial-ties",
+         "rows-1-one-agreeing-coordinate", "rows-10-one-agreeing-coordinate",
+         "rows-13-one-agreeing-coordinate", "rows-1-signed-zeros", "rows-10-signed-zeros",
+         "one-block-signed-zeros", "rows-10-one-distinct-row"],
 )
 def test_exhaustive_blocks_equal_the_product_order_bit_for_bit(monkeypatch, relation, k,
                                                                entries, ties):
@@ -389,6 +401,35 @@ def test_exhaustive_blocks_equal_the_product_order_bit_for_bit(monkeypatch, rela
     assert sum(sizes) == math.prod(distinct) * m and max(sizes) <= entries
     if ties is None:
         assert math.prod(distinct) == k**m
+
+
+def test_the_exhaustive_limit_is_the_last_exhaustive_size(monkeypatch):
+    import coherify.prediction as prediction
+
+    project = prediction._joint_projection
+    sizes = []
+    monkeypatch.setattr(prediction, "_joint_projection",
+                        lambda comp, X: sizes.append(X.size) or project(comp, X))
+    # 4^8 == EXHAUSTIVE_LIMIT: exhaustive. Owners agree but at coordinates 0 and 5,
+    # so 4 * 2 = 8 rows are distinct.
+    P = np.tile(np.linspace(0.05, 0.4, 8), (4, 1))
+    P[:, 0] = [0.1, 0.2, 0.3, 0.4]
+    P[:, 5] = [0.7, 0.7, 0.2, 0.7]
+    comp = split_composition(partition(8))
+    samples = observe_magnitude_samples(comp, list(P), n_draws=1, seed=0)
+    assert samples.shape == (65_536,) and sum(sizes) == 8 * 8
+    assert samples.tolist() == observe_magnitude_samples(comp, list(P), n_draws=9,
+                                                         seed=4).tolist()
+    for a in (0, 1, 4 ** 5 + 3, 40_000, 65_535):
+        owners = np.unravel_index(a, (4,) * 8)  # itertools.product order, first slowest
+        x = P[owners, np.arange(8)][None, :]
+        assert samples[a] == np.sum(np.square(x - project(comp, x)))
+    # 2^17 > EXHAUSTIVE_LIMIT: sampled
+    comp = split_composition(partition(17))
+    panel = [np.full(17, 0.03), np.linspace(0.0, 0.1, 17)]
+    drawn = [observe_magnitude_samples(comp, panel, n_draws=50, seed=s) for s in (0, 1)]
+    assert [d.shape for d in drawn] == [(50,), (50,)]
+    assert drawn[0].tolist() != drawn[1].tolist()
 
 
 def test_sampled_draws_take_each_owner_entry():

@@ -107,14 +107,27 @@ def _write_run(args, text: str, config_text: str, seed: int | None,
         Path(target).write_text(dumps(manifest) + "\n")
 
 
+def _records(text: str) -> tuple[list, InputError | None]:
+    """``parse_lines(text)`` and None, or the records before the first line it refuses
+    and that refusal, which comes after any error of those records."""
+    try:
+        return parse_lines(text), None
+    except InputError as exc:
+        return exc.records, exc
+
+
 def _parsed(text: str, parse) -> list:
-    """``parse(record)`` for every record of ``text``; a record it refuses names its line."""
+    """``parse(record)`` for every record of ``text``; the earliest line that is no
+    record or that ``parse`` refuses raises, naming that line."""
+    records, refused = _records(text)
     out = []
-    for lineno, record in parse_lines(text):
+    for lineno, record in records:
         try:
             out.append(parse(record))
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
+    if refused is not None:
+        raise refused
     return out
 
 
@@ -196,21 +209,21 @@ def cmd_certify(args) -> Run:
     text = _read_text(args.input)
     shapes: dict = {}
     items, linenos = [], []
-    malformed = None
-    for lineno, record in parse_lines(text):
+    records, malformed = _records(text)
+    for lineno, record in records:
         try:
             items.append(composition_from_json(record, shapes))
         except ValueError as exc:
-            malformed = (lineno, exc)
+            malformed = InputError(f"line {lineno}: {exc}")
             break  # no later record can fail first
         linenos.append(lineno)
+    del records  # kept through certification, the decoded records raise its peak memory
     try:
         certs = residual_batch(items, tol=args.tol)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"line {linenos[exc.index]}: {exc}") from exc
     if malformed is not None:
-        lineno, exc = malformed
-        raise InputError(f"line {lineno}: {exc}") from exc
+        raise malformed
     return dump_columns(Certificate.columns(certs)), "", args.seed, {"input": text}
 
 

@@ -31,9 +31,9 @@ from .projection import (
     RESIDUAL_FLOOR,
     InfeasibleCouplingError,
     _coupled_halfspaces,
-    _project_locals,
     _vertex_array,
     project_active_set,
+    project_local,
     project_relation_batch,
 )
 
@@ -82,10 +82,15 @@ class CouplingConstraint:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
         coords = tuple(int(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
-        if len(set(coords)) < 2:
+        distinct = len(set(coords))
+        if distinct < 2:
             raise ValueError("a coupling constraint must reference >= 2 distinct coordinates")
         if min(coords) < 0:
             raise ValueError(f"coords={list(coords)} must be >= 0")
+        # a chain may revisit a coordinate; a sum or a normal would count it once
+        if distinct < len(coords) and self.kind in ("partition-sum", "frechet-halfspace"):
+            repeated = next(c for i, c in enumerate(coords) if c in coords[:i])
+            raise ValueError(f"{self.kind} names coordinate {repeated} twice")
         if not math.isfinite(self.b):
             raise ValueError(f"b={self.b!r} must be finite")
         if self.kind == "negation-sum" and len(coords) != 2:
@@ -367,20 +372,18 @@ class CompositionSpec:
         return True
 
 
+@dataclass(eq=False)
 class _RunBinding:
     """The rows ``X`` of one engine run, whose binding constraints are named together."""
 
-    __slots__ = ("joint", "X", "tol", "_names")
+    joint: PolytopeSpec
+    X: np.ndarray
+    tol: float
 
-    def __init__(self, joint: PolytopeSpec, X: np.ndarray, tol: float):
-        self.joint, self.X, self.tol, self._names = joint, X, tol, None
-
-    @property
+    @cached_property
     def names(self) -> list[tuple[str, ...]]:
         """``joint.violated_rows(X, tol)``, worked out on first read."""
-        if self._names is None:
-            self._names = self.joint.violated_rows(self.X, self.tol)
-        return self._names
+        return self.joint.violated_rows(self.X, self.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,19 +484,9 @@ def _gather_order(columns: list[int], dim: int) -> list[int]:
     return order
 
 
-def _refuse_non_finite(quotes: list) -> None:
-    for a, q in enumerate(quotes):
-        if not np.isfinite(q).all():
-            raise ValueError(f"component {a} quote has non-finite entries")
-
-
 def _assembled_row(comp: CompositionSpec, locals_: list) -> np.ndarray:
-    """One item's assembly, checked in ``aggregate``'s order.
-
-    Shapes are checked per component and finiteness over all quotes at
-    once; which component holds a non-finite entry is looked up only when
-    one does.
-    """
+    """One item's assembly, checked in ``aggregate``'s order: the quote count, then
+    each component's shape and finiteness before the next component's."""
     components = comp.components
     if len(locals_) != len(components):
         raise ValueError(f"expected {len(components)} local quotes, got {len(locals_)}")
@@ -502,12 +495,11 @@ def _assembled_row(comp: CompositionSpec, locals_: list) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         coords = component.coords
         if q.shape != (len(coords),):
-            _refuse_non_finite(quotes)  # an earlier component's fault comes first
             raise ValueError(f"component {a} quote has shape {q.shape}, needs ({len(coords)},)")
+        if not np.isfinite(q).all():
+            raise ValueError(f"component {a} quote has non-finite entries")
         quotes.append(q)
     flat = np.concatenate(quotes) if quotes else np.zeros(0)
-    if not np.isfinite(flat).all():
-        _refuse_non_finite(quotes)
     order = comp._gather
     return flat if order is None else flat[order]
 
@@ -515,17 +507,21 @@ def _assembled_row(comp: CompositionSpec, locals_: list) -> np.ndarray:
 def _composed(comp: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: float):
     """Assembled rows ``X``, locally repaired when ``repair_locals``, and whether each was coherent.
 
-    A row's locals are coherent when the row is in the box and meets every
-    constraint of the constrained components of ``comp``'s system within
-    ``tol``.
+    One pass over the constrained components of ``comp``'s system. A row's
+    locals are coherent when the row is in the box and each component's
+    coordinates meet its constraints within ``tol``. The repair is the box
+    clip, then ``project_local`` on each component's coordinates of the
+    unrepaired row.
     """
     system = comp.system
     coherent = np.logical_and.reduce((X >= -tol) & (X <= 1.0 + tol), axis=1)
+    repaired = X.clip(0.0, 1.0) if repair_locals else X
     for (_, component), columns in zip(system.constrained, system.columns):
-        coherent &= component.polytope.gaps(X[:, columns]).max(axis=1) <= tol
-    if repair_locals:
-        X = _project_locals(system, X)
-    return X, coherent.tolist()
+        local = X[:, columns]
+        coherent &= component.polytope.gaps(local).max(axis=1) <= tol
+        if repair_locals:
+            repaired[:, columns] = project_local(component.polytope, local)
+    return repaired, coherent.tolist()
 
 
 def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> np.ndarray:

@@ -415,6 +415,8 @@ def murphy(quotes, labels, n_bins: int = 10) -> MurphyDecomposition:
         raise ValueError("no forecasts to decompose")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be binary")
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # also false for NaN
+        raise ValueError("forecasts must be numbers in [0, 1]")
     bins = np.minimum((p * n_bins).astype(int), n_bins - 1)
     n = p.size
     ybar = float(y.mean())

@@ -129,18 +129,20 @@ _DECODER = json.JSONDecoder(parse_constant=finite_float, parse_float=finite_floa
 
 
 def parse_lines(text: str):
-    """(line number, record) pairs, each record a JSON object; raises naming the line."""
+    """(line number, record) pairs, each record a JSON object; the first line that is
+    not one raises ``InputError`` naming it, with the pairs before it as ``records``."""
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = _DECODER.decode(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if type(record) is not dict:
+                raise ValueError(f"a record is a JSON object, got {json.dumps(record)}")
         except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
-        if type(record) is not dict:
-            raise InputError(f"line {lineno}: a record is a JSON object, got {json.dumps(record)}")
+            reason = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else exc
+            error = InputError(f"line {lineno}: {reason}")
+            error.records = out
+            raise error from exc
         out.append((lineno, record))
     return out

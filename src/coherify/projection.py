@@ -34,7 +34,7 @@ from .polytope import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .composition import CompositionSpec, ConstraintSystem
+    from .composition import CompositionSpec
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
@@ -550,15 +550,6 @@ def project_local(polytope: PolytopeSpec, v: np.ndarray) -> np.ndarray:
     out = project_active_set(polytope, X) if polytope.relation is None \
         else project_relation_batch(polytope.relation, X)
     return out if v.ndim == 2 else out[0]
-
-
-def _project_locals(system: "ConstraintSystem", Y: np.ndarray) -> np.ndarray:
-    """Each row of ``Y`` onto the product of the lifted local polytopes of ``system``:
-    the box clip, then ``project_local`` on each constrained component's coordinates."""
-    x = _clip(Y)
-    for (_, component), columns in zip(system.constrained, system.columns):
-        x[:, columns] = project_local(component.polytope, Y[:, columns])
-    return x
 
 
 def project_hierarchical(comp: "CompositionSpec", q) -> ProjectionResult:

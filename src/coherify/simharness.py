@@ -625,6 +625,13 @@ class SimConfig:
         variable_arity = any(RelationKind(k) not in _FIXED_ARITY for k in config.relations)
         if variable_arity and not _MIN_ARITY <= config.m <= ENUMERATION_LIMIT:
             problems.append(f"m: must be between {_MIN_ARITY} and {ENUMERATION_LIMIT}")
+        if not config.relations:
+            problems.append("relations: need at least one kind")
+        arities = sorted({_FIXED_ARITY.get(RelationKind(k), config.m) for k in config.relations})
+        if config.biases and len(config.biases) == config.panel_k \
+                and arities != [len(config.biases[0])]:
+            problems.append(f"biases: rows have {len(config.biases[0])} entries, "
+                            f"the relations need {arities}")
         if problems:
             raise ConfigError(problems)
         return config

@@ -403,6 +403,9 @@ EMPTY_MESSAGE = ("empty constraint set: no point meets c0:partition-sum:sum, box
         ([EMPTY_COUPLING_LINE, PARTITION_TOO_LONG_LINE], f"line 2: {EMPTY_MESSAGE}"),
         ([ZERO_NORMAL_LINE, PARTITION_CERTIFY_LINE, ZERO_NORMAL_LINE],
          f"line 2: {ZERO_NORMAL_MESSAGE}"),
+        # a later line of invalid JSON does not come before an earlier failing record
+        ([EMPTY_COUPLING_LINE, "{not json"], f"line 2: {EMPTY_MESSAGE}"),
+        ([MISCOUNTED_LINE, "{not json"], "line 2: 2 owners referenced but 1 local quotes given"),
     ],
 )
 def test_certify_reports_the_earliest_failing_record(tmp_path, capsys, lines, expected):
@@ -410,6 +413,18 @@ def test_certify_reports_the_earliest_failing_record(tmp_path, capsys, lines, ex
     inp.write_text("\n".join([PARTITION_CERTIFY_LINE] + lines + [PARTITION_CERTIFY_LINE]) + "\n")
     assert run_cli(["certify", str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("command, first, message", [
+    ("project", '{"id": "q", "relation": "neg", "m": 2, "quote": [0.4]}', "quote length 1 != m=2"),
+    ("monitor", '{"eps_sq": 0.1, "m": 2}', "K is missing"),
+])
+def test_a_failing_record_comes_before_a_later_invalid_json_line(tmp_path, capsys, command,
+                                                                   first, message):
+    inp = tmp_path / "in.jsonl"
+    inp.write_text(first + "\n{bad\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
 
 def test_project_matches_project_relation_for_every_relation(tmp_path):

@@ -1222,8 +1222,25 @@ def test_each_block_beside_a_generic_block_is_its_own_projection(repair_locals):
      r"a=\[1.0, nan\] must be finite"),
     (dict(kind="frechet-halfspace", coords=(0, 1), b=1.0, a=(-float("inf"), 1.0)),
      r"a=\[-inf, 1.0\] must be finite"),
+    # a sum or a normal over a repeated coordinate would count it once
+    (dict(kind="partition-sum", coords=(0, 0, 1)), "partition-sum names coordinate 0 twice"),
+    (dict(kind="frechet-halfspace", coords=(0, 1, 0), b=0.0, a=(1.0, 1.0, -1.0)),
+     "frechet-halfspace names coordinate 0 twice"),
+    (dict(kind="negation-sum", coords=(0, 1, 2)), "negation-sum couples exactly 2 coordinates"),
+    (dict(kind="ladder-chain", coords=(0, 1), a=(1.0, -1.0)),
+     "ladder-chain does not take an explicit normal"),
 ])
 def test_coupling_refuses_a_negative_coordinate_and_non_finite_numbers(kwargs, message):
     with pytest.raises(ValueError, match=message):
         CouplingConstraint(**kwargs)
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: relation_coupling(partition(3), (0, 1)),
+     "coordinate count must match the relation arity"),
+    (lambda: ComponentSpec(build_polytope(negation()), (0, 1, 2)),
+     "owned coordinate count must match the local polytope dimension"),
+], ids=["relation_coupling", "ComponentSpec"])
+def test_a_coordinate_count_other_than_the_arity_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

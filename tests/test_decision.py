@@ -183,6 +183,13 @@ def test_a_bet_needs_at_least_one_coordinate():
         BetRecord("c", 0, (), (), (), 0.0)
 
 
+@pytest.mark.parametrize("naive, repaired", [((0.5, 0.5), (0.5,)), ((0.5,), (0.5, 0.5))],
+                         ids=["repaired-short", "naive-short"])
+def test_a_bet_refuses_quotes_and_labels_of_different_dimension(naive, repaired):
+    with pytest.raises(ValueError, match="^quotes and labels must share one dimension$"):
+        BetRecord("c", 0, naive, repaired, (1, 0), 0.0)
+
+
 RULES = [AllocationRule(kind) for kind in ("proportional", "truncated-kelly", "max-entropy")]
 
 
@@ -460,6 +467,18 @@ def test_murphy_validations():
 def test_murphy_refuses_an_empty_forecast_list():
     with pytest.raises(ValueError, match="no forecasts to decompose"):
         murphy([], [])
+
+
+@pytest.mark.parametrize("quotes, labels, message", [
+    ([0.5, 0.5], [1], "quotes and labels must align"),
+    ([-0.5], [1], r"forecasts must be numbers in \[0, 1\]"),  # would fall in bin -5
+    ([0.2, 1.5], [0, 1], r"forecasts must be numbers in \[0, 1\]"),
+    ([np.nan], [0], r"forecasts must be numbers in \[0, 1\]"),
+    ([np.inf], [1], r"forecasts must be numbers in \[0, 1\]"),
+], ids=["misaligned", "below-0", "above-1", "nan", "inf"])
+def test_murphy_refuses_misaligned_and_out_of_range_forecasts(quotes, labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        murphy(quotes, labels)
 
 
 # --- Diebold-Mariano --------------------------------------------------------------

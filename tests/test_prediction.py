@@ -97,6 +97,17 @@ def test_a_non_finite_panel_entry_is_refused_before_any_projection(monkeypatch, 
             call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda comp: panel_stats([np.full(4, 0.25), np.full(3, 0.25)]),
+     "panel quotes must share one dimension"),
+    (lambda comp: observe_magnitude_samples(comp, [np.full(5, 0.2)] * 2),
+     "panel quotes must live on the joint coordinates"),
+], ids=["ragged", "other-coordinates"])
+def test_a_ragged_panel_or_one_on_other_coordinates_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(split_composition(partition(4)))
+
+
 def test_an_empty_panel_is_refused():
     comp = split_composition(partition(4))
     for call in (lambda: observe_magnitude_samples(comp, []),

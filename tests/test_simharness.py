@@ -102,6 +102,12 @@ def test_panel_model_refuses_non_finite_biases(settings):
         PanelModel(**settings)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 4)], ids=["off-arity", "off-panel"])
+def test_bias_matrix_refuses_offsets_of_another_shape(shape):
+    with pytest.raises(ValueError, match=r"^biases must have shape \(2, 4\)$"):
+        PanelModel(k=2, biases=np.zeros(shape)).bias_matrix(4)
+
+
 def test_generate_panel_is_deterministic():
     model = PanelModel(k=4, sigma=0.1, K=8)
     a = generate_panel(model, part_clique(), seed=(3, 1))
@@ -590,8 +596,19 @@ def test_config_reports_all_problems():
         ("n_draws = -3\n", "n_draws: must be >= 1"),
         ("relations = ladder\nm = 13\n", "m: must be between 2 and 12"),
         ("relations = neg, paraphrase\nm = 1\n", "m: must be between 2 and 12"),
+        ("relations =\n", "relations: need at least one kind"),
+        ("relations = neg, and\npanel_k = 2\nbiases = 0.1, -0.1; -0.1, 0.1\n",
+         "biases: rows have 2 entries, the relations need [2, 3]"),
+        ("relations = neg\npanel_k = 2\nbiases = 0.1, -0.1, 0.0; -0.1, 0.1, 0.0\n",
+         "biases: rows have 3 entries, the relations need [2]"),
+        ("panel_k = 2\nbiases = 0.1, -0.1; 0.1\n", "biases: rows must share one length"),
+        ("naive_operator = E\n", "naive_operator: must be one of ('A', 'B', 'C', 'D')"),
+        ("sigma = -0.5\n", "sigma: must be >= 0"),
+        ("K = -1\n", "K: must be >= 0 (0 means population limit)"),
     ],
-    ids=["draws-0", "draws-negative", "ladder-m13", "paraphrase-m1"],
+    ids=["draws-0", "draws-negative", "ladder-m13", "paraphrase-m1", "no-relations",
+         "biases-fit-no-arity", "biases-off-arity", "biases-ragged", "unknown-operator",
+         "sigma-negative", "K-negative"],
 )
 def test_config_lists_draw_count_and_arity_problems(text, problem):
     with pytest.raises(ConfigError) as err:
@@ -606,7 +623,7 @@ def test_config_ignores_m_when_every_relation_has_a_fixed_arity():
 
 EVERY_KEY = """\
 relations = neg, ladder
-m = 5
+m = 2
 n_cliques = 3
 panel_k = 2
 sigma = 0.2

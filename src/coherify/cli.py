@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import hashlib
 import os
 import sys
@@ -44,7 +45,7 @@ from .decision import (
 )
 from .jsonio import InputError, dump_columns, dump_lines, dumps, json_field, parse_lines
 from .monitor import DEFAULT_ALPHAS, EProcessState, StreamStep, update
-from .polytope import MEMBERSHIP_TOL, Clique, PolytopeSpec
+from .polytope import MEMBERSHIP_TOL, Clique, free_box
 from .prediction import observe_magnitude, panel_stats, predict_magnitude
 from .projection import _polytope, _reported, project_relation_batch
 from .simharness import (
@@ -195,7 +196,7 @@ def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, 
         components = []
         for cid in component_ids:
             coords = tuple(j for j, o in enumerate(owners) if o == cid)
-            components.append(ComponentSpec(PolytopeSpec(dim=len(coords)), coords))
+            components.append(ComponentSpec(free_box(len(coords)), coords))
         shapes[key] = CompositionSpec(tuple(components), coupling, len(owners))
     return shapes[key], locals_
 
@@ -447,6 +448,9 @@ def _command_of(argv: list[str]) -> str | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(only=_command_of(argv)).parse_args(argv)
+    # a command's data has no reference cycles: the cyclic collector would only rescan it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _write_run(args, *args.fn(args))
     except ConfigError as exc:
@@ -456,6 +460,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -25,6 +25,7 @@ from .polytope import (
     Relation,
     RelationKind,
     _unit,
+    free_box,
     is_member,
 )
 from .projection import (
@@ -785,8 +786,6 @@ def free_components(dims: list[int]) -> tuple[ComponentSpec, ...]:
     components = []
     offset = 0
     for d in dims:
-        components.append(
-            ComponentSpec(PolytopeSpec(dim=d), tuple(range(offset, offset + d)))
-        )
+        components.append(ComponentSpec(free_box(d), tuple(range(offset, offset + d))))
         offset += d
     return tuple(components)

@@ -66,7 +66,8 @@ class BetRecord:
 
     @classmethod
     def from_json(cls, record: dict) -> "BetRecord":
-        return cls(
+        """The bet of one bets line, whose quotes must lie in [0, 1] (``murphy`` needs it)."""
+        bet = cls(
             clique_id=json_field(record, "clique_id", str),
             seed=json_field(record, "seed", int),
             quote_naive=json_field(record, "naive", [float]),
@@ -74,6 +75,11 @@ class BetRecord:
             labels=json_field(record, "labels", [int]),
             eps_star=json_field(record, "eps_star", float),
         )
+        for side, quote in (("naive", bet.quote_naive), ("repaired", bet.quote_repaired)):
+            outside = [v for v in quote if not 0.0 <= v <= 1.0]
+            if outside:
+                raise ValueError(f"{side} quote {outside[0]!r} is outside [0, 1]")
+        return bet
 
 
 ALLOCATION_KINDS = ("proportional", "truncated-kelly", "max-entropy")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -242,6 +242,12 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+@lru_cache(maxsize=None)
+def free_box(dim: int) -> PolytopeSpec:
+    """The box ``[0,1]^dim`` with no constraints, one shared spec per dimension."""
+    return PolytopeSpec(dim=dim)
 
 
 def _unit(dim: int, entries: dict[int, float]) -> tuple[float, ...]:

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .composition import (
-    SYSTEM_CACHE_SIZE,
     Certificate,
     ComponentSpec,
     CompositionSpec,
@@ -32,9 +31,9 @@ from .polytope import (
     _MIN_ARITY,
     ENUMERATION_LIMIT,
     Clique,
-    PolytopeSpec,
     Relation,
     RelationKind,
+    free_box,
 )
 from .projection import _polytope, _vertex_array, project_relation, project_relation_batch
 
@@ -351,11 +350,6 @@ class RoutedComposition:
     owners: tuple[int, ...]       # panel row owning each joint coordinate
 
 
-@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
-def _free_box(dim: int) -> PolytopeSpec:
-    return PolytopeSpec(dim=dim)
-
-
 def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
     """Composition spec for one routing of a clique.
 
@@ -375,7 +369,7 @@ def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
     components = []
     for s in specialists:
         coords = tuple(owned[s])
-        polytope = _polytope(relation) if len(coords) == m else _free_box(len(coords))
+        polytope = _polytope(relation) if len(coords) == m else free_box(len(coords))
         components.append(ComponentSpec(polytope, coords))
     comp = CompositionSpec(tuple(components), _relation_coupling(relation, tuple(range(m))), m)
     return RoutedComposition(comp, specialists, owners)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import asdict
@@ -616,6 +617,27 @@ def test_a_bet_with_no_coordinates_exits_2_naming_the_line(tmp_path, capsys, com
     assert capsys.readouterr().err == "error: line 42: a bet needs at least one coordinate\n"
 
 
+@pytest.mark.parametrize("command", ["regret", "gate"])
+@pytest.mark.parametrize("side, quote, message", [
+    ("naive", [1.5, 0.2], "naive quote 1.5 is outside [0, 1]"),
+    ("naive", [0.3, -0.25], "naive quote -0.25 is outside [0, 1]"),
+    ("repaired", [0.5, 1.0000000000000002], "repaired quote 1.0000000000000002 is outside [0, 1]"),
+])
+def test_a_bet_quote_outside_the_unit_interval_exits_2_naming_the_line(tmp_path, capsys, command,
+                                                                       side, quote, message):
+    lines = _bets(60)
+    inp = tmp_path / "bets.jsonl"
+    for edge in ([0.0, 1.0], [1.0, 0.0]):  # the interval's ends are quotes
+        lines[12] = json.dumps(dict(json.loads(lines[12]), **{side: edge}))
+        inp.write_text("\n".join(lines) + "\n")
+        assert run_cli([command, str(inp), "--out", str(tmp_path / "o.json")]) == 0
+    lines[12] = json.dumps(dict(json.loads(lines[12]), **{side: quote}))
+    inp.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"error: line 13: {message}\n"
+
+
 def test_monitor_takes_records_in_line_order_and_ignores_t(tmp_path):
     steps = [{"eps_sq": e, "m": m, "K": k}
              for e, m, k in [(0.0625, 2, 8), (1.5, 2, 8), (1.9, 2, 8), (0.2, 4, 6)]]
@@ -967,3 +989,61 @@ def test_every_command_writes_its_manifest_only_where_asked(tmp_path, monkeypatc
     assert run_cli([command, str(bad), "--out", "bad.txt"]) == bad_exit
     assert run_cli(["--manifest-out", "bad.json", command, str(bad)]) == bad_exit
     assert written() == ["m.json", "o.txt", "o.txt.manifest.json"]
+
+
+def _sources(command: str, scale: int) -> str:
+    """A small good source for ``command``, ``scale`` times over."""
+    if command in ("simulate", "predict"):  # scale the cliques
+        return {"simulate": "relations = partition\nm = 4\nn_seeds = 2\nmaster_seed = 3\n",
+                "predict": "relations = neg\nmaster_seed = 1\nn_draws = 50\n"}[command] \
+            + f"n_cliques = {3 * scale}\n"
+    if command in ("regret", "gate"):
+        return "\n".join(_bets(50 * scale)) + "\n"
+    line = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
+            "monitor": MONITOR_LINE}[command]
+    return (line + "\n") * 10 * scale
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_INPUTS))
+def test_a_command_leaves_the_same_cyclic_garbage_at_every_input_size(tmp_path, command):
+    """``main`` pauses the cyclic collector, so what a command leaves for it must not grow
+    with its input. A first call is not counted: the first ``regret`` leaves more."""
+    left = []
+    for scale in (1, 1, 4):
+        inp = tmp_path / f"in{scale}"
+        inp.write_text(_sources(command, scale))
+        gc.collect()
+        assert main([command, str(inp), "--out", str(tmp_path / "o")]) == 0
+        left.append(gc.collect())
+    assert left[1] == left[2], left
+
+
+def _raise_key_error(args):
+    raise KeyError("boom")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("outcome", ["exit-0", "exit-1", "exit-2", "uncaught"])
+def test_main_pauses_the_collector_and_restores_the_callers_setting(tmp_path, monkeypatch,
+                                                                    collecting, outcome):
+    import coherify.cli as cli
+
+    inp = tmp_path / "in"
+    inp.write_text({"exit-0": _sources("certify", 1), "exit-1": "relations = nonsense\n",
+                    "exit-2": MISCOUNTED_LINE + "\n", "uncaught": ""}[outcome])
+    command = "simulate" if outcome == "exit-1" else "certify"
+    run = _raise_key_error if outcome == "uncaught" else getattr(cli, f"cmd_{command}")
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(gc.isenabled()) or run(args))
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        if outcome == "uncaught":
+            with pytest.raises(KeyError, match="boom"):
+                main([command, str(inp)])
+        else:
+            assert main([command, str(inp), "--out", str(tmp_path / "o")]) == int(outcome[-1])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] and after is collecting

@@ -29,6 +29,7 @@ from coherify.polytope import (
     build_polytope,
     conjunction,
     disjunction,
+    free_box,
     ladder,
     negation,
     partition,
@@ -130,6 +131,18 @@ def test_layouts_sharing_a_system_key_share_one_constraint_system():
                                coupling, 12) for _ in range(2)]
     assert ladders[0].components[0].polytope is not ladders[1].components[0].polytope
     assert ladders[0].system is ladders[1].system
+
+
+def test_every_builder_hands_out_one_free_box_per_dimension():
+    clear_coherify_caches()
+    record = {"owners": [0, 1, 1, 2, 2, 2], "locals": [[0.1], [0.2, 0.3], [0.4, 0.5, 0.6]]}
+    from_cli = [c.polytope for c in composition_from_json(record, {})[0].components]
+    routed = composition_for(Clique(id="p", relation=partition(6)), [4, 1, 1, 0, 0, 0]).comp
+    from_sim = {len(c.coords): c.polytope for c in routed.components}
+    built = [c.polytope for c in free_components([1, 2, 3])]
+    for d, box in zip((1, 2, 3), from_cli):
+        assert box is free_box(d) is built[d - 1] is from_sim[d] == PolytopeSpec(dim=d)
+    assert free_box.cache_info().currsize == 3
 
 
 def test_system_cache_never_holds_more_than_its_bound():

@@ -28,11 +28,11 @@ import numpy as np
 from . import __version__
 from .composition import (
     Certificate,
-    ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
     _check_tol,
     residual_batch,
+    shared_component,
 )
 from .decision import (
     ALLOCATION_KINDS,
@@ -196,7 +196,7 @@ def composition_from_json(record: dict, shapes: dict) -> tuple[CompositionSpec, 
         components = []
         for cid in component_ids:
             coords = tuple(j for j, o in enumerate(owners) if o == cid)
-            components.append(ComponentSpec(free_box(len(coords)), coords))
+            components.append(shared_component(free_box(len(coords)), coords))
         shapes[key] = CompositionSpec(tuple(components), coupling, len(owners))
     return shapes[key], locals_
 

@@ -39,6 +39,7 @@ from .projection import (
 )
 
 SYSTEM_CACHE_SIZE = 256  # constraint systems kept per process
+COMPONENT_CACHE_SIZE = 1024  # components kept per process
 
 
 class ProductStructuredError(ValueError):
@@ -56,6 +57,15 @@ class ComponentSpec:
         object.__setattr__(self, "coords", tuple(map(int, self.coords)))
         if len(self.coords) != self.polytope.dim:
             raise ValueError("owned coordinate count must match the local polytope dimension")
+
+
+@lru_cache(maxsize=COMPONENT_CACHE_SIZE)
+def shared_component(polytope: PolytopeSpec, coords: tuple[int, ...]) -> ComponentSpec:
+    """The component owning ``coords`` with ``polytope``, one shared object per
+    ``(polytope, coords)`` within a process, kept in a bounded cache
+    (``shared_component.cache_clear()`` empties it). Every composition builder
+    takes its components from here."""
+    return ComponentSpec(polytope, coords)
 
 
 _COUPLING_KINDS = frozenset(
@@ -334,6 +344,9 @@ class CompositionSpec:
         if self.joint_dim == 0:
             self.joint_dim = sum(len(c.coords) for c in self.components)
         dim = self.joint_dim
+        if dim < 1:
+            raise ValueError(f"a composition needs at least one joint coordinate, "
+                             f"got joint_dim={dim}")
         # _gather: for each joint coordinate, its column among the components' quotes laid
         # end to end; None when that is the coordinate itself (owners own ascending runs)
         columns = [j for component in self.components for j in component.coords]
@@ -454,7 +467,8 @@ def _assembled(comp: CompositionSpec, quotes: list) -> np.ndarray:
         parts = [q for locals_ in quotes if len(locals_) == len(components) for q in locals_]
         if list(map(len, parts)) == [len(c.coords) for c in components] * len(quotes):
             flat = np.concatenate(parts, dtype=float)
-            if flat.shape == (len(quotes) * comp.joint_dim,) and np.isfinite(flat).all():
+            if flat.shape == (len(quotes) * comp.joint_dim,) \
+                    and np.logical_and.reduce(np.isfinite(flat)):
                 X, order = flat.reshape(len(quotes), comp.joint_dim), comp._gather
                 return X if order is None else X.take(order, axis=1)
     except (TypeError, ValueError):
@@ -519,7 +533,7 @@ def _composed(comp: CompositionSpec, X: np.ndarray, repair_locals: bool, tol: fl
     repaired = X.clip(0.0, 1.0) if repair_locals else X
     for (_, component), columns in zip(system.constrained, system.columns):
         local = X[:, columns]
-        coherent &= component.polytope.gaps(local).max(axis=1) <= tol
+        coherent &= np.maximum.reduce(component.polytope.gaps(local), axis=1) <= tol
         if repair_locals:
             repaired[:, columns] = project_local(component.polytope, local)
     return repaired, coherent.tolist()
@@ -786,6 +800,6 @@ def free_components(dims: list[int]) -> tuple[ComponentSpec, ...]:
     components = []
     offset = 0
     for d in dims:
-        components.append(ComponentSpec(free_box(d), tuple(range(offset, offset + d))))
+        components.append(shared_component(free_box(d), tuple(range(offset, offset + d))))
         offset += d
     return tuple(components)

@@ -130,9 +130,12 @@ _DECODER = json.JSONDecoder(parse_constant=finite_float, parse_float=finite_floa
 
 def parse_lines(text: str):
     """(line number, record) pairs, each record a JSON object; the first line that is
-    not one raises ``InputError`` naming it, with the pairs before it as ``records``."""
+    not one raises ``InputError`` naming it, with the pairs before it as ``records``.
+
+    Lines end at ``"\n"`` only: U+2028, U+2029 and U+0085, which ``str.splitlines``
+    also breaks at, may stand raw inside a JSON string."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

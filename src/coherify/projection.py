@@ -160,10 +160,12 @@ def _reported(spec: PolytopeSpec | None, Q: np.ndarray, P: np.ndarray) -> list:
 def _simplex_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise Euclidean projection onto the probability simplex, sort form."""
     n, m = X.shape
-    U = -np.sort(-X, axis=1)
-    css = np.cumsum(U, axis=1)
+    U = -X
+    U.sort(axis=1)
+    np.negative(U, out=U)
+    css = U.cumsum(axis=1)
     active = U * np.arange(1, m + 1) > (css - 1.0)
-    rho = m - 1 - np.argmax(active[:, ::-1], axis=1)  # last active index; index 0 always is
+    rho = m - 1 - active[:, ::-1].argmax(axis=1)  # last active index; index 0 always is
     theta = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
     return np.maximum(X - theta[:, None], 0.0)
 
@@ -211,15 +213,15 @@ def _nonincreasing_rows(X: np.ndarray) -> np.ndarray:
     for start in range(0, n, step):
         B = X[start:start + step]
         S = np.zeros((B.shape[0], m + 1))
-        np.cumsum(B, axis=1, out=S[:, 1:])
+        B.cumsum(axis=1, out=S[:, 1:])
         means = S[:, None, 1:] - S[:, :-1, None]  # [:, s, t]: sum of B[s..t]
         means /= length
         means += below  # no segment where t < s
         means[:, diag, diag] = B  # singletons exactly, so chain members map to themselves
         # upper[:, s, i]: largest mean over t >= i; then the smallest over s <= i
         upper = np.maximum.accumulate(means[:, :, ::-1], axis=2)[:, :, ::-1]
-        out[start:start + step] = np.diagonal(np.minimum.accumulate(upper, axis=1),
-                                              axis1=1, axis2=2)
+        fit = np.minimum.accumulate(upper, axis=1)
+        out[start:start + step] = fit.diagonal(axis1=1, axis2=2)
     return out
 
 
@@ -229,7 +231,7 @@ def _nonincreasing_columns(X: np.ndarray) -> np.ndarray:
     n, m = X.shape
     XT = np.ascontiguousarray(X.T)
     S = np.zeros((m + 1, n))
-    np.cumsum(XT, axis=0, out=S[1:])
+    XT.cumsum(axis=0, out=S[1:])
     S, XT = list(S), list(XT)  # row views, taken once
     fit = np.full((m, n), np.inf)  # fit[i]: smallest upper over the starts s <= i so far
     fits = list(fit)
@@ -265,9 +267,9 @@ def _nearest_face_rows(table: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> n
         B = X[start:start + step]
         Y = np.einsum("fod,nd->nfo", G, B) + h
         candidates = Y[:, :, k:]
-        dist2 = np.sum((candidates - B[:, None, :]) ** 2, axis=2)
-        dist2[np.any(Y[:, :, :k] < 0.0, axis=2)] = np.inf
-        out[start:start + step] = candidates[np.arange(len(B)), np.argmin(dist2, axis=1)]
+        dist2 = np.add.reduce(np.square(candidates - B[:, None, :]), axis=2)
+        dist2[np.logical_or.reduce(Y[:, :, :k] < 0.0, axis=2)] = np.inf
+        out[start:start + step] = candidates[np.arange(len(B)), dist2.argmin(axis=1)]
     return out
 
 
@@ -292,15 +294,15 @@ def project_relation_batch(relation: Relation, X) -> np.ndarray:
     kind = relation.kind
     if kind is RelationKind.NEGATION:
         s = X[:, 0] + X[:, 1] - 1.0
-        return np.clip(X - 0.5 * s[:, None], 0.0, 1.0)
+        return (X - 0.5 * s[:, None]).clip(0.0, 1.0)
     if kind is RelationKind.PARTITION:
         return _simplex_rows(X)
     if kind is RelationKind.PARAPHRASE:
-        level = np.clip(np.mean(X, axis=1), 0.0, 1.0)
-        return np.repeat(level[:, None], relation.m, axis=1)
+        level = (np.add.reduce(X, axis=1) / relation.m).clip(0.0, 1.0)  # the clipped row mean
+        return level[:, None].repeat(relation.m, axis=1)
     if kind is RelationKind.LADDER:
         fit = _nonincreasing_rows(X)
-        return np.clip(fit, 0.0, 1.0, out=fit)
+        return fit.clip(0.0, 1.0, out=fit)
     return _nearest_face_rows(_face_table(relation), X)
 
 

@@ -19,10 +19,10 @@ import numpy as np
 
 from .composition import (
     Certificate,
-    ComponentSpec,
     CompositionSpec,
     _certify_rows,
     _relation_coupling,
+    shared_component,
 )
 from .decision import BetRecord
 from .jsonio import finite_float
@@ -356,8 +356,9 @@ def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
     A specialist that owns every coordinate contributes its full local
     polytope (its internal repair covers the whole relation); partial
     owners contribute free boxes, and the relation itself enters as the
-    coupling cut over the joint coordinates. The polytopes, boxes and cuts
-    are the cached ones, so every layout of one relation shares them.
+    coupling cut over the joint coordinates. The polytopes, boxes, cuts and
+    components are the cached ones, so every layout of one relation shares
+    them.
     """
     relation = clique.relation
     m = relation.m
@@ -370,7 +371,7 @@ def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
     for s in specialists:
         coords = tuple(owned[s])
         polytope = _polytope(relation) if len(coords) == m else free_box(len(coords))
-        components.append(ComponentSpec(polytope, coords))
+        components.append(shared_component(polytope, coords))
     comp = CompositionSpec(tuple(components), _relation_coupling(relation, tuple(range(m))), m)
     return RoutedComposition(comp, specialists, owners)
 

@@ -407,6 +407,13 @@ EMPTY_MESSAGE = ("empty constraint set: no point meets c0:partition-sum:sum, box
         # a later line of invalid JSON does not come before an earlier failing record
         ([EMPTY_COUPLING_LINE, "{not json"], f"line 2: {EMPTY_MESSAGE}"),
         ([MISCOUNTED_LINE, "{not json"], "line 2: 2 owners referenced but 1 local quotes given"),
+        # a composition with no joint coordinate
+        (['{"owners": [], "locals": []}'],
+         "line 2: a composition needs at least one joint coordinate, got joint_dim=0"),
+        ([EMPTY_COUPLING_LINE, '{"owners": [], "coupling": [], "locals": []}'],
+         f"line 2: {EMPTY_MESSAGE}"),
+        (['{"owners": [], "coupling": [], "locals": []}', EMPTY_COUPLING_LINE],
+         "line 2: a composition needs at least one joint coordinate, got joint_dim=0"),
     ],
 )
 def test_certify_reports_the_earliest_failing_record(tmp_path, capsys, lines, expected):
@@ -586,6 +593,29 @@ def test_a_line_that_is_no_json_object_exits_2(tmp_path, capsys, command):
     inp.write_text("[1, 2]\n")
     assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
     assert capsys.readouterr().err == "error: line 1: a record is a JSON object, got [1, 2]\n"
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+@pytest.mark.parametrize("command, field", [("project", "id"), ("certify", "clique_id"),
+                                            ("monitor", "note"), ("regret", "clique_id")])
+def test_a_raw_unicode_line_break_inside_a_string_stays_in_its_record(tmp_path, capsys, command,
+                                                                      field, separator):
+    good = {"project": PARTITION_PROJECT_LINE, "certify": PARTITION_CERTIFY_LINE,
+            "monitor": MONITOR_LINE, "regret": BET_TEMPLATE.format()}[command]
+    record = dict(json.loads(good), **{field: f"a{separator}b"})
+    raw, escaped = json.dumps(record, ensure_ascii=False), json.dumps(record)
+    assert len(raw.splitlines()) == 2  # str.splitlines breaks the record in two
+    inp, out, want = tmp_path / "in.jsonl", tmp_path / "o.jsonl", tmp_path / "want.jsonl"
+    inp.write_text(escaped + "\n" + good + "\n", encoding="utf-8")
+    assert run_cli([command, str(inp), "--out", str(want)]) == 0
+    inp.write_text(raw + "\n" + good + "\n", encoding="utf-8")
+    assert run_cli([command, str(inp), "--out", str(out)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    # a later malformed line is named by the newlines before it
+    inp.write_text(good + "\n" + raw + "\n" + good + "\n{bad\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli([command, str(inp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 4: invalid JSON (Expecting property")
 
 
 def _bets(n: int) -> list[str]:

@@ -151,6 +151,9 @@ def test_ownership_map_total():
     (((0, 1), (4,)), 3, "coordinate 4 outside the joint space"),
     (((0, -1),), 2, "coordinate -1 outside the joint space"),
     (((1, 1), (0, 2)), 0, "joint coordinate 1 owned twice"),  # joint_dim 0: the owned count
+    ((), 0, "a composition needs at least one joint coordinate, got joint_dim=0"),
+    ((), -3, "a composition needs at least one joint coordinate, got joint_dim=-3"),
+    (((0,),), -1, "a composition needs at least one joint coordinate, got joint_dim=-1"),
 ])
 def test_ownership_refuses_a_coordinate_owned_twice_or_by_none(layout, joint_dim, message):
     components = tuple(ComponentSpec(PolytopeSpec(dim=len(c)), c) for c in layout)

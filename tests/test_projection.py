@@ -12,12 +12,14 @@ from coherify.composition import (
     CouplingConstraint,
     free_components,
     relation_coupling,
+    residual,
     residual_batch,
 )
 from coherify.polytope import (
     Clique,
     LinearConstraint,
     PolytopeSpec,
+    Relation,
     RelationKind,
     build_polytope,
     conjunction,
@@ -875,3 +877,147 @@ def test_public_routes_refuse_non_finite_quotes_before_any_arithmetic(route, bad
     with pytest.raises(ValueError, match="^quotes have non-finite entries$"):
         project(q)
     assert time.perf_counter() - start < 0.010  # refused before any route ran
+
+
+# --- numpy's C entry points against its Python-level wrappers ---------------
+# The projection kernels, ``_assembled`` and ``_composed`` call the ufunc reductions
+# and array methods that numpy's wrapper functions resolve to. The wrapper forms
+# stay here as the reference, and every swap must keep every bit.
+
+
+def _wrapper_simplex(X):
+    n, m = X.shape
+    U = -np.sort(-X, axis=1)
+    css = np.cumsum(U, axis=1)
+    active = U * np.arange(1, m + 1) > (css - 1.0)
+    rho = m - 1 - np.argmax(active[:, ::-1], axis=1)
+    theta = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
+    return np.maximum(X - theta[:, None], 0.0)
+
+
+def _wrapper_nonincreasing(X):
+    n, m = X.shape
+    if n >= projection.COLUMN_ROWS:  # coordinate-major: only its prefix sums changed form
+        S = np.zeros((m + 1, n))
+        np.cumsum(np.ascontiguousarray(X.T), axis=0, out=S[1:])
+        fit = np.full((m, n), np.inf)
+        for s in range(m):
+            upper = np.full(n, -np.inf)
+            for t in range(m - 1, s - 1, -1):
+                mean = X[:, s] if t == s else (S[t + 1] - S[s]) / (t - s + 1)
+                np.maximum(upper, mean, out=upper)
+                np.minimum(fit[t], upper, out=fit[t])
+        return fit.T.copy()
+    length, below = projection._segment_grid(m)
+    S = np.zeros((n, m + 1))
+    np.cumsum(X, axis=1, out=S[:, 1:])
+    means = (S[:, None, 1:] - S[:, :-1, None]) / length + below
+    means[:, np.arange(m), np.arange(m)] = X
+    upper = np.maximum.accumulate(means[:, :, ::-1], axis=2)[:, :, ::-1]
+    return np.diagonal(np.minimum.accumulate(upper, axis=1), axis1=1, axis2=2)
+
+
+def _wrapper_faces(relation, X):
+    G, h = projection._face_table(relation)
+    k = G.shape[1] - X.shape[1]
+    Y = np.einsum("fod,nd->nfo", G, X) + h
+    candidates = Y[:, :, k:]
+    dist2 = np.sum((candidates - X[:, None, :]) ** 2, axis=2)
+    dist2[np.any(Y[:, :, :k] < 0.0, axis=2)] = np.inf
+    return candidates[np.arange(len(X)), np.argmin(dist2, axis=1)]
+
+
+def _wrapper_batch(relation, X):
+    """``project_relation_batch`` as its wrapper functions wrote it."""
+    kind = relation.kind
+    if kind is RelationKind.NEGATION:
+        s = X[:, 0] + X[:, 1] - 1.0
+        return np.clip(X - 0.5 * s[:, None], 0.0, 1.0)
+    if kind is RelationKind.PARTITION:
+        return _wrapper_simplex(X)
+    if kind is RelationKind.PARAPHRASE:
+        return np.repeat(np.clip(np.mean(X, axis=1), 0.0, 1.0)[:, None], relation.m, axis=1)
+    if kind is RelationKind.LADDER:
+        return np.clip(_wrapper_nonincreasing(X), 0.0, 1.0)
+    return _wrapper_faces(relation, X)
+
+
+def _awkward_rows(rng, n: int, m: int) -> np.ndarray:
+    """Rows in and around the box with -0.0, exact 0 and 1, ties within a row, and
+    whole rows of one value."""
+    X = rng.uniform(-0.3, 1.3, size=(n, m))
+    pick = rng.integers(0, 7, size=(n, m))
+    X[pick == 0] = -0.0
+    X[pick == 1] = 0.0
+    X[pick == 2] = 1.0
+    X[pick == 3] = np.broadcast_to(X[:, :1], X.shape)[pick == 3]  # ties with the row's first
+    X[::5] = X[::5, :1]
+    X[1::7] = -0.0
+    return X
+
+
+ALL_RELATIONS_EVERY_M = [negation(), conjunction(), disjunction()] + [
+    Relation(kind, m) for kind in (RelationKind.PARTITION, RelationKind.LADDER,
+                                   RelationKind.PARAPHRASE) for m in range(2, 13)]
+
+
+@pytest.mark.parametrize("relation", ALL_RELATIONS_EVERY_M, ids=lambda r: f"{r.kind.value}{r.m}")
+def test_batch_route_is_its_wrapper_form_bit_for_bit(relation):
+    rng = np.random.default_rng(34 + relation.m)
+    for n in (1, 63, 64):  # 64 rows: the coordinate-major isotonic layout
+        X = _awkward_rows(rng, n, relation.m)
+        want = _wrapper_batch(relation, X)
+        assert project_relation_batch(relation, X).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("swap", [
+    (lambda x: np.sum(x ** 2, axis=2), lambda x: np.add.reduce(np.square(x), axis=2)),
+    (lambda x: np.mean(x[0], axis=1), lambda x: np.add.reduce(x[0], axis=1) / x.shape[2]),
+    (lambda x: np.any(x < 0.0, axis=2), lambda x: np.logical_or.reduce(x < 0.0, axis=2)),
+    (lambda x: np.isfinite(x).all(), lambda x: np.logical_and.reduce(np.isfinite(x), axis=None)),
+    (lambda x: x.max(axis=2), lambda x: np.maximum.reduce(x, axis=2)),
+    (lambda x: np.clip(x, 0.0, 1.0), lambda x: x.clip(0.0, 1.0)),
+    (lambda x: np.cumsum(x, axis=2), lambda x: x.cumsum(axis=2)),
+    (lambda x: np.argmax(x > 0.5, axis=2), lambda x: (x > 0.5).argmax(axis=2)),
+    (lambda x: np.argmin(x, axis=2), lambda x: x.argmin(axis=2)),
+    (lambda x: np.diagonal(x, axis1=1, axis2=2), lambda x: x.diagonal(axis1=1, axis2=2)),
+    (lambda x: np.repeat(x[0, :, :1], 5, axis=1), lambda x: x[0, :, :1].repeat(5, axis=1)),
+    (lambda x: -np.sort(-x[0], axis=1), lambda x: _sorted_in_place(x[0])),
+], ids=["sum-square", "mean", "any", "all", "max", "clip", "cumsum", "argmax", "argmin",
+        "diagonal", "repeat", "sort"])
+def test_each_wrapper_and_its_entry_point_agree_bit_for_bit(swap):
+    wrapper, entry = swap
+    rng = np.random.default_rng(35)
+    for m in range(2, 13):
+        x = _awkward_rows(rng, 6 * m, m).reshape(6, m, m)
+        x[1, -1, 0] = np.nan
+        assert np.asarray(entry(x)).tobytes() == np.asarray(wrapper(x)).tobytes()
+
+
+def _sorted_in_place(X):
+    U = -X
+    U.sort(axis=1)
+    return np.negative(U, out=U)
+
+
+def test_a_stream_of_fresh_layouts_certifies_as_its_batch_and_its_relation():
+    """Gate-online's loop: each quote is routed afresh, then certified alone."""
+    rng = np.random.default_rng(36)
+    items, relations = [], []
+    for n in range(400):
+        relation = ALL_RELATIONS_EVERY_M[rng.integers(len(ALL_RELATIONS_EVERY_M))]
+        m = relation.m
+        owners = rng.integers(0, rng.integers(1, 5), size=m)
+        comp = composition_for(Clique(id=f"g{n}", relation=relation), owners).comp
+        locals_ = [_awkward_rows(rng, 1, len(c.coords))[0] for c in comp.components]
+        items.append((comp, locals_))
+        relations.append(relation)
+    batch = residual_batch(items)
+    for (comp, locals_), relation, together in zip(items, relations, batch):
+        cert = residual(comp, locals_)
+        exact = project_relation(relation, cert.composed)
+        assert cert.repaired.tobytes() == together.repaired.tobytes() \
+            == exact.projected.tobytes()
+        eps = exact.residual if exact.residual >= projection.RESIDUAL_FLOOR else 0.0
+        assert cert.epsilon_star == together.epsilon_star == eps
+        assert cert.composed.tobytes() == together.composed.tobytes()

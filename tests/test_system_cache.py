@@ -9,6 +9,7 @@ import pytest
 
 from coherify.cli import composition_from_json, main
 from coherify.composition import (
+    COMPONENT_CACHE_SIZE,
     SYSTEM_CACHE_SIZE,
     Block,
     ComponentSpec,
@@ -19,6 +20,7 @@ from coherify.composition import (
     relation_coupling,
     residual,
     residual_batch,
+    shared_component,
 )
 from coherify.jsonio import dump_lines, parse_lines
 from coherify.polytope import (
@@ -95,17 +97,28 @@ def certificate_bytes(certs) -> bytes:
     return dump_lines(cert.to_json() for _, cert in certs).encode()
 
 
+def crowd_the_component_cache():
+    """Fill the component cache with components no layout uses, so that every
+    component a run asks for evicts one."""
+    for k in range(COMPONENT_CACHE_SIZE):
+        shared_component(free_box(1), (100 + k,))
+
+
 def test_cold_and_warm_caches_certify_the_same_bytes(tmp_path):
     source = tmp_path / "compositions.jsonl"
     source.write_text(certify_file_text())
     outputs = []
-    for name in ("cold", "warm"):
+    for name in ("cold", "warm", "crowded"):
         out = tmp_path / f"{name}.jsonl"
-        if name == "cold":
+        if name != "warm":
             clear_coherify_caches()
+        if name == "crowded":
+            crowd_the_component_cache()
         assert main(["certify", str(source), "--out", str(out)]) == 0
         if name == "cold":  # the file's split systems are the layouts' too
             clear_coherify_caches()
+        if name == "crowded":
+            crowd_the_component_cache()
         certs = certify_layouts()
         outputs.append((certificate_bytes(certs), out.read_bytes(),
                         b"".join(np.asarray([c.epsilon_star, *c.repaired]).tobytes()
@@ -113,7 +126,7 @@ def test_cold_and_warm_caches_certify_the_same_bytes(tmp_path):
         for comp, cert in certs:
             assert cert.binding == comp.joint_polytope.violated(cert.composed, TOL)
     assert constraint_system.cache_info().hits > 0  # the warm pass read cached systems
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_layouts_sharing_a_system_key_share_one_constraint_system():
@@ -143,6 +156,50 @@ def test_every_builder_hands_out_one_free_box_per_dimension():
     for d, box in zip((1, 2, 3), from_cli):
         assert box is free_box(d) is built[d - 1] is from_sim[d] == PolytopeSpec(dim=d)
     assert free_box.cache_info().currsize == 3
+
+
+def test_every_builder_hands_out_one_component_per_polytope_and_coordinates():
+    clear_coherify_caches()
+    record = {"owners": [0, 1, 1, 2, 2, 2], "locals": [[0.1], [0.2, 0.3], [0.4, 0.5, 0.6]]}
+    from_cli = composition_from_json(record, {})[0].components
+    clique = Clique(id="p", relation=partition(6))
+    routed = composition_for(clique, [4, 1, 1, 0, 0, 0]).comp
+    from_sim = sorted(routed.components, key=lambda c: c.coords)
+    built = free_components([1, 2, 3])
+    for a, b, c in zip(from_cli, from_sim, built):
+        assert a is b is c is shared_component(free_box(len(a.coords)), a.coords)
+    # a fresh layout of the same owners shares them, and so does a sole owner's component
+    again = composition_for(clique, [7, 3, 3, 2, 2, 2]).comp
+    assert all(a is b for a, b in zip(sorted(again.components, key=lambda c: c.coords), built))
+    sole = composition_for(clique, [5] * 6).comp.components[0]
+    assert sole is composition_for(clique, [1] * 6).comp.components[0]
+    assert sole is shared_component(build_polytope(partition(6)), tuple(range(6)))
+    assert shared_component.cache_info().currsize == 4
+
+
+def test_component_cache_is_emptied_with_every_lru_cache():
+    composition_for(Clique(id="p", relation=partition(4)), [0, 1, 1, 0])
+    assert shared_component.cache_info().currsize > 0
+    clear_coherify_caches()  # what each benchmarked CLI run starts from
+    assert shared_component.cache_info().currsize == 0
+    assert shared_component.cache_info().maxsize == COMPONENT_CACHE_SIZE
+
+
+def test_component_cache_never_holds_more_than_its_bound():
+    clear_coherify_caches()
+    box = free_box(1)
+    first = free_components([1])[0]
+    for k in range(COMPONENT_CACHE_SIZE + 40):
+        comp = composition_for(Clique(id="n", relation=negation()), [0, 1]).comp
+        assert comp.components[0] == ComponentSpec(box, (0,))
+        assert shared_component(box, (10 + k,)).coords == (10 + k,)
+        assert shared_component.cache_info().currsize <= COMPONENT_CACHE_SIZE
+    assert shared_component.cache_info().currsize == COMPONENT_CACHE_SIZE
+    # the builders' components stayed in use; the oldest of the rest were evicted
+    assert free_components([1])[0] is first
+    evicted = shared_component.cache_info().misses
+    assert shared_component(box, (10,)) == ComponentSpec(box, (10,))
+    assert shared_component.cache_info().misses == evicted + 1
 
 
 def test_system_cache_never_holds_more_than_its_bound():

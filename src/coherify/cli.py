@@ -1,15 +1,16 @@
 """Command-line surface: project, certify, monitor, simulate, regret, gate, predict.
 
-All record streams are JSONL; CLI input order equals output order. Exit
-codes: 0 success, 1 operational failure (such as a scenario config
-problem), 2 malformed input, a certify record whose constraint set is
-empty included; a record error names its line (and an empty set the rows
-at fault) on stderr, and a flag out of its range is a usage error before
-any input is read. Each command returns its output text with the
-manifest fields that depend on it (config text, seed, named inputs), and
-``main`` writes every output and every run manifest: to
-``--manifest-out``, or by default to ``<out>.manifest.json`` whenever
-``--out`` is a file. A command that fails writes neither.
+All record streams are JSONL, read and written as UTF-8 whatever the
+locale; CLI input order equals output order. Exit codes: 0 success, 1
+operational failure (such as a scenario config problem), 2 malformed
+input, a certify record whose constraint set is empty included; a record
+error names its line (and an empty set the rows at fault) on stderr, and
+a flag out of its range is a usage error before any input is read. Each
+command returns its output text with the manifest fields that depend on
+it (config text, seed, named inputs), and ``main`` writes every output
+and every run manifest: to ``--manifest-out``, or by default to
+``<out>.manifest.json`` whenever ``--out`` is a file. A command that
+fails writes neither.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import datetime
 import gc
 import hashlib
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -61,19 +63,26 @@ from .simharness import (
 CONFIG_DIR_ENV = "COHERIFY_CONFIG_DIR"
 
 Run = tuple[str, str, int | None, dict[str, str]]  # output text, config text, seed, inputs
+_UNDECODABLE = re.compile("[\udc80-\udcff]")  # surrogateescape's stand-ins for bytes
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """The file at ``path`` (``-``: standard input) decoded as UTF-8 whatever the locale.
+
+    A byte that is not UTF-8 comes through as a lone surrogate
+    (``surrogateescape``), which ``_records`` refuses at its line.
+    """
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return data.decode("utf-8", "surrogateescape")
 
 
 def _write_text(path: str, text: str) -> None:
+    """``text`` to the file at ``path`` as UTF-8, or to standard output (``-``), which
+    takes it in any locale: every output is ASCII, ``jsonio`` escaping the rest."""
     if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _resolve_config(path: str) -> Path:
@@ -105,12 +114,23 @@ def _write_run(args, text: str, config_text: str, seed: int | None,
             "tool_version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
-        Path(target).write_text(dumps(manifest) + "\n")
+        Path(target).write_text(dumps(manifest) + "\n", encoding="utf-8")
 
 
 def _records(text: str) -> tuple[list, InputError | None]:
     """``parse_lines(text)`` and None, or the records before the first line it refuses
-    and that refusal, which comes after any error of those records."""
+    and that refusal, which comes after any error of those records.
+
+    A line that holds a byte that is not UTF-8 (a ``surrogateescape`` stand-in)
+    is refused like a line that is not JSON.
+    """
+    bad = None if text.isascii() else _UNDECODABLE.search(text)
+    if bad is not None:
+        start = text.rfind("\n", 0, bad.start()) + 1
+        lineno = text.count("\n", 0, start) + 1
+        records, refused = _records(text[:start])
+        return records, refused or InputError(
+            f"line {lineno}: not UTF-8 (byte 0x{ord(bad[0]) - 0xDC00:02X})")
     try:
         return parse_lines(text), None
     except InputError as exc:
@@ -254,8 +274,12 @@ def cmd_monitor(args) -> Run:
 
 
 def _load_config(args) -> tuple[SimConfig, str]:
-    path = _resolve_config(args.config)
-    text = path.read_text()
+    data = _resolve_config(args.config).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError([f"line {line}: not UTF-8 (byte 0x{data[exc.start]:02X})"]) from exc
     config = SimConfig.parse(text)
     if args.seed is not None:
         config.master_seed = args.seed

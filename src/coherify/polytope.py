@@ -4,8 +4,8 @@ A clique ties ``m`` Bernoulli questions together through one logical
 relation. Its coherent set -- the probability vectors realizable as
 marginals of some distribution over outcome vectors consistent with the
 relation -- is a closed convex polytope inside the unit box. We keep an
-explicit equality/halfspace description for projection work and an exact
-0/1 vertex enumeration for small ``m`` as the independent ground truth.
+explicit equality/halfspace description for projection work and the exact
+0/1 vertex list of each kind, in closed form, for small ``m``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .jsonio import json_field
 
-ENUMERATION_LIMIT = 12  # 2^m outcome scan beyond this is off the table
+ENUMERATION_LIMIT = 12  # the largest m whose vertices are listed
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -306,27 +306,23 @@ def is_member(spec: PolytopeSpec, q, tol: float = MEMBERSHIP_TOL) -> bool:
     return bool(in_box and spec.gaps(q).max(initial=0.0) <= tol)
 
 
-def outcome_consistent(kind: RelationKind, y: tuple[int, ...]) -> bool:
-    if kind is RelationKind.NEGATION:
-        return y[0] + y[1] == 1
-    if kind is RelationKind.CONJUNCTION:
-        return y[2] == (y[0] & y[1])
-    if kind is RelationKind.DISJUNCTION:
-        return y[2] == (y[0] | y[1])
-    if kind is RelationKind.PARTITION:
-        return sum(y) == 1
-    if kind is RelationKind.LADDER:
-        return all(y[i + 1] <= y[i] for i in range(len(y) - 1))
-    if kind is RelationKind.PARAPHRASE:
-        return len(set(y)) == 1
-    raise ValueError(f"unsupported relation kind {kind}")  # pragma: no cover
-
-
 def enumerate_vertices(relation: Relation) -> VertexSet:
-    """Scan {0,1}^m for the outcomes the relation admits."""
-    if relation.m > ENUMERATION_LIMIT:
-        raise ValueError(f"m={relation.m} exceeds the enumeration bound {ENUMERATION_LIMIT}")
-    vertices = tuple(
-        y for y in itertools.product((0, 1), repeat=relation.m) if outcome_consistent(relation.kind, y)
-    )
+    """The 0/1 outcomes the relation admits, each kind's listed in closed form, in the
+    order of a scan of ``itertools.product((0, 1), repeat=m)``."""
+    m = relation.m
+    if m > ENUMERATION_LIMIT:
+        raise ValueError(f"m={m} exceeds the enumeration bound {ENUMERATION_LIMIT}")
+    kind = relation.kind
+    if kind is RelationKind.NEGATION:
+        vertices = ((0, 1), (1, 0))
+    elif kind is RelationKind.CONJUNCTION:  # r3 = r1 and r2
+        vertices = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+    elif kind is RelationKind.DISJUNCTION:  # r3 = r1 or r2
+        vertices = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1))
+    elif kind is RelationKind.PARTITION:  # one 1, the last coordinate's first
+        vertices = tuple((0,) * i + (1,) + (0,) * (m - 1 - i) for i in reversed(range(m)))
+    elif kind is RelationKind.LADDER:  # a run of leading 1s, the shortest first
+        vertices = tuple((1,) * i + (0,) * (m - i) for i in range(m + 1))
+    else:  # paraphrase: all 0 or all 1
+        vertices = ((0,) * m, (1,) * m)
     return VertexSet(vertices)

@@ -6,14 +6,16 @@ own bias vector, Gaussian noise, and a K-sample Bernoulli read-out, then
 repairs its own quote locally. Routing policies assign joint coordinates
 to specialists, and the ensemble runner scores the four composition
 operators: A raw composed, B locally repaired composed, C raw plus joint
-projection, D locally repaired plus joint projection.
+projection, D locally repaired plus joint projection. It certifies B at
+once and A, C and D only when a caller reads one of their values.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -376,15 +378,87 @@ def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
     return RoutedComposition(comp, specialists, owners)
 
 
+@dataclass(eq=False)
+class _EnsemblePasses:
+    """The engine passes of one ``run_ensemble`` call, shared by its records.
+
+    ``repaired`` is the B pass, run by ``run_ensemble`` itself. The A pass
+    (``raw``) and the C/D pass (``joint``, which needs A) each run once, over
+    every cell of the call, the first time a record reads a value of theirs.
+    """
+
+    cells: list  # (comp, (cell,), raw composed row) per cell
+    repaired: list[Certificate]
+
+    @cached_property
+    def raw(self) -> list[Certificate]:
+        """The A pass: every raw row certified without local repair."""
+        return _certify_rows(self.cells, len(self.cells), repair_locals=False)
+
+    @cached_property
+    def joint(self) -> list[Certificate]:
+        """The C/D pass: the joint repairs of A, then those of B, certified again."""
+        n = len(self.cells)
+        rows = [(comp, (j,), cert.repaired[None]) for j, ((comp, _, _), cert)
+                in enumerate(zip(self.cells + self.cells, self.raw + self.repaired))]
+        return _certify_rows(rows, 2 * n, repair_locals=False)
+
+    def quote(self, op: str, cell: int) -> tuple[float, ...]:
+        """Operator ``op``'s quote of cell ``cell``."""
+        cert = (self.repaired if op in ("B", "D") else self.raw)[cell]
+        return tuple((cert.composed if op in ("A", "B") else cert.repaired).tolist())
+
+    def eps(self, op: str, cell: int) -> float:
+        """Operator ``op``'s certified residual of cell ``cell``."""
+        if op == "B":
+            return self.repaired[cell].epsilon_star
+        if op == "A":
+            return self.raw[cell].epsilon_star
+        return self.joint[cell if op == "C" else len(self.cells) + cell].epsilon_star
+
+
+class _ByOperator(Mapping):
+    """One record's value per operator, read from its run's passes at each lookup."""
+
+    __slots__ = ("_read", "_cell")
+
+    def __init__(self, read, cell: int):
+        self._read, self._cell = read, cell
+
+    def __getitem__(self, op):
+        if op not in OPERATORS:
+            raise KeyError(op)
+        return self._read(op, self._cell)
+
+    def __contains__(self, op) -> bool:
+        return op in OPERATORS
+
+    def __iter__(self):
+        return iter(OPERATORS)
+
+    def __len__(self) -> int:
+        return len(OPERATORS)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class EnsembleRecord:
+    """One (clique, seed) cell of a ``run_ensemble`` call.
+
+    ``quotes`` (each a tuple of floats) and ``eps`` are read-only mappings
+    keyed by operator that compare equal to plain dicts of the same values;
+    a value is worked out when it is read.
+    """
+
     clique_id: str
     clique_index: int
     seed: int
     owners: tuple[int, ...]
     labels: tuple[int, ...]
-    quotes: dict
-    eps: dict
+    quotes: Mapping
+    eps: Mapping
     certificate: Certificate
 
 
@@ -395,11 +469,21 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
     Every cell is built first: the truths, the panels (one
     ``generate_panels`` call) and the routes each seed their streams in one
     pass, then the rows of each cell are gathered by owner (``aggregate``'s
-    assembly). The core of ``residual_batch`` then certifies the raw rows
-    (A), the locally repaired ones (B), and re-projects the joint repairs of
-    both (C, D), one engine run per constraint system each. Values equal the
-    cell-by-cell ones bit for bit. A failure raised is that of the earliest
-    failing cell among all A, then B, then C and D.
+    assembly). The core of ``residual_batch`` then certifies the locally
+    repaired rows (B) at once: B backs each record's ``certificate``,
+    ``quotes["B"]``, ``quotes["D"]`` and ``eps["B"]``. The raw rows (A) and
+    the re-projection of the joint repairs of both (C, D) are certified
+    lazily, each pass once over all cells, on the first read of any record's
+    value that needs it: the A values and ``quotes["C"]`` need A, and
+    ``eps["C"]`` and ``eps["D"]`` need the C/D pass, which runs A first.
+    Every pass is one engine run per constraint system, and values equal
+    the cell-by-cell ones bit for bit.
+
+    A failure raised is that of the earliest failing cell. For catalog
+    cliques no pass can fail: every local and joint set holds the
+    relation's vertices and every panel row is finite, so what can fail is
+    building the cells (a bias matrix of the wrong shape, an adversarial
+    truth that cannot be sampled), before any pass runs.
     """
     cells = []
     truths = _clique_truths(model, [(clique, ci) for ci, clique in enumerate(cliques)],
@@ -417,32 +501,21 @@ def run_ensemble(cliques: list[Clique], model: PanelModel, policy: RoutingPolicy
         owners.append(routed.owners)
         raw.append((routed.comp, (cell,), panel.raw[chosen][None]))
         repaired.append((routed.comp, (cell,), panel.repaired[chosen][None]))
-    n = len(cells)
-    certs_raw = _certify_rows(raw, n, repair_locals=False)
-    certs = _certify_rows(repaired, n)
-    joint = [(comp, (j,), cert.repaired[None])
-             for j, ((comp, _, _), cert) in enumerate(zip(raw + raw, certs_raw + certs))]
-    certs_joint = _certify_rows(joint, 2 * n, repair_locals=False)
-    records = []
-    for j, (ci, clique, seed, _, labels) in enumerate(cells):
-        cert_raw, cert = certs_raw[j], certs[j]
-        quotes = {"A": cert_raw.composed, "B": cert.composed,
-                  "C": cert_raw.repaired, "D": cert.repaired}
-        eps = {"A": cert_raw.epsilon_star, "B": cert.epsilon_star,
-               "C": certs_joint[j].epsilon_star, "D": certs_joint[n + j].epsilon_star}
-        records.append(
-            EnsembleRecord(
-                clique_id=clique.id,
-                clique_index=ci,
-                seed=seed,
-                owners=owners[j],
-                labels=tuple(labels.tolist()),
-                quotes={k: tuple(v.tolist()) for k, v in quotes.items()},
-                eps=eps,
-                certificate=cert,
-            )
+    certs = _certify_rows(repaired, len(cells))
+    passes = _EnsemblePasses(raw, certs)
+    return [
+        EnsembleRecord(
+            clique_id=clique.id,
+            clique_index=ci,
+            seed=seed,
+            owners=owners[j],
+            labels=tuple(labels.tolist()),
+            quotes=_ByOperator(passes.quote, j),
+            eps=_ByOperator(passes.eps, j),
+            certificate=certs[j],
         )
-    return records
+        for j, (ci, clique, seed, _, labels) in enumerate(cells)
+    ]
 
 
 def to_bet_records(records: list[EnsembleRecord], naive_op: str = "B",

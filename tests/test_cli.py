@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -1077,3 +1080,64 @@ def test_main_pauses_the_collector_and_restores_the_callers_setting(tmp_path, mo
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False] and after is collecting
+
+
+# --- encodings -----------------------------------------------------------------
+
+CAFE_LINE = '{"id": "café", "relation": "neg", "m": 2, "quote": [0.4, 0.7]}'
+
+
+def run_cli_in_the_c_locale(args, stdin=b""):
+    """``coherify`` in a fresh process whose locale encoding is ASCII."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(
+               [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run([sys.executable, "-m", "coherify.cli", *args], input=stdin, env=env,
+                          capture_output=True, timeout=60)
+
+
+def test_every_input_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    inp.write_bytes(CAFE_LINE.encode("utf-8") + b"\n")
+    assert run_cli(["project", str(inp), "--out", str(out)]) == 0
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes("# café\nrelations = neg\nn_cliques = 1\nn_seeds = 1\n".encode("utf-8"))
+    from_file = run_cli_in_the_c_locale(["project", str(inp)])
+    from_stdin = run_cli_in_the_c_locale(["project", "-"], stdin=inp.read_bytes())
+    simulated = run_cli_in_the_c_locale(["simulate", str(config)])
+    assert (from_file.returncode, from_file.stderr) == (0, b"")
+    assert from_file.stdout == from_stdin.stdout == out.read_bytes()
+    assert json.loads(from_file.stdout)["id"] == "café"
+    assert (simulated.returncode, simulated.stderr) == (0, b"")
+
+
+def test_a_byte_that_is_not_utf8_exits_2_naming_its_line_in_an_ascii_locale(tmp_path):
+    inp = tmp_path / "in.jsonl"
+    inp.write_bytes(CAFE_LINE.encode("utf-8") + b"\n" + CAFE_LINE.encode("latin-1") + b"\n")
+    done = run_cli_in_the_c_locale(["project", str(inp)])
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: line 2: not UTF-8 (byte 0xE9)\n"
+
+
+@pytest.mark.parametrize("command, first", [
+    ("project", '{"id": "q", "relation": "neg", "m": 2, "quote": [0.4]}'),
+    ("certify", MISCOUNTED_LINE),
+    ("monitor", '{"eps_sq": 0.1, "m": 2}'),
+])
+def test_a_line_that_is_not_utf8_is_refused_in_line_order(tmp_path, capsys, command, first):
+    inp = tmp_path / "in.jsonl"
+    inp.write_bytes(b"\n\xff\n" + first.encode() + b"\n")
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: line 2: not UTF-8 (byte 0xFF)\n"
+    inp.write_bytes(first.encode() + b'\n{"id": "caf\xff"}\n')  # an earlier failing record wins
+    assert run_cli([command, str(inp), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+def test_a_config_byte_that_is_not_utf8_is_a_config_error_naming_its_line(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(b"relations = neg\n# caf\xe9\n")
+    assert run_cli(["simulate", str(config)]) == 1
+    assert capsys.readouterr().err == "config error: line 2: not UTF-8 (byte 0xE9)\n"

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherify.polytope import (
+    _FIXED_ARITY,
+    ENUMERATION_LIMIT,
     Clique,
     LinearConstraint,
     PolytopeSpec,
@@ -118,6 +120,38 @@ def test_enumerate_vertices_examples():
         (1, 0, 0),
     ]
     assert len(enumerate_vertices(conjunction())) == 4
+
+
+def outcome_consistent(kind: RelationKind, y: tuple[int, ...]) -> bool:
+    if kind is RelationKind.NEGATION:
+        return y[0] + y[1] == 1
+    if kind is RelationKind.CONJUNCTION:
+        return y[2] == (y[0] & y[1])
+    if kind is RelationKind.DISJUNCTION:
+        return y[2] == (y[0] | y[1])
+    if kind is RelationKind.PARTITION:
+        return sum(y) == 1
+    if kind is RelationKind.LADDER:
+        return all(y[i + 1] <= y[i] for i in range(len(y) - 1))
+    assert kind is RelationKind.PARAPHRASE
+    return len(set(y)) == 1
+
+
+def scanned_vertices(relation: Relation) -> np.ndarray:
+    """The reference: every outcome of {0,1}^m the relation admits, in scan order."""
+    return np.array([y for y in itertools.product((0, 1), repeat=relation.m)
+                     if outcome_consistent(relation.kind, y)], dtype=float)
+
+
+@pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
+def test_closed_form_vertices_are_the_scan_byte_for_byte(kind):
+    arities = [_FIXED_ARITY[kind]] if kind in _FIXED_ARITY else range(2, ENUMERATION_LIMIT + 1)
+    for m in arities:
+        relation = Relation(kind, m)
+        vertices = enumerate_vertices(relation)
+        assert all(type(v) is int for y in vertices.vertices for v in y)
+        V, want = vertices.as_array(), scanned_vertices(relation)
+        assert (V.dtype, V.shape, V.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_enumerate_vertices_bound():

@@ -24,6 +24,8 @@ from coherify.polytope import (
     partition,
 )
 from coherify.composition import ComponentSpec, relation_coupling, residual
+from coherify.decision import BetRecord
+from coherify.jsonio import dump_columns
 from coherify.projection import (
     COLUMN_ROWS,
     RESIDUAL_FLOOR,
@@ -31,6 +33,7 @@ from coherify.projection import (
     project_relation,
 )
 from coherify.simharness import (
+    OPERATORS,
     ConfigError,
     PanelModel,
     RoutingPolicy,
@@ -407,7 +410,9 @@ def never_solve(spec, X, *args):
     raise AssertionError("the active-set solver ran")
 
 
-def test_run_ensemble_runs_three_cycles_per_constraint_system(monkeypatch):
+@pytest.mark.parametrize("op", ["C", "D"])
+def test_run_ensemble_runs_one_cycle_per_constraint_system_until_c_or_d_eps_is_read(monkeypatch,
+                                                                                     op):
     import coherify.composition as composition
 
     runs = {}
@@ -424,11 +429,76 @@ def test_run_ensemble_runs_three_cycles_per_constraint_system(monkeypatch):
     model = PanelModel(k=3, sigma=0.1, K=8)
     cliques = [neg_clique(0), part_clique(1), Clique(id="and-2", relation=conjunction())]
     records = run_ensemble(cliques, model, RoutingPolicy("random-uniform", seed=2), n_seeds=6)
+    to_bet_records(records)  # simulate's default bets: B against D
     assert len(runs) >= 4  # sole owners get systems of their own
-    for rows in runs.values():
-        # A, B, then the C and D re-projections of the same cells together
-        assert len(rows) == 3 and rows[2] == 2 * rows[0] == 2 * rows[1]
+    assert all(len(rows) == 1 for rows in runs.values())  # the B pass alone
     assert sum(rows[0] for rows in runs.values()) == len(records)
+    records[-1].eps[op]
+    for rows in runs.values():
+        # then A, then the C and D re-projections of the same cells together
+        assert len(rows) == 3 and rows[2] == 2 * rows[0] == 2 * rows[1]
+
+
+def test_reading_d_eps_then_a_quotes_first_equals_the_per_cell_reference():
+    model = PanelModel(k=3, sigma=0.1, K=8)
+    cliques = [Clique(id=f"{r.kind.value}-{i}", relation=r) for i, r in enumerate(ALL_KINDS)]
+    policy = RoutingPolicy("random-uniform", seed=4)
+    records = run_ensemble(cliques, model, policy, n_seeds=3, master_seed=4)
+    [r.eps["D"] for r in records]
+    [r.quotes["A"] for r in records]
+    assert_equals_per_cell_reference(records, cliques, model, policy, 3, 4)
+
+
+def test_each_lazy_pass_runs_at_most_once_per_run_ensemble_call(monkeypatch):
+    import coherify.simharness as simharness
+
+    passes = []
+    certify = simharness._certify_rows
+
+    def counted(blocks, n, repair_locals=True):
+        passes.append((n, repair_locals))
+        return certify(blocks, n, repair_locals)
+
+    monkeypatch.setattr(simharness, "_certify_rows", counted)
+    model = PanelModel(k=3, sigma=0.1, K=8)
+    cliques = [neg_clique(0), part_clique(1), Clique(id="or-2", relation=disjunction())]
+    calls = [run_ensemble(cliques, model, RoutingPolicy("random-uniform"), 4, master_seed=s)
+             for s in (1, 2)]
+    assert passes == [(12, True)] * 2  # the B pass of each call
+    for records in calls + calls:
+        for r in records:
+            dict(r.eps), dict(r.quotes), dict(r.eps)
+        for naive in OPERATORS:
+            to_bet_records(records, naive, naive)
+    # each call: B, then A (repair_locals=False), then the C/D pass over both
+    assert passes == [(12, True)] * 2 + [(12, False), (24, False)] * 2
+
+
+def test_to_bet_records_of_every_operator_pair_equals_the_eager_values():
+    model = PanelModel(k=3, sigma=0.1, K=8)
+    cliques = [Clique(id=f"{r.kind.value}-{i}", relation=r) for i, r in enumerate(ALL_KINDS)]
+    policy = RoutingPolicy("random-uniform", seed=6)
+    eager = [(dict(r.quotes), dict(r.eps), r)
+             for r in run_ensemble(cliques, model, policy, 2, master_seed=6)]
+    for naive in OPERATORS:
+        for repaired in OPERATORS:
+            bets = to_bet_records(run_ensemble(cliques, model, policy, 2, master_seed=6),
+                                  naive, repaired)
+            want = [BetRecord(r.clique_id, r.seed, quotes[naive], quotes[repaired], r.labels,
+                              eps[naive]) for quotes, eps, r in eager]
+            assert dump_columns(BetRecord.columns(bets)) == dump_columns(BetRecord.columns(want))
+
+
+def test_ensemble_values_are_read_only_mappings_keyed_by_operator():
+    records = run_ensemble([neg_clique()], PanelModel(k=2), RoutingPolicy("random-uniform"), 1)
+    quotes, eps = records[0].quotes, records[0].eps
+    assert list(quotes) == list(eps) == list(OPERATORS) and len(quotes) == 4
+    assert "A" in eps and "E" not in eps
+    assert eps == dict(eps) and dict(quotes) == quotes
+    with pytest.raises(KeyError):
+        quotes["E"]
+    with pytest.raises(TypeError):
+        quotes["A"] = (0.5, 0.5)
 
 
 def test_to_bet_records_carries_naive_eps():

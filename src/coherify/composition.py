@@ -225,6 +225,12 @@ class ConstraintSystem:
         """Every block of the system with its kind, decided once per system (``_blocks``)."""
         return _blocks(self)
 
+    @cached_property
+    def whole_relation(self) -> Relation | None:
+        """The relation when the system is one catalog block on all coordinates in order."""
+        [block, *rest] = self.blocks
+        return None if rest or block.coords != tuple(range(self.dim)) else block.relation
+
 
 def _blocks(system: ConstraintSystem) -> tuple[Block, ...]:
     """The blocks of a constraint system, in order of their first cut or component.
@@ -331,6 +337,8 @@ class CompositionSpec:
     Treated as immutable after construction. The constraint system,
     coupling and joint polytopes and projection route included, comes from
     the per-process ``constraint_system`` cache.
+    ``CompositionSpec(...)`` checks a caller's parts (a joint coordinate or more, each
+    owned once, cuts inside the joint space); ``_routed`` checks nothing.
     """
 
     components: tuple[ComponentSpec, ...]
@@ -354,6 +362,19 @@ class CompositionSpec:
         for c in self.coupling.constraints:
             if max(c.coords) >= dim:
                 raise ValueError("coupling constraint references coordinates outside the joint space")
+
+    @classmethod
+    def _routed(cls, components: tuple, coupling: CouplingSet, system) -> CompositionSpec:
+        """The spec of ``components`` and ``coupling`` on ``system``, unchecked: the caller
+        vouches that the components own each of ``range(system.dim)`` once and that
+        ``system`` is ``constraint_system`` of them and ``coupling.constraints``."""
+        comp, dim = cls.__new__(cls), system.dim
+        columns = [j for component in components for j in component.coords]
+        comp.__dict__.update(components=components, coupling=coupling, joint_dim=dim,
+                             system=system, constrained=system.constrained,
+                             _gather=None if columns == list(range(dim))  # else the inverse
+                             else sorted(range(dim), key=columns.__getitem__))
+        return comp
 
     @cached_property
     def system(self) -> ConstraintSystem:
@@ -543,12 +564,10 @@ def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> np.ndarray:
     """Rows of ``X`` projected onto the joint set of ``comp``, block by block
     (``system.blocks``): the clip, then one ``project_relation_batch`` call per catalog
     block and ``project_active_set`` per generic block, on the block's coordinates."""
-    blocks = comp.system.blocks
-    if len(blocks) == 1 and blocks[0].relation is not None \
-            and blocks[0].coords == tuple(range(comp.joint_dim)):
-        return project_relation_batch(blocks[0].relation, X)  # no clip or scatter
+    if (whole := comp.system.whole_relation) is not None:
+        return project_relation_batch(whole, X)  # no clip or scatter
     projected = X.clip(0.0, 1.0)
-    for block in blocks:
+    for block in comp.system.blocks:
         coords = block.coords
         if block.relation is not None:
             projected[:, coords] = project_relation_batch(block.relation, X[:, coords])

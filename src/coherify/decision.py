@@ -175,11 +175,6 @@ def _scores(bets: list[BetRecord], rule: AllocationRule) -> tuple[np.ndarray, np
     return scores, dlog
 
 
-def log_payoff_delta(bet: BetRecord, rule: AllocationRule) -> float:
-    """Repaired-minus-naive realized log payoff; zero without a unique YES."""
-    return float(_scores([bet], rule)[1][0])
-
-
 def _bootstrap_ci(values: np.ndarray, seed: int) -> tuple[float, float]:
     rng = np.random.default_rng(np.random.SeedSequence((abs(int(seed)), 0xB007)))
     n = values.size

@@ -101,12 +101,6 @@ def update(state: EProcessState, step: StreamStep) -> EProcessState:
     )
 
 
-def replay(state: EProcessState, steps) -> EProcessState:
-    for step in steps:
-        state = update(state, step)
-    return state
-
-
 def optimal_lambda(delta: float, m: int, K: int) -> float:
     """The growth-optimal bet for a mean exceedance of delta: delta*K/m."""
     if delta < 0:

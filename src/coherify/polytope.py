@@ -212,14 +212,6 @@ class PolytopeSpec:
         return [self._names[k] if e > 1e-12 else None
                 for k, e in zip(top.tolist(), E[np.arange(len(E)), top].tolist())]
 
-    def most_violated(self, q) -> str | None:
-        """``most_violated_rows`` of the one point ``q``."""
-        return self.most_violated_rows(np.asarray(q, dtype=float)[None, :])[0]
-
-    def violated(self, q, tol: float) -> tuple[str, ...]:
-        """``violated_rows`` of the one point ``q``."""
-        return self.violated_rows(np.asarray(q, dtype=float)[None, :], tol)[0]
-
     def __hash__(self) -> int:
         return self._hash
 

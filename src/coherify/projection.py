@@ -170,11 +170,6 @@ def _simplex_rows(X: np.ndarray) -> np.ndarray:
     return np.maximum(X - theta[:, None], 0.0)
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex, O(m log m) sort form."""
-    return _simplex_rows(np.asarray(v, dtype=float)[None, :])[0]
-
-
 @lru_cache(maxsize=None)
 def _segment_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Over the ``(s, t)`` grid of ``range(m)``: segment lengths ``t - s + 1``

@@ -20,10 +20,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .composition import (
+    SYSTEM_CACHE_SIZE,
     Certificate,
     CompositionSpec,
     _certify_rows,
     _relation_coupling,
+    constraint_system,
     shared_component,
 )
 from .decision import BetRecord
@@ -248,19 +250,14 @@ def sample_labels(truth: TruthDraw, rng: np.random.Generator) -> np.ndarray:
     return (rng.uniform(size=truth.p_star.size) < truth.p_star).astype(int)
 
 
-def clique_truth(model: PanelModel, clique: Clique, master_seed: int,
-                 clique_index: int) -> tuple[TruthDraw, np.ndarray]:
-    """The truth quote and outcome labels of one ensemble clique.
-
-    Both come from one stream per ``(master_seed, clique_index)``, the
-    truth first; labels the clique already carries are kept as they are.
-    """
-    return _clique_truths(model, [(clique, clique_index)], master_seed)[0]
-
-
 def _clique_truths(model: PanelModel, cliques: list,
                    master_seed: int) -> list[tuple[TruthDraw, np.ndarray]]:
-    """``clique_truth`` for ``(clique, clique_index)`` pairs, their streams seeded in one pass."""
+    """The truth quote and outcome labels of each ``(clique, clique_index)`` pair.
+
+    Both come from one stream per ``(master_seed, clique_index)``, the truth
+    first, all streams seeded in one pass; labels a clique already carries
+    are kept as they are.
+    """
     out = []
     for rng, (clique, _) in zip(_rngs([(master_seed, ci, 0x72) for _, ci in cliques]), cliques):
         truth = sample_truth(clique.relation, rng, model.truth_mode)
@@ -327,15 +324,9 @@ def generate_panel(model: PanelModel, clique: Clique, seed,
     return generate_panels(model, [(clique, seed, truth)])[0]
 
 
-def route(policy: RoutingPolicy, k: int, relation: Relation,
-          clique_index: int, seed: int) -> np.ndarray:
-    """Owner per joint coordinate under the policy."""
-    return _routes(policy, k, [(relation, clique_index, seed)])[0]
-
-
 def _routes(policy: RoutingPolicy, k: int, cells: list) -> list[np.ndarray]:
-    """``route`` for ``(relation, clique_index, seed)`` cells, random-uniform streams
-    seeded in one pass."""
+    """The owner of each joint coordinate under the policy, for ``(relation,
+    clique_index, seed)`` cells, random-uniform streams seeded in one pass."""
     if policy.kind == "random-uniform":
         rngs = _rngs([(policy.seed, ci, seed, 0x707E) for _, ci, seed in cells])
         return [rng.integers(0, k, size=relation.m) for rng, (relation, _, _) in zip(rngs, cells)]
@@ -352,30 +343,43 @@ class RoutedComposition:
     owners: tuple[int, ...]       # panel row owning each joint coordinate
 
 
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _skeleton(relation: Relation) -> tuple:
+    """The sole-owner spec of ``relation``, its system read, and the system of its split
+    layouts (all free boxes), built once per relation (``_skeleton.cache_clear()``)."""
+    whole = tuple(range(relation.m))
+    sole = CompositionSpec((shared_component(_polytope(relation), whole),),
+                           _relation_coupling(relation, whole), relation.m)
+    return sole, constraint_system(relation.m, (), sole.system.cuts)
+
+
 def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
-    """Composition spec for one routing of a clique.
+    """Composition spec for one routing of a clique, one owner per joint coordinate
+    (any other shape of ``owners`` is refused first).
 
     A specialist that owns every coordinate contributes its full local
     polytope (its internal repair covers the whole relation); partial
     owners contribute free boxes, and the relation itself enters as the
-    coupling cut over the joint coordinates. The polytopes, boxes, cuts and
-    components are the cached ones, so every layout of one relation shares
-    them.
+    coupling cut over the joint coordinates. Every sole owner of a relation
+    gets the one spec ``_skeleton`` checked; a split layout is built unchecked
+    (``CompositionSpec._routed``) on the relation's cached split system.
     """
     relation = clique.relation
-    m = relation.m
-    owners = tuple(np.asarray(owners, dtype=int).tolist())
+    layout = np.asarray(owners, dtype=int)
+    if layout.shape != (relation.m,):
+        raise ValueError(f"owners have shape {layout.shape}, the relation needs ({relation.m},)")
+    owners = tuple(layout.tolist())
     owned: dict[int, list[int]] = {}
     for j, s in enumerate(owners):
         owned.setdefault(s, []).append(j)
+    sole, split = _skeleton(relation)
+    if len(owned) == 1:
+        return RoutedComposition(sole, owners[:1], owners)
     specialists = tuple(sorted(owned))
-    components = []
-    for s in specialists:
-        coords = tuple(owned[s])
-        polytope = _polytope(relation) if len(coords) == m else free_box(len(coords))
-        components.append(shared_component(polytope, coords))
-    comp = CompositionSpec(tuple(components), _relation_coupling(relation, tuple(range(m))), m)
-    return RoutedComposition(comp, specialists, owners)
+    components = tuple(shared_component(free_box(len(owned[s])), tuple(owned[s]))
+                       for s in specialists)
+    return RoutedComposition(CompositionSpec._routed(components, sole.coupling, split),
+                             specialists, owners)
 
 
 @dataclass(eq=False)

@@ -17,7 +17,6 @@ from coherify.decision import (
     diebold_mariano,
     exposure,
     gate_sweep,
-    log_payoff_delta,
     mann_whitney_auc,
     murphy,
     regret,
@@ -30,7 +29,7 @@ from coherify.polytope import (
     negation,
     partition,
 )
-from coherify.projection import project_relation, project_simplex
+from coherify.projection import project_relation, project_relation_batch
 
 OVERALLOCATED_QUOTE = (0.39, 0.73, 0.67, 0.71)
 NORMALIZED_QUOTE = (0.015, 0.355, 0.295, 0.335)
@@ -174,7 +173,7 @@ def test_unique_yes_derivation():
 
 def test_log_payoff_floor_keeps_delta_finite():
     bet = BetRecord("c", 0, (0.0, 1.0), (0.5, 0.5), (1, 0), 0.5)
-    delta = log_payoff_delta(bet, AllocationRule("proportional"))
+    delta = float(_scores([bet], AllocationRule("proportional"))[1][0])
     assert math.isfinite(delta)
 
 
@@ -193,6 +192,12 @@ def test_a_bet_refuses_quotes_and_labels_of_different_dimension(naive, repaired)
 RULES = [AllocationRule(kind) for kind in ("proportional", "truncated-kelly", "max-entropy")]
 
 
+def _simplex(q):
+    """One quote's projection onto the probability simplex: a partition's polytope."""
+    q = np.asarray(q, dtype=float)
+    return project_relation_batch(partition(q.size), q[None, :])[0]
+
+
 def _allocate_one(rule, q):
     """Reference: one quote's weights, written out as a single-quote allocation."""
     q = np.asarray(q, dtype=float)
@@ -202,7 +207,7 @@ def _allocate_one(rule, q):
         pos = np.maximum(q, 0.0)
         total = pos.sum()
         return np.full(q.size, 1.0 / q.size) if total <= 0.0 else pos / total
-    w = project_simplex(q)
+    w = _simplex(q)
     if rule.kind == "truncated-kelly":
         w = np.minimum(w, KELLY_CAP)
         w = w / w.sum()
@@ -248,7 +253,7 @@ def test_scoring_equals_the_per_bet_scores_bit_for_bit(rule):
     assert scores.tolist() == [[brier(b.quote_naive, b.labels), brier(b.quote_repaired, b.labels)]
                                for b in bets]
     assert dlog.tolist() == [_delta_one(b, rule) for b in bets]
-    assert [log_payoff_delta(b, rule) for b in bets] == dlog.tolist()
+    assert [float(_scores([b], rule)[1][0]) for b in bets] == dlog.tolist()
     for m in range(2, 13):
         Q = np.array([b.quote_naive + b.quote_repaired for b in bets
                       if len(b.labels) == m]).reshape(-1, m)
@@ -256,7 +261,7 @@ def test_scoring_equals_the_per_bet_scores_bit_for_bit(rule):
         assert all(np.array_equal(w, _allocate_one(rule, q)) for w, q in zip(W, Q))
         assert all(np.array_equal(allocate(rule, q), _allocate_one(rule, q)) for q in Q)
     if rule.kind == "truncated-kelly":  # the cap binds somewhere
-        assert any(project_simplex(b.quote_repaired).max() > KELLY_CAP for b in bets)
+        assert any(_simplex(b.quote_repaired).max() > KELLY_CAP for b in bets)
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)

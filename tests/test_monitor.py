@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -15,7 +16,6 @@ from coherify.monitor import (
     StreamStep,
     decide,
     optimal_lambda,
-    replay,
     update,
 )
 
@@ -99,7 +99,7 @@ def test_crossing_indices_recorded_once():
     assert again.crossed_at[0] == first
 
 
-def test_replay_matches_stepwise_bit_for_bit():
+def test_update_folded_over_steps_matches_stepwise_bit_for_bit():
     rng = np.random.default_rng(0)
     steps = [
         StreamStep(eps_sq=float(e), m=2, k_samples=8)
@@ -108,7 +108,7 @@ def test_replay_matches_stepwise_bit_for_bit():
     stepwise = EProcessState()
     for s in steps:
         stepwise = update(stepwise, s)
-    batch = replay(EProcessState(), steps)
+    batch = functools.reduce(update, steps, EProcessState())
     assert stepwise == batch
 
 

@@ -298,10 +298,10 @@ def test_row_wise_names_equal_the_per_point_names(relation):
     for tol in (0.0, 1e-8, 0.3):
         want = [reference_violated(spec, q, tol) for q in X]
         assert spec.violated_rows(X, tol) == want
-        assert [spec.violated(q, tol) for q in X] == want
+        assert [spec.violated_rows(q[None, :], tol)[0] for q in X] == want
     want = [reference_most_violated(spec, q) for q in X]
     assert spec.most_violated_rows(X) == want
-    assert [spec.most_violated(q) for q in X] == want
+    assert [spec.most_violated_rows(q[None, :])[0] for q in X] == want
 
 
 def test_a_spec_hashes_its_fields_once_and_equal_specs_hash_alike(monkeypatch):

@@ -44,7 +44,6 @@ from coherify.projection import (
     project_polytope_batch,
     project_relation,
     project_relation_batch,
-    project_simplex,
 )
 from coherify.simharness import composition_for
 
@@ -98,7 +97,7 @@ def test_closed_form_rejects_frechet_relations():
 
 def test_simplex_projection_identity_on_members():
     q = np.array([0.2, 0.3, 0.5])
-    assert np.array_equal(project_simplex(q), q)
+    assert np.array_equal(project_relation_batch(partition(3), q[None, :])[0], q)
 
 
 def _pav_reference(y):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,7 +24,14 @@ from coherify.polytope import (
     paraphrase,
     partition,
 )
-from coherify.composition import ComponentSpec, relation_coupling, residual
+from coherify.composition import (
+    ComponentSpec,
+    CompositionSpec,
+    constraint_system,
+    relation_coupling,
+    residual,
+    shared_component,
+)
 from coherify.decision import BetRecord
 from coherify.jsonio import dump_columns
 from coherify.projection import (
@@ -39,13 +47,14 @@ from coherify.simharness import (
     RoutingPolicy,
     SimConfig,
     TruthDraw,
-    clique_truth,
+    _clique_truths,
+    _routes,
+    _skeleton,
     composition_for,
     generate_panel,
     generate_panels,
     hardness_experiment,
     population_quotes,
-    route,
     run_ensemble,
     sample_k_marginals,
     sample_truth,
@@ -55,6 +64,11 @@ from coherify.simharness import (
 
 def neg_clique(i=0):
     return Clique(id=f"neg-{i}", relation=negation())
+
+
+def route(policy, k, relation, clique_index, seed):
+    """The owners of one cell: ``_routes`` on it alone."""
+    return _routes(policy, k, [(relation, clique_index, seed)])[0]
 
 
 def part_clique(i=0, m=4):
@@ -265,6 +279,7 @@ def test_composition_for_builds_what_a_nonzero_construction_builds(relation, dat
     k = data.draw(st.integers(1, 6))
     owners = OWNER_FORMS[form](
         data.draw(st.lists(st.integers(0, k - 1), min_size=relation.m, max_size=relation.m)))
+    _skeleton.cache_clear()  # the skeleton's systems are then the system cache's newest
     routed = composition_for(Clique(id="c", relation=relation), owners)
     specialists, components, coupling, owner_tuple = _composition_by_nonzero(relation, owners)
     comp = routed.comp
@@ -277,6 +292,35 @@ def test_composition_for_builds_what_a_nonzero_construction_builds(relation, dat
     assert comp.coupling.constraints == coupling
     assert comp.constrained == tuple((a, c) for a, c in enumerate(comp.components)
                                      if len(c.coords) == relation.m)
+    # the checked constructor, from the same parts, builds the same spec
+    checked = CompositionSpec(comp.components, coupling, relation.m)
+    assert comp == checked
+    assert comp._gather == checked._gather
+    assert comp.constrained == checked.constrained
+    assert comp.system is checked.system
+    again = composition_for(Clique(id="d", relation=relation), owners).comp
+    assert again._gather == comp._gather and again.system is comp.system
+    quote = st.floats(-0.5, 1.5, allow_nan=False)
+    locals_ = [np.array(data.draw(st.lists(quote, min_size=len(c.coords), max_size=len(c.coords))))
+               for c in comp.components]
+    cert, want = residual(comp, locals_), residual(checked, locals_)
+    assert cert.composed.tobytes() == want.composed.tobytes()
+    assert cert.repaired.tobytes() == want.repaired.tobytes()
+    assert (cert.epsilon_star, cert.inputs_locally_coherent, cert.binding) \
+        == (want.epsilon_star, want.inputs_locally_coherent, want.binding)
+
+
+@pytest.mark.parametrize("owners, shape", [([0, 1, 0], "(3,)"), ([0, 1, 0, 1, 2], "(5,)"),
+                                           ([[0, 1], [1, 0]], "(2, 2)"), (0, "()")],
+                         ids=["short", "long", "2-D", "scalar"])
+def test_composition_for_refuses_owners_of_the_wrong_shape_before_any_cache(owners, shape):
+    _skeleton.cache_clear()
+    caches = [cache.cache_info() for cache in (_skeleton, shared_component, constraint_system)]
+    want = f"owners have shape {shape}, the relation needs (4,)"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        composition_for(part_clique(), owners)
+    assert [cache.cache_info() for cache in (_skeleton, shared_component, constraint_system)] \
+        == caches
 
 
 # --- ensembles ------------------------------------------------------------------
@@ -320,7 +364,7 @@ def assert_equals_per_cell_reference(records, cliques, model, policy, n_seeds, m
         (i, s) for i in range(len(cliques)) for s in range(n_seeds)]
     for r in records:
         clique = cliques[r.clique_index]
-        truth, labels = clique_truth(model, clique, master_seed, r.clique_index)
+        [(truth, labels)] = _clique_truths(model, [(clique, r.clique_index)], master_seed)
         panel = generate_panel(model, clique, (master_seed, r.clique_index, r.seed), truth=truth)
         routed = composition_for(clique, route(policy, model.k, clique.relation,
                                                r.clique_index, r.seed))
@@ -372,7 +416,8 @@ BATCHED_PANEL_CASES = {
 def test_batched_panels_equal_the_one_cell_panel_bit_for_bit(case):
     model, kind, relations, n_seeds = BATCHED_PANEL_CASES[case]
     cliques = [Clique(id=f"{r.kind.value}-{i}", relation=r) for i, r in enumerate(relations)]
-    cells = [(clique, (3, ci, seed), clique_truth(model, clique, 3, ci)[0] if seed % 2 else None)
+    cells = [(clique, (3, ci, seed), _clique_truths(model, [(clique, ci)], 3)[0][0]
+              if seed % 2 else None)
              for ci, clique in enumerate(cliques) for seed in range(n_seeds)]
     if case == "ladder-16-cells":
         assert len(cells) * model.k >= COLUMN_ROWS

@@ -34,10 +34,17 @@ from coherify.polytope import (
     free_box,
     ladder,
     negation,
+    paraphrase,
     partition,
 )
 from coherify.projection import project_relation
-from coherify.simharness import PanelModel, RoutingPolicy, composition_for, run_ensemble
+from coherify.simharness import (
+    PanelModel,
+    RoutingPolicy,
+    _skeleton,
+    composition_for,
+    run_ensemble,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 # every benchmarked CLI run starts from this: each coherify lru_cache emptied
@@ -124,7 +131,7 @@ def test_cold_and_warm_caches_certify_the_same_bytes(tmp_path):
                         b"".join(np.asarray([c.epsilon_star, *c.repaired]).tobytes()
                                  for _, c in certs)))
         for comp, cert in certs:
-            assert cert.binding == comp.joint_polytope.violated(cert.composed, TOL)
+            assert cert.binding == comp.joint_polytope.violated_rows(cert.composed[None], TOL)[0]
     assert constraint_system.cache_info().hits > 0  # the warm pass read cached systems
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -180,9 +187,53 @@ def test_every_builder_hands_out_one_component_per_polytope_and_coordinates():
 def test_component_cache_is_emptied_with_every_lru_cache():
     composition_for(Clique(id="p", relation=partition(4)), [0, 1, 1, 0])
     assert shared_component.cache_info().currsize > 0
+    assert _skeleton.cache_info().currsize > 0
     clear_coherify_caches()  # what each benchmarked CLI run starts from
     assert shared_component.cache_info().currsize == 0
     assert shared_component.cache_info().maxsize == COMPONENT_CACHE_SIZE
+    assert _skeleton.cache_info().currsize == 0
+    assert _skeleton.cache_info().maxsize == SYSTEM_CACHE_SIZE
+
+
+def test_skeleton_cache_never_holds_more_than_its_bound():
+    clear_coherify_caches()
+    first = composition_for(Clique(id="p", relation=partition(2)), [0, 0]).comp
+    for m in range(3, SYSTEM_CACHE_SIZE + 42):
+        sole = composition_for(Clique(id="p", relation=partition(m)), [1] * m).comp
+        assert sole.system.whole_relation == partition(m)
+        assert _skeleton.cache_info().currsize <= SYSTEM_CACHE_SIZE
+    assert _skeleton.cache_info().currsize == SYSTEM_CACHE_SIZE
+    # the first relation's skeleton was evicted; asking again builds an equal one
+    again = composition_for(Clique(id="p", relation=partition(2)), [3, 3]).comp
+    assert again is not first and again == first
+    clear_coherify_caches()
+
+
+def test_routed_quotes_build_no_spec_and_no_system_after_one_quote_per_relation(monkeypatch):
+    clear_coherify_caches()
+    relations = [negation(), conjunction(), disjunction(), partition(4), ladder(6), paraphrase(3)]
+    rng = np.random.default_rng(36)
+
+    def certify_one(relation):
+        owners = rng.integers(0, 3, size=relation.m)
+        comp = composition_for(Clique(id="q", relation=relation), owners).comp
+        residual(comp, [rng.uniform(-0.2, 1.2, size=len(c.coords)) for c in comp.components])
+        return len(comp.components) == 1
+
+    for relation in relations:  # warm-up
+        certify_one(relation)
+    checked = []
+    post_init = CompositionSpec.__post_init__
+    monkeypatch.setattr(CompositionSpec, "__post_init__",
+                        lambda self: checked.append(self) or post_init(self))
+    misses = constraint_system.cache_info().misses, _skeleton.cache_info().misses
+    sole = [certify_one(relations[i % len(relations)]) for i in range(500)]
+    assert set(sole) == {True, False}  # sole and split layouts both ran
+    assert (constraint_system.cache_info().misses, _skeleton.cache_info().misses) == misses
+    assert checked == []
+    # every sole layout of one relation is one shared spec
+    clique = Clique(id="p", relation=partition(4))
+    assert composition_for(clique, [0] * 4).comp is composition_for(clique, [2] * 4).comp
 
 
 def test_component_cache_never_holds_more_than_its_bound():
@@ -270,7 +321,7 @@ def test_a_batch_names_each_system_run_once_and_only_when_read(evaluations):
     assert evaluations == []  # never read, never named
     names = [cert.binding for cert in certs]
     assert evaluations == [3] * len(runs) and len(runs) == 6  # one per run, of its 3 rows
-    assert names == [comp.joint_polytope.violated(cert.composed, TOL)
+    assert names == [comp.joint_polytope.violated_rows(cert.composed[None], TOL)[0]
                      for (comp, _), cert in zip(items, certs)]
 
 

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .jsonio import json_field
+from .jsonio import _unchecked, json_field
 from .polytope import (
     MEMBERSHIP_TOL,
     LinearConstraint,
@@ -368,13 +368,12 @@ class CompositionSpec:
         """The spec of ``components`` and ``coupling`` on ``system``, unchecked: the caller
         vouches that the components own each of ``range(system.dim)`` once and that
         ``system`` is ``constraint_system`` of them and ``coupling.constraints``."""
-        comp, dim = cls.__new__(cls), system.dim
+        dim = system.dim
         columns = [j for component in components for j in component.coords]
-        comp.__dict__.update(components=components, coupling=coupling, joint_dim=dim,
-                             system=system, constrained=system.constrained,
-                             _gather=None if columns == list(range(dim))  # else the inverse
-                             else sorted(range(dim), key=columns.__getitem__))
-        return comp
+        return _unchecked(cls, components=components, coupling=coupling, joint_dim=dim,
+                          system=system, constrained=system.constrained,
+                          _gather=None if columns == list(range(dim))  # else the inverse
+                          else sorted(range(dim), key=columns.__getitem__))
 
     @cached_property
     def system(self) -> ConstraintSystem:
@@ -578,18 +577,13 @@ def _joint_projection(comp: CompositionSpec, X: np.ndarray) -> np.ndarray:
 
 def _certificate(comp: CompositionSpec, x: np.ndarray, projected: np.ndarray,
                  locally_coherent: bool, run: _RunBinding, row: int) -> Certificate:
+    """Row ``x``'s certificate, built unchecked from read-only rows of one engine run."""
     d = x - projected
     distance = math.sqrt(d.dot(d))  # np.linalg.norm's own sum for a 1-D float64 vector
     eps = 0.0 if distance < RESIDUAL_FLOOR else distance  # NaN stays NaN, never 0
-    return Certificate(
-        epsilon_star=eps,
-        exposure_bound=math.sqrt(comp.joint_dim) * eps,
-        repaired=projected,
-        inputs_locally_coherent=locally_coherent,
-        composed=x,
-        run=run,
-        row=row,
-    )
+    return _unchecked(Certificate, epsilon_star=eps,
+                      exposure_bound=math.sqrt(comp.joint_dim) * eps, repaired=projected,
+                      inputs_locally_coherent=locally_coherent, composed=x, run=run, row=row)
 
 
 def residual(comp: CompositionSpec, locals_: list, repair_locals: bool = True,
@@ -699,6 +693,8 @@ def _certify_rows(blocks: list, n: int, repair_locals: bool = True,
         except InfeasibleCouplingError as exc:  # an empty set fails the system's first row
             failures[first] = exc
             break  # every later system's items come after this one's first
+        X.setflags(write=False)  # and with it every row a certificate holds
+        projected.setflags(write=False)
         binding = _RunBinding(comp.joint_polytope, X, tol)
         for row, i in enumerate(indices):
             certs[i] = _certificate(comp, X[row], projected[row], coherent[row], binding, row)

@@ -121,6 +121,13 @@ def json_field(record: dict, name: str, kind, default=REQUIRED):
     return _checked(value, name, kind)
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` of ``fields`` without ``__init__`` or ``__post_init__``, for checked parts."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class InputError(ValueError):
     """Malformed input stream; the CLI maps it to exit code 2."""
 

@@ -5,7 +5,8 @@ Each step multiplies a per-lambda e-value by
 population quote this is a nonnegative supermartingale, so the uniform
 mixture crossing ``1/alpha`` rejects at level ``alpha`` at any stopping
 time. Everything is accumulated in the log domain because e-values span
-hundreds of orders of magnitude.
+hundreds of orders of magnitude. ``EProcessState(...)`` checks a caller's
+state; ``update`` checks each step and builds the next state unchecked.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
+from .jsonio import _unchecked
+
 LAMBDA_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 DEFAULT_ALPHAS = (0.05, 1e-4)
+_FLOAT_MAX = sys.float_info.max  # m / (4.0 * K) reads both counts as floats
 
 CONTINUE = "continue"
 REJECT_NULL = "reject_null"
@@ -55,6 +59,14 @@ class EProcessState:
         for alpha in self.alphas:
             if not 0.0 < alpha < 1.0:
                 raise ValueError(f"alpha={alpha} must be in (0, 1)")
+        if not self.lambdas or not all(map(math.isfinite, self.lambdas)):
+            raise ValueError(f"lambdas={list(self.lambdas)} must be one or more finite numbers")
+        if not isinstance(self.t, int) or self.t < 0:
+            raise ValueError(f"t={self.t!r} must be an integer >= 0")
+        for name, values, per, noun in (("log_e", self.log_e, self.lambdas, "lambda"),
+                                        ("crossed_at", self.crossed_at, self.alphas, "alpha")):
+            if values and len(values) != len(per):
+                raise ValueError(f"{name} has {len(values)} entries, needs one per {noun}")
         if not self.log_e:
             object.__setattr__(self, "log_e", tuple(0.0 for _ in self.lambdas))
         if not self.crossed_at:
@@ -70,13 +82,12 @@ class EProcessState:
 
 
 def update(state: EProcessState, step: StreamStep) -> EProcessState:
-    """Advance one step; malformed steps (eps_sq non-finite or outside [0, m]) are rejected."""
-    m = int(step.m)
-    K = int(step.k_samples)
-    eps_sq = float(step.eps_sq)
-    for name, n in (("m", m), ("K", K)):
-        if not 1 <= n <= sys.float_info.max:  # m / (4.0 * K) reads both as floats
-            raise ValueError(f"{name} must be a positive integer within float range")
+    """Advance one step; malformed steps (m or K not a positive integer within float range,
+    eps_sq non-finite or outside [0, m]) are rejected. The next state is built unchecked."""
+    m, K, eps_sq = int(step.m), int(step.k_samples), float(step.eps_sq)
+    if m != step.m or K != step.k_samples or not (1 <= m <= _FLOAT_MAX and 1 <= K <= _FLOAT_MAX):
+        name = "m" if m != step.m or not 1 <= m <= _FLOAT_MAX else "K"
+        raise ValueError(f"{name} must be a positive integer within float range")
     if not 0.0 <= eps_sq <= m:  # also false for NaN
         raise ValueError(f"eps_sq={eps_sq} outside the admissible range [0, {m}]")
     centered = eps_sq - m / (4.0 * K)
@@ -88,17 +99,14 @@ def update(state: EProcessState, step: StreamStep) -> EProcessState:
         hi += math.log(sum([math.exp(v - hi) for v in log_e]))
     log_mix = hi - math.log(len(log_e))
     t = state.t + 1
-    crossed = tuple([t if prior is None and log_mix >= -math.log(alpha) else prior
-                     for prior, alpha in zip(state.crossed_at, state.alphas)])
-    return EProcessState(
-        lambdas=state.lambdas,
-        log_e=log_e,
-        t=t,
-        log_e_mix=log_mix,
-        log_e_mix_max=max(state.log_e_mix_max, log_mix),
-        alphas=state.alphas,
-        crossed_at=crossed,
-    )
+    crossed = state.crossed_at
+    if None in crossed:  # a level that has crossed keeps its step
+        crossed = tuple([t if prior is None and log_mix >= -math.log(alpha) else prior
+                         for prior, alpha in zip(crossed, state.alphas)])
+    peak = state.log_e_mix_max
+    return _unchecked(EProcessState, lambdas=state.lambdas, log_e=log_e, t=t,
+                      log_e_mix=log_mix, log_e_mix_max=log_mix if log_mix > peak else peak,
+                      alphas=state.alphas, crossed_at=crossed)
 
 
 def optimal_lambda(delta: float, m: int, K: int) -> float:

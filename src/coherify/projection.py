@@ -163,11 +163,19 @@ def _simplex_rows(X: np.ndarray) -> np.ndarray:
     U = -X
     U.sort(axis=1)
     np.negative(U, out=U)
-    css = U.cumsum(axis=1)
-    active = U * np.arange(1, m + 1) > (css - 1.0)
+    css = np.add.accumulate(U, axis=1)  # U.cumsum's own sums
+    active = U * _ranges(m)[1] > (css - 1.0)
     rho = m - 1 - active[:, ::-1].argmax(axis=1)  # last active index; index 0 always is
     theta = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
     return np.maximum(X - theta[:, None], 0.0)
+
+
+@lru_cache(maxsize=None)
+def _ranges(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.arange(m)`` and ``np.arange(1, m + 1)``, read-only, built once per ``m``."""
+    index = np.arange(m + 1)
+    index.setflags(write=False)
+    return index[:-1], index[1:]
 
 
 @lru_cache(maxsize=None)
@@ -202,13 +210,13 @@ def _nonincreasing_rows(X: np.ndarray) -> np.ndarray:
     if n >= COLUMN_ROWS:
         return _nonincreasing_columns(X)
     length, below = _segment_grid(m)
-    diag = np.arange(m)
+    diag = _ranges(m)[0]
     out = np.empty_like(X)
     step = max(1, BLOCK_ENTRIES // (m * m))
     for start in range(0, n, step):
         B = X[start:start + step]
         S = np.zeros((B.shape[0], m + 1))
-        B.cumsum(axis=1, out=S[:, 1:])
+        np.add.accumulate(B, axis=1, out=S[:, 1:])  # B.cumsum's own sums
         means = S[:, None, 1:] - S[:, :-1, None]  # [:, s, t]: sum of B[s..t]
         means /= length
         means += below  # no segment where t < s

@@ -29,7 +29,7 @@ from .composition import (
     shared_component,
 )
 from .decision import BetRecord
-from .jsonio import finite_float
+from .jsonio import _unchecked, finite_float
 from .polytope import (
     _FIXED_ARITY,
     _MIN_ARITY,
@@ -361,8 +361,8 @@ def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
     polytope (its internal repair covers the whole relation); partial
     owners contribute free boxes, and the relation itself enters as the
     coupling cut over the joint coordinates. Every sole owner of a relation
-    gets the one spec ``_skeleton`` checked; a split layout is built unchecked
-    (``CompositionSpec._routed``) on the relation's cached split system.
+    gets the one spec ``_skeleton`` checked; a split layout (``CompositionSpec._routed``,
+    on the relation's cached split system) and every result are built unchecked.
     """
     relation = clique.relation
     layout = np.asarray(owners, dtype=int)
@@ -374,12 +374,12 @@ def composition_for(clique: Clique, owners: np.ndarray) -> RoutedComposition:
         owned.setdefault(s, []).append(j)
     sole, split = _skeleton(relation)
     if len(owned) == 1:
-        return RoutedComposition(sole, owners[:1], owners)
+        return _unchecked(RoutedComposition, comp=sole, specialists=owners[:1], owners=owners)
     specialists = tuple(sorted(owned))
-    components = tuple(shared_component(free_box(len(owned[s])), tuple(owned[s]))
-                       for s in specialists)
-    return RoutedComposition(CompositionSpec._routed(components, sole.coupling, split),
-                             specialists, owners)
+    components = tuple([shared_component(free_box(len(owned[s])), tuple(owned[s]))
+                        for s in specialists])
+    return _unchecked(RoutedComposition, specialists=specialists, owners=owners,
+                      comp=CompositionSpec._routed(components, sole.coupling, split))
 
 
 @dataclass(eq=False)

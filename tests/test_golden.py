@@ -1,5 +1,6 @@
-"""Byte-exact golden outputs of the study commands (``tests/golden/study``) and
-of the engine commands (``tests/golden/engine``).
+"""Byte-exact golden outputs of the study commands (``tests/golden/study``), of
+the engine commands (``tests/golden/engine``) and of the experiment scripts'
+tables (``tests/golden/scripts``).
 
 A mismatch reports the largest numeric move per field, so that a change
 that moves these bytes on purpose is measured before the corpus is
@@ -22,11 +23,14 @@ def _corpus(name: str):
     return module
 
 
-study, engine = _corpus("study"), _corpus("engine")
+study, engine, scripts = _corpus("study"), _corpus("engine"), _corpus("scripts")
 
 
 def _fields(name: str, text: str) -> list[tuple[str, object]]:
     """``(field, value)`` for every leaf of the file, list indices folded into ``[]``."""
+    if name.endswith(".txt"):  # a printed table: each line's tokens, brackets and commas off
+        return [(f"line {i + 1}", token.strip("(),"))
+                for i, line in enumerate(text.splitlines()) for token in line.split()]
     if name.endswith(".csv"):
         rows = list(csv.DictReader(io.StringIO(text)))
     else:
@@ -90,3 +94,8 @@ def test_study_commands_write_the_golden_bytes(tmp_path):
 def test_engine_commands_write_the_golden_bytes(tmp_path):
     engine.run_engine(tmp_path)
     _compare("engine", engine.OUTPUTS, tmp_path)
+
+
+def test_script_tables_are_the_golden_bytes(tmp_path):
+    scripts.run_scripts(tmp_path)
+    _compare("scripts", scripts.OUTPUTS, tmp_path)

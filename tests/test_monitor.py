@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -134,11 +135,84 @@ def test_state_rejects_alpha_outside_the_unit_interval(alphas):
         EProcessState(alphas=alphas)
 
 
+@pytest.mark.parametrize("fields, field", [
+    ({"lambdas": ()}, "lambdas"),
+    ({"lambdas": (1.0, math.nan)}, "lambdas"),
+    ({"lambdas": (math.inf,)}, "lambdas"),
+    ({"lambdas": (1.0, 2.0), "log_e": (0.0,)}, "log_e"),
+    ({"lambdas": (1.0,), "log_e": (0.0, 0.0)}, "log_e"),
+    ({"alphas": (0.05, 1e-4), "crossed_at": (None,)}, "crossed_at"),
+    ({"t": -3}, "t"),
+    ({"t": 2.5}, "t"),
+])
+def test_state_refuses_what_update_cannot_advance(fields, field):
+    with pytest.raises(ValueError, match=f"^{field}"):
+        EProcessState(**fields)
+    with pytest.raises(ValueError, match=f"^{field}"):
+        EProcessState.from_json(json.dumps({k: list(v) if type(v) is tuple else v
+                                            for k, v in fields.items()}))
+
+
+@pytest.mark.parametrize("m, K, field", [(2.9, 8, "m"), (2, 8.5, "K"), ("2", 8, "m")])
+def test_update_refuses_a_non_integral_count(m, K, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+        update(EProcessState(), StreamStep(eps_sq=0.1, m=m, k_samples=K))
+
+
+def test_update_takes_numpy_integer_counts_as_ints():
+    step = StreamStep(eps_sq=0.1, m=np.int64(2), k_samples=np.int32(8))
+    assert update(EProcessState(), step) == update(EProcessState(), StreamStep(0.1, 2, 8))
+
+
+def _checked_update(state: EProcessState, step: StreamStep) -> EProcessState:
+    """``update`` as it stood before it built states unchecked: every state through
+    the public constructor, and every crossing level tested at every step."""
+    m, K, eps_sq = int(step.m), int(step.k_samples), float(step.eps_sq)
+    centered = eps_sq - m / (4.0 * K)
+    spread = m / (2.0 * K)
+    log_e = tuple([le + lam * centered - lam * lam * spread
+                   for le, lam in zip(state.log_e, state.lambdas)])
+    hi = max(log_e)
+    if hi != -math.inf:
+        hi += math.log(sum([math.exp(v - hi) for v in log_e]))
+    log_mix = hi - math.log(len(log_e))
+    t = state.t + 1
+    crossed = tuple([t if prior is None and log_mix >= -math.log(alpha) else prior
+                     for prior, alpha in zip(state.crossed_at, state.alphas)])
+    return EProcessState(lambdas=state.lambdas, log_e=log_e, t=t, log_e_mix=log_mix,
+                         log_e_mix_max=max(state.log_e_mix_max, log_mix),
+                         alphas=state.alphas, crossed_at=crossed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_update_matches_the_checked_update_bit_for_bit_across_crossings(seed):
+    rng = np.random.default_rng(seed)
+    alphas = (0.5, 0.05, 1e-4, 1e-8)
+    m, K = int(rng.integers(2, 7)), int(rng.integers(1, 17))
+    drift = np.linspace(0.0, 0.8, 600) * m  # quiet first, then rising past every level
+    eps = np.clip(drift * rng.uniform(0.0, 1.0, size=600) + m / (4.0 * K) * rng.uniform(size=600),
+                  0.0, m)
+    got = want = EProcessState(alphas=alphas)
+    for e in eps:
+        step = StreamStep(float(e), m, K)
+        got, want = update(got, step), _checked_update(want, step)
+        assert repr(got) == repr(want)  # repr tells every float bit but NaN's apart
+        assert got == EProcessState(**dataclasses.asdict(got))
+    assert None not in got.crossed_at
+    assert len(set(got.crossed_at)) == len(alphas)  # every level, each at its own step
+    assert max(got.crossed_at) < got.t - 50  # and the stream went on after the last
+
+
 def test_serialization_round_trip():
     state = EProcessState()
     for e in (0.1, 0.9, 1.7):
         state = update(state, StreamStep(eps_sq=e, m=2, k_samples=8))
     assert EProcessState.from_json(state.to_json()) == state
+    crossed = EProcessState(lambdas=(0.5, 1.0), alphas=(0.5, 1e-300))
+    for _ in range(12):
+        crossed = update(crossed, StreamStep(eps_sq=2.0, m=2, k_samples=8))
+    assert crossed.crossed_at[0] is not None and crossed.crossed_at[1] is None
+    assert EProcessState.from_json(crossed.to_json()) == crossed
     assert list(json.loads(state.to_json())) == [
         "lambdas", "log_e", "t", "log_e_mix", "log_e_mix_max", "alphas", "crossed_at",
     ]

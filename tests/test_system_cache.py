@@ -1,5 +1,6 @@
 """Constraint systems built once per process, and binding cuts named only on read."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from coherify.composition import (
     COMPONENT_CACHE_SIZE,
     SYSTEM_CACHE_SIZE,
     Block,
+    Certificate,
     ComponentSpec,
     CompositionSpec,
     CouplingConstraint,
@@ -23,6 +25,7 @@ from coherify.composition import (
     shared_component,
 )
 from coherify.jsonio import dump_lines, parse_lines
+from coherify.monitor import EProcessState, StreamStep, update
 from coherify.polytope import (
     Clique,
     PolytopeSpec,
@@ -40,6 +43,7 @@ from coherify.polytope import (
 from coherify.projection import project_relation
 from coherify.simharness import (
     PanelModel,
+    RoutedComposition,
     RoutingPolicy,
     _skeleton,
     composition_for,
@@ -213,24 +217,36 @@ def test_routed_quotes_build_no_spec_and_no_system_after_one_quote_per_relation(
     clear_coherify_caches()
     relations = [negation(), conjunction(), disjunction(), partition(4), ladder(6), paraphrase(3)]
     rng = np.random.default_rng(36)
+    states = [EProcessState(alphas=(0.5, 0.05))]
 
     def certify_one(relation):
         owners = rng.integers(0, 3, size=relation.m)
-        comp = composition_for(Clique(id="q", relation=relation), owners).comp
-        residual(comp, [rng.uniform(-0.2, 1.2, size=len(c.coords)) for c in comp.components])
-        return len(comp.components) == 1
+        routed = composition_for(Clique(id="q", relation=relation), owners)
+        comp = routed.comp
+        cert = residual(comp, [rng.uniform(-0.2, 1.2, size=len(c.coords)) for c in comp.components])
+        states.append(update(states[-1], StreamStep(cert.epsilon_star ** 2, relation.m, 8)))
+        return routed, cert
 
     for relation in relations:  # warm-up
         certify_one(relation)
-    checked = []
-    post_init = CompositionSpec.__post_init__
-    monkeypatch.setattr(CompositionSpec, "__post_init__",
-                        lambda self: checked.append(self) or post_init(self))
+    checked = []  # no checked spec, state or certificate is built per quote
+    for cls in (CompositionSpec, EProcessState, Certificate):
+        def counted(self, post_init=cls.__post_init__):
+            checked.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
     misses = constraint_system.cache_info().misses, _skeleton.cache_info().misses
-    sole = [certify_one(relations[i % len(relations)]) for i in range(500)]
-    assert set(sole) == {True, False}  # sole and split layouts both ran
+    quotes = [certify_one(relations[i % len(relations)]) for i in range(500)]
+    assert {len(routed.comp.components) == 1 for routed, _ in quotes} == {True, False}  # sole, split
     assert (constraint_system.cache_info().misses, _skeleton.cache_info().misses) == misses
     assert checked == []
+    monkeypatch.undo()
+    # what was built unchecked is what the checked constructors build
+    for (routed, cert), state in zip(quotes, states[-500:]):
+        assert not cert.repaired.flags.writeable and not cert.composed.flags.writeable
+        assert state == EProcessState(**dataclasses.asdict(state))
+        assert routed == RoutedComposition(routed.comp, routed.specialists, routed.owners)
     # every sole layout of one relation is one shared spec
     clique = Clique(id="p", relation=partition(4))
     assert composition_for(clique, [0] * 4).comp is composition_for(clique, [2] * 4).comp
